@@ -6,7 +6,7 @@
 //! * 7c — policy memory (KB) vs policy size |R|;
 //! * 7d — processing cost per 100 tuples (µs) vs policy size |R|.
 //!
-//! Usage: `cargo run --release -p sp-bench --bin fig7 -- [a|p|c|d|b|r|t|x|s|all]`
+//! Usage: `cargo run --release -p sp-bench --bin fig7 -- [a|p|c|d|b|r|t|x|all]`
 //!
 //! `b` measures segment-batch execution: the same select+shield-heavy
 //! plan driven tuple-at-a-time vs in segment batches, reporting the
@@ -38,21 +38,11 @@
 //! machine-readable summary to `target/BENCH_trace.json`, and doubles as
 //! a release lint: the process exits nonzero when the overhead exceeds
 //! 5% or any enforcement-lag histogram is empty on this workload.
-//!
-//! `s` measures key-partitioned shard scale-out: the same shield-heavy
-//! plan behind the deterministic exchange at widths 1/2/4/8, reporting
-//! the wall-clock speedup and writing a machine-readable summary to
-//! `target/BENCH_shard.json`. It doubles as a release lint: the released
-//! sequence, the audit trail, and the checkpoint must be byte-identical
-//! at every width (and a checkpoint cut at one width must resume at
-//! another) — any divergence exits nonzero. The ≥3× speedup target at 8
-//! shards is enforced only on hosts with at least 8 cores; elsewhere the
-//! skip is recorded in the summary instead of failing the build.
 
 use sp_bench::mechanisms::{all_mechanisms, catalog, drive, probe_roles, MechRun};
 use sp_bench::workloads::fig7_workload;
 use sp_bench::{log_rows, print_table, us_per, warn_if_debug, Row};
-use sp_core::wire::{FrameDecoder, Message};
+use sp_core::wire::{Message, StreamDecoder, WireFrame};
 use sp_core::{RoleSet, StreamId};
 use sp_engine::{
     run_supervised, DegradationStats, FaultInjector, FaultPlan, MemStore, PlanBuilder,
@@ -95,7 +85,6 @@ fn main() {
         "r" => degradation_report(),
         "t" => telemetry_report(),
         "x" => trace_report(),
-        "s" => shard_report(),
         _ => {
             ratio_sweep(true);
             ratio_sweep(false);
@@ -105,7 +94,6 @@ fn main() {
             degradation_report();
             telemetry_report();
             trace_report();
-            shard_report();
         }
     }
 }
@@ -224,182 +212,6 @@ fn batch_report() {
         std::process::exit(1);
     }
     println!("  release lint        identical multisets (pass)");
-}
-
-/// Shard scale-out: one shield-heavy plan behind the key partitioner at
-/// widths 1/2/4/8. Large policies (|R| = 100) make the shield's
-/// per-tuple probe the dominant cost — the work the partitioner spreads
-/// across cores — while the coordinator's routing stays cheap.
-///
-/// Doubles as a **release lint** for the §V equivalence invariants:
-/// every width must release the same tuple sequence, encode the same
-/// audit trail, and cut the same checkpoint bytes as the width-1 run,
-/// and a checkpoint cut at width 4 must resume at width 2. Divergence
-/// exits nonzero unconditionally. The ≥3× speedup target at 8 shards is
-/// enforced only when the host has at least 8 cores; on smaller hosts
-/// the skip is recorded in `target/BENCH_shard.json` instead.
-fn shard_report() {
-    use sp_engine::{CmpOp, Expr, Select, ShardedExecutor};
-
-    const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-    let catalog = catalog(128);
-    let workload = fig7_workload(25, 100, 0.5, 0x5A4D);
-    let input: Vec<(StreamId, sp_core::StreamElement)> =
-        workload.elements.iter().map(|e| (workload.stream, e.clone())).collect();
-    let stream = workload.stream;
-    let schema = &workload.schema;
-    // src → select (eager: forwards sps immediately, so the plan shards)
-    // → shield → sink, with telemetry on so the audit-trail invariant is
-    // exercised, not vacuous.
-    let builder = || {
-        let mut b = PlanBuilder::new(catalog.clone());
-        let src = b.source(stream, schema.clone());
-        let sel = b.add(
-            Select::eager(Expr::cmp(CmpOp::Ge, Expr::Attr(0), Expr::Const(sp_core::Value::Int(0)))),
-            src,
-        );
-        let ss = b.add(SecurityShield::new(RoleSet::from([0])).without_timing(), sel);
-        let sink = b.sink(ss);
-        b.enable_telemetry(TelemetryConfig::enabled());
-        (b, sink)
-    };
-    let (_, sink) = builder();
-
-    struct WidthRun {
-        width: usize,
-        elapsed: std::time::Duration,
-        released: Vec<u64>,
-        audit: Vec<u8>,
-        ckpt: Vec<u8>,
-    }
-    let runs: Vec<WidthRun> = WIDTHS
-        .iter()
-        .map(|&w| {
-            let elapsed = time_best_of_3(|| {
-                let mut exec = ShardedExecutor::new(|| builder().0, w).expect("plan is shardable");
-                exec.push_all(input.iter().cloned()).expect("clean input");
-                exec.finish().expect("clean finish");
-            });
-            // A kept run for the invariant lint, outside the timing loop.
-            let mut exec = ShardedExecutor::new(|| builder().0, w).expect("plan is shardable");
-            exec.push_all(input.iter().cloned()).expect("clean input");
-            exec.finish().expect("clean finish");
-            let released: Vec<u64> = exec.sink(sink).tuples().map(|t| t.tid.raw()).collect();
-            let audit = exec.audit_trail().encode_to_vec();
-            let ckpt =
-                exec.checkpoint(1, input.len() as u64).expect("checkpoint cuts").encode_to_vec();
-            WidthRun { width: w, elapsed, released, audit, ckpt }
-        })
-        .collect();
-
-    // Cross-width resume: cut mid-stream at width 4, restore at width 2,
-    // finish the input there. The resumed run's releases must be exactly
-    // the width-1 run's tail.
-    let half = input.len() / 2;
-    let resumed_ok = {
-        let mut a = ShardedExecutor::new(|| builder().0, 4).expect("plan is shardable");
-        a.push_all(input[..half].iter().cloned()).expect("clean input");
-        let cut = a.checkpoint(1, half as u64).expect("checkpoint cuts");
-        let mut b = ShardedExecutor::new(|| builder().0, 2).expect("plan is shardable");
-        b.restore(&cut).expect("checkpoint restores at another width");
-        b.push_all(input[half..].iter().cloned()).expect("clean input");
-        b.finish().expect("clean finish");
-        let resumed: Vec<u64> = b.sink(sink).tuples().map(|t| t.tid.raw()).collect();
-        !resumed.is_empty() && runs[0].released.ends_with(&resumed)
-    };
-
-    let base = runs[0].elapsed.as_secs_f64();
-    let speedups: Vec<f64> =
-        runs.iter().map(|r| base / r.elapsed.as_secs_f64().max(1e-9)).collect();
-    let invariants_ok = runs.iter().all(|r| {
-        r.released == runs[0].released && r.audit == runs[0].audit && r.ckpt == runs[0].ckpt
-    }) && resumed_ok;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let enforce_speedup = cores >= 8;
-    let speedup8 = speedups[WIDTHS.len() - 1];
-
-    println!("\nFig 7s: key-partitioned shard scale-out (|R| = 100, sp:tuple = 1/25)");
-    println!("  tuples              {:>10}", workload.tuples);
-    println!("  released            {:>10}", runs[0].released.len());
-    println!("  host cores          {cores:>10}");
-    for (r, s) in runs.iter().zip(&speedups) {
-        println!(
-            "  {} shard{}            {:>10.2} ms   {s:>5.2}x",
-            r.width,
-            if r.width == 1 { " " } else { "s" },
-            r.elapsed.as_secs_f64() * 1e3,
-        );
-    }
-    println!(
-        "  target              {:>10} (8 shards >= 3x, {})",
-        "",
-        if enforce_speedup { "enforced" } else { "recorded only: fewer than 8 cores" },
-    );
-
-    if std::fs::create_dir_all("target").is_ok() {
-        let fmt_list = |f: &dyn Fn(&WidthRun) -> String| -> String {
-            runs.iter().map(f).collect::<Vec<_>>().join(", ")
-        };
-        let json = format!(
-            concat!(
-                "{{\n  \"experiment\": \"fig7s_shard\",\n",
-                "  \"tuples\": {},\n  \"released\": {},\n  \"cores\": {},\n",
-                "  \"widths\": [{}],\n  \"elapsed_ms\": [{}],\n  \"speedup\": [{}],\n",
-                "  \"speedup_enforced\": {},\n  \"speedup_skip_reason\": {},\n",
-                "  \"invariants_identical\": {},\n  \"cross_width_resume\": {}\n}}\n"
-            ),
-            workload.tuples,
-            runs[0].released.len(),
-            cores,
-            fmt_list(&|r| r.width.to_string()),
-            fmt_list(&|r| format!("{:.3}", r.elapsed.as_secs_f64() * 1e3)),
-            speedups.iter().map(|s| format!("{s:.3}")).collect::<Vec<_>>().join(", "),
-            enforce_speedup,
-            if enforce_speedup {
-                "null".to_string()
-            } else {
-                format!("\"host has {cores} cores; the 3x-at-8-shards gate needs 8\"")
-            },
-            invariants_ok,
-            resumed_ok,
-        );
-        let _ = std::fs::write("target/BENCH_shard.json", json);
-        println!("  wrote target/BENCH_shard.json");
-    }
-
-    let rows: Vec<Row> = runs
-        .iter()
-        .zip(&speedups)
-        .flat_map(|(r, &s)| {
-            let mk = |metric: &'static str, measured: f64| Row {
-                experiment: "fig7s",
-                param: "shards",
-                value: r.width.to_string(),
-                series: "sp".into(),
-                metric,
-                measured,
-            };
-            [mk("elapsed_ms", r.elapsed.as_secs_f64() * 1e3), mk("speedup", s)]
-        })
-        .collect();
-    log_rows(&rows);
-
-    if !invariants_ok {
-        eprintln!(
-            "LINT FAILURE: sharded execution diverged from the width-1 run \
-             (released/audit/checkpoint must be byte-identical at every width, \
-             and a width-4 checkpoint must resume at width 2)"
-        );
-        std::process::exit(1);
-    }
-    println!("  release lint        byte-identical at every width (pass)");
-    if enforce_speedup && speedup8 < 3.0 {
-        eprintln!(
-            "LINT FAILURE: 8-shard speedup {speedup8:.2}x is below the 3x target \
-             on a {cores}-core host"
-        );
-        std::process::exit(1);
-    }
 }
 
 /// Telemetry overhead: the same shielded workload with the audit trail
@@ -667,13 +479,21 @@ fn degradation_report() {
     // Wire-level faults: frame the stream and flip bytes; the decoder
     // resynchronizes past corrupted frames and counts them.
     let mut bytes = Vec::new();
+    let mut max_frame = 0;
     for chunk in faulty.chunks(16) {
         let elems: Vec<_> = chunk.iter().map(|(_, e)| e.clone()).collect();
+        let start = bytes.len();
         Message::new(workload.stream, elems).encode(&mut bytes);
+        max_frame = max_frame.max(bytes.len() - start);
     }
     injector.corrupt(&mut bytes);
-    let mut decoder = FrameDecoder::new();
-    let messages = decoder.decode_stream(&bytes);
+    // Capped at the largest frame actually sent, so a corrupted length
+    // field is refused at once instead of swallowing the frames behind it.
+    let mut decoder = StreamDecoder::new(max_frame);
+    let frames = decoder.feed(&bytes);
+    // A recorded buffer has no more bytes coming: whatever the decoder
+    // still holds is one truncated frame, lost like any corrupted one.
+    let truncated = decoder.buffered();
 
     // A K-slack reorder buffer restores timestamp order, dropping
     // hopelessly late arrivals, before the hardened analyzer.
@@ -689,7 +509,8 @@ fn degradation_report() {
 
     let mut reorder = ReorderBuffer::new(25);
     let mut ordered = Vec::new();
-    for msg in messages {
+    for frame in frames {
+        let WireFrame::Message(msg) = frame else { continue };
         for elem in msg.elements {
             reorder.push(elem, &mut ordered);
         }
@@ -707,11 +528,11 @@ fn degradation_report() {
 
     let mut deg: DegradationStats = exec.degradation();
     deg.reorder_dropped = reorder.dropped;
-    deg.corrupted_frames = decoder.corrupted_frames;
+    deg.corrupted_frames = decoder.corrupted_frames + u64::from(truncated > 0);
 
     println!("\nFig 7r: fail-closed degradation under a hostile replay");
     println!("  faults injected     {}", injector.stats().total());
-    println!("  wire bytes skipped  {}", decoder.skipped_bytes);
+    println!("  wire bytes skipped  {}", decoder.skipped_bytes + truncated as u64);
     println!("  engine errors       {engine_errors}");
     println!("  {deg}");
     println!(

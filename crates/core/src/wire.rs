@@ -24,8 +24,8 @@
 //!   decoding into a different policy;
 //! * [`Message::decode`] never panics on arbitrary bytes — every read is
 //!   bounds-checked and all failures are typed [`WireError`]s;
-//! * [`FrameDecoder`] consumes a raw byte stream, *resynchronizing* past
-//!   corrupted frames by scanning to the next [`MAGIC`] boundary and
+//! * [`StreamDecoder`] consumes a raw byte stream, *resynchronizing* past
+//!   corrupted frames by scanning to the next frame boundary and
 //!   counting what it had to skip — a damaged frame costs its own
 //!   elements (fail closed), never the rest of the stream.
 
@@ -38,7 +38,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Wire format version tag; also the frame boundary marker
-/// [`FrameDecoder`] resynchronizes on.
+/// [`StreamDecoder`] resynchronizes on.
 pub const MAGIC: u8 = 0xA5;
 
 /// Element tags.
@@ -248,7 +248,7 @@ impl Message {
     ///
     /// Fails on bad magic, truncation, checksum mismatch, or malformed
     /// elements. On error the buffer position is unspecified; use
-    /// [`FrameDecoder`] to recover subsequent frames from a byte stream.
+    /// [`StreamDecoder`] to recover subsequent frames from a byte stream.
     pub fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
         if buf.remaining() < 1 + 4 + 4 {
             return Err(err("truncated frame header"));
@@ -294,64 +294,6 @@ impl Message {
             return Err(err("trailing bytes in frame body"));
         }
         Ok(Self { stream, elements })
-    }
-}
-
-/// Decodes a raw byte stream of frames, skipping damaged ones.
-///
-/// A decode failure costs exactly the damaged frame: the decoder scans
-/// forward to the next [`MAGIC`] boundary and tries again, so one
-/// corrupted message never takes down the rest of the stream. The
-/// counters record what was lost — the degradation is *observable*, and
-/// because the damaged frame's elements are simply absent (rather than
-/// guessed at), the failure is closed: no policy or tuple is ever
-/// fabricated from corrupt bytes.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    /// Frame decode attempts that failed (bad CRC, truncation,
-    /// malformed body) and were skipped by resync.
-    pub corrupted_frames: u64,
-    /// Bytes skipped while scanning for a [`MAGIC`] boundary.
-    pub skipped_bytes: u64,
-}
-
-impl FrameDecoder {
-    /// A fresh decoder with zeroed counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Decodes every recoverable message in `bytes`.
-    ///
-    /// Never panics, for arbitrary input. Counters accumulate across
-    /// calls, so one decoder can track a whole session.
-    pub fn decode_stream(&mut self, bytes: &[u8]) -> Vec<Message> {
-        let mut out = Vec::new();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            if bytes[pos] != MAGIC {
-                pos += 1;
-                self.skipped_bytes += 1;
-                continue;
-            }
-            let mut slice = &bytes[pos..];
-            let before = slice.len();
-            match Message::decode(&mut slice) {
-                Ok(msg) => {
-                    out.push(msg);
-                    pos += before - slice.len();
-                }
-                Err(_) => {
-                    // Not a valid frame at this boundary: skip the magic
-                    // byte and rescan.
-                    self.corrupted_frames += 1;
-                    self.skipped_bytes += 1;
-                    pos += 1;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -724,13 +666,13 @@ pub enum WireFrame {
 /// Incremental decoder for a socket byte stream of [`Message`],
 /// [`Control`], and [`crate::crypto::CipherFrame`] frames.
 ///
-/// Unlike [`FrameDecoder`] (which decodes a complete recorded buffer and
-/// treats a trailing truncated frame as corrupt), `StreamDecoder` is
-/// built for live delivery: bytes arrive in arbitrary chunks, so an
+/// Built for live delivery: bytes arrive in arbitrary chunks, so an
 /// incomplete frame is *retained* until the rest arrives. Corruption is
-/// still fail-closed — a frame whose checksum or body fails to verify is
+/// fail-closed — a frame whose checksum or body fails to verify is
 /// skipped by scanning to the next plausible boundary, costing exactly
-/// its own elements — and a frame header whose claimed length exceeds
+/// its own elements, and because they are simply absent (rather than
+/// guessed at) no policy or tuple is ever fabricated from corrupt bytes
+/// — and a frame header whose claimed length exceeds
 /// `max_frame_len` is treated as corruption immediately rather than
 /// waiting forever for bytes that will never come (a one-byte lie must
 /// not stall the connection past its read deadline).
@@ -954,47 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_decoder_resyncs_past_corruption() {
-        let frames: Vec<Message> = (0..4)
-            .map(|i| {
-                Message::new(
-                    StreamId(i),
-                    vec![
-                        StreamElement::punctuation(sp(u64::from(i))),
-                        StreamElement::tuple(tuple(u64::from(i) + 10)),
-                    ],
-                )
-            })
-            .collect();
-        let mut stream = Vec::new();
-        let mut frame_starts = Vec::new();
-        for f in &frames {
-            frame_starts.push(stream.len());
-            f.encode(&mut stream);
-        }
-        // Corrupt one byte in the middle of frame 1's body.
-        stream[frame_starts[1] + 15] ^= 0xFF;
-        let mut dec = FrameDecoder::new();
-        let recovered = dec.decode_stream(&stream);
-        let ids: Vec<u32> = recovered.iter().map(|m| m.stream.raw()).collect();
-        assert_eq!(ids, vec![0, 2, 3], "only the damaged frame is lost");
-        assert!(dec.corrupted_frames >= 1);
-        assert!(dec.skipped_bytes > 0);
-    }
-
-    #[test]
-    fn frame_decoder_survives_garbage_interludes() {
-        let msg = Message::new(StreamId(9), vec![StreamElement::tuple(tuple(3))]);
-        let mut stream = vec![0xDE, 0xAD, 0xBE, 0xEF, MAGIC, 0x00]; // noise + fake magic
-        msg.encode(&mut stream);
-        stream.extend_from_slice(&[MAGIC, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]); // truncated frame
-        let mut dec = FrameDecoder::new();
-        let recovered = dec.decode_stream(&stream);
-        assert_eq!(recovered, vec![msg]);
-        assert!(dec.corrupted_frames >= 1);
-    }
-
-    #[test]
     fn control_frames_round_trip() {
         let frames = [
             Control::Hello { tenant: 7, acked: 42 },
@@ -1176,21 +1077,5 @@ mod tests {
         assert!(dec.buffered() > 0);
         assert_eq!(dec.feed(tail), vec![WireFrame::Message(msg)]);
         assert_eq!(dec.corrupted_frames, 0);
-    }
-
-    #[test]
-    fn frame_decoder_handles_arbitrary_bytes() {
-        // A deterministic pseudo-random byte soup must never panic.
-        let mut x = 0x1234_5678_9ABC_DEF0u64;
-        let bytes: Vec<u8> = (0..4096)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        let mut dec = FrameDecoder::new();
-        let _ = dec.decode_stream(&bytes);
     }
 }

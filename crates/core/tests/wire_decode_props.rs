@@ -1,12 +1,12 @@
-//! Wire-decoder hardening properties: `Message::decode` and
-//! [`FrameDecoder`] must never panic, must round-trip clean frames
-//! exactly, and must resynchronize past corruption without ever producing
-//! a frame that was not sent (CRC-32 protects every body).
+//! Wire-decoder hardening properties: [`StreamDecoder`] must never
+//! panic, must round-trip clean frames exactly, and must resynchronize
+//! past corruption without ever producing a frame that was not sent
+//! (CRC-32 protects every body).
 
 #![allow(clippy::expect_used)]
 
 use proptest::prelude::*;
-use sp_core::wire::{Control, FrameDecoder, Message, StreamDecoder, WireFrame};
+use sp_core::wire::{Control, Message, StreamDecoder, WireFrame};
 use sp_core::{
     RoleId, RoleSet, SecurityPunctuation, StreamElement, StreamId, Timestamp, Tuple, TupleId, Value,
 };
@@ -50,81 +50,6 @@ fn encode_all(frames: &[Message]) -> Vec<u8> {
         f.encode(&mut bytes);
     }
     bytes
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Clean input: every frame decodes back, in order, with no losses.
-    #[test]
-    fn clean_streams_round_trip(frames in arb_frames()) {
-        let bytes = encode_all(&frames);
-        let mut dec = FrameDecoder::new();
-        let decoded = dec.decode_stream(&bytes);
-        prop_assert_eq!(&decoded, &frames);
-        prop_assert_eq!(dec.corrupted_frames, 0);
-        prop_assert_eq!(dec.skipped_bytes, 0);
-    }
-
-    /// Any single bit flip anywhere in the stream: no panic, and every
-    /// decoded frame is one that was actually sent — corruption may lose
-    /// frames but must never fabricate or alter one.
-    #[test]
-    fn single_bit_flip_never_fabricates_frames(
-        frames in arb_frames(),
-        pos_ratio in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let mut bytes = encode_all(&frames);
-        let pos = ((bytes.len() as f64 - 1.0) * pos_ratio) as usize;
-        bytes[pos] ^= 1 << bit;
-        let mut dec = FrameDecoder::new();
-        let decoded = dec.decode_stream(&bytes);
-        prop_assert!(decoded.len() <= frames.len());
-        for d in &decoded {
-            prop_assert!(frames.contains(d), "decoder fabricated a frame");
-        }
-        // At most one frame is hit by one flipped bit.
-        prop_assert!(decoded.len() + 1 >= frames.len());
-    }
-
-    /// Truncation at any point yields a clean prefix, never a panic.
-    #[test]
-    fn truncation_yields_prefix(frames in arb_frames(), cut_ratio in 0.0f64..1.0) {
-        let bytes = encode_all(&frames);
-        let cut = ((bytes.len() as f64) * cut_ratio) as usize;
-        let mut dec = FrameDecoder::new();
-        let decoded = dec.decode_stream(&bytes[..cut]);
-        prop_assert!(decoded.len() <= frames.len());
-        prop_assert_eq!(&decoded[..], &frames[..decoded.len()], "prefix property");
-    }
-
-    /// Arbitrary byte soup never panics the decoder, and everything not
-    /// decoded is accounted for in `skipped_bytes`.
-    #[test]
-    fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let mut dec = FrameDecoder::new();
-        let decoded = dec.decode_stream(&bytes);
-        // Random bytes essentially never satisfy a CRC-32 check.
-        prop_assert!(decoded.is_empty());
-        prop_assert_eq!(dec.skipped_bytes as usize, bytes.len());
-    }
-
-    /// Garbage *between* valid frames: both frames still decode.
-    #[test]
-    fn interleaved_garbage_is_skipped(
-        frames in arb_frames(),
-        garbage in prop::collection::vec(any::<u8>(), 1..64),
-    ) {
-        let mut bytes = Vec::new();
-        for f in &frames {
-            bytes.extend_from_slice(&garbage);
-            f.encode(&mut bytes);
-        }
-        let mut dec = FrameDecoder::new();
-        let decoded = dec.decode_stream(&bytes);
-        prop_assert_eq!(&decoded, &frames);
-    }
 }
 
 // ------------------------------------------------------------------------
@@ -310,6 +235,65 @@ proptest! {
             &want_tail[..],
             "intact tail must survive resync"
         );
+    }
+
+    /// Any single bit flip anywhere in the stream — headers included —
+    /// under chunked delivery: every decoded frame is one that was
+    /// actually sent, and one flipped bit costs at most one frame.
+    #[test]
+    fn stream_decoder_single_bit_flip_costs_at_most_one_frame(
+        frames in arb_frames(),
+        pos_ratio in 0.0f64..1.0,
+        bit in 0u8..8,
+        sizes in prop::collection::vec(1usize..24, 1..8),
+    ) {
+        let mut bytes = encode_all(&frames);
+        let pos = ((bytes.len() as f64 - 1.0) * pos_ratio) as usize;
+        bytes[pos] ^= 1 << bit;
+        // A flipped length bit can promise data still "in flight";
+        // magic-free padding lets every such frame complete, fail its
+        // CRC, and resync (see the mid-stream corruption case above).
+        let max_frame = 4096;
+        bytes.extend(std::iter::repeat_n(0u8, max_frame + 16));
+        let mut dec = StreamDecoder::new(max_frame);
+        let got = feed_in_chunks(&mut dec, &bytes, &sizes);
+        prop_assert!(got.len() <= frames.len());
+        for frame in &got {
+            let sent = matches!(frame, WireFrame::Message(m) if frames.contains(m));
+            prop_assert!(sent, "decoder fabricated a frame");
+        }
+        prop_assert!(got.len() + 1 >= frames.len(), "one flipped bit cost more than one frame");
+    }
+
+    /// A stream cut at any point yields a clean prefix of the frames and
+    /// retains exactly the torn tail, waiting for the rest.
+    #[test]
+    fn stream_decoder_truncation_yields_prefix_and_retains_the_tail(
+        frames in arb_frames(),
+        cut_ratio in 0.0f64..1.0,
+    ) {
+        let bytes = encode_all(&frames);
+        let cut = ((bytes.len() as f64) * cut_ratio) as usize;
+        let mut dec = StreamDecoder::new(1 << 20);
+        let got = dec.feed(&bytes[..cut]);
+        let want: Vec<WireFrame> =
+            frames[..got.len()].iter().cloned().map(WireFrame::Message).collect();
+        prop_assert_eq!(&got, &want, "prefix property");
+        prop_assert_eq!(dec.corrupted_frames, 0);
+        prop_assert_eq!(dec.buffered(), cut - encode_all(&frames[..got.len()]).len());
+    }
+
+    /// Arbitrary byte soup never panics the decoder, and every byte is
+    /// accounted for: skipped, or held back as a possible frame start.
+    #[test]
+    fn stream_decoder_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let mut dec = StreamDecoder::new(1 << 20);
+        let got = dec.feed(&bytes);
+        // Random bytes essentially never satisfy a CRC-32 check.
+        prop_assert!(got.is_empty());
+        prop_assert_eq!(dec.skipped_bytes as usize + dec.buffered(), bytes.len());
     }
 
     /// Every control variant — session protocol and replication frames

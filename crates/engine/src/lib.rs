@@ -50,7 +50,7 @@
 //!   that §V-A suggests for many-query shields;
 //! * [`telemetry`] — the security-decision audit trail (deterministic
 //!   per-operator flight recorders), mergeable log₂ histograms with
-//!   Prometheus/JSON export, and a feature-gated span facade.
+//!   Prometheus/JSON export, and the sp-trace causal span plane.
 
 #![warn(missing_docs)]
 
@@ -96,7 +96,7 @@ pub use overload::{
     DataRejected, DegradationLadder, LadderTransition, OverloadLevel, ShedPolicy, Shedder,
     ShedderConfig, WatermarkConfig,
 };
-pub use parallel::{run_parallel, run_parallel_checkpointed, ParallelResults};
+pub use parallel::{run_parallel, ParallelResults};
 pub use plan::{Executor, NodeRef, PlanBuilder, SinkRef, SourceRef, Upstream};
 pub use predicate_index::{PredicateIndex, QuerySet};
 pub use reorder::ReorderBuffer;
@@ -104,8 +104,7 @@ pub use shard::{Partitioner, ShardedExecutor};
 pub use slack::Slack;
 pub use stats::{CostKind, DegradationStats, OperatorStats};
 pub use supervisor::{
-    run_supervised, run_supervised_sharded, RecoveryReport, SessionExecutor, SupervisedRun,
-    SupervisorConfig, DEFAULT_EPOCH_INTERVAL,
+    run_supervised, RecoveryReport, SupervisedRun, SupervisorConfig, DEFAULT_EPOCH_INTERVAL,
 };
 pub use telemetry::{
     AuditEvent, AuditOp, AuditRecord, AuditTrail, CipherViolation, FlightRecorder, Histogram,

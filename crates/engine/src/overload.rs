@@ -22,8 +22,8 @@
 //!   [`ShedPolicy`] when the ladder escalates. Policies pass through
 //!   untouched at every level, including `FailClosed`.
 //! - [`classed_channel`]: a two-class bounded queue for the parallel
-//!   runtime where control traffic (punctuations, epoch barriers) is
-//!   always enqueueable and only data admission is bounded, so a stuffed
+//!   runtime where control traffic (punctuations) is always
+//!   enqueueable and only data admission is bounded, so a stuffed
 //!   pipe can never block an sp behind data backpressure.
 //! - [`AdmissionController`]: a per-session token bucket at the ingestion
 //!   boundary with burst allowance and deadline-based debt, surfacing
@@ -820,7 +820,7 @@ pub struct ClassedReceiver<T> {
 /// Both classes share one FIFO queue — classing changes *admission*, never
 /// *order*, so a pipeline using this channel stays deterministic:
 ///
-/// - **Control** (punctuations, epoch barriers): [`ClassedSender::send_control`]
+/// - **Control** (punctuations): [`ClassedSender::send_control`]
 ///   always succeeds while the receiver lives. Control traffic is lossless
 ///   and can never be blocked behind a data bound.
 /// - **Data**: [`ClassedSender::try_send_data`] is bounded at

@@ -33,10 +33,10 @@
 //!   [`classed_channel`]s: **data tuples** are bounded at
 //!   [`EDGE_CAPACITY`] so a slow operator exerts backpressure on the
 //!   feeder instead of letting queues grow without limit, while **control
-//!   traffic** — security punctuations and epoch barrier markers — is
-//!   always admitted. A stuffed pipe can therefore never block or delay
-//!   an sp behind data backpressure: policy updates and checkpoint
-//!   barriers propagate even through a fully backlogged edge. Classing
+//!   traffic** — security punctuations — is always admitted. A stuffed
+//!   pipe can therefore never block or delay an sp behind data
+//!   backpressure: policy updates propagate even through a fully
+//!   backlogged edge. Classing
 //!   changes admission only, never order (both classes share one FIFO),
 //!   so determinism is untouched. Binary-merge input ports are the one
 //!   deliberate exception: an ordered two-way merge must be able to
@@ -53,28 +53,14 @@
 //!
 //! The runner executes *finite recorded inputs* (feed everything, close,
 //! drain), the mode used by tests and benchmarks.
-//!
-//! **Checkpointing** ([`run_parallel_checkpointed`]) uses aligned epoch
-//! barriers, the classic Chandy–Lamport/stream-barrier construction: the
-//! feeder broadcasts an `Epoch(n)` marker on every source edge under one
-//! global sequence number after each `epoch_interval` raw input elements.
-//! Because binary operators already merge their ports in sequence order
-//! and both ports' copies of a marker share its sequence number, the merge
-//! aligns barriers with no extra machinery: a worker snapshots its
-//! operator exactly when every pre-marker element has been processed and
-//! no post-marker element has, then forwards the marker once. The
-//! per-operator sections of each epoch therefore form a **consistent
-//! cut** — byte-identical to the sequential executor's checkpoint at the
-//! same input position.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use sp_core::{StreamElement, StreamId};
 
 use crate::batch::{coalesce_runs, ElementBatch};
-use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator as _};
@@ -86,8 +72,7 @@ use crate::telemetry::{
 };
 
 /// Data-class capacity of bounded (unary / sink) edges, counted in batch
-/// envelopes. Control traffic (sps, epoch barriers) does not count
-/// against it.
+/// envelopes. Control traffic (sps) does not count against it.
 pub const EDGE_CAPACITY: usize = 256;
 
 /// How long a bounded edge may refuse an element before the run is
@@ -97,47 +82,22 @@ pub const STALL_DEADLINE: Duration = Duration::from_secs(10);
 /// How long shutdown waits for workers to drain after the input closes.
 pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// What travels an edge: a run of stream elements, or an epoch barrier
-/// marker.
-#[derive(Debug, Clone)]
-enum Payload {
-    Batch(ElementBatch),
-    /// Epoch barrier: every operator snapshots when this marker arrives
-    /// (on both ports, for binary operators) and forwards it once.
-    Epoch(u64),
-}
-
-/// A sequence-tagged payload travelling an edge.
+/// A sequence-tagged run of stream elements travelling an edge.
 #[derive(Debug, Clone)]
 struct Envelope {
     seq: u64,
-    payload: Payload,
+    batch: ElementBatch,
 }
 
 impl Envelope {
-    /// Control traffic — security punctuations and epoch barriers — is
-    /// lossless: it bypasses the data bound on classed edges and can
-    /// never be refused or delayed by a full queue. Batches are
-    /// kind-homogeneous, so a whole batch classes as either control
-    /// (policies) or data (tuples).
+    /// Control traffic — security punctuations — is lossless: it bypasses
+    /// the data bound on classed edges and can never be refused or
+    /// delayed by a full queue. Batches are kind-homogeneous, so a whole
+    /// batch classes as either control (policies) or data (tuples).
     fn is_control(&self) -> bool {
-        match &self.payload {
-            Payload::Epoch(_) => true,
-            Payload::Batch(b) => b.is_control(),
-        }
+        self.batch.is_control()
     }
 }
-
-/// Addresses one snapshot section within an epoch's checkpoint.
-#[derive(Debug, Clone, Copy)]
-enum Section {
-    Analyzer(usize),
-    Node(usize),
-    Sink(usize),
-}
-
-/// A snapshot section reported by the feeder or a worker.
-type SectionMsg = (u64, Section, Vec<u8>);
 
 /// The telemetry sections shipped back by a finishing worker: its flight
 /// recorder and/or sp-trace span recorder, whichever are armed.
@@ -189,9 +149,8 @@ impl EdgeTx {
     /// gone (a downstream worker finished or failed — not an error for
     /// the sender), `Err` when a bounded edge's *data* class stalls past
     /// the deadline — naming `stage`, the stalled consumer, so a wedged
-    /// graph is diagnosable. Control envelopes (sps, epoch barriers) are
-    /// always admitted immediately — they cannot stall behind a full
-    /// data bound.
+    /// graph is diagnosable. Control envelopes (sps) are always admitted
+    /// immediately — they cannot stall behind a full data bound.
     fn send(&self, env: Envelope, stage: &str) -> Result<bool, EngineError> {
         match self {
             EdgeTx::Unbounded(tx) => Ok(tx.send(env).is_ok()),
@@ -270,25 +229,18 @@ impl Wires {
         Self { senders }
     }
 
-    fn send(&self, seq: u64, payload: &Payload) -> Result<(), EngineError> {
-        for (label, tx) in &self.senders {
-            // `Ok(false)` (closed downstream) is fine; a stall is not.
-            tx.send(Envelope { seq, payload: payload.clone() }, label)?;
-        }
-        Ok(())
-    }
-
     /// Sends one batch to every consumer, cloning only for fan-out: the
     /// last sender takes the batch by move, so single-consumer edges (the
-    /// common case) forward without copying.
+    /// common case) forward without copying. `Ok(false)` from an edge
+    /// (closed downstream) is fine; a stall is not.
     fn send_batch(&self, seq: u64, batch: ElementBatch) -> Result<(), EngineError> {
         let Some(((last_label, last), rest)) = self.senders.split_last() else {
             return Ok(());
         };
         for (label, tx) in rest {
-            tx.send(Envelope { seq, payload: Payload::Batch(batch.clone()) }, label)?;
+            tx.send(Envelope { seq, batch: batch.clone() }, label)?;
         }
-        last.send(Envelope { seq, payload: Payload::Batch(batch) }, last_label)?;
+        last.send(Envelope { seq, batch }, last_label)?;
         Ok(())
     }
 }
@@ -320,11 +272,6 @@ impl PeekRx {
     fn take(&mut self) -> Option<Envelope> {
         self.head.take()
     }
-
-    /// Whether the current head (if any) is an epoch barrier marker.
-    fn head_is_epoch(&self) -> bool {
-        matches!(self.head, Some(Envelope { payload: Payload::Epoch(_), .. }))
-    }
 }
 
 /// Runs one input batch through an operator with panic containment, then
@@ -348,24 +295,6 @@ fn process_contained(
         Err(payload) => return Err(EngineError::from_panic(op_name, payload.as_ref())),
     }
     coalesce_runs(emitter.drain(), |run| wires.send_batch(seq, run))
-}
-
-/// Snapshots a node at an epoch barrier, reports the section, and
-/// forwards the marker downstream exactly once.
-fn barrier_node(
-    node: &crate::plan::Node,
-    slot: usize,
-    seq: u64,
-    epoch: u64,
-    sections: &Sender<SectionMsg>,
-    wires: &Wires,
-) -> Result<(), EngineError> {
-    let mut bytes = Vec::new();
-    node.op.snapshot(&mut bytes);
-    // The receiver lives on the coordinating thread for the whole run;
-    // a closed channel means the run is already being torn down.
-    let _ = sections.send((epoch, Section::Node(slot), bytes));
-    wires.send(seq, &Payload::Epoch(epoch))
 }
 
 /// Joins a set of worker handles against [`DRAIN_TIMEOUT`], converting
@@ -415,105 +344,16 @@ pub(crate) fn join_with_deadline<T>(
 /// failure, a contained operator panic ([`EngineError::OperatorPanic`]),
 /// or [`EngineError::ShutdownTimeout`] when the graph wedges. The runner
 /// itself never panics on worker failure and never blocks forever.
+#[allow(clippy::too_many_lines)]
 pub fn run_parallel(
     builder: PlanBuilder,
     inputs: impl IntoIterator<Item = (StreamId, StreamElement)>,
 ) -> Result<ParallelResults, EngineError> {
-    let (results, _) = run_parallel_inner(builder, inputs, None).map_err(|e| e.0)?;
-    Ok(results)
-}
-
-/// Runs the plan with one thread per operator **and** aligned-barrier
-/// epoch checkpointing: after every `epoch_interval` raw input elements
-/// the feeder broadcasts an epoch marker, every operator snapshots at the
-/// barrier, and each complete epoch's consistent cut is assembled into a
-/// [`Checkpoint`] and saved to `store` (in epoch order, after the run
-/// drains). Checkpoints are byte-identical to the sequential
-/// [`Executor::checkpoint`](crate::plan::Executor::checkpoint) at the same
-/// input positions.
-///
-/// # Errors
-///
-/// Everything [`run_parallel`] can return, plus any error from saving to
-/// `store`. Complete epochs collected before a failure are still saved.
-pub fn run_parallel_checkpointed(
-    builder: PlanBuilder,
-    inputs: impl IntoIterator<Item = (StreamId, StreamElement)>,
-    epoch_interval: u64,
-    store: &mut dyn CheckpointStore,
-) -> Result<ParallelResults, EngineError> {
-    let interval = epoch_interval.max(1);
-    let run = run_parallel_inner(builder, inputs, Some(interval));
-    // Persist complete cuts whether or not the run itself failed: the
-    // sections a crashed run did report still describe consistent states.
-    let (outcome, collection) = match run {
-        Ok((results, collection)) => (Ok(results), collection),
-        Err(boxed) => {
-            let (e, collection) = *boxed;
-            (Err(e), collection)
-        }
-    };
-    collection.persist(store)?;
-    outcome
-}
-
-/// Sections and epoch positions collected during a checkpointed run.
-#[derive(Default)]
-struct CkptCollection {
-    /// `(epoch, section, bytes)` in arrival order.
-    sections: Vec<SectionMsg>,
-    /// `epoch -> raw input position` recorded by the feeder.
-    epoch_pos: Vec<(u64, u64)>,
-    analyzers: usize,
-    nodes: usize,
-    sinks: usize,
-}
-
-impl CkptCollection {
-    /// Assembles every epoch with a full complement of sections into a
-    /// [`Checkpoint`] and saves them in epoch order.
-    fn persist(self, store: &mut dyn CheckpointStore) -> Result<(), EngineError> {
-        let pos: HashMap<u64, u64> = self.epoch_pos.iter().copied().collect();
-        let mut cuts: BTreeMap<u64, Checkpoint> = BTreeMap::new();
-        for (epoch, section, bytes) in self.sections {
-            let Some(&input_pos) = pos.get(&epoch) else { continue };
-            let cut = cuts.entry(epoch).or_insert_with(|| Checkpoint {
-                epoch,
-                input_pos,
-                analyzers: vec![Vec::new(); self.analyzers],
-                nodes: vec![Vec::new(); self.nodes],
-                sinks: vec![Vec::new(); self.sinks],
-            });
-            match section {
-                Section::Analyzer(i) => cut.analyzers[i] = bytes,
-                Section::Node(i) => cut.nodes[i] = bytes,
-                Section::Sink(i) => cut.sinks[i] = bytes,
-            }
-        }
-        for cut in cuts.values() {
-            store.save(cut)?;
-        }
-        Ok(())
-    }
-}
-
-type RunOk = (ParallelResults, CkptCollection);
-
-/// Boxed so the `Err` variant stays pointer-sized: the collection rides
-/// along even on failure so complete cuts can still be persisted.
-type RunErr = Box<(EngineError, CkptCollection)>;
-
-#[allow(clippy::too_many_lines)]
-fn run_parallel_inner(
-    builder: PlanBuilder,
-    inputs: impl IntoIterator<Item = (StreamId, StreamElement)>,
-    epoch_interval: Option<u64>,
-) -> Result<RunOk, RunErr> {
     let (nodes, mut sources, sinks, _telemetry) = builder.into_parts();
 
     // Channels: one per (node, port) and one per sink. Binary ports are
     // unbounded (ordered-merge requirement), everything else a classed
-    // channel: data bounded, control (sps/barriers) always admitted.
+    // channel: data bounded, control (sps) always admitted.
     let mut node_tx: Vec<Vec<EdgeTx>> = Vec::with_capacity(nodes.len());
     let mut node_rx: Vec<Vec<EdgeRx>> = Vec::with_capacity(nodes.len());
     for node in &nodes {
@@ -550,20 +390,10 @@ fn run_parallel_inner(
     drop(node_tx);
     drop(sink_tx);
 
-    // Snapshot-section plumbing: workers and the feeder report
-    // `(epoch, section, bytes)` here; the coordinating thread drains the
-    // receiver after the run and assembles complete cuts.
-    let (sections_tx, sections_rx) = channel::<SectionMsg>();
     // Audit plumbing: each worker ships its operator's flight recorder
     // (if armed) back once its input closes; analyzers are read inline by
     // the coordinating thread after the feed loop.
     let (audit_tx, audit_rx) = channel::<AuditMsg>();
-    let mut collection = CkptCollection {
-        analyzers: sources.len(),
-        nodes: nodes.len(),
-        sinks: sinks.len(),
-        ..CkptCollection::default()
-    };
 
     // Operator threads.
     let mut node_handles = Vec::new();
@@ -574,7 +404,6 @@ fn run_parallel_inner(
         let Some(wires) = node_wires_iter.next() else { break };
         let op_name = node.op.name().to_string();
         let thread_name = op_name.clone();
-        let sections = sections_tx.clone();
         let audits = audit_tx.clone();
         node_handles.push((
             op_name.clone(),
@@ -588,20 +417,15 @@ fn run_parallel_inner(
                     };
                     while port0.peek_seq().is_some() {
                         let Some(env) = port0.take() else { break };
-                        match env.payload {
-                            Payload::Batch(batch) => process_contained(
-                                &mut node,
-                                &op_name,
-                                0,
-                                env.seq,
-                                batch,
-                                &mut emitter,
-                                &wires,
-                            )?,
-                            Payload::Epoch(epoch) => {
-                                barrier_node(&node, slot, env.seq, epoch, &sections, &wires)?;
-                            }
-                        }
+                        process_contained(
+                            &mut node,
+                            &op_name,
+                            0,
+                            env.seq,
+                            env.batch,
+                            &mut emitter,
+                            &wires,
+                        )?;
                     }
                 } else {
                     // Binary: merge the two ports in global sequence order.
@@ -616,44 +440,18 @@ fn run_parallel_inner(
                             (None, None) => break,
                             (Some(_), None) => 0,
                             (None, Some(_)) => 1,
-                            (Some(a), Some(b)) => {
-                                // Both copies of a marker share its seq, so
-                                // the seq-ordered merge aligns the barrier:
-                                // when both heads are the same marker, every
-                                // pre-marker element on either port has been
-                                // processed. Consume both, snapshot once,
-                                // forward once.
-                                if a == b && ports[0].head_is_epoch() && ports[1].head_is_epoch() {
-                                    let Some(env) = ports[0].take() else { break };
-                                    ports[1].take();
-                                    if let Payload::Epoch(epoch) = env.payload {
-                                        barrier_node(
-                                            &node, slot, env.seq, epoch, &sections, &wires,
-                                        )?;
-                                    }
-                                    continue;
-                                }
-                                usize::from(b < a)
-                            }
+                            (Some(a), Some(b)) => usize::from(b < a),
                         };
                         let Some(env) = ports[port].take() else { break };
-                        match env.payload {
-                            Payload::Batch(batch) => process_contained(
-                                &mut node,
-                                &op_name,
-                                port,
-                                env.seq,
-                                batch,
-                                &mut emitter,
-                                &wires,
-                            )?,
-                            Payload::Epoch(epoch) => {
-                                // One port closed early (its upstream
-                                // finished); the surviving port still
-                                // delivers every marker.
-                                barrier_node(&node, slot, env.seq, epoch, &sections, &wires)?;
-                            }
-                        }
+                        process_contained(
+                            &mut node,
+                            &op_name,
+                            port,
+                            env.seq,
+                            env.batch,
+                            &mut emitter,
+                            &wires,
+                        )?;
                     }
                 }
                 // Input closed cleanly: ship this operator's audit and
@@ -676,22 +474,14 @@ fn run_parallel_inner(
     // Sink threads: single FIFO upstream each; collect in order.
     let mut sink_handles = Vec::new();
     let mut sink_rx_iter = sink_rx.into_iter();
-    for (slot, mut sink) in sinks.into_iter().enumerate() {
+    for mut sink in sinks {
         let Some(rx) = sink_rx_iter.next() else { break };
-        let sections = sections_tx.clone();
         sink_handles.push((
             "sink".to_string(),
             std::thread::spawn(move || -> Result<Sink, EngineError> {
                 let mut emitter = Emitter::with_capacity(8);
                 while let Some(env) = rx.recv() {
-                    match env.payload {
-                        Payload::Batch(batch) => sink.process_batch(0, batch, &mut emitter)?,
-                        Payload::Epoch(epoch) => {
-                            let mut bytes = Vec::new();
-                            crate::operator::Operator::snapshot(&sink, &mut bytes);
-                            let _ = sections.send((epoch, Section::Sink(slot), bytes));
-                        }
-                    }
+                    sink.process_batch(0, env.batch, &mut emitter)?;
                 }
                 Ok(sink)
             }),
@@ -734,7 +524,6 @@ fn run_parallel_inner(
 
     let mut feed_error = None;
     let mut seq = 0u64;
-    let mut raw_pos = 0u64;
     let mut staged = Vec::new();
     'feed: for (stream, elem) in inputs {
         if let Some(ids) = by_stream.get(&stream) {
@@ -754,30 +543,6 @@ fn run_parallel_inner(
                 }
             }
         }
-        // Epoch boundary: count every raw input element (matching the
-        // sequential supervisor), snapshot the analyzers at this instant,
-        // and broadcast one marker — same seq on every source edge — so
-        // downstream merges align the barrier.
-        raw_pos += 1;
-        if let Some(interval) = epoch_interval {
-            if raw_pos.is_multiple_of(interval) {
-                let epoch = raw_pos / interval;
-                collection.epoch_pos.push((epoch, raw_pos));
-                // One seq for the whole broadcast: a binary operator fed
-                // by two different sources then sees the marker at the
-                // same seq on both ports and the merge aligns the barrier.
-                seq += 1;
-                for (sid, source) in sources.iter().enumerate() {
-                    let mut bytes = Vec::new();
-                    source.analyzer.snapshot(&mut bytes);
-                    let _ = sections_tx.send((epoch, Section::Analyzer(sid), bytes));
-                    if let Err(e) = source_wires[sid].send(seq, &Payload::Epoch(epoch)) {
-                        feed_error = Some(e);
-                        break 'feed;
-                    }
-                }
-            }
-        }
     }
     // Close the graph: drop the feeder's senders; workers cascade.
     drop(source_wires);
@@ -785,12 +550,6 @@ fn run_parallel_inner(
     let deadline = Instant::now() + DRAIN_TIMEOUT;
     let joined_nodes = join_with_deadline(node_handles, deadline);
     let joined_sinks = join_with_deadline(sink_handles, deadline);
-    // All worker-held section senders are gone once the joins return (even
-    // a timeout leaves only detached stragglers whose sends we may miss —
-    // their epochs will simply be incomplete and skipped). Drop ours and
-    // drain whatever arrived.
-    drop(sections_tx);
-    collection.sections.extend(sections_rx.try_iter());
     // Assemble the audit trail: analyzer recorders live on this thread
     // (the feeder runs them inline); worker recorders arrived over the
     // audit channel. `push_section` keeps canonical order, so the trail
@@ -814,15 +573,10 @@ fn run_parallel_inner(
             .chain(worker_sections.iter().map(|(op, _, s)| (*op, s.clone()))),
     );
     if let Some(e) = feed_error {
-        return Err(Box::new((e, collection)));
+        return Err(e);
     }
-    if let Err(e) = joined_nodes {
-        return Err(Box::new((e, collection)));
-    }
-    match joined_sinks {
-        Ok(sinks) => Ok((ParallelResults { sinks, audit, spans }, collection)),
-        Err(e) => Err(Box::new((e, collection))),
-    }
+    joined_nodes?;
+    Ok(ParallelResults { sinks: joined_sinks?, audit, spans })
 }
 
 impl std::fmt::Debug for ParallelResults {
@@ -836,7 +590,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::checkpoint::MemStore;
     use crate::expr::{CmpOp, Expr};
     use crate::operator::Operator;
     use crate::ops::{JoinVariant, SAJoin, SecurityShield, Select};
@@ -967,98 +720,6 @@ mod tests {
         let results = run_parallel(b, input).unwrap();
         assert_eq!(render(results.sink(p1)), e1);
         assert_eq!(render(results.sink(p2)), e2);
-    }
-
-    /// A test store that keeps every checkpoint decoded, so each epoch's
-    /// cut can be compared — not just the latest one.
-    struct VecStore(Vec<crate::checkpoint::Checkpoint>);
-
-    impl CheckpointStore for VecStore {
-        fn save(&mut self, ckpt: &crate::checkpoint::Checkpoint) -> Result<(), EngineError> {
-            self.0.push(ckpt.clone());
-            Ok(())
-        }
-        fn load_latest(&self) -> Option<crate::checkpoint::Checkpoint> {
-            self.0.last().cloned()
-        }
-        fn count(&self) -> usize {
-            self.0.len()
-        }
-    }
-
-    /// Sequential reference cuts at every `interval` boundary.
-    fn sequential_cuts(
-        mut exec: crate::plan::Executor,
-        input: &[(StreamId, StreamElement)],
-        interval: u64,
-    ) -> Vec<crate::checkpoint::Checkpoint> {
-        let mut cuts = Vec::new();
-        for (i, (stream, elem)) in input.iter().enumerate() {
-            exec.push(*stream, elem.clone()).unwrap();
-            let pos = i as u64 + 1;
-            if pos.is_multiple_of(interval) {
-                cuts.push(exec.checkpoint(pos / interval, pos));
-            }
-        }
-        cuts
-    }
-
-    #[test]
-    fn parallel_checkpoints_match_sequential_pipeline() {
-        let input = workload(21, 400);
-        let interval = 64;
-        let (b, _) = pipeline_builder();
-        let expected = sequential_cuts(b.build(), &input, interval);
-        assert!(expected.len() >= 5, "workload should span several epochs");
-
-        let (b, _) = pipeline_builder();
-        let mut store = VecStore(Vec::new());
-        run_parallel_checkpointed(b, input, interval, &mut store).unwrap();
-        assert_eq!(store.0.len(), expected.len());
-        for (got, want) in store.0.iter().zip(&expected) {
-            assert_eq!(
-                got.encode_to_vec(),
-                want.encode_to_vec(),
-                "epoch {} cut diverged from the sequential executor",
-                want.epoch
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_checkpoints_match_sequential_join() {
-        // The join plan exercises barrier alignment: markers reach the
-        // binary operator on both ports and must be merged into one cut.
-        let input = workload(33, 500);
-        let interval = 100;
-        let (b, _) = join_builder();
-        let expected = sequential_cuts(b.build(), &input, interval);
-
-        let (b, _) = join_builder();
-        let mut store = VecStore(Vec::new());
-        run_parallel_checkpointed(b, input, interval, &mut store).unwrap();
-        assert_eq!(store.0.len(), expected.len());
-        for (got, want) in store.0.iter().zip(&expected) {
-            assert_eq!(
-                got.encode_to_vec(),
-                want.encode_to_vec(),
-                "epoch {} cut diverged from the sequential executor",
-                want.epoch
-            );
-        }
-    }
-
-    #[test]
-    fn checkpointed_run_matches_plain_parallel_results() {
-        let input = workload(3, 400);
-        let (b, sink) = pipeline_builder();
-        let plain = run_parallel(b, input.clone()).unwrap();
-
-        let (b, csink) = pipeline_builder();
-        let mut store = MemStore::default();
-        let ckpt = run_parallel_checkpointed(b, input, 50, &mut store).unwrap();
-        assert_eq!(render(ckpt.sink(csink)), render(plain.sink(sink)));
-        assert!(store.count() >= 8, "expected one durable cut per epoch");
     }
 
     #[test]

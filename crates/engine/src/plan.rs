@@ -42,8 +42,7 @@ use crate::operator::{Emitter, Operator};
 use crate::ops::sink::Sink;
 use crate::stats::OperatorStats;
 use crate::telemetry::{
-    merge_recorders, span::span, AuditOp, AuditTrail, Histogram, MetricsRegistry, SpanSheet,
-    TelemetryConfig,
+    merge_recorders, AuditOp, AuditTrail, Histogram, MetricsRegistry, SpanSheet, TelemetryConfig,
 };
 
 /// Reference to a plan node (an operator added to a builder).
@@ -351,7 +350,6 @@ impl Executor {
     /// work queued behind the failing element is discarded (fail-closed:
     /// nothing is released past a failed operator).
     pub fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError> {
-        let _span = span("executor.push");
         self.stage(stream, elem);
         self.drain()
     }
@@ -383,7 +381,6 @@ impl Executor {
             }
             return Ok(());
         }
-        let _span = span("executor.push_all");
         let mut pending = 0usize;
         for (stream, elem) in items {
             self.stage(stream, elem);
@@ -520,7 +517,6 @@ impl Executor {
     ///
     /// Propagates the first [`EngineError`] an operator reports.
     pub fn finish(&mut self) -> Result<(), EngineError> {
-        let _span = span("executor.finish");
         let coalesce = self.batching;
         let mut staged = std::mem::take(&mut self.staged);
         for source in &mut self.sources {
@@ -800,7 +796,6 @@ impl Executor {
     /// `push` calls is a consistent cut.
     #[must_use]
     pub fn checkpoint(&self, epoch: u64, input_pos: u64) -> crate::checkpoint::Checkpoint {
-        let _span = span("executor.checkpoint");
         debug_assert!(self.queue.is_empty(), "checkpoint requires quiescence");
         let mut analyzers = Vec::with_capacity(self.sources.len());
         for source in &self.sources {
@@ -833,7 +828,6 @@ impl Executor {
     /// decode; the executor must then be discarded — state may be partially
     /// restored.
     pub fn restore(&mut self, ckpt: &crate::checkpoint::Checkpoint) -> Result<(), EngineError> {
-        let _span = span("executor.restore");
         if ckpt.analyzers.len() != self.sources.len()
             || ckpt.nodes.len() != self.nodes.len()
             || ckpt.sinks.len() != self.sinks.len()

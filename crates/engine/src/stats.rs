@@ -157,7 +157,7 @@ pub struct DegradationStats {
     pub quarantine_dropped: u64,
     /// Elements dropped by a `ReorderBuffer` for arriving too late.
     pub reorder_dropped: u64,
-    /// Wire frames lost to corruption (from `sp_core::wire::FrameDecoder`).
+    /// Wire frames lost to corruption (from `sp_core::wire::StreamDecoder`).
     pub corrupted_frames: u64,
     /// Epoch checkpoints persisted by a supervisor.
     pub checkpoints_taken: u64,

@@ -1,19 +1,14 @@
 //! Crash supervision: epoch checkpointing, restart, and deterministic
 //! replay with a fail-closed security invariant.
 //!
-//! The supervisor drives a [`SessionExecutor`] — the sequential
-//! [`Executor`] or the key-partitioned
-//! [`ShardedExecutor`](crate::shard::ShardedExecutor) — over a recorded
-//! input, cutting a [`Checkpoint`](crate::Checkpoint) every
-//! `epoch_interval` input elements (the executor is quiescent between
-//! pushes, so every boundary is a consistent cut) and persisting it
-//! through a [`CheckpointStore`]. When the pipeline dies — an operator
-//! reports an [`EngineError`], an injected kill simulates a crash, or a
-//! shard worker dies under a checkpoint barrier — the supervisor rebuilds
-//! the plan from its builder factory, restores the last durable
+//! The supervisor drives a sequential [`Executor`] over a recorded input,
+//! cutting a [`Checkpoint`](crate::Checkpoint) every `epoch_interval`
+//! input elements (the executor is quiescent between pushes, so every
+//! boundary is a consistent cut) and persisting it through a
+//! [`CheckpointStore`]. When the pipeline dies — an operator reports an
+//! [`EngineError`], or an injected kill simulates a crash — the supervisor
+//! rebuilds the plan from its builder factory, restores the last durable
 //! checkpoint, and replays the input from the checkpoint's offset.
-//! Checkpoints are canonical across shard counts, so a sharded session
-//! may recover at a different width than it crashed at.
 //!
 //! **Recovery invariant** (the property the chaos suite asserts): for any
 //! kill point, the union of tuples released before the kill and tuples
@@ -42,98 +37,11 @@
 
 use sp_core::{StreamElement, StreamId};
 
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::CheckpointStore;
 use crate::error::EngineError;
 use crate::plan::{Executor, PlanBuilder};
-use crate::shard::ShardedExecutor;
 use crate::stats::DegradationStats;
-use crate::telemetry::{span::span, AuditEvent, AuditOp, AuditTrail, FlightRecorder, NO_TUPLE};
-
-/// The executor surface crash supervision needs: feed input, cut
-/// checkpoints at quiescent points, and restore a rebuilt instance from a
-/// durable cut. Implemented by the sequential [`Executor`] and the
-/// key-partitioned [`ShardedExecutor`], so one supervision loop covers
-/// both — a sharded session recovers (and re-shards) through exactly the
-/// same epoch/replay machinery as a sequential one.
-pub trait SessionExecutor {
-    /// Feeds one stream element.
-    ///
-    /// # Errors
-    ///
-    /// An error is a pipeline death: the supervisor discards this
-    /// instance and recovers from the last durable checkpoint.
-    fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError>;
-
-    /// Flushes end-of-stream work.
-    ///
-    /// # Errors
-    ///
-    /// Treated as a death, like [`SessionExecutor::push`].
-    fn finish(&mut self) -> Result<(), EngineError>;
-
-    /// Cuts a canonical checkpoint at the current (quiescent) point.
-    ///
-    /// # Errors
-    ///
-    /// A sharded executor can fail the cut when a shard worker died;
-    /// the supervisor treats that as a death, not a durability failure.
-    fn checkpoint(&mut self, epoch: u64, input_pos: u64) -> Result<Checkpoint, EngineError>;
-
-    /// Restores a freshly built instance from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Fail-closed: any decode error discards the instance.
-    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), EngineError>;
-
-    /// Arms per-operator flight recorders (0 disables).
-    fn set_audit(&mut self, capacity: usize);
-
-    /// Arms sp-trace span recorders (0 disables).
-    fn set_spans(&mut self, capacity: usize);
-}
-
-impl SessionExecutor for Executor {
-    fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError> {
-        Executor::push(self, stream, elem)
-    }
-    fn finish(&mut self) -> Result<(), EngineError> {
-        Executor::finish(self)
-    }
-    fn checkpoint(&mut self, epoch: u64, input_pos: u64) -> Result<Checkpoint, EngineError> {
-        Ok(Executor::checkpoint(self, epoch, input_pos))
-    }
-    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), EngineError> {
-        Executor::restore(self, ckpt)
-    }
-    fn set_audit(&mut self, capacity: usize) {
-        Executor::set_audit(self, capacity);
-    }
-    fn set_spans(&mut self, capacity: usize) {
-        Executor::set_spans(self, capacity);
-    }
-}
-
-impl SessionExecutor for ShardedExecutor {
-    fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError> {
-        ShardedExecutor::push(self, stream, elem)
-    }
-    fn finish(&mut self) -> Result<(), EngineError> {
-        ShardedExecutor::finish(self)
-    }
-    fn checkpoint(&mut self, epoch: u64, input_pos: u64) -> Result<Checkpoint, EngineError> {
-        ShardedExecutor::checkpoint(self, epoch, input_pos)
-    }
-    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), EngineError> {
-        ShardedExecutor::restore(self, ckpt)
-    }
-    fn set_audit(&mut self, capacity: usize) {
-        ShardedExecutor::set_audit(self, capacity);
-    }
-    fn set_spans(&mut self, capacity: usize) {
-        ShardedExecutor::set_spans(self, capacity);
-    }
-}
+use crate::telemetry::{AuditEvent, AuditOp, AuditTrail, FlightRecorder, NO_TUPLE};
 
 /// Supervision parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,12 +124,9 @@ impl RecoveryReport {
 /// exit, `failure` carries [`EngineError::RecoveryExhausted`] and the
 /// executor holds the state reached before the final death — its sinks
 /// contain only releases that already passed the security shield.
-///
-/// The executor type defaults to the sequential [`Executor`];
-/// [`run_supervised_sharded`] produces a `SupervisedRun<ShardedExecutor>`.
-pub struct SupervisedRun<E = Executor> {
+pub struct SupervisedRun {
     /// The executor after the run (recovered or terminally failed).
-    pub executor: E,
+    pub executor: Executor,
     /// Recovery counters and per-death diagnostics.
     pub report: RecoveryReport,
     /// `None` on success; the terminal error otherwise.
@@ -232,15 +137,13 @@ pub struct SupervisedRun<E = Executor> {
     pub audit: FlightRecorder,
 }
 
-impl<E> SupervisedRun<E> {
+impl SupervisedRun {
     /// Whether the run processed the whole input.
     #[must_use]
     pub fn completed(&self) -> bool {
         self.failure.is_none()
     }
-}
 
-impl SupervisedRun {
     /// Engine-wide degradation stats: the analyzers' fail-closed counters
     /// plus this run's recovery counters.
     #[must_use]
@@ -254,28 +157,6 @@ impl SupervisedRun {
     /// plus the supervisor's own restore / fail-closed section.
     #[must_use]
     pub fn audit_trail(&self) -> AuditTrail {
-        let mut trail = self.executor.audit_trail();
-        if self.audit.enabled() {
-            trail.push_section(AuditOp::Supervisor, self.audit.clone());
-        }
-        trail
-    }
-}
-
-impl SupervisedRun<ShardedExecutor> {
-    /// Engine-wide degradation stats (the sharded executor synchronizes
-    /// with its workers first, hence `&mut`).
-    #[must_use]
-    pub fn degradation(&mut self) -> DegradationStats {
-        let mut stats = self.executor.degradation();
-        self.report.absorb_into(&mut stats);
-        stats
-    }
-
-    /// The full audit trail: the canonical (merged) per-operator sections
-    /// plus the supervisor's own restore / fail-closed section.
-    #[must_use]
-    pub fn audit_trail(&mut self) -> AuditTrail {
         let mut trail = self.executor.audit_trail();
         if self.audit.enabled() {
             trail.push_section(AuditOp::Supervisor, self.audit.clone());
@@ -311,75 +192,29 @@ pub fn run_supervised(
     store: &mut dyn CheckpointStore,
     kill: &mut KillOracle<'_>,
 ) -> Result<SupervisedRun, EngineError> {
-    supervise(&mut || Ok(build().build()), input, config, store, kill)
-}
-
-/// Runs a plan under crash supervision on a key-partitioned
-/// [`ShardedExecutor`] with `shards` replicas.
-///
-/// Identical contract to [`run_supervised`] — same epoch cadence, same
-/// recovery invariant, same fail-closed terminal state — except the
-/// pipeline under supervision is the sharded one, checkpoints span all
-/// shards (canonical, so they interchange with sequential checkpoints),
-/// and a checkpoint cut that fails because a shard worker died counts as
-/// a pipeline death and triggers recovery. Restores re-shard: the
-/// rebuilt executor may even run at a different shard count than the one
-/// that cut the checkpoint.
-///
-/// # Errors
-///
-/// Fails when the plan cannot run sharded
-/// ([`EngineError::ShardUnsupported`]) or when the checkpoint store
-/// rejects a write; deaths are handled by restarting, as in
-/// [`run_supervised`].
-pub fn run_supervised_sharded(
-    mut build: impl FnMut() -> PlanBuilder,
-    shards: usize,
-    input: &[(StreamId, StreamElement)],
-    config: &SupervisorConfig,
-    store: &mut dyn CheckpointStore,
-    kill: &mut KillOracle<'_>,
-) -> Result<SupervisedRun<ShardedExecutor>, EngineError> {
-    supervise(&mut || ShardedExecutor::new(&mut build, shards), input, config, store, kill)
-}
-
-/// The generic supervision loop behind [`run_supervised`] and
-/// [`run_supervised_sharded`].
-fn supervise<E: SessionExecutor>(
-    make: &mut dyn FnMut() -> Result<E, EngineError>,
-    input: &[(StreamId, StreamElement)],
-    config: &SupervisorConfig,
-    store: &mut dyn CheckpointStore,
-    kill: &mut KillOracle<'_>,
-) -> Result<SupervisedRun<E>, EngineError> {
-    let fresh = |make: &mut dyn FnMut() -> Result<E, EngineError>| -> Result<E, EngineError> {
-        let mut exec = make()?;
-        exec.set_audit(config.audit_capacity);
-        exec.set_spans(config.span_capacity);
-        Ok(exec)
-    };
     let interval = config.epoch_interval.max(1);
     let mut report = RecoveryReport::default();
     let mut audit = FlightRecorder::new(config.audit_capacity);
-    let mut exec = fresh(make)?;
+    // Every life of the pipeline starts from an identically armed plan.
+    let mut fresh = || {
+        let mut exec = build().build();
+        exec.set_audit(config.audit_capacity);
+        exec.set_spans(config.span_capacity);
+        exec
+    };
+    let mut exec = fresh();
     let mut epoch = 0u64;
     let mut pos = 0usize;
-    let mut death: Option<EngineError> = None;
 
     // Epoch 0: the empty cut, so recovery is possible before the first
-    // interval completes. A failed cut (a shard worker died at spawn) is
-    // a death, not a durability failure.
-    match exec.checkpoint(0, 0) {
-        Ok(ckpt) => {
-            store.save(&ckpt)?;
-            report.checkpoints_taken += 1;
-        }
-        Err(e) => death = Some(e),
-    }
+    // interval completes.
+    store.save(&exec.checkpoint(0, 0))?;
+    report.checkpoints_taken += 1;
 
     loop {
         // ---- run one life of the pipeline ------------------------------
-        while death.is_none() && pos < input.len() {
+        let mut death: Option<EngineError> = None;
+        while pos < input.len() {
             if kill(epoch, pos as u64) {
                 death = Some(EngineError::OperatorPanic {
                     operator: "supervisor".into(),
@@ -395,42 +230,25 @@ fn supervise<E: SessionExecutor>(
             pos += 1;
             if (pos as u64).is_multiple_of(interval) {
                 epoch += 1;
-                match exec.checkpoint(epoch, pos as u64) {
-                    Ok(ckpt) => {
-                        store.save(&ckpt)?;
-                        report.checkpoints_taken += 1;
-                    }
-                    Err(e) => death = Some(e),
-                }
+                store.save(&exec.checkpoint(epoch, pos as u64))?;
+                report.checkpoints_taken += 1;
             }
         }
         if death.is_none() {
             match exec.finish() {
                 Ok(()) => {
                     epoch += 1;
-                    match exec.checkpoint(epoch, pos as u64) {
-                        Ok(ckpt) => {
-                            store.save(&ckpt)?;
-                            report.checkpoints_taken += 1;
-                            return Ok(SupervisedRun {
-                                executor: exec,
-                                report,
-                                failure: None,
-                                audit,
-                            });
-                        }
-                        Err(e) => death = Some(e),
-                    }
+                    store.save(&exec.checkpoint(epoch, pos as u64))?;
+                    report.checkpoints_taken += 1;
+                    return Ok(SupervisedRun { executor: exec, report, failure: None, audit });
                 }
                 Err(e) => death = Some(e),
             }
         }
 
         // ---- the pipeline died: recover --------------------------------
-        let _span = span("supervisor.recover");
         // Audited: the loop only reaches here with `death` set.
-        let err =
-            death.take().unwrap_or(EngineError::ChannelDisconnected { stage: "supervisor".into() });
+        let err = death.unwrap_or(EngineError::ChannelDisconnected { stage: "supervisor".into() });
         report.deaths.push(err.to_string());
         report.restart_attempts += 1;
         if report.restart_attempts > config.max_restarts {
@@ -446,7 +264,7 @@ fn supervise<E: SessionExecutor>(
         report.backoff_ms.push(config.backoff_ms(report.restart_attempts));
 
         let crash_pos = pos as u64;
-        exec = fresh(make)?;
+        exec = fresh();
         match store.load_latest() {
             Some(ckpt) => match exec.restore(&ckpt) {
                 Ok(()) => {
@@ -469,7 +287,7 @@ fn supervise<E: SessionExecutor>(
                     // that passed CRC but fails decode keeps failing, and
                     // the restart budget bounds the loop).
                     report.deaths.push(e.to_string());
-                    exec = fresh(make)?;
+                    exec = fresh();
                     epoch = 0;
                     pos = 0;
                     report.epochs_replayed += crash_pos.div_ceil(interval);
@@ -723,70 +541,6 @@ mod tests {
         let (_, sink) = shedded_builder_with_sink();
         let got: Vec<u64> = run.executor.sink(sink).tuples().map(|t| t.tid.raw()).collect();
         assert!(clean_rel.ends_with(&got), "recovered releases diverged");
-    }
-
-    fn shield_only_builder_with_sink() -> (PlanBuilder, crate::plan::SinkRef) {
-        // Shard-safe shape: the shield (a delaying operator) feeds its
-        // sink directly, as the sharded builder requires.
-        let mut b = PlanBuilder::new(catalog());
-        let src = b.source(StreamId(1), schema());
-        let ss = b.add(SecurityShield::new(RoleSet::from([1])), src);
-        let sink = b.sink(ss);
-        (b, sink)
-    }
-
-    #[test]
-    fn sharded_run_supervised_recovers_like_sequential() {
-        let input = workload(100);
-        let cfg = SupervisorConfig { epoch_interval: 16, ..Default::default() };
-        let shield_only = || shield_only_builder_with_sink().0;
-
-        // Sequential baseline on the same plan.
-        let mut exec = shield_only().build();
-        for (s, e) in &input {
-            exec.push(*s, e.clone()).unwrap();
-        }
-        exec.finish().unwrap();
-        let (_, sink) = shield_only_builder_with_sink();
-        let base: Vec<u64> = exec.sink(sink).tuples().map(|t| t.tid.raw()).collect();
-
-        for kill_at in [5u64, 33, 64] {
-            let mut store = MemStore::default();
-            let mut killed = false;
-            let mut oracle = move |_e: u64, p: u64| {
-                if !killed && p == kill_at {
-                    killed = true;
-                    return true;
-                }
-                false
-            };
-            let mut run =
-                run_supervised_sharded(shield_only, 4, &input, &cfg, &mut store, &mut oracle)
-                    .unwrap();
-            assert!(run.completed(), "kill at {kill_at}");
-            assert_eq!(run.report.restart_attempts, 1);
-            assert_eq!(run.report.checkpoints_restored, 1);
-            let (_, sink) = shield_only_builder_with_sink();
-            let got: Vec<u64> = run.executor.sink(sink).tuples().map(|t| t.tid.raw()).collect();
-            assert!(
-                base.ends_with(&got),
-                "kill at {kill_at}: sharded recovery diverged from sequential baseline"
-            );
-            let d = run.degradation();
-            assert_eq!(d.checkpoints_restored, 1);
-        }
-    }
-
-    #[test]
-    fn sharded_supervision_refuses_unsafe_plans() {
-        // The default test builder chains select → shield: the select
-        // delays sp propagation mid-plan, so the sharded builder refuses
-        // it fail-closed before any input is consumed.
-        let input = workload(10);
-        let cfg = SupervisorConfig::default();
-        let mut store = MemStore::default();
-        let got = run_supervised_sharded(builder, 2, &input, &cfg, &mut store, &mut |_, _| false);
-        assert!(matches!(got, Err(EngineError::ShardUnsupported { .. })));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Security-decision audit trail and live telemetry.
 //!
-//! Three cooperating facilities (ISSUE 4; motivated by SecureStreams'
+//! Four cooperating facilities (ISSUE 4; motivated by SecureStreams'
 //! and Streamforce's auditable-enforcement requirements):
 //!
 //! 1. **Flight recorder** ([`FlightRecorder`]) — a bounded ring buffer of
@@ -29,10 +29,6 @@
 //!    → enforcement lag, sp-arrival → first-affected-release lag, and
 //!    revocation → suppression lag (the "security hole" width), all in
 //!    stream time so replays reproduce them exactly.
-//! 5. **Span facade** ([`span::span`]) — structured begin/end markers
-//!    around executor steps, epoch cuts and supervisor recoveries.
-//!    Compiled to nothing unless the `trace` cargo feature is on (no
-//!    `tracing` crate is vendored, so the facade is in-crate).
 //!
 //! Telemetry is **off by default**: a [`FlightRecorder`] or
 //! [`SpanRecorder`] with capacity 0 never allocates, and an executor
@@ -1511,23 +1507,13 @@ impl TelemetryConfig {
     }
 }
 
-/// Span collection state and the begin/end marker facade.
-///
-/// Two layers live here:
-///
-/// * **The sp-trace runtime toggle** — [`span::enabled`] /
-///   [`span::set_enabled`], a process-wide atomic consulted by every
-///   [`SpanRecorder::record`]. Tracing is *on* by default (the recorders
-///   still cost nothing unless a plan allocates them via
-///   [`TelemetryConfig::span_capacity`]); the `trace-off` cargo feature
-///   is the compile-time hard-off override that folds the whole check to
-///   `false`, restoring the old fully-compiled-away behavior.
-/// * **The marker facade** — [`span::span`] returns a zero-sized guard
-///   unless the `trace` cargo feature is on, in which case spans append
-///   `(name, Enter|Exit)` events to a thread-local buffer drained by
-///   [`span::take_events`]. There is no vendored `tracing` crate, and
-///   new dependencies are out of bounds, so this in-crate facade is the
-///   whole integration surface.
+/// The sp-trace runtime toggle: [`span::enabled`] /
+/// [`span::set_enabled`], a process-wide atomic consulted by every
+/// [`SpanRecorder::record`]. Tracing is *on* by default (the recorders
+/// still cost nothing unless a plan allocates them via
+/// [`TelemetryConfig::span_capacity`]); the `trace-off` cargo feature
+/// is the compile-time hard-off override that folds the whole check to
+/// `false`.
 pub mod span {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1546,78 +1532,6 @@ pub mod span {
     /// feature is compiled in ([`enabled`] stays `false`).
     pub fn set_enabled(on: bool) {
         RUNTIME.store(on, Ordering::Relaxed);
-    }
-
-    /// Span lifecycle edge.
-    #[cfg(feature = "trace")]
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum SpanEdge {
-        /// The span was opened.
-        Enter,
-        /// The span guard dropped.
-        Exit,
-    }
-
-    /// One collected span event.
-    #[cfg(feature = "trace")]
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SpanEvent {
-        /// Static span name, e.g. `executor.push`.
-        pub name: &'static str,
-        /// Enter or exit.
-        pub edge: SpanEdge,
-    }
-
-    #[cfg(feature = "trace")]
-    thread_local! {
-        static EVENTS: std::cell::RefCell<Vec<SpanEvent>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-
-    #[cfg(feature = "trace")]
-    fn push(name: &'static str, edge: SpanEdge) {
-        EVENTS.with(|e| {
-            if let Ok(mut v) = e.try_borrow_mut() {
-                v.push(SpanEvent { name, edge });
-            }
-        });
-    }
-
-    /// Drains this thread's collected span events.
-    #[cfg(feature = "trace")]
-    #[must_use]
-    pub fn take_events() -> Vec<SpanEvent> {
-        EVENTS.with(|e| e.try_borrow_mut().map(|mut v| std::mem::take(&mut *v)).unwrap_or_default())
-    }
-
-    /// RAII guard closing the span on drop. Zero-sized when the `trace`
-    /// feature is off.
-    #[must_use = "a span closes when its guard drops"]
-    pub struct SpanGuard {
-        #[cfg(feature = "trace")]
-        name: &'static str,
-    }
-
-    #[cfg(feature = "trace")]
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            push(self.name, SpanEdge::Exit);
-        }
-    }
-
-    /// Opens a span around the enclosing scope.
-    #[inline(always)]
-    pub fn span(name: &'static str) -> SpanGuard {
-        #[cfg(feature = "trace")]
-        {
-            push(name, SpanEdge::Enter);
-            SpanGuard { name }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = name;
-            SpanGuard {}
-        }
     }
 }
 
@@ -1788,18 +1702,6 @@ mod tests {
         trail.push_section(AuditOp::Node(2), rec);
         let text = trail.render(Some(&catalog));
         assert!(text.contains("tuple 42 released to role Nurse via DDP @700ms"), "{text}");
-    }
-
-    #[test]
-    fn span_facade_compiles_both_ways() {
-        {
-            let _g = span::span("test.scope");
-        }
-        #[cfg(feature = "trace")]
-        {
-            let events = span::take_events();
-            assert!(events.iter().any(|e| e.name == "test.scope"));
-        }
     }
 
     /// Serializes tests that flip the process-wide span toggle.

@@ -10,9 +10,8 @@
 //!    that was actually pushed;
 //! 2. **degradation correspondence** — quarantine and ladder audit events
 //!    agree with the engine's fail-closed degradation counters;
-//! 3. **determinism** — a sequential run and a pipeline-parallel
-//!    checkpointed run of the same plan produce byte-identical audit
-//!    trails.
+//! 3. **determinism** — a sequential run and a pipeline-parallel run of
+//!    the same plan produce byte-identical audit trails.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -24,9 +23,8 @@ use sp_core::{
     Tuple, TupleId, Value, ValueType,
 };
 use sp_engine::{
-    run_parallel, run_parallel_checkpointed, AuditEvent, AuditOp, CheckpointStore, CmpOp, Expr,
-    MemStore, NodeRef, PlanBuilder, QuarantinePolicy, SecurityShield, Select, ShedPolicy, Shedder,
-    ShedderConfig, SinkRef, TelemetryConfig,
+    run_parallel, AuditEvent, AuditOp, CmpOp, Expr, NodeRef, PlanBuilder, QuarantinePolicy,
+    SecurityShield, Select, ShedPolicy, Shedder, ShedderConfig, SinkRef, TelemetryConfig,
 };
 
 const SEGMENT_MS: u64 = 1_000;
@@ -228,30 +226,18 @@ fn sequential_and_parallel_audit_trails_encode_identically() {
 
     // Plain parallel run.
     let (b, _, _) = audited_builder(8);
-    let results = run_parallel(b, input.clone()).unwrap();
+    let results = run_parallel(b, input).unwrap();
     assert_eq!(
         results.audit_trail().encode_to_vec(),
         sequential,
         "parallel audit trail diverged from sequential"
-    );
-
-    // Parallel run with epoch checkpointing interleaved: barriers must
-    // not perturb the audit stream.
-    let (b, _, _) = audited_builder(8);
-    let mut store = MemStore::default();
-    let results = run_parallel_checkpointed(b, input, 64, &mut store).unwrap();
-    assert!(store.count() > 0);
-    assert_eq!(
-        results.audit_trail().encode_to_vec(),
-        sequential,
-        "checkpointed parallel audit trail diverged from sequential"
     );
 }
 
 /// Same shape as [`audited_builder`] but with the span recorders armed
 /// and a shield requiring role 0 — which the workload grants only in
 /// every third segment — so the trace carries both release *and*
-/// suppress spans for the three execution modes to agree on.
+/// suppress spans for the two execution modes to agree on.
 fn span_builder(shed_capacity: u64) -> PlanBuilder {
     let mut b = PlanBuilder::new(catalog());
     let src = b.source(StreamId(1), schema());
@@ -309,22 +295,11 @@ fn sequential_and_parallel_span_sheets_encode_identically() {
 
     // Plain parallel run: per-operator threads must record the same
     // spans in the same canonical order.
-    let results = run_parallel(span_builder(SHED), input.clone()).unwrap();
+    let results = run_parallel(span_builder(SHED), input).unwrap();
     assert_eq!(
         results.span_sheet().encode_to_vec(),
         sequential,
         "parallel span sheet diverged from sequential"
-    );
-
-    // Parallel run with epoch checkpoints interleaved: barriers must not
-    // perturb the trace either.
-    let mut store = MemStore::default();
-    let results = run_parallel_checkpointed(span_builder(SHED), input, 64, &mut store).unwrap();
-    assert!(store.count() > 0);
-    assert_eq!(
-        results.span_sheet().encode_to_vec(),
-        sequential,
-        "checkpointed parallel span sheet diverged from sequential"
     );
 }
 

@@ -20,11 +20,11 @@ pub struct InstantiateOptions {
     pub granularity: Granularity,
     /// Instantiate every selection as [`Select::eager`]: policies are
     /// forwarded immediately instead of delayed until the segment's
-    /// first surviving tuple (§IV-B). Sharded sessions need this — an
-    /// eager selection is policy-transparent, so the shield's
-    /// shard-local flushes stay deduplicable all the way to the sink.
-    /// Sequential sessions keep the default `false` (the paper's
-    /// traffic-saving delay).
+    /// first surviving tuple (§IV-B). Plans built for
+    /// [`sp_engine::ShardedExecutor`] need this — an eager selection is
+    /// policy-transparent, so the shield's shard-local flushes stay
+    /// deduplicable all the way to the sink. Sessions keep the default
+    /// `false` (the paper's traffic-saving delay).
     pub eager_selects: bool,
 }
 

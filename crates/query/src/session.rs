@@ -24,7 +24,7 @@ use sp_core::{
     QueryId, RoleId, RoleSet, Schema, SecurityPunctuation, StreamElement, StreamId, SubjectId,
     Timestamp,
 };
-use sp_engine::{Executor, PlanBuilder, ShardedExecutor, SinkRef};
+use sp_engine::{Executor, PlanBuilder, SinkRef};
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
@@ -76,14 +76,6 @@ pub struct Dsms {
     /// back via [`RunningDsms::audit_trail`] and
     /// [`RunningDsms::metrics_prometheus`] / [`RunningDsms::metrics_json`].
     pub telemetry: Option<sp_engine::TelemetryConfig>,
-    /// Key-partitioned shard replicas per started session. `0` (default)
-    /// and `1` run the sequential executor; `n ≥ 2` makes
-    /// [`Dsms::try_start`] spin up `n` shard replicas of the whole plan
-    /// behind a deterministic exchange — byte-identical released sets,
-    /// audit trails, and checkpoints at any shard count. Sharding
-    /// requires every operator in every registered plan to be
-    /// shard-safe; [`Dsms::try_start`] refuses otherwise, fail-closed.
-    pub shards: usize,
     queries: Vec<PlannedQuery>,
 }
 
@@ -184,18 +176,14 @@ impl Dsms {
         true
     }
 
-    /// Builds the shared physical plan (deterministically — sharded
-    /// execution rebuilds it once per replica) and the query → sink map.
-    ///
-    /// `eager_selects` instantiates selections without the §IV-B policy
-    /// delay — required under sharding, where a delaying selection
-    /// mid-plan would make the shield's shard-local flushes
-    /// non-deduplicable (the sharded builder refuses such plans).
-    fn build_plan(&self, eager_selects: bool) -> (PlanBuilder, HashMap<QueryId, SinkRef>) {
+    /// Builds the shared physical plan and starts the engine.
+    #[must_use]
+    pub fn start(&self) -> RunningDsms {
         let mut builder = PlanBuilder::new(Arc::new(self.catalog.roles.clone()));
         let mut sources = HashMap::new();
         let mut sinks = HashMap::new();
-        let opts = InstantiateOptions { granularity: self.granularity, eager_selects };
+        let opts =
+            InstantiateOptions { granularity: self.granularity, ..InstantiateOptions::default() };
         for q in &self.queries {
             let root = instantiate_with(&q.plan, &mut builder, &mut sources, opts);
             sinks.insert(q.id, builder.sink(root));
@@ -203,53 +191,13 @@ impl Dsms {
         if let Some(cfg) = self.telemetry {
             builder.enable_telemetry(cfg);
         }
-        (builder, sinks)
-    }
-
-    fn running(&self, engine: Engine, sinks: HashMap<QueryId, SinkRef>) -> RunningDsms {
         RunningDsms {
-            engine,
+            executor: builder.build(),
             sinks,
             errors: Vec::new(),
             input_pos: 0,
             admission: self.admission.map(sp_engine::AdmissionController::new),
         }
-    }
-
-    /// Builds the shared physical plan and starts the engine on the
-    /// sequential (single-lane) executor, regardless of [`Dsms::shards`].
-    /// Use [`Dsms::try_start`] for the shards-aware entry point.
-    #[must_use]
-    pub fn start(&self) -> RunningDsms {
-        let (builder, sinks) = self.build_plan(false);
-        self.running(Engine::Sequential(builder.build()), sinks)
-    }
-
-    /// Builds the shared physical plan and starts the engine honoring
-    /// [`Dsms::shards`]: `0`/`1` behave exactly like [`Dsms::start`];
-    /// `n ≥ 2` runs `n` key-partitioned shard replicas of the whole plan
-    /// behind a deterministic exchange merge, with security punctuations
-    /// broadcast to every replica.
-    ///
-    /// # Errors
-    ///
-    /// Fails closed with [`sp_engine::EngineError::ShardUnsupported`]
-    /// when `shards ≥ 2` and a registered plan contains an operator
-    /// whose state needs the whole stream (joins, duplicate
-    /// elimination, aggregation) — hash partitioning would silently
-    /// change its results, so the session is refused instead.
-    /// Sharded sessions instantiate their selections *eagerly* (no
-    /// §IV-B policy delay): an eager selection is policy-transparent,
-    /// so the shield's shard-local flushes stay deduplicable down to
-    /// the sink. Released tuples are unaffected — only policy traffic
-    /// between operators grows.
-    pub fn try_start(&self) -> Result<RunningDsms, sp_engine::EngineError> {
-        if self.shards <= 1 {
-            return Ok(self.start());
-        }
-        let exec = ShardedExecutor::new(|| self.build_plan(true).0, self.shards)?;
-        let (_, sinks) = self.build_plan(true);
-        Ok(self.running(Engine::Sharded(exec), sinks))
     }
 
     /// Restarts the DSMS from the latest durable checkpoint in `store`,
@@ -263,10 +211,6 @@ impl Dsms {
     /// lose results but can never release a tuple the uninterrupted run
     /// would have withheld.
     ///
-    /// Checkpoints are canonical across shard counts, so a session
-    /// checkpointed sequentially (or at `n` shards) may resume at any
-    /// [`Dsms::shards`] setting — the restore re-shards.
-    ///
     /// # Errors
     ///
     /// Fails closed when the checkpoint does not match the current plan
@@ -276,34 +220,18 @@ impl Dsms {
         &self,
         store: &dyn sp_engine::CheckpointStore,
     ) -> Result<RunningDsms, sp_engine::EngineError> {
-        let mut running = self.try_start()?;
+        let mut running = self.start();
         if let Some(ckpt) = store.load_latest() {
-            match &mut running.engine {
-                Engine::Sequential(exec) => exec.restore(&ckpt)?,
-                Engine::Sharded(exec) => exec.restore(&ckpt)?,
-            }
+            running.executor.restore(&ckpt)?;
             running.input_pos = ckpt.input_pos;
         }
         Ok(running)
     }
 }
 
-/// The executor behind a running session: one sequential lane, or `n`
-/// key-partitioned shard replicas behind a deterministic exchange.
-enum Engine {
-    Sequential(Executor),
-    Sharded(ShardedExecutor),
-}
-
 /// A running DSMS instance.
-///
-/// Observability accessors ([`RunningDsms::results`],
-/// [`RunningDsms::audit_trail`], …) take `&mut self`: a sharded session
-/// first synchronizes with its shard workers so the canonical state is
-/// exactly up to date with everything pushed so far. Sequential sessions
-/// pay nothing for the same signature.
 pub struct RunningDsms {
-    engine: Engine,
+    executor: Executor,
     sinks: HashMap<QueryId, SinkRef>,
     errors: Vec<sp_engine::EngineError>,
     input_pos: u64,
@@ -343,30 +271,15 @@ impl RunningDsms {
             let is_tuple = matches!(elem, StreamElement::Tuple(_));
             ac.admit(stream, is_tuple, elem.ts())?;
         }
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.push(stream, elem),
-            Engine::Sharded(exec) => exec.push(stream, elem),
-        }
-    }
-
-    /// How many shard replicas this session runs on (1 for sequential).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        match &self.engine {
-            Engine::Sequential(_) => 1,
-            Engine::Sharded(exec) => exec.shards(),
-        }
+        self.executor.push(stream, elem)
     }
 
     /// Degradation counters for the whole session: every operator's
     /// losses (shedding, quarantine, reorder drops, ladder state) plus
     /// the ingestion admission controller's rejections.
     #[must_use]
-    pub fn degradation(&mut self) -> sp_engine::DegradationStats {
-        let mut d = match &mut self.engine {
-            Engine::Sequential(exec) => exec.degradation(),
-            Engine::Sharded(exec) => exec.degradation(),
-        };
+    pub fn degradation(&self) -> sp_engine::DegradationStats {
+        let mut d = self.executor.degradation();
         if let Some(ac) = &self.admission {
             d.absorb(&ac.degradation());
         }
@@ -386,19 +299,13 @@ impl RunningDsms {
     /// # Errors
     ///
     /// Propagates the store's write error; the session itself is
-    /// unaffected by a failed save. A sharded session can additionally
-    /// fail the cut itself when a shard worker died — the session is
-    /// then failed (fail-closed), not the store.
+    /// unaffected by a failed save.
     pub fn checkpoint_to(
-        &mut self,
+        &self,
         epoch: u64,
         store: &mut dyn sp_engine::CheckpointStore,
     ) -> Result<(), sp_engine::EngineError> {
-        let ckpt = match &mut self.engine {
-            Engine::Sequential(exec) => exec.checkpoint(epoch, self.input_pos),
-            Engine::Sharded(exec) => exec.checkpoint(epoch, self.input_pos)?,
-        };
-        store.save(&ckpt)
+        store.save(&self.executor.checkpoint(epoch, self.input_pos))
     }
 
     /// Engine errors absorbed by [`RunningDsms::push`] so far.
@@ -413,23 +320,16 @@ impl RunningDsms {
     ///
     /// Panics if the query id was not registered before `start`.
     #[must_use]
-    pub fn results(&mut self, query: QueryId) -> &sp_engine::Sink {
-        let sink = self.sinks[&query];
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.sink(sink),
-            Engine::Sharded(exec) => exec.sink(sink),
-        }
+    pub fn results(&self, query: QueryId) -> &sp_engine::Sink {
+        self.executor.sink(self.sinks[&query])
     }
 
     /// The session's security audit trail: every release, suppression,
     /// and quarantine decision made so far, in canonical operator order.
     /// Empty unless [`Dsms::telemetry`] was set before `start`.
     #[must_use]
-    pub fn audit_trail(&mut self) -> sp_engine::AuditTrail {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.audit_trail(),
-            Engine::Sharded(exec) => exec.audit_trail(),
-        }
+    pub fn audit_trail(&self) -> sp_engine::AuditTrail {
+        self.executor.audit_trail()
     }
 
     /// The session's sp-trace span sheet: the causal spans recorded by
@@ -437,42 +337,28 @@ impl RunningDsms {
     /// Empty unless [`Dsms::telemetry`] was set with a span capacity
     /// before `start`.
     #[must_use]
-    pub fn span_sheet(&mut self) -> sp_engine::SpanSheet {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.span_sheet(),
-            Engine::Sharded(exec) => exec.span_sheet(),
-        }
+    pub fn span_sheet(&self) -> sp_engine::SpanSheet {
+        self.executor.span_sheet()
     }
 
-    /// The session's metrics registry: per-operator logical counters
-    /// (canonical — identical at any shard count), plus `sp_shard_*`
-    /// series describing the shard layout when sharded.
+    /// The session's metrics registry: per-operator logical counters.
     #[must_use]
-    pub fn metrics(&mut self) -> sp_engine::MetricsRegistry {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.metrics(),
-            Engine::Sharded(exec) => exec.metrics(),
-        }
+    pub fn metrics(&self) -> sp_engine::MetricsRegistry {
+        self.executor.metrics()
     }
 
     /// The session's metrics snapshot in Prometheus text exposition
     /// format (counters always; latency/queue histograms when
     /// [`Dsms::telemetry`] enabled metrics collection).
     #[must_use]
-    pub fn metrics_prometheus(&mut self) -> String {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.metrics_prometheus(),
-            Engine::Sharded(exec) => exec.metrics_prometheus(),
-        }
+    pub fn metrics_prometheus(&self) -> String {
+        self.executor.metrics_prometheus()
     }
 
     /// The session's metrics snapshot as a JSON document.
     #[must_use]
-    pub fn metrics_json(&mut self) -> String {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.metrics_json(),
-            Engine::Sharded(exec) => exec.metrics_json(),
-        }
+    pub fn metrics_json(&self) -> String {
+        self.executor.metrics_json()
     }
 }
 
@@ -742,121 +628,6 @@ mod tests {
         // The sp arrived after the tuples, so nothing is released — but
         // the policy state advanced, which is what matters here.
         assert_eq!(running.results(q).tuple_count(), 0);
-    }
-
-    #[test]
-    fn sharded_session_matches_sequential() {
-        let mut d = dsms();
-        let alice = d.register_subject("alice", &["family"]).unwrap();
-        let q = d.submit("SELECT obj_id, x FROM LocationUpdates WHERE speed > 1", alice).unwrap();
-        let (sid, sp) = d
-            .insert_sp(
-                "INSERT SP INTO STREAM LocationUpdates LET DDP = ('*', '*', '*'), SRP = 'family'",
-                Timestamp(0),
-            )
-            .unwrap();
-        d.telemetry = Some(sp_engine::TelemetryConfig {
-            audit_capacity: 1024,
-            span_capacity: 1024,
-            metrics: false,
-        });
-        let mut input = vec![(sid, StreamElement::punctuation(sp))];
-        for i in 1..=40 {
-            input.push((StreamId(1), tup(i, i, 1.0, if i % 3 == 0 { 0.5 } else { 2.0 })));
-        }
-
-        let mut seq = d.start();
-        for (s, e) in &input {
-            seq.push(*s, e.clone());
-        }
-        let want: Vec<u64> = seq.results(q).tuples().map(|t| t.tid.raw()).collect();
-        let want_trail = seq.audit_trail().encode_to_vec();
-        assert!(!want.is_empty());
-
-        for shards in [1usize, 2, 4] {
-            d.shards = shards;
-            let mut run = d.try_start().unwrap();
-            assert_eq!(run.shards(), shards.max(1));
-            for (s, e) in &input {
-                run.push(*s, e.clone());
-            }
-            let got: Vec<u64> = run.results(q).tuples().map(|t| t.tid.raw()).collect();
-            assert_eq!(got, want, "released set diverged at {shards} shards");
-            assert_eq!(
-                run.audit_trail().encode_to_vec(),
-                want_trail,
-                "audit trail diverged at {shards} shards"
-            );
-            assert!(run.errors().is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_session_checkpoint_resumes_at_other_width() {
-        let mut d = dsms();
-        let alice = d.register_subject("alice", &["family"]).unwrap();
-        let q = d.submit("SELECT obj_id FROM LocationUpdates", alice).unwrap();
-        let (sid, sp) = d
-            .insert_sp(
-                "INSERT SP INTO STREAM LocationUpdates LET DDP = ('*', '*', '*'), SRP = 'family'",
-                Timestamp(0),
-            )
-            .unwrap();
-        let mut input = vec![(sid, StreamElement::punctuation(sp))];
-        for i in 1..=20 {
-            input.push((StreamId(1), tup(i, i, 1.0, 2.0)));
-        }
-
-        let mut base = d.start();
-        for (s, e) in &input {
-            base.push(*s, e.clone());
-        }
-        let baseline: Vec<u64> = base.results(q).tuples().map(|t| t.tid.raw()).collect();
-
-        // Checkpoint at 4 shards, resume at 2.
-        d.shards = 4;
-        let mut store = sp_engine::MemStore::default();
-        let mut run = d.try_start().unwrap();
-        for (s, e) in input.iter().take(11) {
-            run.push(*s, e.clone());
-        }
-        run.checkpoint_to(1, &mut store).unwrap();
-        drop(run);
-
-        d.shards = 2;
-        let mut resumed = d.resume(&store).unwrap();
-        assert_eq!(resumed.shards(), 2);
-        assert_eq!(resumed.input_pos(), 11);
-        for (s, e) in input.iter().skip(11) {
-            resumed.push(*s, e.clone());
-        }
-        let got: Vec<u64> = resumed.results(q).tuples().map(|t| t.tid.raw()).collect();
-        assert!(baseline.ends_with(&got), "re-sharded resume released {got:?}");
-        assert!(resumed.errors().is_empty());
-    }
-
-    #[test]
-    fn try_start_refuses_unshardable_plans() {
-        let mut d = dsms();
-        d.register_stream(
-            StreamId(2),
-            Schema::of("Regions", &[("obj_id", ValueType::Int), ("region", ValueType::Int)]),
-        )
-        .unwrap();
-        let alice = d.register_subject("alice", &["family"]).unwrap();
-        let _q = d
-            .submit(
-                "SELECT a.obj_id FROM LocationUpdates [RANGE 10 SECONDS] AS a, \
-                 Regions [RANGE 10 SECONDS] AS b WHERE a.obj_id = b.obj_id",
-                alice,
-            )
-            .unwrap();
-        d.shards = 4;
-        let got = d.try_start();
-        assert!(matches!(got, Err(sp_engine::EngineError::ShardUnsupported { .. })));
-        // shards ≤ 1 still starts the same plan sequentially.
-        d.shards = 0;
-        let _running = d.try_start().unwrap();
     }
 
     #[test]

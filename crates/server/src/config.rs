@@ -78,15 +78,6 @@ pub struct ServerConfig {
     /// span capacity is configured per tenant by the session factory's
     /// `TelemetryConfig`.
     pub trace_capacity: usize,
-    /// Shard replicas per tenant session (0 = the factory's own
-    /// [`sp_query::Dsms::shards`] setting stands). `n ≥ 2` overrides
-    /// every tenant to run `n` key-partitioned shard replicas behind the
-    /// deterministic exchange; released sets, audit trails, and
-    /// checkpoints stay byte-identical to sequential execution, and
-    /// checkpoints re-shard on resume. A tenant whose plan cannot be
-    /// sharded (joins, aggregation) fails closed at spawn and is
-    /// quarantined, exactly like a resume failure.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -108,7 +99,6 @@ impl Default for ServerConfig {
             chaos_repl_stop_after_frames: 0,
             chaos_fence_at_frame: 0,
             trace_capacity: 1024,
-            shards: 0,
         }
     }
 }

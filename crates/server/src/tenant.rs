@@ -300,7 +300,7 @@ impl Worker {
     }
 
     fn checkpoint(&mut self) {
-        if let Some(session) = self.session.as_mut() {
+        if let Some(session) = self.session.as_ref() {
             self.epoch += 1;
             if session.checkpoint_to(self.epoch, &mut self.store).is_ok() {
                 self.checkpoints_taken += 1;
@@ -317,16 +317,16 @@ impl Worker {
 
     /// The merged span sheet: the ingress (wire-frame) section followed
     /// by the engine's analyzer/operator sections, in canonical order.
-    fn span_sheet(&mut self) -> SpanSheet {
-        let mut sheet = self.session.as_mut().map(RunningDsms::span_sheet).unwrap_or_default();
+    fn span_sheet(&self) -> SpanSheet {
+        let mut sheet = self.session.as_ref().map(RunningDsms::span_sheet).unwrap_or_default();
         if !self.ingress.is_empty() || self.ingress.evicted() > 0 {
             sheet.push_section(AuditOp::Ingress, self.ingress.clone());
         }
         sheet
     }
 
-    fn report(&mut self) -> TenantReport {
-        let (released, audit, admission_rejected) = match self.session.as_mut() {
+    fn report(&self) -> TenantReport {
+        let (released, audit, admission_rejected) = match self.session.as_ref() {
             Some(session) => {
                 let released = self
                     .dsms
@@ -391,7 +391,7 @@ impl Worker {
                     let _ = reply.send(self.report());
                 }
                 Cmd::Metrics { reply } => {
-                    let reg = self.session.as_mut().map(RunningDsms::metrics).unwrap_or_default();
+                    let reg = self.session.as_ref().map(RunningDsms::metrics).unwrap_or_default();
                     let _ = reply.send(reg);
                 }
                 Cmd::Trace { reply } => {
@@ -400,7 +400,7 @@ impl Worker {
                 Cmd::Audit { reply } => {
                     let text = self
                         .session
-                        .as_mut()
+                        .as_ref()
                         .map(|s| s.audit_trail().render(None))
                         .unwrap_or_default();
                     let _ = reply.send(text);
@@ -436,13 +436,7 @@ pub(crate) fn spawn_tenant(
     let (pos_t, quarantined_t) = (Arc::clone(&pos), Arc::clone(&quarantined));
     let join = std::thread::Builder::new().name(format!("tenant-{id}")).spawn(move || {
         let built = catch_unwind(AssertUnwindSafe(|| {
-            let mut dsms = factory(id);
-            if cfg.shards > 0 {
-                // The server-wide shard width overrides the factory's.
-                // Checkpoints are canonical across widths, so resuming
-                // an existing store under a new width just re-shards.
-                dsms.shards = cfg.shards;
-            }
+            let dsms = factory(id);
             let session = dsms.resume(&store);
             (dsms, session)
         }));

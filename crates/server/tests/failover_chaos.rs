@@ -560,7 +560,7 @@ fn failover_preserves_span_trees_and_enforcement_lag() {
         if let Some(c) = &replicated {
             store.save(c).unwrap();
         }
-        let mut running = {
+        let running = {
             let mut running = dsms.resume(&store).unwrap();
             let from = usize::try_from(running.input_pos()).unwrap().min(input.len());
             for (s, e) in &input[from..] {
