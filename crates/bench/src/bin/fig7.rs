@@ -6,14 +6,8 @@
 //! * 7c — policy memory (KB) vs policy size |R|;
 //! * 7d — processing cost per 100 tuples (µs) vs policy size |R|.
 //!
-//! Usage: `cargo run --release -p sp-bench --bin fig7 -- [a|p|c|d|b|r|t|x|all]`
-//!
-//! `b` measures segment-batch execution: the same select+shield-heavy
-//! plan driven tuple-at-a-time vs in segment batches, reporting the
-//! throughput gain (target ≥ 1.5×) and writing a machine-readable
-//! summary to `target/BENCH_batch.json`. It doubles as a release lint:
-//! the process exits nonzero if the batched run releases a different
-//! tuple multiset than the tuple-at-a-time run.
+//! Usage: `cargo run --release -p sp-bench --bin fig7 -- [a|p|c|d|r|all]`
+//! (no argument = `all`; anything else prints this line and exits 2).
 //!
 //! `r` prints the hostile-stream degradation report: the same workload is
 //! replayed through the wire with seeded faults (drops, reorders, byte
@@ -23,21 +17,9 @@
 //! recovery counters and the checkpoint overhead at the default epoch
 //! interval (target: under 10%).
 //!
-//! `t` measures the telemetry layer itself: the same shielded workload
-//! with the flight recorder and metrics histograms off vs on, reporting
-//! the overhead (target: under 5%) and writing the Prometheus exposition
-//! to `target/telemetry.prom` plus a machine-readable summary to
-//! `target/BENCH_telemetry.json`.
-//!
-//! `x` measures the sp-trace observability plane: the same shielded
-//! workload with span recording toggled off vs on at runtime, reporting
-//! the overhead (target: under 5%), the span counts per causal site, and
-//! the paper-grounded enforcement-lag histograms (sp arrival → shield
-//! enforcement, sp → first release, revocation → first suppression). It
-//! writes the Chrome trace-event export to `target/trace.json` and a
-//! machine-readable summary to `target/BENCH_trace.json`, and doubles as
-//! a release lint: the process exits nonzero when the overhead exceeds
-//! 5% or any enforcement-lag histogram is empty on this workload.
+//! Telemetry, span and batch-mode overheads are measured by the repo's
+//! benchmark (`perfbench/`: `engine.telemetry.*_overhead_pct`,
+//! `engine.mode.tuple_at_a_time.vs_sequential`), not here.
 
 use sp_bench::mechanisms::{all_mechanisms, catalog, drive, probe_roles, MechRun};
 use sp_bench::workloads::fig7_workload;
@@ -46,7 +28,7 @@ use sp_core::wire::{Message, StreamDecoder, WireFrame};
 use sp_core::{RoleSet, StreamId};
 use sp_engine::{
     run_supervised, DegradationStats, FaultInjector, FaultPlan, MemStore, PlanBuilder,
-    QuarantinePolicy, ReorderBuffer, SecurityShield, SupervisorConfig, TelemetryConfig,
+    QuarantinePolicy, ReorderBuffer, SecurityShield, SupervisorConfig,
 };
 
 const RATIOS: [usize; 5] = [1, 10, 25, 50, 100];
@@ -81,369 +63,19 @@ fn main() {
         "p" => ratio_sweep(false),
         "c" => policy_size_sweep(true),
         "d" => policy_size_sweep(false),
-        "b" => batch_report(),
         "r" => degradation_report(),
-        "t" => telemetry_report(),
-        "x" => trace_report(),
-        _ => {
+        "all" => {
             ratio_sweep(true);
             ratio_sweep(false);
             policy_size_sweep(true);
             policy_size_sweep(false);
-            batch_report();
             degradation_report();
-            telemetry_report();
-            trace_report();
+        }
+        _ => {
+            eprintln!("usage: fig7 [a|p|c|d|r|all]");
+            std::process::exit(2);
         }
     }
-}
-
-/// Batch-execution gain: one select+shield-heavy plan, driven once in
-/// tuple-at-a-time mode and once in segment batches. Shield wall-clock
-/// sampling is off in both modes so the comparison isolates the dataflow
-/// (routing, dispatch, fan-out clones) rather than clock-read counts.
-///
-/// Doubles as a **release lint**: the two modes must release the same
-/// tuple multiset per sink — any divergence exits nonzero, failing CI.
-fn batch_report() {
-    use sp_engine::{CmpOp, Expr, Select};
-    use std::collections::HashMap;
-
-    let catalog = catalog(128);
-    // sp:tuple = 1/50 → long same-segment tuple runs, the shape batch
-    // execution exploits (and the common case in the paper's workloads).
-    let workload = fig7_workload(50, 3, 0.5, 4242);
-    let input: Vec<(StreamId, sp_core::StreamElement)> =
-        workload.elements.iter().map(|e| (workload.stream, e.clone())).collect();
-    let stream = workload.stream;
-    let schema = &workload.schema;
-    let builder = || {
-        let mut b = PlanBuilder::new(catalog.clone());
-        let src = b.source(stream, schema.clone());
-        let sel = b.add(
-            Select::new(Expr::cmp(CmpOp::Ge, Expr::Attr(0), Expr::Const(sp_core::Value::Int(0)))),
-            src,
-        );
-        let ss = b.add(SecurityShield::new(RoleSet::from([0])).without_timing(), sel);
-        let sink = b.sink(ss);
-        (b, sink)
-    };
-
-    // Released tuple multiset of one run (tid → count), for the lint.
-    let run = |batching: bool| {
-        let (b, sink) = builder();
-        let mut exec = b.build();
-        exec.set_batching(batching);
-        if batching {
-            exec.push_all(input.iter().cloned()).expect("clean input");
-        } else {
-            for (s, e) in &input {
-                exec.push(*s, e.clone()).expect("clean input");
-            }
-        }
-        exec.finish().expect("clean finish");
-        let mut released: HashMap<u64, u64> = HashMap::new();
-        for t in exec.sink(sink).tuples() {
-            *released.entry(t.tid.raw()).or_insert(0) += 1;
-        }
-        released
-    };
-    let tuple_released = run(false);
-    let batched_released = run(true);
-
-    let tuple_ms = time_best_of_3(|| {
-        run(false);
-    });
-    let batched_ms = time_best_of_3(|| {
-        run(true);
-    });
-    let speedup = tuple_ms.as_secs_f64() / batched_ms.as_secs_f64().max(1e-9);
-    let released: u64 = tuple_released.values().sum();
-
-    println!("\nFig 7 batch: segment-batch vs tuple-at-a-time execution");
-    println!("  tuples              {:>10}", workload.tuples);
-    println!("  released            {released:>10}");
-    println!("  tuple-at-a-time     {:>10.2} ms", tuple_ms.as_secs_f64() * 1e3);
-    println!("  segment batches     {:>10.2} ms", batched_ms.as_secs_f64() * 1e3);
-    println!("  speedup             {speedup:>9.2}x (target >= 1.5x)");
-
-    let multiset_ok = tuple_released == batched_released;
-    if std::fs::create_dir_all("target").is_ok() {
-        let json = format!(
-            concat!(
-                "{{\n  \"experiment\": \"fig7_batch\",\n",
-                "  \"tuples\": {},\n  \"released\": {},\n",
-                "  \"tuple_mode_ms\": {:.3},\n  \"batched_ms\": {:.3},\n",
-                "  \"speedup\": {:.3},\n  \"multiset_identical\": {}\n}}\n"
-            ),
-            workload.tuples,
-            released,
-            tuple_ms.as_secs_f64() * 1e3,
-            batched_ms.as_secs_f64() * 1e3,
-            speedup,
-            multiset_ok,
-        );
-        let _ = std::fs::write("target/BENCH_batch.json", json);
-        println!("  wrote target/BENCH_batch.json");
-    }
-
-    let row = |metric: &'static str, measured: f64| Row {
-        experiment: "fig7batch",
-        param: "mode",
-        value: "batched-vs-tuple".into(),
-        series: "sp".into(),
-        metric,
-        measured,
-    };
-    log_rows(&[
-        row("speedup", speedup),
-        row("tuple_mode_ms", tuple_ms.as_secs_f64() * 1e3),
-        row("batched_ms", batched_ms.as_secs_f64() * 1e3),
-        row("released", released as f64),
-    ]);
-
-    if !multiset_ok {
-        eprintln!(
-            "LINT FAILURE: batched execution released a different tuple multiset \
-             than tuple-at-a-time execution ({} vs {} distinct tids)",
-            batched_released.len(),
-            tuple_released.len(),
-        );
-        std::process::exit(1);
-    }
-    println!("  release lint        identical multisets (pass)");
-}
-
-/// Telemetry overhead: the same shielded workload with the audit trail
-/// and metrics histograms disarmed vs armed. The flight recorder and the
-/// log-scale histograms are designed to cost a few arithmetic ops per
-/// decision, so the armed run must stay within 5% of the bare one.
-fn telemetry_report() {
-    let catalog = catalog(128);
-    let workload = fig7_workload(10, 3, 0.5, 42);
-    let input: Vec<(StreamId, sp_core::StreamElement)> =
-        workload.elements.iter().map(|e| (workload.stream, e.clone())).collect();
-    let stream = workload.stream;
-    let schema = &workload.schema;
-    let builder = |telemetry: Option<TelemetryConfig>| {
-        let mut b = PlanBuilder::new(catalog.clone());
-        let src = b.source(stream, schema.clone());
-        b.harden_source(src, QuarantinePolicy { ttl_ms: 40, slack_ms: 100, capacity: 1_024 });
-        let ss = b.add(SecurityShield::new(RoleSet::from([0])), src);
-        let _sink = b.sink(ss);
-        if let Some(cfg) = telemetry {
-            b.enable_telemetry(cfg);
-        }
-        b
-    };
-    let drive = |telemetry: Option<TelemetryConfig>| {
-        let mut exec = builder(telemetry).build();
-        for (s, e) in &input {
-            let _ = exec.push(*s, e.clone());
-        }
-        let _ = exec.finish();
-    };
-
-    let plain = time_best_of_3(|| drive(None));
-    let armed = time_best_of_3(|| drive(Some(TelemetryConfig::enabled())));
-    let overhead =
-        (armed.as_secs_f64() - plain.as_secs_f64()) / plain.as_secs_f64().max(1e-9) * 100.0;
-
-    // One more armed run kept alive so the exposition and trail can be
-    // inspected after the timing loop.
-    let mut exec = builder(Some(TelemetryConfig::enabled())).build();
-    for (s, e) in &input {
-        let _ = exec.push(*s, e.clone());
-    }
-    let _ = exec.finish();
-    let trail = exec.audit_trail();
-    let audit_records = trail.len() as u64 + trail.evicted();
-    let prom = exec.metrics_prometheus();
-
-    println!("\nFig 7t: telemetry overhead (audit trail + metrics histograms)");
-    println!("  bare run            {:>10.2} ms", plain.as_secs_f64() * 1e3);
-    println!("  telemetry on        {:>10.2} ms", armed.as_secs_f64() * 1e3);
-    println!("  overhead            {overhead:>9.1}% (target < 5%)");
-    println!("  decisions audited   {audit_records} ({} evicted)", trail.evicted());
-    println!("  exposition          {} lines", prom.lines().count());
-
-    if std::fs::create_dir_all("target").is_ok() {
-        let _ = std::fs::write("target/telemetry.prom", &prom);
-        println!("  wrote target/telemetry.prom");
-        let json = format!(
-            concat!(
-                "{{\n  \"experiment\": \"fig7t_telemetry\",\n",
-                "  \"tuples\": {},\n  \"bare_ms\": {:.3},\n  \"telemetry_ms\": {:.3},\n",
-                "  \"overhead_pct\": {:.2},\n  \"audit_records\": {},\n",
-                "  \"audit_evicted\": {},\n  \"exposition_lines\": {}\n}}\n"
-            ),
-            workload.tuples,
-            plain.as_secs_f64() * 1e3,
-            armed.as_secs_f64() * 1e3,
-            overhead,
-            audit_records,
-            trail.evicted(),
-            prom.lines().count(),
-        );
-        let _ = std::fs::write("target/BENCH_telemetry.json", json);
-        println!("  wrote target/BENCH_telemetry.json");
-    }
-
-    let row = |metric: &'static str, measured: f64| Row {
-        experiment: "fig7t",
-        param: "telemetry",
-        value: "on-vs-off".into(),
-        series: "sp".into(),
-        metric,
-        measured,
-    };
-    log_rows(&[
-        row("telemetry_overhead_pct", overhead),
-        row("audit_records", audit_records as f64),
-        row("exposition_lines", prom.lines().count() as f64),
-    ]);
-}
-
-/// Sp-trace overhead + enforcement lag: the same shielded workload with
-/// span recording flipped off vs on through the runtime toggle (the span
-/// ring stays armed in both runs, so the comparison isolates the
-/// per-record cost), then one kept run whose span sheet and
-/// enforcement-lag histograms are exported and linted.
-fn trace_report() {
-    use sp_engine::telemetry::span;
-
-    let catalog = catalog(128);
-    let workload = fig7_workload(10, 3, 0.5, 42);
-    let input: Vec<(StreamId, sp_core::StreamElement)> =
-        workload.elements.iter().map(|e| (workload.stream, e.clone())).collect();
-    let stream = workload.stream;
-    let schema = &workload.schema;
-    let builder = || {
-        let mut b = PlanBuilder::new(catalog.clone());
-        let src = b.source(stream, schema.clone());
-        b.harden_source(src, QuarantinePolicy { ttl_ms: 40, slack_ms: 100, capacity: 1_024 });
-        let ss = b.add(SecurityShield::new(RoleSet::from([0])), src);
-        let _sink = b.sink(ss);
-        b.enable_telemetry(TelemetryConfig::enabled());
-        b
-    };
-    let drive = || {
-        let mut exec = builder().build();
-        for (s, e) in &input {
-            let _ = exec.push(*s, e.clone());
-        }
-        let _ = exec.finish();
-    };
-
-    span::set_enabled(false);
-    let off = time_best_of_3(drive);
-    span::set_enabled(true);
-    let on = time_best_of_3(drive);
-    let overhead = (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64().max(1e-9) * 100.0;
-
-    // One more traced run kept alive so the span sheet and the lag
-    // histograms can be exported after the timing loop.
-    let mut exec = builder().build();
-    for (s, e) in &input {
-        let _ = exec.push(*s, e.clone());
-    }
-    let _ = exec.finish();
-    let sheet = exec.span_sheet();
-    let prom = exec.metrics_prometheus();
-
-    // Span count per causal site, from the merged sheet.
-    let mut per_site: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    for (_, rec) in sheet.records() {
-        *per_site.entry(sp_core::trace::site::name(rec.site)).or_insert(0) += 1;
-    }
-    // `<family>_count{...} N` series sums from the exposition.
-    let hist_count = |family: &str| -> u64 {
-        let prefix = format!("{family}_count");
-        prom.lines()
-            .filter(|l| l.starts_with(&prefix))
-            .filter_map(|l| l.rsplit(' ').next())
-            .filter_map(|v| v.parse::<u64>().ok())
-            .sum()
-    };
-    let enforce = hist_count("sp_enforce_lag_ms");
-    let release = hist_count("sp_first_release_lag_ms");
-    let suppress = hist_count("sp_suppress_lag_ms");
-
-    println!("\nFig 7x: sp-trace overhead + enforcement lag");
-    println!("  spans off           {:>10.2} ms", off.as_secs_f64() * 1e3);
-    println!("  spans on            {:>10.2} ms", on.as_secs_f64() * 1e3);
-    println!("  overhead            {overhead:>9.1}% (target < 5%)");
-    println!("  spans recorded      {:>10} ({} evicted)", sheet.len(), sheet.evicted());
-    for (site, n) in &per_site {
-        println!("    {site:<16}  {n:>10}");
-    }
-    println!("  enforce-lag obs     {enforce:>10}");
-    println!("  first-release obs   {release:>10}");
-    println!("  suppress-lag obs    {suppress:>10}");
-
-    if std::fs::create_dir_all("target").is_ok() {
-        let _ = std::fs::write("target/trace.json", sheet.render_chrome_json());
-        println!("  wrote target/trace.json");
-        let json = format!(
-            concat!(
-                "{{\n  \"experiment\": \"fig7x_trace\",\n",
-                "  \"tuples\": {},\n  \"spans_off_ms\": {:.3},\n  \"spans_on_ms\": {:.3},\n",
-                "  \"overhead_pct\": {:.2},\n  \"spans\": {},\n  \"spans_evicted\": {},\n",
-                "  \"enforce_lag_observations\": {},\n",
-                "  \"first_release_lag_observations\": {},\n",
-                "  \"suppress_lag_observations\": {}\n}}\n"
-            ),
-            workload.tuples,
-            off.as_secs_f64() * 1e3,
-            on.as_secs_f64() * 1e3,
-            overhead,
-            sheet.len(),
-            sheet.evicted(),
-            enforce,
-            release,
-            suppress,
-        );
-        let _ = std::fs::write("target/BENCH_trace.json", json);
-        println!("  wrote target/BENCH_trace.json");
-    }
-
-    let row = |metric: &'static str, measured: f64| Row {
-        experiment: "fig7x",
-        param: "trace",
-        value: "on-vs-off".into(),
-        series: "sp".into(),
-        metric,
-        measured,
-    };
-    log_rows(&[
-        row("trace_overhead_pct", overhead),
-        row("spans", sheet.len() as f64),
-        row("enforce_lag_observations", enforce as f64),
-        row("first_release_lag_observations", release as f64),
-        row("suppress_lag_observations", suppress as f64),
-    ]);
-
-    // Release lints. The overhead gate tolerates sub-millisecond jitter:
-    // on a workload this small a scheduler blip can exceed 5% without
-    // meaning anything.
-    let delta_ms = (on.as_secs_f64() - off.as_secs_f64()) * 1e3;
-    if overhead > 5.0 && delta_ms > 1.0 {
-        eprintln!(
-            "LINT FAILURE: sp-trace overhead {overhead:.1}% exceeds the 5% budget \
-             ({delta_ms:.2} ms over a {:.2} ms baseline)",
-            off.as_secs_f64() * 1e3,
-        );
-        std::process::exit(1);
-    }
-    if enforce == 0 || release == 0 || suppress == 0 {
-        eprintln!(
-            "LINT FAILURE: an enforcement-lag histogram is empty on the fig7 workload \
-             (enforce={enforce} release={release} suppress={suppress}) — \
-             the lag plane lost an observation point"
-        );
-        std::process::exit(1);
-    }
-    println!("  trace lint          overhead + lag coverage (pass)");
 }
 
 /// Hostile-stream degradation: replays the Fig. 7 workload over the wire

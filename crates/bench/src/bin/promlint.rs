@@ -1,18 +1,20 @@
-//! Lints a Prometheus text exposition file and exits nonzero on any
-//! violation — CI's check that the engine's metrics endpoint speaks
-//! valid exposition format and carries the precomputed p50/p90/p99
-//! quantile gauges next to every histogram family.
+//! Lints a Prometheus text exposition file (e.g. a saved `/metrics`
+//! scrape) and exits nonzero on any violation: valid exposition format,
+//! plus the precomputed p50/p90/p99 quantile gauges the engine promises
+//! next to every histogram family. The same two lints run against the
+//! engine's own renderer in `sp_bench::prom`'s tests.
 //!
-//! Usage: `cargo run -p sp-bench --bin promlint -- [path]`
-//!
-//! `path` defaults to `target/telemetry.prom`, which `fig7 t` writes.
+//! Usage: `cargo run -p sp-bench --bin promlint -- <path>`
 
 use std::process::ExitCode;
 
 use sp_bench::prom::{lint, lint_quantiles};
 
 fn main() -> ExitCode {
-    let path = std::env::args().nth(1).unwrap_or_else(|| "target/telemetry.prom".into());
+    let Some(path) = std::env::args().nth(1) else {
+        eprintln!("usage: promlint <path>");
+        return ExitCode::from(2);
+    };
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(e) => {

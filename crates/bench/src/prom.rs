@@ -406,23 +406,57 @@ sp_operator_latency_ns_count{node=\"0\"} 9
     #[test]
     fn engine_rendered_exposition_passes() {
         // The real renderer under test: whatever the engine emits for a
-        // live plan must satisfy the same lint CI runs.
-        use sp_core::{RoleSet, SecurityPunctuation, StreamElement, StreamId, Timestamp};
+        // live plan must satisfy the lint a scraper would apply.
+        use sp_core::RoleSet;
         let mut catalog = sp_core::RoleCatalog::new();
-        catalog.register_synthetic_roles(4);
-        let mut b = sp_engine::PlanBuilder::new(std::sync::Arc::new(catalog));
-        let src = b.source(StreamId(1), crate::workloads::fig7_workload(10, 2, 0.5, 1).schema);
-        let ss = b.add(sp_engine::SecurityShield::new(RoleSet::from([0])), src);
-        let _sink = b.sink(ss);
-        b.enable_telemetry(sp_engine::TelemetryConfig::enabled());
-        let mut exec = b.build();
-        let sp = SecurityPunctuation::grant_all(RoleSet::from([0]), Timestamp(1));
-        exec.push(StreamId(1), StreamElement::punctuation(sp)).unwrap();
+        catalog.register_synthetic_roles(128);
+        let catalog = std::sync::Arc::new(catalog);
+        let workload = crate::workloads::fig7_workload(10, 3, 0.5, 42);
+        let build = |telemetry: sp_engine::TelemetryConfig| {
+            let mut b = sp_engine::PlanBuilder::new(catalog.clone());
+            let src = b.source(workload.stream, workload.schema.clone());
+            let ss = b.add(sp_engine::SecurityShield::new(RoleSet::from([0])), src);
+            let _sink = b.sink(ss);
+            b.enable_telemetry(telemetry);
+            b.build()
+        };
+        let sample = |prom: &str, series: &str| -> Option<u64> {
+            prom.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        };
+        const PRESSURE: [&str; 4] = [
+            "sp_audit_records",
+            "sp_audit_evicted_total",
+            "sp_span_records",
+            "sp_spans_evicted_total",
+        ];
+
+        // One presence rule for both planes: the ring-pressure series
+        // exist from the moment a plane is armed — at zero, before the
+        // first record — and never for a plane that is off.
+        let armed = build(sp_engine::TelemetryConfig::enabled()).metrics_prometheus();
+        let off = build(sp_engine::TelemetryConfig::disabled()).metrics_prometheus();
+        for series in PRESSURE {
+            assert_eq!(sample(&armed, series), Some(0), "{series} missing while armed-but-empty");
+            assert_eq!(sample(&off, series), None, "{series} present with telemetry off");
+        }
+        assert_eq!(lint(&armed), vec![], "armed-but-empty exposition must lint clean");
+
+        let mut exec = build(sp_engine::TelemetryConfig::enabled());
+        for e in &workload.elements {
+            exec.push(workload.stream, e.clone()).unwrap();
+        }
+        exec.finish().unwrap();
         let prom = exec.metrics_prometheus();
         let errors = lint(&prom);
         assert_eq!(errors, vec![], "engine exposition must lint clean");
         let errors = lint_quantiles(&prom);
         assert_eq!(errors, vec![], "engine exposition must carry quantile gauges");
+        // The whole fig7 workload exercises every observation point of
+        // the enforcement-lag plane.
+        for family in ["sp_enforce_lag_ms", "sp_first_release_lag_ms", "sp_suppress_lag_ms"] {
+            let count = sample(&prom, &format!("{family}_count{{op=\"ss\",node=\"0\"}}"));
+            assert!(count.is_some_and(|n| n > 0), "{family} has no observations: {count:?}");
+        }
     }
 
     #[test]

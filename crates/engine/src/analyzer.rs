@@ -20,9 +20,7 @@ use sp_core::{
 
 use crate::element::{Element, PolicyEntry, SegmentPolicy};
 use crate::stats::DegradationStats;
-use crate::telemetry::{
-    AuditEvent, FlightRecorder, QuarantineReason, SpanRecord, SpanRecorder, NO_TUPLE,
-};
+use crate::telemetry::{AuditEvent, QuarantineReason, Recorders, SpanRecord, NO_TUPLE};
 
 /// Hardened-mode parameters: how fresh a policy must be to govern a
 /// tuple, and how long an uncovered tuple may wait for its policy.
@@ -85,13 +83,11 @@ pub struct SpAnalyzer {
     /// Quarantined tuples dropped: timed out, evicted by the capacity
     /// bound, or passed over by a newer policy. Never emitted unshielded.
     pub quarantine_dropped: u64,
-    /// Security flight recorder: quarantine decisions and stale-sp
-    /// discards, each with its [`QuarantineReason`]. Disabled by default.
-    recorder: FlightRecorder,
-    /// sp-trace span recorder: one `analyze` span per emitted segment
-    /// policy, linking the wire frame that carried the sp-batch to the
-    /// shield enforcement downstream. Disabled by default.
-    spans: SpanRecorder,
+    /// Audit ring: quarantine decisions and stale-sp discards, each with
+    /// its [`QuarantineReason`]. Span ring: one `analyze` span per emitted
+    /// segment policy, linking the wire frame that carried the sp-batch
+    /// to the shield enforcement downstream. Both disabled by default.
+    rec: Recorders,
 }
 
 impl SpAnalyzer {
@@ -115,33 +111,27 @@ impl SpAnalyzer {
             quarantined: 0,
             quarantine_released: 0,
             quarantine_dropped: 0,
-            recorder: FlightRecorder::disabled(),
-            spans: SpanRecorder::disabled(),
+            rec: Recorders::default(),
         }
     }
 
-    /// Enables the security flight recorder with the given ring capacity
+    /// Arms the security flight recorder with the given ring capacity
     /// (0 disables it again).
     pub fn set_audit(&mut self, capacity: usize) {
-        self.recorder = FlightRecorder::new(capacity);
+        self.rec.set_audit(capacity);
     }
 
-    /// The flight recorder, when enabled.
-    #[must_use]
-    pub fn audit(&self) -> Option<&FlightRecorder> {
-        self.recorder.enabled().then_some(&self.recorder)
-    }
-
-    /// Enables the sp-trace span recorder with the given ring capacity
+    /// Arms the sp-trace span recorder with the given ring capacity
     /// (0 disables it again).
     pub fn set_spans(&mut self, capacity: usize) {
-        self.spans = SpanRecorder::new(capacity);
+        self.rec.set_spans(capacity);
     }
 
-    /// The span recorder, when enabled.
+    /// The analyzer's recorders (see
+    /// [`Operator::recorders`](crate::operator::Operator::recorders)).
     #[must_use]
-    pub fn spans(&self) -> Option<&SpanRecorder> {
-        (self.spans.capacity() > 0).then_some(&self.spans)
+    pub fn recorders(&self) -> &Recorders {
+        &self.rec
     }
 
     /// Switches this analyzer into hardened fail-closed mode: a tuple not
@@ -218,7 +208,7 @@ impl SpAnalyzer {
                 match self.hardening {
                     Some(qp) if !self.governs(tuple.ts, qp.ttl_ms) => {
                         self.quarantined += 1;
-                        self.recorder.record(
+                        self.rec.audit.record(
                             tuple.tid.raw(),
                             tuple.ts.0,
                             AuditEvent::Quarantined { reason: QuarantineReason::Uncovered },
@@ -226,7 +216,7 @@ impl SpAnalyzer {
                         if self.quarantine.len() >= qp.capacity {
                             if let Some(evicted) = self.quarantine.pop_front() {
                                 self.quarantine_dropped += 1;
-                                self.recorder.record(
+                                self.rec.audit.record(
                                     evicted.tid.raw(),
                                     evicted.ts.0,
                                     AuditEvent::QuarantineDropped {
@@ -259,13 +249,13 @@ impl SpAnalyzer {
             // Reordered arrivals mean the queue is not ts-sorted, so scan
             // it all rather than popping from the front.
             let clock = self.clock;
-            if self.recorder.enabled() {
+            if self.rec.audit.enabled() {
                 // Separate pre-pass: `retain`'s closure cannot reach the
                 // recorder, and this path costs nothing when auditing is
                 // off.
                 for t in &self.quarantine {
                     if t.ts.0.saturating_add(qp.slack_ms) < clock {
-                        self.recorder.record(
+                        self.rec.audit.record(
                             t.tid.raw(),
                             t.ts.0,
                             AuditEvent::QuarantineDropped {
@@ -293,7 +283,7 @@ impl SpAnalyzer {
             // authorizations back — a delayed or replayed grant could widen
             // access retroactively. Fail closed: discard the whole batch.
             self.stale_sp_batches += 1;
-            self.recorder.record(NO_TUPLE, ts.0, AuditEvent::StaleSpDiscarded);
+            self.rec.audit.record(NO_TUPLE, ts.0, AuditEvent::StaleSpDiscarded);
             return;
         }
         // Group the batch by tuple scope: sps with identical tuple patterns
@@ -350,13 +340,13 @@ impl SpAnalyzer {
             self.sps_merged += 1;
         } else {
             self.last_emitted = Some(seg.clone());
-            if self.spans.enabled() {
+            if self.rec.spans.enabled() {
                 // The analyze span for an sp-batch hangs off the wire
                 // frame that carried it: same trace id (derived from the
                 // batch timestamp), parent = the wire_frame span.
                 use sp_core::trace::{site, span_id, trace_id_for_sp};
                 let trace = trace_id_for_sp(ts.0);
-                self.spans.record(SpanRecord::at(
+                self.rec.spans.record(SpanRecord::at(
                     trace,
                     site::ANALYZE,
                     span_id(trace, site::WIRE_FRAME),
@@ -377,11 +367,11 @@ impl SpAnalyzer {
             for t in std::mem::take(&mut self.quarantine) {
                 if ts <= t.ts && t.ts.0 - ts.0 <= qp.ttl_ms {
                     self.quarantine_released += 1;
-                    self.recorder.record(t.tid.raw(), t.ts.0, AuditEvent::QuarantineReleased);
+                    self.rec.audit.record(t.tid.raw(), t.ts.0, AuditEvent::QuarantineReleased);
                     out.push(Element::Tuple(t));
                 } else if t.ts < ts {
                     self.quarantine_dropped += 1;
-                    self.recorder.record(
+                    self.rec.audit.record(
                         t.tid.raw(),
                         t.ts.0,
                         AuditEvent::QuarantineDropped { reason: QuarantineReason::PassedOver },
@@ -515,8 +505,7 @@ impl SpAnalyzer {
         };
         apply().map_err(|e| ckpt::corrupt("analyzer", e))?;
         // Audit/span state is not checkpointed; replay repopulates the rings.
-        self.recorder.clear();
-        self.spans.clear();
+        self.rec.clear();
         Ok(())
     }
 }

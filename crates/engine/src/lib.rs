@@ -108,7 +108,7 @@ pub use supervisor::{
 };
 pub use telemetry::{
     AuditEvent, AuditOp, AuditRecord, AuditTrail, CipherViolation, FlightRecorder, Histogram,
-    LagTracker, MetricsRegistry, QuarantineReason, SpanRecord, SpanRecorder, SpanSheet,
-    TelemetryConfig,
+    LagTracker, MetricsRegistry, QuarantineReason, Record, Recorders, Ring, Sections, SpanRecord,
+    SpanRecorder, SpanSheet, TelemetryConfig,
 };
 pub use window::WindowSpec;

@@ -218,41 +218,30 @@ pub trait Operator: Send {
         false
     }
 
-    /// Enables the operator's security flight recorder with the given
-    /// ring capacity. Returns false (the default) for operators that make
-    /// no access-control decisions and therefore record nothing.
-    ///
-    /// Audit state is observability, not operator state: it is excluded
-    /// from [`Operator::snapshot`] and cleared by [`Operator::restore`],
-    /// so deterministic replay after a crash repopulates the ring without
-    /// duplicating pre-crash records.
+    /// Arms the operator's security flight recorder with the given ring
+    /// capacity. Returns false (the default) for operators that make no
+    /// access-control decisions and therefore record nothing.
     fn set_audit(&mut self, _capacity: usize) -> bool {
         false
     }
 
-    /// The operator's flight recorder, when it has one and it is enabled.
-    fn audit(&self) -> Option<&crate::telemetry::FlightRecorder> {
-        None
-    }
-
-    /// Enables the operator's sp-trace span recorder with the given ring
-    /// capacity. Returns false (the default) for operators that record no
-    /// spans. Like audit state, span state is observability, not operator
-    /// state: excluded from [`Operator::snapshot`] and cleared by
-    /// [`Operator::restore`] so deterministic replay repopulates it.
+    /// Arms the operator's sp-trace span recorder — and, with it, its
+    /// enforcement-lag tracker — with the given ring capacity. Returns
+    /// false (the default) for operators that record no spans.
     fn set_spans(&mut self, _capacity: usize) -> bool {
         false
     }
 
-    /// The operator's span recorder, when it has one and it is enabled.
-    fn spans(&self) -> Option<&crate::telemetry::SpanRecorder> {
-        None
-    }
-
-    /// The operator's enforcement-lag tracker, when it has one and it is
-    /// armed (tracking is armed together with spans via
-    /// [`Operator::set_spans`]).
-    fn lag(&self) -> Option<&crate::telemetry::LagTracker> {
+    /// The operator's [`Recorders`](crate::telemetry::Recorders) — audit
+    /// ring, span ring, lag tracker — when it is one that records
+    /// (`None`, the default, otherwise). A ring that was never armed is
+    /// there but disabled.
+    ///
+    /// Recorder state is observability, not operator state: it is
+    /// excluded from [`Operator::snapshot`] and cleared by
+    /// [`Operator::restore`], so deterministic replay after a crash
+    /// repopulates it without duplicating pre-crash records.
+    fn recorders(&self) -> Option<&crate::telemetry::Recorders> {
         None
     }
 

@@ -24,9 +24,7 @@ use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::stats::{CostKind, OperatorStats};
-use crate::telemetry::{
-    AuditEvent, FlightRecorder, LagTracker, SpanRecord, SpanRecorder, NO_SP, NO_TUPLE,
-};
+use crate::telemetry::{AuditEvent, Recorders, SpanRecord, NO_SP, NO_TUPLE};
 
 /// Enforcement granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,13 +93,10 @@ pub struct SecurityShield {
     /// Authorizing role of the current uniform segment (for audit
     /// records); `u32::MAX` when denying or per-tuple.
     seg_role: u32,
-    /// Security flight recorder (disabled unless telemetry is on).
-    recorder: FlightRecorder,
-    /// Causal span recorder (disabled unless spans are on): one span per
-    /// policy absorption, first release, and first suppression.
-    spans: SpanRecorder,
-    /// Enforcement-lag histograms (armed together with `spans`).
-    lag: LagTracker,
+    /// Audit ring, span ring (one span per policy absorption, release
+    /// and suppression) and enforcement-lag histograms; all off unless
+    /// telemetry arms them.
+    rec: Recorders,
     stats: OperatorStats,
 }
 
@@ -121,9 +116,7 @@ impl SecurityShield {
             mask_cache: None,
             tuple_cache: None,
             seg_role: u32::MAX,
-            recorder: FlightRecorder::disabled(),
-            spans: SpanRecorder::disabled(),
-            lag: LagTracker::new(),
+            rec: Recorders::default(),
             stats: OperatorStats::new(),
         }
     }
@@ -293,9 +286,9 @@ impl SecurityShield {
             // The enforcement moment: span + enforcement-lag sample,
             // keyed to the sp-batch stamp (stream time only).
             let sp_ts = seg.ts.0;
-            if self.spans.enabled() {
+            if self.rec.spans.enabled() {
                 let trace = sp_core::trace::trace_id_for_sp(sp_ts);
-                self.spans.record(SpanRecord::at(
+                self.rec.spans.record(SpanRecord::at(
                     trace,
                     sp_core::trace::site::SHIELD_ENFORCE,
                     sp_core::trace::span_id(trace, sp_core::trace::site::ANALYZE),
@@ -303,7 +296,7 @@ impl SecurityShield {
                     sp_ts,
                 ));
             }
-            self.lag.observe_policy(sp_ts);
+            self.rec.lag.observe_policy(sp_ts);
             self.current = Some(seg);
         }
     }
@@ -320,7 +313,7 @@ impl SecurityShield {
                 sp_core::trace::site::SHIELD_ENFORCE,
             )
         };
-        self.spans.record(SpanRecord::at(trace, site, parent, tid, ts));
+        self.rec.spans.record(SpanRecord::at(trace, site, parent, tid, ts));
     }
 
     /// Judges one tuple under the current verdict (the `process` tuple
@@ -328,7 +321,7 @@ impl SecurityShield {
     fn shield_tuple(&mut self, tuple: Arc<sp_core::Tuple>, out: &mut Emitter) {
         self.stats.tuples_in += 1;
         let (tid_raw, ts_raw) = (tuple.tid.raw(), tuple.ts.0);
-        self.lag.observe_tuple(ts_raw);
+        self.rec.lag.observe_tuple(ts_raw);
         let mut audit_role = u32::MAX;
         let decision = match &self.verdict {
             Verdict::Deny | Verdict::Fail => None,
@@ -398,15 +391,15 @@ impl SecurityShield {
                 }
                 self.stats.tuples_out += 1;
                 let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                if self.recorder.enabled() {
-                    self.recorder.record(
+                if self.rec.audit.enabled() {
+                    self.rec.audit.record(
                         tid_raw,
                         ts_raw,
                         AuditEvent::Released { role: audit_role, sp_ts },
                     );
                 }
-                self.lag.observe_release(ts_raw);
-                if self.spans.enabled() {
+                self.rec.lag.observe_release(ts_raw);
+                if self.rec.spans.enabled() {
                     self.record_decision_span(
                         sp_core::trace::site::RELEASE,
                         tid_raw,
@@ -423,11 +416,11 @@ impl SecurityShield {
             None => {
                 self.stats.tuples_shielded += 1;
                 let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                if self.recorder.enabled() {
-                    self.recorder.record(tid_raw, ts_raw, AuditEvent::Suppressed { sp_ts });
+                if self.rec.audit.enabled() {
+                    self.rec.audit.record(tid_raw, ts_raw, AuditEvent::Suppressed { sp_ts });
                 }
-                self.lag.observe_suppress(ts_raw);
-                if self.spans.enabled() {
+                self.rec.lag.observe_suppress(ts_raw);
+                if self.rec.spans.enabled() {
                     self.record_decision_span(
                         sp_core::trace::site::SUPPRESS,
                         tid_raw,
@@ -508,18 +501,22 @@ impl Operator for SecurityShield {
                 Verdict::Deny | Verdict::Fail => {
                     self.stats.tuples_in += n;
                     self.stats.tuples_shielded += n;
-                    let audit = self.recorder.enabled();
-                    if audit || self.spans.enabled() || self.lag.armed() {
+                    let audit = self.rec.audit.enabled();
+                    if audit || self.rec.spans.enabled() || self.rec.lag.armed() {
                         let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
                         for elem in &batch {
                             if let Some(t) = elem.as_tuple() {
                                 let (tid, ts) = (t.tid.raw(), t.ts.0);
-                                self.lag.observe_tuple(ts);
+                                self.rec.lag.observe_tuple(ts);
                                 if audit {
-                                    self.recorder.record(tid, ts, AuditEvent::Suppressed { sp_ts });
+                                    self.rec.audit.record(
+                                        tid,
+                                        ts,
+                                        AuditEvent::Suppressed { sp_ts },
+                                    );
                                 }
-                                self.lag.observe_suppress(ts);
-                                if self.spans.enabled() {
+                                self.rec.lag.observe_suppress(ts);
+                                if self.rec.spans.enabled() {
                                     self.record_decision_span(
                                         sp_core::trace::site::SUPPRESS,
                                         tid,
@@ -539,23 +536,23 @@ impl Operator for SecurityShield {
                         out.push(Element::Policy(policy));
                     }
                     out.reserve(batch.len());
-                    let audit = self.recorder.enabled();
-                    if audit || self.spans.enabled() || self.lag.armed() {
+                    let audit = self.rec.audit.enabled();
+                    if audit || self.rec.spans.enabled() || self.rec.lag.armed() {
                         let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
                         let role = self.seg_role;
                         for elem in batch {
                             if let Some(t) = elem.as_tuple() {
                                 let (tid, ts) = (t.tid.raw(), t.ts.0);
-                                self.lag.observe_tuple(ts);
+                                self.rec.lag.observe_tuple(ts);
                                 if audit {
-                                    self.recorder.record(
+                                    self.rec.audit.record(
                                         tid,
                                         ts,
                                         AuditEvent::Released { role, sp_ts },
                                     );
                                 }
-                                self.lag.observe_release(ts);
-                                if self.spans.enabled() {
+                                self.rec.lag.observe_release(ts);
+                                if self.rec.spans.enabled() {
                                     self.record_decision_span(
                                         sp_core::trace::site::RELEASE,
                                         tid,
@@ -596,26 +593,17 @@ impl Operator for SecurityShield {
     }
 
     fn set_audit(&mut self, capacity: usize) -> bool {
-        self.recorder = FlightRecorder::new(capacity);
+        self.rec.set_audit(capacity);
         true
-    }
-
-    fn audit(&self) -> Option<&FlightRecorder> {
-        self.recorder.enabled().then_some(&self.recorder)
     }
 
     fn set_spans(&mut self, capacity: usize) -> bool {
-        self.spans = SpanRecorder::new(capacity);
-        self.lag.set_armed(capacity > 0);
+        self.rec.set_spans(capacity);
         true
     }
 
-    fn spans(&self) -> Option<&SpanRecorder> {
-        (self.spans.capacity() > 0).then_some(&self.spans)
-    }
-
-    fn lag(&self) -> Option<&LagTracker> {
-        self.lag.armed().then_some(&self.lag)
+    fn recorders(&self) -> Option<&Recorders> {
+        Some(&self.rec)
     }
 
     fn state_mem_bytes(&self) -> usize {
@@ -665,9 +653,7 @@ impl Operator for SecurityShield {
         };
         apply().map_err(|e| EngineError::corrupt("ss", e))?;
         // Audit/span/lag state is not checkpointed; replay repopulates.
-        self.recorder.clear();
-        self.spans.clear();
-        self.lag.clear();
+        self.rec.clear();
         self.verdict = match self.current.clone() {
             Some(seg) => self.evaluate_segment(&seg),
             None => {

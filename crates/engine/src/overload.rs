@@ -451,8 +451,9 @@ pub struct Shedder {
     /// Deliberately-broken mode for negative tests: sheds security
     /// punctuations under load. See [`Shedder::break_sp_shedding`].
     broken_sheds_sps: bool,
-    /// Security flight recorder: shed decisions and ladder transitions.
-    recorder: crate::telemetry::FlightRecorder,
+    /// Recorders; only the audit ring is ever armed (shed decisions and
+    /// ladder transitions).
+    rec: crate::telemetry::Recorders,
     /// How many entries of `ladder.transitions()` are already audited,
     /// so each transition is recorded exactly once.
     audited_transitions: usize,
@@ -478,7 +479,7 @@ impl Shedder {
             shed_tuples: 0,
             shed_critical: 0,
             broken_sheds_sps: false,
-            recorder: crate::telemetry::FlightRecorder::disabled(),
+            rec: crate::telemetry::Recorders::default(),
             audited_transitions: 0,
             stats: OperatorStats::new(),
             cfg,
@@ -541,10 +542,10 @@ impl Shedder {
         if level == OverloadLevel::Normal && before != OverloadLevel::Normal {
             self.fair.clear();
         }
-        if self.recorder.enabled() {
+        if self.rec.audit.enabled() {
             // Audit every rung the observation crossed, exactly once.
             for t in &self.ladder.transitions()[self.audited_transitions..] {
-                self.recorder.record(
+                self.rec.audit.record(
                     crate::telemetry::NO_TUPLE,
                     t.at.0,
                     crate::telemetry::AuditEvent::LadderTransition {
@@ -640,13 +641,13 @@ impl Operator for Shedder {
     }
 
     fn set_audit(&mut self, capacity: usize) -> bool {
-        self.recorder = crate::telemetry::FlightRecorder::new(capacity);
+        self.rec.set_audit(capacity);
         self.audited_transitions = self.ladder.transitions().len();
         true
     }
 
-    fn audit(&self) -> Option<&crate::telemetry::FlightRecorder> {
-        self.recorder.enabled().then_some(&self.recorder)
+    fn recorders(&self) -> Option<&crate::telemetry::Recorders> {
+        Some(&self.rec)
     }
 
     fn degradation(&self) -> Option<DegradationStats> {
@@ -710,7 +711,7 @@ impl Operator for Shedder {
         // Audit state is not checkpointed: clear the ring and skip the
         // restored (pre-crash) ladder transitions so replay records only
         // transitions it actually re-observes.
-        self.recorder.clear();
+        self.rec.clear();
         self.audited_transitions = self.ladder.transitions().len();
         Ok(())
     }
@@ -751,7 +752,7 @@ impl Shedder {
                     if level >= OverloadLevel::CriticalShedding {
                         self.shed_critical += 1;
                     }
-                    self.recorder.record(
+                    self.rec.audit.record(
                         t.tid.raw(),
                         t.ts.0,
                         crate::telemetry::AuditEvent::Shed { level: level.code() },

@@ -67,9 +67,7 @@ use crate::operator::{Emitter, Operator as _};
 use crate::ops::sink::Sink;
 use crate::overload::{classed_channel, ClassedReceiver, ClassedSender, DataRejected};
 use crate::plan::{PlanBuilder, SinkRef, Target};
-use crate::telemetry::{
-    merge_recorders, AuditOp, AuditTrail, FlightRecorder, SpanRecorder, SpanSheet,
-};
+use crate::telemetry::{merge_recorders, AuditTrail, Recorders, SpanSheet};
 
 /// Data-class capacity of bounded (unary / sink) edges, counted in batch
 /// envelopes. Control traffic (sps) does not count against it.
@@ -99,9 +97,9 @@ impl Envelope {
     }
 }
 
-/// The telemetry sections shipped back by a finishing worker: its flight
-/// recorder and/or sp-trace span recorder, whichever are armed.
-type AuditMsg = (AuditOp, Option<FlightRecorder>, Option<SpanRecorder>);
+/// What a finishing worker ships back: its node slot and its operator's
+/// recorders.
+type AuditMsg = (usize, Recorders);
 
 /// Results of a parallel run.
 pub struct ParallelResults {
@@ -390,8 +388,8 @@ pub fn run_parallel(
     drop(node_tx);
     drop(sink_tx);
 
-    // Audit plumbing: each worker ships its operator's flight recorder
-    // (if armed) back once its input closes; analyzers are read inline by
+    // Audit plumbing: each worker ships its operator's recorders (if it
+    // has any) back once its input closes; analyzers are read inline by
     // the coordinating thread after the feed loop.
     let (audit_tx, audit_rx) = channel::<AuditMsg>();
 
@@ -458,11 +456,8 @@ pub fn run_parallel(
                 // span sections home. (A failed worker returns above and
                 // loses its records — the run's telemetry is only
                 // published on success.)
-                let audit_rec = node.op.audit().cloned();
-                let span_rec = node.op.spans().cloned();
-                #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-                if audit_rec.is_some() || span_rec.is_some() {
-                    let _ = audits.send((AuditOp::Node(slot as u32), audit_rec, span_rec));
+                if let Some(recorders) = node.op.recorders() {
+                    let _ = audits.send((slot, recorders.clone()));
                 }
                 // Dropping this worker's wires closes its downstream
                 // edges once every other sender to them is gone.
@@ -550,28 +545,16 @@ pub fn run_parallel(
     let deadline = Instant::now() + DRAIN_TIMEOUT;
     let joined_nodes = join_with_deadline(node_handles, deadline);
     let joined_sinks = join_with_deadline(sink_handles, deadline);
-    // Assemble the audit trail: analyzer recorders live on this thread
-    // (the feeder runs them inline); worker recorders arrived over the
-    // audit channel. `push_section` keeps canonical order, so the trail
+    // Assemble both planes: analyzer recorders live on this thread (the
+    // feeder runs them inline); worker recorders arrived over the audit
+    // channel. `merge_recorders` keeps canonical order, so each plane
     // encodes identically to the sequential executor's.
     drop(audit_tx);
     let worker_sections: Vec<AuditMsg> = audit_rx.try_iter().collect();
-    #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-    let audit: AuditTrail = merge_recorders(
-        sources
-            .iter()
-            .enumerate()
-            .map(|(sid, s)| (AuditOp::Source(sid as u32), s.analyzer.audit().cloned()))
-            .chain(worker_sections.iter().map(|(op, a, _)| (*op, a.clone()))),
-    );
-    #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-    let spans: SpanSheet = merge_recorders(
-        sources
-            .iter()
-            .enumerate()
-            .map(|(sid, s)| (AuditOp::Source(sid as u32), s.analyzer.spans().cloned()))
-            .chain(worker_sections.iter().map(|(op, _, s)| (*op, s.clone()))),
-    );
+    let analyzers = || sources.iter().map(|s| s.analyzer.recorders());
+    let workers = || worker_sections.iter().map(|(slot, r)| (*slot, r));
+    let audit: AuditTrail = merge_recorders(analyzers(), workers());
+    let spans: SpanSheet = merge_recorders(analyzers(), workers());
     if let Some(e) = feed_error {
         return Err(e);
     }

@@ -42,7 +42,8 @@ use crate::operator::{Emitter, Operator};
 use crate::ops::sink::Sink;
 use crate::stats::OperatorStats;
 use crate::telemetry::{
-    merge_recorders, AuditOp, AuditTrail, Histogram, MetricsRegistry, SpanSheet, TelemetryConfig,
+    merge_recorders, AuditTrail, Histogram, MetricsRegistry, Record, Sections, SpanSheet,
+    TelemetryConfig,
 };
 
 /// Reference to a plan node (an operator added to a builder).
@@ -116,6 +117,48 @@ pub(crate) struct Source {
     pub(crate) outputs: Vec<Target>,
 }
 
+/// Arms every analyzer's and operator's recorders; a capacity of 0
+/// leaves that plane untouched. The one arming path: the builder (from
+/// its [`TelemetryConfig`]), [`Executor::arm_recorders`] and the shard
+/// coordinator all come through here.
+fn arm_recorders(
+    sources: &mut [Source],
+    nodes: &mut [Node],
+    audit_capacity: usize,
+    span_capacity: usize,
+) {
+    if audit_capacity > 0 {
+        for source in sources.iter_mut() {
+            source.analyzer.set_audit(audit_capacity);
+        }
+        for node in nodes.iter_mut() {
+            node.op.set_audit(audit_capacity);
+        }
+    }
+    if span_capacity > 0 {
+        for source in sources.iter_mut() {
+            source.analyzer.set_spans(span_capacity);
+        }
+        for node in nodes.iter_mut() {
+            node.op.set_spans(span_capacity);
+        }
+    }
+}
+
+/// The ring-pressure pair of one recorder plane — records held, records
+/// evicted — present iff the plane has a section, i.e. iff it is armed.
+fn add_plane_pressure<R>(
+    reg: &mut MetricsRegistry,
+    plane: &Sections<R>,
+    held: (&str, &str),
+    evicted: (&str, &str),
+) {
+    if plane.sections().next().is_some() {
+        reg.add_counter(held.0, held.1, "", plane.len() as u64);
+        reg.add_counter(evicted.0, evicted.1, "", plane.evicted());
+    }
+}
+
 /// Builds an executable plan.
 pub struct PlanBuilder {
     catalog: Arc<RoleCatalog>,
@@ -148,22 +191,12 @@ impl PlanBuilder {
     /// Propagates the audit and span capacities to every analyzer and
     /// operator. Runs at finalization so late-added nodes are covered too.
     fn apply_telemetry(&mut self) {
-        if self.telemetry.audit_capacity > 0 {
-            for source in &mut self.sources {
-                source.analyzer.set_audit(self.telemetry.audit_capacity);
-            }
-            for node in &mut self.nodes {
-                node.op.set_audit(self.telemetry.audit_capacity);
-            }
-        }
-        if self.telemetry.span_capacity > 0 {
-            for source in &mut self.sources {
-                source.analyzer.set_spans(self.telemetry.span_capacity);
-            }
-            for node in &mut self.nodes {
-                node.op.set_spans(self.telemetry.span_capacity);
-            }
-        }
+        arm_recorders(
+            &mut self.sources,
+            &mut self.nodes,
+            self.telemetry.audit_capacity,
+            self.telemetry.span_capacity,
+        );
     }
 
     /// Registers a source stream.
@@ -580,80 +613,41 @@ impl Executor {
         total
     }
 
-    /// Arms audit recording on every analyzer and every auditing operator.
+    /// Arms the recorders of every analyzer and every recording operator:
+    /// the audit rings with `audit_capacity`, the span rings (and the
+    /// enforcement-lag trackers) with `span_capacity`. A capacity of 0
+    /// leaves that plane as the builder's [`TelemetryConfig`] armed it.
     ///
-    /// Recorders start empty; the supervisor calls this after each rebuild
-    /// or restore so the flight recorder never replays pre-crash history.
-    pub fn set_audit(&mut self, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        for source in &mut self.sources {
-            source.analyzer.set_audit(capacity);
-        }
-        for node in &mut self.nodes {
-            node.op.set_audit(capacity);
-        }
+    /// Rings start empty; the supervisor calls this after each rebuild so
+    /// the recorders never replay pre-crash history.
+    pub fn arm_recorders(&mut self, audit_capacity: usize, span_capacity: usize) {
+        arm_recorders(&mut self.sources, &mut self.nodes, audit_capacity, span_capacity);
     }
 
-    /// Arms sp-trace span recording (and enforcement-lag tracking) on
-    /// every analyzer and every span-recording operator. Like audit
-    /// recorders, span recorders start empty after a rebuild or restore.
-    pub fn set_spans(&mut self, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        for source in &mut self.sources {
-            source.analyzer.set_spans(capacity);
-        }
-        for node in &mut self.nodes {
-            node.op.set_spans(capacity);
-        }
+    /// Assembles one recorder plane of the plan through
+    /// [`merge_recorders`]: analyzers (by source index) first, then
+    /// operators (by node index), disabled rings omitted.
+    fn plane<R: Record>(&self) -> Sections<R> {
+        merge_recorders(
+            self.sources.iter().map(|s| s.analyzer.recorders()),
+            self.nodes.iter().enumerate().filter_map(|(i, n)| Some((i, n.op.recorders()?))),
+        )
     }
 
-    /// Assembles the plan-wide span sheet in canonical section order:
-    /// analyzers (by source index) first, then operators (by node index).
-    /// Sections whose recorder is disabled are omitted, so a sequential
+    /// The plan-wide span sheet in canonical section order. A sequential
     /// run and a pipeline-parallel run of the same plan yield
     /// byte-identical [`SpanSheet::encode_to_vec`] output.
     #[must_use]
     pub fn span_sheet(&self) -> SpanSheet {
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-        merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.spans().cloned()))
-                .chain(
-                    self.nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| (AuditOp::Node(i as u32), n.op.spans().cloned())),
-                ),
-        )
+        self.plane()
     }
 
-    /// Assembles the plan-wide audit trail in canonical section order:
-    /// analyzers (by source index) first, then operators (by node index).
-    ///
-    /// Sections whose recorder is disabled are omitted, so a sequential run
-    /// and a pipeline-parallel run of the same plan yield byte-identical
-    /// [`AuditTrail::encode_to_vec`] output.
+    /// The plan-wide audit trail in canonical section order. A sequential
+    /// run and a pipeline-parallel run of the same plan yield
+    /// byte-identical [`AuditTrail::encode_to_vec`] output.
     #[must_use]
     pub fn audit_trail(&self) -> AuditTrail {
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-        merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.audit().cloned()))
-                .chain(
-                    self.nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| (AuditOp::Node(i as u32), n.op.audit().cloned())),
-                ),
-        )
+        self.plane()
     }
 
     /// Builds a point-in-time metrics snapshot: per-operator tuple/sp
@@ -704,7 +698,7 @@ impl Executor {
                     &self.latency[i],
                 );
             }
-            if let Some(lag) = node.op.lag() {
+            if let Some(lag) = node.op.recorders().map(|r| &r.lag).filter(|lag| lag.armed()) {
                 // Paper-grounded enforcement-lag windows, in stream time:
                 // how far behind the stream clock each sp took effect, and
                 // how wide the "security hole" between a revocation and
@@ -745,36 +739,18 @@ impl Executor {
                 value,
             );
         }
-        let trail = self.audit_trail();
-        if trail.sections().next().is_some() {
-            reg.add_counter(
-                "sp_audit_records",
-                "Audit records currently held by flight recorders",
-                "",
-                trail.len() as u64,
-            );
-            reg.add_counter(
-                "sp_audit_evicted_total",
-                "Audit records evicted from bounded flight recorders",
-                "",
-                trail.evicted(),
-            );
-        }
-        let sheet = self.span_sheet();
-        if !sheet.is_empty() || sheet.evicted() > 0 {
-            reg.add_counter(
-                "sp_span_records",
-                "sp-trace spans currently held by span recorders",
-                "",
-                sheet.len() as u64,
-            );
-            reg.add_counter(
-                "sp_spans_evicted_total",
-                "sp-trace spans evicted from bounded span recorders",
-                "",
-                sheet.evicted(),
-            );
-        }
+        add_plane_pressure(
+            &mut reg,
+            &self.audit_trail(),
+            ("sp_audit_records", "Audit records currently held by flight recorders"),
+            ("sp_audit_evicted_total", "Audit records evicted from bounded flight recorders"),
+        );
+        add_plane_pressure(
+            &mut reg,
+            &self.span_sheet(),
+            ("sp_span_records", "sp-trace spans currently held by span recorders"),
+            ("sp_spans_evicted_total", "sp-trace spans evicted from bounded span recorders"),
+        );
         reg
     }
 

@@ -97,8 +97,8 @@ use crate::parallel::{join_with_deadline, DRAIN_TIMEOUT, STALL_DEADLINE};
 use crate::plan::{Executor, PlanBuilder, SinkRef};
 use crate::stats::DegradationStats;
 use crate::telemetry::{
-    merge_recorders, AuditOp, AuditRecord, AuditTrail, FlightRecorder, MetricsRegistry, SpanRecord,
-    SpanRecorder, SpanSheet,
+    merge_recorders, AuditRecord, AuditTrail, Record, Recorders, Sections, SpanRecord, SpanSheet,
+    TelemetryConfig,
 };
 
 /// Envelopes per channel send: the coordinator buffers this many routed
@@ -179,16 +179,17 @@ enum ShardIn {
     Barrier { seq: u64, id: u64 },
 }
 
+/// The records one recorder plane gained, per node slot, in record order.
+type PlaneDelta<R> = Vec<(usize, Vec<R>)>;
+
 /// One shard's observable increment for one seq.
 struct Delta {
     seq: u64,
     broadcast: bool,
     /// New sink output per sink slot, in delivery order.
     sinks: Vec<(usize, Vec<Element>)>,
-    /// New audit records per node slot, in record order.
-    audit: Vec<(u32, Vec<AuditRecord>)>,
-    /// New spans per node slot, in record order.
-    spans: Vec<(u32, Vec<SpanRecord>)>,
+    audit: PlaneDelta<AuditRecord>,
+    spans: PlaneDelta<SpanRecord>,
 }
 
 /// Worker → exchange messages.
@@ -232,34 +233,47 @@ enum MergedOut {
 }
 
 /// Extraction cursors for one shard's recorders: total records ever
-/// recorded (`len + evicted`) at the last extraction, per node slot.
-struct Cursors {
-    audit: Vec<u64>,
-    spans: Vec<u64>,
+/// recorded (`len + evicted`) at the last extraction, per node slot —
+/// one vector per plane.
+type Cursors = (Vec<u64>, Vec<u64>);
+
+/// Pulls the records plane `R` gained at every node since `cursors`,
+/// advancing them. Fails closed if a ring already evicted unextracted
+/// records (cannot happen below [`SHARD_RECORDER_SLACK`]-sized runs, but
+/// a silent gap would corrupt the canonical plane, so it is an error,
+/// not a guess).
+fn extract_plane<R: Record>(
+    exec: &Executor,
+    cursors: &mut [u64],
+) -> Result<PlaneDelta<R>, EngineError> {
+    let mut delta = Vec::new();
+    for (i, cursor) in cursors.iter_mut().enumerate() {
+        let Some(ring) = exec.node_op(i).recorders().map(R::ring) else { continue };
+        let (len, evicted) = (ring.len() as u64, ring.evicted());
+        if evicted > *cursor {
+            return Err(EngineError::ShardDivergence {
+                stage: format!("node {i} recorder"),
+                reason: "recorder ring evicted records between exchange extractions".to_string(),
+            });
+        }
+        let new = len + evicted - *cursor;
+        *cursor = len + evicted;
+        if new > 0 {
+            #[allow(clippy::cast_possible_truncation)] // new <= len <= ring size
+            delta.push((i, ring.records().skip((len - new) as usize).copied().collect()));
+        }
+    }
+    Ok(delta)
 }
 
-/// Pulls the records a recorder gained since `cursor`, advancing it.
-/// Fails closed if the ring already evicted unextracted records (cannot
-/// happen below [`SHARD_RECORDER_SLACK`]-sized runs, but a silent gap
-/// would corrupt the canonical trail, so it is an error, not a guess).
-fn extract_new<R: Copy>(
-    records: impl Iterator<Item = R>,
-    len: u64,
-    evicted: u64,
-    cursor: &mut u64,
-    stage: &str,
-) -> Result<Vec<R>, EngineError> {
-    let total = len + evicted;
-    if evicted > *cursor {
-        return Err(EngineError::ShardDivergence {
-            stage: stage.to_string(),
-            reason: "recorder ring evicted records between exchange extractions".to_string(),
-        });
+/// Re-records one plane's delta into the canonical recorders.
+fn apply_plane<R: Record>(canonical: &mut [Recorders], delta: PlaneDelta<R>) {
+    for (node, records) in delta {
+        let ring = R::ring_mut(&mut canonical[node]);
+        for r in records {
+            ring.push(r);
+        }
     }
-    let new = total - *cursor;
-    *cursor = total;
-    #[allow(clippy::cast_possible_truncation)] // new <= len <= ring size
-    Ok(records.skip((len - new) as usize).collect())
 }
 
 /// Extracts one shard's delta after an injected run.
@@ -269,35 +283,8 @@ fn extract_delta(
     broadcast: bool,
     cursors: &mut Cursors,
 ) -> Result<Delta, EngineError> {
-    let mut audit = Vec::new();
-    let mut spans = Vec::new();
-    #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-    for i in 0..exec.node_count() {
-        if let Some(rec) = exec.node_op(i).audit() {
-            let new = extract_new(
-                rec.records().copied(),
-                rec.len() as u64,
-                rec.evicted(),
-                &mut cursors.audit[i],
-                &format!("node {i} audit"),
-            )?;
-            if !new.is_empty() {
-                audit.push((i as u32, new));
-            }
-        }
-        if let Some(rec) = exec.node_op(i).spans() {
-            let new = extract_new(
-                rec.records().copied(),
-                rec.len() as u64,
-                rec.evicted(),
-                &mut cursors.spans[i],
-                &format!("node {i} spans"),
-            )?;
-            if !new.is_empty() {
-                spans.push((i as u32, new));
-            }
-        }
-    }
+    let audit = extract_plane(exec, &mut cursors.0)?;
+    let spans = extract_plane(exec, &mut cursors.1)?;
     let mut sinks = Vec::new();
     for j in 0..exec.sink_count() {
         let out = exec.take_sink_elements(j);
@@ -316,8 +303,7 @@ fn run_shard(
     rx: &Receiver<Vec<ShardIn>>,
     tx: &Sender<Vec<ShardOut>>,
 ) -> Result<(), EngineError> {
-    let mut cursors =
-        Cursors { audit: vec![0; exec.node_count()], spans: vec![0; exec.node_count()] };
+    let mut cursors: Cursors = (vec![0; exec.node_count()], vec![0; exec.node_count()]);
     let mut out: Vec<ShardOut> = Vec::with_capacity(CHUNK);
     while let Ok(chunk) = rx.recv() {
         for msg in chunk {
@@ -467,11 +453,6 @@ fn decode_prefix(bytes: &[u8]) -> [u64; 5] {
     out
 }
 
-/// Decodes a counter prefix when the section has one.
-fn decode_prefix_opt(bytes: &[u8]) -> Option<[u64; 5]> {
-    (bytes.len() >= COUNTER_PREFIX).then(|| decode_prefix(bytes))
-}
-
 /// Live sharded runtime state (workers spawned lazily at first use).
 struct Running {
     in_tx: Vec<SyncSender<Vec<ShardIn>>>,
@@ -491,7 +472,7 @@ pub struct ShardedExecutor {
     partitioner: Partitioner,
     /// Coordinator replica of the plan nodes: never processes elements;
     /// exists for shard-safety validation, operator names, and the
-    /// recorder-arming pattern (which nodes contribute trail sections).
+    /// recorder-arming pattern (which nodes contribute plane sections).
     nodes: Vec<crate::plan::Node>,
     /// The canonical analyzers — the *only* analyzers that run.
     sources: Vec<crate::plan::Source>,
@@ -510,12 +491,11 @@ pub struct ShardedExecutor {
     /// delivered, for exchange-side flush deduplication.
     last_flushed: Vec<Option<Vec<u8>>>,
     by_stream: HashMap<StreamId, Vec<usize>>,
-    audit_capacity: usize,
-    span_capacity: usize,
-    /// Canonical per-node recorders, re-recorded in global seq order
-    /// (capacity 0 = that node does not record).
-    canonical_audit: Vec<FlightRecorder>,
-    canonical_spans: Vec<SpanRecorder>,
+    telemetry: TelemetryConfig,
+    /// Canonical per-node recorders, re-recorded in global seq order:
+    /// copies of the coordinator nodes' (armed, never written) recorders,
+    /// so section sets and capacities match a sequential run exactly.
+    canonical: Vec<Recorders>,
     /// Builders for the shard replicas, consumed at first use.
     pending_builders: Option<Vec<PlanBuilder>>,
     /// A restore to apply to the shard replicas at spawn.
@@ -525,9 +505,6 @@ pub struct ShardedExecutor {
     emitter: Emitter,
     seq: u64,
     marker_id: u64,
-    /// Data envelopes routed per shard + broadcasts (for `/metrics`).
-    routed: Vec<u64>,
-    broadcasts: u64,
     /// First fatal error: once set, every operation fails closed.
     failure: Option<EngineError>,
 }
@@ -676,7 +653,9 @@ impl ShardedExecutor {
             by_stream.entry(s.stream).or_default().push(i);
         }
         let last_flushed = vec![None; sinks.len()];
-        let mut this = Self {
+        let canonical =
+            nodes.iter().map(|n| n.op.recorders().cloned().unwrap_or_default()).collect();
+        Ok(Self {
             partitioner: Partitioner::new(shards),
             nodes,
             sources,
@@ -685,10 +664,8 @@ impl ShardedExecutor {
             chain_sinks,
             last_flushed,
             by_stream,
-            audit_capacity: telemetry.audit_capacity,
-            span_capacity: telemetry.span_capacity,
-            canonical_audit: Vec::new(),
-            canonical_spans: Vec::new(),
+            telemetry,
+            canonical,
             pending_builders: Some(builders),
             restore_ckpt: None,
             running: None,
@@ -696,70 +673,14 @@ impl ShardedExecutor {
             emitter: Emitter::with_capacity(16),
             seq: 0,
             marker_id: 0,
-            routed: vec![0; shards],
-            broadcasts: 0,
             failure: None,
-        };
-        this.rebuild_canonical_recorders();
-        Ok(this)
+        })
     }
 
     /// Number of shard replicas.
     #[must_use]
     pub fn shards(&self) -> usize {
         self.partitioner.shards()
-    }
-
-    /// Sizes the canonical recorders to mirror the plan's arming
-    /// pattern: node `i` gets a canonical recorder iff its operator
-    /// records, so trail section sets match sequential runs exactly.
-    fn rebuild_canonical_recorders(&mut self) {
-        self.canonical_audit = self
-            .nodes
-            .iter()
-            .map(|n| {
-                FlightRecorder::new(if n.op.audit().is_some() { self.audit_capacity } else { 0 })
-            })
-            .collect();
-        self.canonical_spans = self
-            .nodes
-            .iter()
-            .map(|n| SpanRecorder::new(if n.op.spans().is_some() { self.span_capacity } else { 0 }))
-            .collect();
-    }
-
-    /// Arms audit recording, like [`Executor::set_audit`]. Must be
-    /// called before the first push (shard replicas arm at spawn).
-    pub fn set_audit(&mut self, capacity: usize) {
-        debug_assert!(self.running.is_none(), "set_audit after the shards started");
-        if capacity == 0 || self.running.is_some() {
-            return;
-        }
-        self.audit_capacity = capacity;
-        for source in &mut self.sources {
-            source.analyzer.set_audit(capacity);
-        }
-        for node in &mut self.nodes {
-            node.op.set_audit(capacity);
-        }
-        self.rebuild_canonical_recorders();
-    }
-
-    /// Arms sp-trace span recording, like [`Executor::set_spans`]. Must
-    /// be called before the first push.
-    pub fn set_spans(&mut self, capacity: usize) {
-        debug_assert!(self.running.is_none(), "set_spans after the shards started");
-        if capacity == 0 || self.running.is_some() {
-            return;
-        }
-        self.span_capacity = capacity;
-        for source in &mut self.sources {
-            source.analyzer.set_spans(capacity);
-        }
-        for node in &mut self.nodes {
-            node.op.set_spans(capacity);
-        }
-        self.rebuild_canonical_recorders();
     }
 
     fn check_failure(&self) -> Result<(), EngineError> {
@@ -835,12 +756,13 @@ impl ShardedExecutor {
                     format!("shard {k} replica plan shape differs from the coordinator plan"),
                 )));
             }
-            if self.audit_capacity > 0 {
-                exec.set_audit(self.audit_capacity.max(SHARD_RECORDER_SLACK));
-            }
-            if self.span_capacity > 0 {
-                exec.set_spans(self.span_capacity.max(SHARD_RECORDER_SLACK));
-            }
+            // An armed plane gets at least the slack; 0 stays off.
+            let slack =
+                |capacity: usize| if capacity > 0 { capacity.max(SHARD_RECORDER_SLACK) } else { 0 };
+            exec.arm_recorders(
+                slack(self.telemetry.audit_capacity),
+                slack(self.telemetry.span_capacity),
+            );
             if let Some(ckpt) = &self.restore_ckpt {
                 let image = Self::shard_restore_image(ckpt, k);
                 if let Err(e) = exec.restore(&image) {
@@ -909,18 +831,8 @@ impl ShardedExecutor {
                 }
                 let _ = emitter.take();
                 self.emitter = emitter;
-                for (node, recs) in d.audit {
-                    let rec = &mut self.canonical_audit[node as usize];
-                    for r in recs {
-                        rec.record(r.tid, r.ts, r.event);
-                    }
-                }
-                for (node, recs) in d.spans {
-                    let rec = &mut self.canonical_spans[node as usize];
-                    for r in recs {
-                        rec.record(r);
-                    }
-                }
+                apply_plane(&mut self.canonical, d.audit);
+                apply_plane(&mut self.canonical, d.spans);
                 Ok(None)
             }
             MergedOut::Sync { id } => Ok(Some((id, None))),
@@ -1001,7 +913,6 @@ impl ShardedExecutor {
     ) -> Result<(), EngineError> {
         self.seq += 1;
         let seq = self.seq;
-        self.routed[owner] += 1;
         let running = self.running_mut()?;
         running.buf[owner].push(ShardIn::Data {
             seq,
@@ -1020,7 +931,6 @@ impl ShardedExecutor {
     fn send_broadcast(&mut self, source: usize, run: Vec<Element>) -> Result<(), EngineError> {
         self.seq += 1;
         let seq = self.seq;
-        self.broadcasts += 1;
         let batch = ElementBatch::from_run(run);
         let shards = self.shards();
         {
@@ -1348,11 +1258,8 @@ impl ShardedExecutor {
         for (sink, bytes) in self.sinks.iter_mut().zip(&ckpt.sinks) {
             Operator::restore(sink, bytes)?;
         }
-        for rec in &mut self.canonical_audit {
-            rec.clear();
-        }
-        for rec in &mut self.canonical_spans {
-            rec.clear();
+        for recorders in &mut self.canonical {
+            recorders.clear();
         }
         // Flush dedup restarts empty: pre-restore deliveries live in the
         // checkpoint, and post-restore the first flush of any pending
@@ -1384,149 +1291,27 @@ impl ShardedExecutor {
         total
     }
 
-    /// The plan-wide audit trail, byte-identical to the sequential
-    /// executor's over the same input (synchronizes first).
-    pub fn audit_trail(&mut self) -> AuditTrail {
+    /// Assembles one recorder plane through [`merge_recorders`]: the
+    /// canonical analyzers' recorders, then the canonical per-node ones
+    /// (synchronizes first).
+    fn plane<R: Record>(&mut self) -> Sections<R> {
         let _ = self.sync();
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
         merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.audit().cloned()))
-                .chain(
-                    self.canonical_audit.iter().enumerate().map(|(i, rec)| {
-                        (AuditOp::Node(i as u32), rec.enabled().then(|| rec.clone()))
-                    }),
-                ),
+            self.sources.iter().map(|s| s.analyzer.recorders()),
+            self.canonical.iter().enumerate(),
         )
+    }
+
+    /// The plan-wide audit trail, byte-identical to the sequential
+    /// executor's over the same input.
+    pub fn audit_trail(&mut self) -> AuditTrail {
+        self.plane()
     }
 
     /// The plan-wide span sheet, byte-identical to the sequential
-    /// executor's over the same input (synchronizes first).
+    /// executor's over the same input.
     pub fn span_sheet(&mut self) -> SpanSheet {
-        let _ = self.sync();
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-        merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.spans().cloned()))
-                .chain(
-                    self.canonical_spans.iter().enumerate().map(|(i, rec)| {
-                        (AuditOp::Node(i as u32), rec.enabled().then(|| rec.clone()))
-                    }),
-                ),
-        )
-    }
-
-    /// A point-in-time metrics snapshot: canonical per-operator counters
-    /// (summed across shards at a barrier), degradation and
-    /// telemetry-pressure counters, plus the `sp_shard_*` series
-    /// describing the shard fleet itself.
-    pub fn metrics(&mut self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let counters: Vec<Option<[u64; 5]>> = if self.running.is_some() {
-            self.checkpoint(0, 0)
-                .map(|c| c.nodes.iter().map(|b| decode_prefix_opt(b)).collect())
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        for (i, node) in self.nodes.iter().enumerate() {
-            let Some(Some(s)) = counters.get(i) else { continue };
-            let labels = format!("op=\"{}\",node=\"{i}\"", node.op.name());
-            reg.add_counter("sp_tuples_in_total", "Tuples entering an operator", &labels, s[0]);
-            reg.add_counter("sp_tuples_out_total", "Tuples emitted by an operator", &labels, s[1]);
-            reg.add_counter(
-                "sp_sps_in_total",
-                "Security punctuations entering an operator",
-                &labels,
-                s[2],
-            );
-            reg.add_counter(
-                "sp_sps_out_total",
-                "Security punctuations emitted by an operator",
-                &labels,
-                s[3],
-            );
-            reg.add_counter(
-                "sp_tuples_shielded_total",
-                "Tuples suppressed by the Security Shield",
-                &labels,
-                s[4],
-            );
-        }
-        for (kind, value) in self.degradation().named_counters() {
-            reg.add_counter(
-                "sp_degradation_total",
-                "Fail-closed degradation counters (kind label selects the counter)",
-                &format!("kind=\"{kind}\""),
-                value,
-            );
-        }
-        let trail = self.audit_trail();
-        if trail.sections().next().is_some() {
-            reg.add_counter(
-                "sp_audit_records",
-                "Audit records currently held by flight recorders",
-                "",
-                trail.len() as u64,
-            );
-            reg.add_counter(
-                "sp_audit_evicted_total",
-                "Audit records evicted from bounded flight recorders",
-                "",
-                trail.evicted(),
-            );
-        }
-        let sheet = self.span_sheet();
-        if !sheet.is_empty() || sheet.evicted() > 0 {
-            reg.add_counter(
-                "sp_span_records",
-                "sp-trace spans currently held by span recorders",
-                "",
-                sheet.len() as u64,
-            );
-            reg.add_counter(
-                "sp_spans_evicted_total",
-                "sp-trace spans evicted from bounded span recorders",
-                "",
-                sheet.evicted(),
-            );
-        }
-        reg.add_counter(
-            "sp_shard_count",
-            "Shard replicas in the sharded executor",
-            "",
-            self.shards() as u64,
-        );
-        for (k, n) in self.routed.iter().enumerate() {
-            reg.add_counter(
-                "sp_shard_routed_total",
-                "Tuple runs routed to a shard by the partitioner",
-                &format!("shard=\"{k}\""),
-                *n,
-            );
-        }
-        reg.add_counter(
-            "sp_shard_broadcast_total",
-            "Control elements (sps, markers) broadcast to every shard",
-            "",
-            self.broadcasts,
-        );
-        reg
-    }
-
-    /// The metrics snapshot rendered in Prometheus text exposition
-    /// format.
-    pub fn metrics_prometheus(&mut self) -> String {
-        self.metrics().render_prometheus()
-    }
-
-    /// The metrics snapshot rendered as a JSON document.
-    pub fn metrics_json(&mut self) -> String {
-        self.metrics().render_json()
+        self.plane()
     }
 }
 
@@ -2077,34 +1862,5 @@ mod tests {
         );
         // Everything after the failure keeps failing closed.
         assert!(exec.finish().is_err());
-    }
-
-    #[test]
-    fn metrics_report_shard_series_and_canonical_counters() {
-        let input = workload(3, 120);
-        let mut exec = ShardedExecutor::new(
-            || {
-                let (b, _) = pipeline_builder();
-                b
-            },
-            2,
-        )
-        .unwrap();
-        exec.push_all(input.iter().cloned()).unwrap();
-        exec.finish().unwrap();
-        let text = exec.metrics_prometheus();
-        assert!(text.contains("sp_shard_count 2"), "{text}");
-        assert!(text.contains("sp_shard_routed_total{shard=\"0\"}"), "{text}");
-        assert!(text.contains("sp_shard_broadcast_total"), "{text}");
-        assert!(text.contains("sp_tuples_in_total"), "{text}");
-
-        // Canonical counters equal the sequential executor's.
-        let (b, _) = pipeline_builder();
-        let mut seq = b.build();
-        seq.push_all(input.iter().cloned()).unwrap();
-        seq.finish().unwrap();
-        let seq_ckpt = seq.checkpoint(0, 0);
-        let sharded_ckpt = exec.checkpoint(0, 0).unwrap();
-        assert_eq!(sharded_ckpt.nodes, seq_ckpt.nodes);
     }
 }

@@ -198,8 +198,7 @@ pub fn run_supervised(
     // Every life of the pipeline starts from an identically armed plan.
     let mut fresh = || {
         let mut exec = build().build();
-        exec.set_audit(config.audit_capacity);
-        exec.set_spans(config.span_capacity);
+        exec.arm_recorders(config.audit_capacity, config.span_capacity);
         exec
     };
     let mut exec = fresh();

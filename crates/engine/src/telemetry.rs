@@ -22,18 +22,22 @@
 //!    are derived deterministically from element identity
 //!    ([`sp_core::trace`]), so spans recorded by the client, the server,
 //!    a parallel worker, and a promoted standby merge into one tree.
-//!    Recording is *runtime-toggleable* via [`span::set_enabled`]; the
-//!    `trace-off` cargo feature is a compile-time hard-off override.
 //! 4. **Enforcement-lag tracking** ([`LagTracker`]) — per-shield
 //!    histograms of the paper's immediate-enforcement promise: sp-arrival
 //!    → enforcement lag, sp-arrival → first-affected-release lag, and
 //!    revocation → suppression lag (the "security hole" width), all in
 //!    stream time so replays reproduce them exactly.
 //!
-//! Telemetry is **off by default**: a [`FlightRecorder`] or
-//! [`SpanRecorder`] with capacity 0 never allocates, and an executor
-//! built without [`TelemetryConfig::enabled`] takes no histogram samples,
-//! so the hot path is unchanged when observability is not requested.
+//! The two recorder planes (1 and 3) are one mechanism: a generic
+//! [`Ring`] per operator, gathered into a generic [`Sections`] container;
+//! [`FlightRecorder`] / [`SpanRecorder`] and [`AuditTrail`] /
+//! [`SpanSheet`] are its two instantiations, and an operator holds its
+//! pair (plus the lag tracker) as one [`Recorders`].
+//!
+//! Telemetry is **off by default**, and capacity is the only switch: a
+//! [`Ring`] with capacity 0 never allocates, and an executor built
+//! without [`TelemetryConfig::enabled`] takes no histogram samples, so
+//! the hot path is unchanged when observability is not requested.
 //!
 //! Audit state is deliberately **not** checkpointed: the recorder is an
 //! observability surface, not replayable operator state. On restore every
@@ -313,6 +317,21 @@ impl AuditEvent {
     }
 }
 
+/// A record one of the two recorder planes keeps: an [`AuditRecord`]
+/// (audit plane) or a [`SpanRecord`] (span plane). The trait is what lets
+/// one [`Ring`], one [`Sections`] container and one read/ship path serve
+/// both.
+pub trait Record: Copy + 'static {
+    /// Appends the deterministic big-endian encoding to `buf`.
+    fn encode(&self, buf: &mut Vec<u8>);
+
+    /// This record type's ring among an operator's [`Recorders`].
+    fn ring(recorders: &Recorders) -> &Ring<Self>;
+
+    /// Mutable counterpart of [`Record::ring`].
+    fn ring_mut(recorders: &mut Recorders) -> &mut Ring<Self>;
+}
+
 /// One entry in the flight recorder: *which tuple*, *when in stream
 /// time*, *what was decided*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,42 +345,55 @@ pub struct AuditRecord {
     pub event: AuditEvent,
 }
 
-impl AuditRecord {
-    /// Appends the deterministic big-endian encoding to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+impl Record for AuditRecord {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.tid.to_be_bytes());
         buf.extend_from_slice(&self.ts.to_be_bytes());
         self.event.encode(buf);
     }
+
+    fn ring(recorders: &Recorders) -> &Ring<Self> {
+        &recorders.audit
+    }
+
+    fn ring_mut(recorders: &mut Recorders) -> &mut Ring<Self> {
+        &mut recorders.audit
+    }
 }
 
-/// Bounded ring buffer of [`AuditRecord`]s — the per-operator "flight
-/// recorder".
+/// Bounded ring buffer of records — the per-operator recorder of either
+/// plane ([`FlightRecorder`] for audit, [`SpanRecorder`] for spans).
 ///
-/// Capacity 0 (the [`Default`]) means *disabled*: [`FlightRecorder::record`]
-/// is a branch and a return, with no allocation ever. When full, the
-/// oldest record is evicted and counted, so the ring always holds the
-/// most recent `capacity` decisions and [`FlightRecorder::evicted`]
-/// reports how much history scrolled off.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder {
+/// Capacity 0 (the [`Default`]) means *disabled*, and is the only off
+/// state: [`Ring::push`] is a branch and a return, with no allocation
+/// ever. When full, the oldest record is evicted and counted, so the
+/// ring always holds the most recent `capacity` records and
+/// [`Ring::evicted`] reports how much history scrolled off.
+#[derive(Debug, Clone)]
+pub struct Ring<R> {
     capacity: usize,
-    records: VecDeque<AuditRecord>,
+    records: VecDeque<R>,
     evicted: u64,
 }
 
-impl FlightRecorder {
-    /// A recorder that keeps the latest `capacity` records
-    /// (0 = disabled).
+/// The audit plane's ring: one [`AuditRecord`] per access-control
+/// decision.
+pub type FlightRecorder = Ring<AuditRecord>;
+
+/// The span plane's ring: one [`SpanRecord`] per causal hop.
+pub type SpanRecorder = Ring<SpanRecord>;
+
+impl<R> Default for Ring<R> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<R> Ring<R> {
+    /// A ring that keeps the latest `capacity` records (0 = disabled).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self { capacity, records: VecDeque::new(), evicted: 0 }
-    }
-
-    /// A disabled recorder (capacity 0).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::default()
     }
 
     /// Whether recording is on (capacity > 0).
@@ -370,15 +402,9 @@ impl FlightRecorder {
         self.capacity > 0
     }
 
-    /// Configured ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records one decision; a no-op when disabled.
+    /// Keeps one record; a no-op when disabled.
     #[inline]
-    pub fn record(&mut self, tid: u64, ts: u64, event: AuditEvent) {
+    pub fn push(&mut self, rec: R) {
         if self.capacity == 0 {
             return;
         }
@@ -386,11 +412,11 @@ impl FlightRecorder {
             self.records.pop_front();
             self.evicted += 1;
         }
-        self.records.push_back(AuditRecord { tid, ts, event });
+        self.records.push_back(rec);
     }
 
     /// Records kept, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &AuditRecord> {
+    pub fn records(&self) -> impl Iterator<Item = &R> {
         self.records.iter()
     }
 
@@ -419,7 +445,9 @@ impl FlightRecorder {
         self.records.clear();
         self.evicted = 0;
     }
+}
 
+impl<R: Record> Ring<R> {
     /// Appends the deterministic encoding: eviction count, record count,
     /// then each record oldest-first.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -428,6 +456,22 @@ impl FlightRecorder {
         for r in &self.records {
             r.encode(buf);
         }
+    }
+}
+
+impl Ring<AuditRecord> {
+    /// Records one decision; a no-op when disabled.
+    #[inline]
+    pub fn record(&mut self, tid: u64, ts: u64, event: AuditEvent) {
+        self.push(AuditRecord { tid, ts, event });
+    }
+}
+
+impl Ring<SpanRecord> {
+    /// Records one span; a no-op when disabled.
+    #[inline]
+    pub fn record(&mut self, rec: SpanRecord) {
+        self.push(rec);
     }
 }
 
@@ -474,41 +518,58 @@ impl AuditOp {
     }
 }
 
-/// A whole pipeline's audit history: one [`FlightRecorder`] per
-/// recording operator, in canonical [`AuditOp`] order.
+/// One plane of a whole pipeline's history: one [`Ring`] per recording
+/// operator, in canonical [`AuditOp`] order — an [`AuditTrail`] or a
+/// [`SpanSheet`].
 ///
 /// Within one operator, record order is fixed by the runtime (each
 /// operator processes its input serially in both the sequential executor
 /// and the pipeline-parallel runner), and the canonical section order
 /// removes the only run-dependent freedom — thread interleaving — so
-/// [`AuditTrail::encode_to_vec`] is identical for sequential and
-/// parallel runs over the same input.
-#[derive(Debug, Clone, Default)]
-pub struct AuditTrail {
-    sections: Vec<(AuditOp, FlightRecorder)>,
+/// [`Sections::encode_to_vec`] is identical for sequential and parallel
+/// runs over the same input.
+#[derive(Debug, Clone)]
+pub struct Sections<R> {
+    sections: Vec<(AuditOp, Ring<R>)>,
 }
 
-impl AuditTrail {
-    /// An empty trail.
+/// A whole pipeline's audit history. Two runs over the same input are
+/// *audit-equivalent* iff their [`Sections::encode_to_vec`] bytes are
+/// equal.
+pub type AuditTrail = Sections<AuditRecord>;
+
+/// A whole pipeline's span history, with the same determinism contract:
+/// two runs over the same input are *trace-equivalent* iff their
+/// [`Sections::encode_to_vec`] bytes are equal.
+pub type SpanSheet = Sections<SpanRecord>;
+
+impl<R> Default for Sections<R> {
+    fn default() -> Self {
+        Self { sections: Vec::new() }
+    }
+}
+
+impl<R> Sections<R> {
+    /// An empty plane.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds one operator's recorder, keeping sections in canonical
-    /// order regardless of insertion order.
-    pub fn push_section(&mut self, op: AuditOp, recorder: FlightRecorder) {
+    /// Adds one operator's ring, keeping sections in canonical order
+    /// regardless of insertion order.
+    pub fn push_section(&mut self, op: AuditOp, recorder: Ring<R>) {
         self.sections.push((op, recorder));
         self.sections.sort_by_key(|(op, _)| *op);
     }
 
     /// The sections in canonical order.
-    pub fn sections(&self) -> impl Iterator<Item = (AuditOp, &FlightRecorder)> {
+    pub fn sections(&self) -> impl Iterator<Item = (AuditOp, &Ring<R>)> {
         self.sections.iter().map(|(op, r)| (*op, r))
     }
 
     /// Every record with its originating operator, section by section.
-    pub fn records(&self) -> impl Iterator<Item = (AuditOp, &AuditRecord)> {
+    pub fn records(&self) -> impl Iterator<Item = (AuditOp, &R)> {
         self.sections.iter().flat_map(|(op, r)| r.records().map(move |rec| (*op, rec)))
     }
 
@@ -530,9 +591,10 @@ impl AuditTrail {
     pub fn evicted(&self) -> u64 {
         self.sections.iter().map(|(_, r)| r.evicted()).sum()
     }
+}
 
-    /// The deterministic encoding of the whole trail. Two runs over the
-    /// same input are *audit-equivalent* iff these bytes are equal.
+impl<R: Record> Sections<R> {
+    /// The deterministic encoding of the whole plane.
     #[must_use]
     pub fn encode_to_vec(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -543,7 +605,9 @@ impl AuditTrail {
         }
         buf
     }
+}
 
+impl Sections<AuditRecord> {
     /// Renders the trail as human-readable lines, one per record —
     /// e.g. `[node 2] tuple 42 released to role Nurse via DDP @1300ms`.
     /// Role ids resolve to names through `catalog` when provided.
@@ -638,9 +702,10 @@ impl SpanRecord {
     pub fn at(trace_id: u64, site: u8, parent: u64, tid: u64, ts: u64) -> Self {
         Self { trace_id, span_id: sp_core::trace::span_id(trace_id, site), parent, site, tid, ts }
     }
+}
 
-    /// Appends the deterministic big-endian encoding to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+impl Record for SpanRecord {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.trace_id.to_be_bytes());
         buf.extend_from_slice(&self.span_id.to_be_bytes());
         buf.extend_from_slice(&self.parent.to_be_bytes());
@@ -648,170 +713,17 @@ impl SpanRecord {
         buf.extend_from_slice(&self.tid.to_be_bytes());
         buf.extend_from_slice(&self.ts.to_be_bytes());
     }
-}
 
-/// Bounded ring buffer of [`SpanRecord`]s — the per-operator span plane.
-///
-/// Same discipline as [`FlightRecorder`]: capacity 0 (the [`Default`])
-/// means disabled with no allocation ever; when full, the oldest span is
-/// evicted and counted. On top of the capacity gate, recording consults
-/// the *runtime* toggle [`span::enabled`] on every call, so an operator
-/// built with spans on can be silenced (and re-armed) live without a
-/// rebuild — and the `trace-off` cargo feature compiles the whole check
-/// to `false`.
-#[derive(Debug, Clone, Default)]
-pub struct SpanRecorder {
-    capacity: usize,
-    records: VecDeque<SpanRecord>,
-    evicted: u64,
-}
-
-impl SpanRecorder {
-    /// A recorder keeping the latest `capacity` spans (0 = disabled).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self { capacity, records: VecDeque::new(), evicted: 0 }
+    fn ring(recorders: &Recorders) -> &Ring<Self> {
+        &recorders.spans
     }
 
-    /// A disabled recorder (capacity 0).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Whether this recorder would record right now (capacity > 0 *and*
-    /// the runtime toggle is on).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0 && span::enabled()
-    }
-
-    /// Configured ring capacity (> 0 even while the runtime toggle is
-    /// off).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records one span; a no-op when disabled by capacity or toggle.
-    #[inline]
-    pub fn record(&mut self, rec: SpanRecord) {
-        if self.capacity == 0 || !span::enabled() {
-            return;
-        }
-        if self.records.len() >= self.capacity {
-            self.records.pop_front();
-            self.evicted += 1;
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Spans kept, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.records.iter()
-    }
-
-    /// Number of spans currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the ring holds no spans.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Spans evicted because the ring was full.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Discards all spans and the eviction count (capacity keeps).
-    /// Called on operator `restore` so deterministic replay repopulates
-    /// the ring without duplicating pre-crash history.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.evicted = 0;
-    }
-
-    /// Appends the deterministic encoding: eviction count, span count,
-    /// then each span oldest-first.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.evicted.to_be_bytes());
-        buf.extend_from_slice(&(self.records.len() as u32).to_be_bytes());
-        for r in &self.records {
-            r.encode(buf);
-        }
+    fn ring_mut(recorders: &mut Recorders) -> &mut Ring<Self> {
+        &mut recorders.spans
     }
 }
 
-/// A whole pipeline's span history: one [`SpanRecorder`] per recording
-/// site, in canonical [`AuditOp`] order — the span-plane analogue of
-/// [`AuditTrail`], with the same determinism contract: two runs over the
-/// same input are *trace-equivalent* iff [`SpanSheet::encode_to_vec`]
-/// bytes are equal.
-#[derive(Debug, Clone, Default)]
-pub struct SpanSheet {
-    sections: Vec<(AuditOp, SpanRecorder)>,
-}
-
-impl SpanSheet {
-    /// An empty sheet.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one site's recorder, keeping sections in canonical order
-    /// regardless of insertion order.
-    pub fn push_section(&mut self, op: AuditOp, recorder: SpanRecorder) {
-        self.sections.push((op, recorder));
-        self.sections.sort_by_key(|(op, _)| *op);
-    }
-
-    /// The sections in canonical order.
-    pub fn sections(&self) -> impl Iterator<Item = (AuditOp, &SpanRecorder)> {
-        self.sections.iter().map(|(op, r)| (*op, r))
-    }
-
-    /// Every span with its originating site, section by section.
-    pub fn records(&self) -> impl Iterator<Item = (AuditOp, &SpanRecord)> {
-        self.sections.iter().flat_map(|(op, r)| r.records().map(move |rec| (*op, rec)))
-    }
-
-    /// Total spans held across all sections.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sections.iter().map(|(_, r)| r.len()).sum()
-    }
-
-    /// Whether no section holds any span.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total spans evicted across all sections.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.sections.iter().map(|(_, r)| r.evicted()).sum()
-    }
-
-    /// The deterministic encoding of the whole sheet.
-    #[must_use]
-    pub fn encode_to_vec(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(self.sections.len() as u32).to_be_bytes());
-        for (op, rec) in &self.sections {
-            op.encode(&mut buf);
-            rec.encode(&mut buf);
-        }
-        buf
-    }
-
+impl Sections<SpanRecord> {
     /// Appends this sheet's spans as Chrome trace-event objects to
     /// `events`, one JSON object per span, under process id `pid`
     /// (callers merging several pipelines — e.g. one per tenant — give
@@ -911,47 +823,70 @@ impl SpanSheet {
     }
 }
 
-/// A telemetry plane assembled from per-operator recorder sections:
-/// [`AuditTrail`] (of [`FlightRecorder`]s) or [`SpanSheet`] (of
-/// [`SpanRecorder`]s). Exists so [`merge_recorders`] can serve both
-/// planes with one implementation of the section-ordering rules.
-pub trait RecorderPlane: Default {
-    /// The per-operator recorder this plane collects.
-    type Recorder;
-    /// Adds one section, keeping sections in canonical [`AuditOp`] order.
-    fn add_section(&mut self, op: AuditOp, rec: Self::Recorder);
+/// Everything a recording operator owns: its audit ring, its span ring,
+/// and — armed together with the spans — its enforcement-lag tracker.
+/// Read through [`Operator::recorders`](crate::operator::Operator::recorders).
+///
+/// Recorder state is observability, not operator state: it is excluded
+/// from snapshots and cleared on restore, so deterministic replay after a
+/// crash repopulates it without duplicating pre-crash history.
+#[derive(Debug, Clone, Default)]
+pub struct Recorders {
+    /// Access-control decisions (disabled unless audit is armed).
+    pub audit: FlightRecorder,
+    /// Causal spans (disabled unless spans are armed).
+    pub spans: SpanRecorder,
+    /// Enforcement-lag histograms (armed together with `spans`).
+    pub lag: LagTracker,
 }
 
-impl RecorderPlane for AuditTrail {
-    type Recorder = FlightRecorder;
-    fn add_section(&mut self, op: AuditOp, rec: FlightRecorder) {
-        self.push_section(op, rec);
+impl Recorders {
+    /// Arms the audit ring with `capacity` (0 = off), emptying it.
+    pub fn set_audit(&mut self, capacity: usize) {
+        self.audit = Ring::new(capacity);
+    }
+
+    /// Arms the span ring with `capacity` (0 = off), emptying it, and
+    /// the lag tracker with it.
+    pub fn set_spans(&mut self, capacity: usize) {
+        self.spans = Ring::new(capacity);
+        self.lag.set_armed(capacity > 0);
+    }
+
+    /// Empties both rings and the lag tracker (arming keeps).
+    pub fn clear(&mut self) {
+        self.audit.clear();
+        self.spans.clear();
+        self.lag.clear();
     }
 }
 
-impl RecorderPlane for SpanSheet {
-    type Recorder = SpanRecorder;
-    fn add_section(&mut self, op: AuditOp, rec: SpanRecorder) {
-        self.push_section(op, rec);
-    }
-}
-
-/// Merges per-operator recorder sections — gathered from a sequential
-/// executor, pipeline-parallel worker threads, or shard replicas — into
-/// one canonically ordered plane. `None` sections (recorder disabled at
-/// that operator) are omitted, *not* added empty, which is what keeps a
-/// run with telemetry armed encoding identically however it executed.
+/// Assembles one plane — audit trail or span sheet, chosen by `R` — from
+/// the recorders of a plan's analyzers (by source slot) and operators (by
+/// node slot), however they were gathered: read in place by the
+/// sequential executor, shipped home by pipeline-parallel workers, or
+/// re-recorded in seq order by the shard coordinator. A disabled ring is
+/// omitted, *not* added empty, which is what keeps a run with telemetry
+/// armed encoding identically however it executed.
 ///
 /// Every assembly path in the engine funnels through this function so
 /// the omit-disabled rule and the canonical section order live in
 /// exactly one place.
-pub fn merge_recorders<P: RecorderPlane>(
-    sections: impl IntoIterator<Item = (AuditOp, Option<P::Recorder>)>,
-) -> P {
-    let mut plane = P::default();
-    for (op, rec) in sections {
-        if let Some(rec) = rec {
-            plane.add_section(op, rec);
+pub fn merge_recorders<'a, R: Record>(
+    analyzers: impl IntoIterator<Item = &'a Recorders>,
+    nodes: impl IntoIterator<Item = (usize, &'a Recorders)>,
+) -> Sections<R> {
+    let mut plane = Sections::new();
+    #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
+    let sections = analyzers
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| (AuditOp::Source(i as u32), r))
+        .chain(nodes.into_iter().map(|(i, r)| (AuditOp::Node(i as u32), r)));
+    for (op, recorders) in sections {
+        let ring = R::ring(recorders);
+        if ring.enabled() {
+            plane.push_section(op, ring.clone());
         }
     }
     plane
@@ -1475,8 +1410,7 @@ pub struct TelemetryConfig {
     /// Flight-recorder ring capacity per operator (0 = no audit trail).
     pub audit_capacity: usize,
     /// Span-recorder ring capacity per operator (0 = no causal spans or
-    /// enforcement-lag histograms). Capacity builds the rings; the
-    /// runtime toggle [`span::set_enabled`] silences/re-arms them live.
+    /// enforcement-lag histograms).
     pub span_capacity: usize,
     /// Whether the executor samples latency/queue-depth histograms.
     pub metrics: bool,
@@ -1507,34 +1441,6 @@ impl TelemetryConfig {
     }
 }
 
-/// The sp-trace runtime toggle: [`span::enabled`] /
-/// [`span::set_enabled`], a process-wide atomic consulted by every
-/// [`SpanRecorder::record`]. Tracing is *on* by default (the recorders
-/// still cost nothing unless a plan allocates them via
-/// [`TelemetryConfig::span_capacity`]); the `trace-off` cargo feature
-/// is the compile-time hard-off override that folds the whole check to
-/// `false`.
-pub mod span {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Process-wide runtime toggle for sp-trace span recording.
-    static RUNTIME: AtomicBool = AtomicBool::new(true);
-
-    /// Whether span recording is on right now: the `trace-off` feature
-    /// is a hard compile-time off; otherwise the runtime toggle decides.
-    #[inline]
-    #[must_use]
-    pub fn enabled() -> bool {
-        !cfg!(feature = "trace-off") && RUNTIME.load(Ordering::Relaxed)
-    }
-
-    /// Flips the runtime toggle. A no-op in effect when the `trace-off`
-    /// feature is compiled in ([`enabled`] stays `false`).
-    pub fn set_enabled(on: bool) {
-        RUNTIME.store(on, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1543,7 +1449,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_never_stores() {
-        let mut r = FlightRecorder::disabled();
+        let mut r = FlightRecorder::default();
         r.record(1, 2, AuditEvent::QuarantineReleased);
         assert!(!r.enabled());
         assert!(r.is_empty());
@@ -1704,9 +1610,6 @@ mod tests {
         assert!(text.contains("tuple 42 released to role Nurse via DDP @700ms"), "{text}");
     }
 
-    /// Serializes tests that flip the process-wide span toggle.
-    static TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn sp_span(ts: u64) -> SpanRecord {
         SpanRecord::at(
             sp_core::trace::trace_id_for_sp(ts),
@@ -1718,17 +1621,13 @@ mod tests {
     }
 
     #[test]
-    fn span_recorder_honors_capacity_and_runtime_toggle() {
-        let _guard = TOGGLE.lock().unwrap();
-        let mut off = SpanRecorder::disabled();
+    fn span_recorder_honors_capacity() {
+        let mut off = SpanRecorder::default();
         off.record(sp_span(1));
+        assert!(!off.enabled());
         assert!(off.is_empty());
 
         let mut r = SpanRecorder::new(2);
-        span::set_enabled(false);
-        r.record(sp_span(1));
-        assert!(r.is_empty(), "runtime-off must drop spans");
-        span::set_enabled(true);
         for ts in 0..5u64 {
             r.record(sp_span(ts));
         }
@@ -1738,8 +1637,6 @@ mod tests {
 
     #[test]
     fn span_sheet_sections_are_canonically_ordered() {
-        let _guard = TOGGLE.lock().unwrap();
-        span::set_enabled(true);
         let mut rec = SpanRecorder::new(4);
         rec.record(sp_span(1000));
         let (mut a, mut b) = (SpanSheet::new(), SpanSheet::new());
@@ -1771,8 +1668,6 @@ mod tests {
 
     #[test]
     fn chrome_json_and_tree_link_the_causal_chain() {
-        let _guard = TOGGLE.lock().unwrap();
-        span::set_enabled(true);
         let sp_ts = 1000u64;
         let trace = sp_core::trace::trace_id_for_sp(sp_ts);
         let mut ingress = SpanRecorder::new(8);

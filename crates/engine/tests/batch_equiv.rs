@@ -112,8 +112,8 @@ fn snapshot_of(op: &dyn Operator) -> Vec<u8> {
 
 fn audit_of(op: &dyn Operator) -> Vec<u8> {
     let mut buf = Vec::new();
-    if let Some(rec) = op.audit() {
-        rec.encode(&mut buf);
+    if let Some(rec) = op.recorders() {
+        rec.audit.encode(&mut buf);
     }
     buf
 }
