@@ -64,9 +64,11 @@ impl Emitter {
 
 /// A pipelined stream operator.
 ///
-/// Operators are single-threaded state machines: the executor feeds them one
-/// element at a time through [`Operator::process`] together with the input
-/// port it arrived on (0 for unary operators, 0/1 for joins). Operators own
+/// Operators are single-threaded state machines: the executor feeds them
+/// runs of elements through [`Operator::process_batch`] (singleton runs in
+/// tuple-at-a-time mode) together with the input port they arrived on (0
+/// for unary operators, 0/1 for joins); [`Operator::process`] is the
+/// per-element step the default `process_batch` loops. Operators own
 /// their cost counters so the evaluation harness can read per-operator
 /// breakdowns.
 pub trait Operator: Send {

@@ -301,19 +301,37 @@ impl SecurityShield {
         }
     }
 
-    /// Records the tuple-level causal span for a release/suppression
-    /// decision, parented under the governing sp's enforcement span.
-    fn record_decision_span(&mut self, site: u8, tid: u64, ts: u64, sp_ts: u64) {
-        let trace = sp_core::trace::trace_id_for_tuple(tid);
-        let parent = if sp_ts == NO_SP {
-            0
+    /// Records one release/suppression decision on every armed plane: the
+    /// audit record, the stream-clock and first-affected lag samples, and
+    /// the tuple-level causal span parented under the governing sp's
+    /// enforcement span. `role` is the authorizing role of a release.
+    fn record_decision(&mut self, released: bool, tid: u64, ts: u64, sp_ts: u64, role: u32) {
+        use sp_core::trace::{site, span_id, trace_id_for_sp, trace_id_for_tuple};
+        self.rec.lag.observe_tuple(ts);
+        let (event, site) = if released {
+            self.rec.lag.observe_release(ts);
+            (AuditEvent::Released { role, sp_ts }, site::RELEASE)
         } else {
-            sp_core::trace::span_id(
-                sp_core::trace::trace_id_for_sp(sp_ts),
-                sp_core::trace::site::SHIELD_ENFORCE,
-            )
+            self.rec.lag.observe_suppress(ts);
+            (AuditEvent::Suppressed { sp_ts }, site::SUPPRESS)
         };
-        self.rec.spans.record(SpanRecord::at(trace, site, parent, tid, ts));
+        if self.rec.audit.enabled() {
+            self.rec.audit.record(tid, ts, event);
+        }
+        if self.rec.spans.enabled() {
+            let parent = if sp_ts == NO_SP {
+                0
+            } else {
+                span_id(trace_id_for_sp(sp_ts), site::SHIELD_ENFORCE)
+            };
+            self.rec.spans.record(SpanRecord::at(trace_id_for_tuple(tid), site, parent, tid, ts));
+        }
+    }
+
+    /// Whether any recorder plane is armed (lets the batch paths skip the
+    /// per-tuple recording loop entirely when telemetry is off).
+    fn recording(&self) -> bool {
+        self.rec.audit.enabled() || self.rec.spans.enabled() || self.rec.lag.armed()
     }
 
     /// Judges one tuple under the current verdict (the `process` tuple
@@ -321,7 +339,6 @@ impl SecurityShield {
     fn shield_tuple(&mut self, tuple: Arc<sp_core::Tuple>, out: &mut Emitter) {
         self.stats.tuples_in += 1;
         let (tid_raw, ts_raw) = (tuple.tid.raw(), tuple.ts.0);
-        self.rec.lag.observe_tuple(ts_raw);
         let mut audit_role = u32::MAX;
         let decision = match &self.verdict {
             Verdict::Deny | Verdict::Fail => None,
@@ -391,22 +408,7 @@ impl SecurityShield {
                 }
                 self.stats.tuples_out += 1;
                 let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                if self.rec.audit.enabled() {
-                    self.rec.audit.record(
-                        tid_raw,
-                        ts_raw,
-                        AuditEvent::Released { role: audit_role, sp_ts },
-                    );
-                }
-                self.rec.lag.observe_release(ts_raw);
-                if self.rec.spans.enabled() {
-                    self.record_decision_span(
-                        sp_core::trace::site::RELEASE,
-                        tid_raw,
-                        ts_raw,
-                        sp_ts,
-                    );
-                }
+                self.record_decision(true, tid_raw, ts_raw, sp_ts, audit_role);
                 if masked.is_empty() {
                     out.push(Element::Tuple(tuple));
                 } else {
@@ -416,18 +418,7 @@ impl SecurityShield {
             None => {
                 self.stats.tuples_shielded += 1;
                 let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                if self.rec.audit.enabled() {
-                    self.rec.audit.record(tid_raw, ts_raw, AuditEvent::Suppressed { sp_ts });
-                }
-                self.rec.lag.observe_suppress(ts_raw);
-                if self.rec.spans.enabled() {
-                    self.record_decision_span(
-                        sp_core::trace::site::SUPPRESS,
-                        tid_raw,
-                        ts_raw,
-                        sp_ts,
-                    );
-                }
+                self.record_decision(false, tid_raw, ts_raw, sp_ts, audit_role);
             }
         }
     }
@@ -501,29 +492,11 @@ impl Operator for SecurityShield {
                 Verdict::Deny | Verdict::Fail => {
                     self.stats.tuples_in += n;
                     self.stats.tuples_shielded += n;
-                    let audit = self.rec.audit.enabled();
-                    if audit || self.rec.spans.enabled() || self.rec.lag.armed() {
+                    if self.recording() {
                         let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
                         for elem in &batch {
                             if let Some(t) = elem.as_tuple() {
-                                let (tid, ts) = (t.tid.raw(), t.ts.0);
-                                self.rec.lag.observe_tuple(ts);
-                                if audit {
-                                    self.rec.audit.record(
-                                        tid,
-                                        ts,
-                                        AuditEvent::Suppressed { sp_ts },
-                                    );
-                                }
-                                self.rec.lag.observe_suppress(ts);
-                                if self.rec.spans.enabled() {
-                                    self.record_decision_span(
-                                        sp_core::trace::site::SUPPRESS,
-                                        tid,
-                                        ts,
-                                        sp_ts,
-                                    );
-                                }
+                                self.record_decision(false, t.tid.raw(), t.ts.0, sp_ts, u32::MAX);
                             }
                         }
                     }
@@ -536,37 +509,22 @@ impl Operator for SecurityShield {
                         out.push(Element::Policy(policy));
                     }
                     out.reserve(batch.len());
-                    let audit = self.rec.audit.enabled();
-                    if audit || self.rec.spans.enabled() || self.rec.lag.armed() {
+                    if self.recording() {
                         let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                        let role = self.seg_role;
-                        for elem in batch {
+                        for elem in &batch {
                             if let Some(t) = elem.as_tuple() {
-                                let (tid, ts) = (t.tid.raw(), t.ts.0);
-                                self.rec.lag.observe_tuple(ts);
-                                if audit {
-                                    self.rec.audit.record(
-                                        tid,
-                                        ts,
-                                        AuditEvent::Released { role, sp_ts },
-                                    );
-                                }
-                                self.rec.lag.observe_release(ts);
-                                if self.rec.spans.enabled() {
-                                    self.record_decision_span(
-                                        sp_core::trace::site::RELEASE,
-                                        tid,
-                                        ts,
-                                        sp_ts,
-                                    );
-                                }
+                                self.record_decision(
+                                    true,
+                                    t.tid.raw(),
+                                    t.ts.0,
+                                    sp_ts,
+                                    self.seg_role,
+                                );
                             }
-                            out.push(elem);
                         }
-                    } else {
-                        for elem in batch {
-                            out.push(elem);
-                        }
+                    }
+                    for elem in batch {
+                        out.push(elem);
                     }
                 }
                 // Attribute masks and scoped segments need per-tuple

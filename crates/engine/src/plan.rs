@@ -357,7 +357,7 @@ pub struct Executor {
     staged: Vec<Element>,
     /// Reusable operator-output scratch.
     emitter: Emitter,
-    telemetry: TelemetryConfig,
+    pub(crate) telemetry: TelemetryConfig,
     /// Per-node `process` latency in nanoseconds (metrics mode only).
     latency: Vec<Histogram>,
     /// Work-queue depth sampled at each dequeue (metrics mode only).
@@ -429,8 +429,9 @@ impl Executor {
     /// Enables or disables batch coalescing and deferred draining (on by
     /// default). Disabled, the executor routes singleton batches through
     /// `process_batch` and drains after every input — the tuple-at-a-time
-    /// reference mode the differential equivalence suite and the `fig7 b`
-    /// benchmark baseline compare against.
+    /// reference mode the differential equivalence suite (`batch_equiv.rs`)
+    /// and perfbench's `engine.mode.tuple_at_a_time.vs_sequential` row
+    /// compare against.
     pub fn set_batching(&mut self, batching: bool) {
         self.batching = batching;
     }
@@ -618,8 +619,8 @@ impl Executor {
     /// enforcement-lag trackers) with `span_capacity`. A capacity of 0
     /// leaves that plane as the builder's [`TelemetryConfig`] armed it.
     ///
-    /// Rings start empty; the supervisor calls this after each rebuild so
-    /// the recorders never replay pre-crash history.
+    /// Rings start empty; the shard runtime calls this on each replica so
+    /// its rings hold at least the exchange slack.
     pub fn arm_recorders(&mut self, audit_capacity: usize, span_capacity: usize) {
         arm_recorders(&mut self.sources, &mut self.nodes, audit_capacity, span_capacity);
     }

@@ -54,12 +54,6 @@ pub struct SupervisorConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling, in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Flight-recorder capacity armed on every rebuilt executor (and on
-    /// the supervisor's own recorder). `0` disables audit recording.
-    pub audit_capacity: usize,
-    /// sp-trace span-recorder capacity armed on every rebuilt executor.
-    /// `0` disables span recording and enforcement-lag tracking.
-    pub span_capacity: usize,
 }
 
 /// Default checkpoint cadence: frequent enough that replay stays short,
@@ -73,8 +67,6 @@ impl Default for SupervisorConfig {
             max_restarts: 5,
             backoff_base_ms: 10,
             backoff_cap_ms: 1_000,
-            audit_capacity: 0,
-            span_capacity: 0,
         }
     }
 }
@@ -132,8 +124,9 @@ pub struct SupervisedRun {
     /// `None` on success; the terminal error otherwise.
     pub failure: Option<EngineError>,
     /// The supervisor's own flight recorder: restore and terminal
-    /// fail-closed events. Disabled (and empty) unless
-    /// [`SupervisorConfig::audit_capacity`] is non-zero.
+    /// fail-closed events. Sized by the plan's own
+    /// [`TelemetryConfig::audit_capacity`](crate::TelemetryConfig), so it
+    /// is disabled (and empty) exactly when the plan records no audit.
     pub audit: FlightRecorder,
 }
 
@@ -194,14 +187,10 @@ pub fn run_supervised(
 ) -> Result<SupervisedRun, EngineError> {
     let interval = config.epoch_interval.max(1);
     let mut report = RecoveryReport::default();
-    let mut audit = FlightRecorder::new(config.audit_capacity);
-    // Every life of the pipeline starts from an identically armed plan.
-    let mut fresh = || {
-        let mut exec = build().build();
-        exec.arm_recorders(config.audit_capacity, config.span_capacity);
-        exec
-    };
-    let mut exec = fresh();
+    // Every life of the pipeline starts from an identically armed plan:
+    // the `TelemetryConfig` its builder carries.
+    let mut exec = build().build();
+    let mut audit = FlightRecorder::new(exec.telemetry.audit_capacity);
     let mut epoch = 0u64;
     let mut pos = 0usize;
 
@@ -263,7 +252,7 @@ pub fn run_supervised(
         report.backoff_ms.push(config.backoff_ms(report.restart_attempts));
 
         let crash_pos = pos as u64;
-        exec = fresh();
+        exec = build().build();
         match store.load_latest() {
             Some(ckpt) => match exec.restore(&ckpt) {
                 Ok(()) => {
@@ -286,7 +275,7 @@ pub fn run_supervised(
                     // that passed CRC but fails decode keeps failing, and
                     // the restart budget bounds the loop).
                     report.deaths.push(e.to_string());
-                    exec = fresh();
+                    exec = build().build();
                     epoch = 0;
                     pos = 0;
                     report.epochs_replayed += crash_pos.div_ceil(interval);

@@ -480,7 +480,7 @@ impl Ring<SpanRecord> {
 /// canonical section order of an [`AuditTrail`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AuditOp {
-    /// The ingestion boundary before the pipeline (server tenant worker
+    /// The ingestion boundary before the pipeline (server tenant session
     /// or standby apply loop) — used by the span plane; ordinary audit
     /// trails never contain it, so their encodings are unchanged.
     Ingress,

@@ -4,13 +4,12 @@ use std::net::SocketAddr;
 
 use sp_engine::LinkFaultPlan;
 
-/// Deliberate panic injection for chaos tests: the named tenant's worker
-/// panics when its session reaches the given input position. Exercises
-/// the supervisor's promise that a panicking pipeline quarantines only
-/// its own tenant.
+/// Deliberate panic injection for chaos tests: the named tenant's session
+/// panics mid-frame when it reaches the given input position. Exercises
+/// the promise that a panicking pipeline quarantines only its own tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPanic {
-    /// The tenant whose worker should panic.
+    /// The tenant whose session should panic.
     pub tenant: u32,
     /// Input position (element count) at which the panic fires.
     pub at_pos: u64,
@@ -47,7 +46,7 @@ pub struct ServerConfig {
     pub checkpoint_every_frames: u64,
     /// Spin up a `/metrics` + `/healthz` listener on an ephemeral port.
     pub metrics: bool,
-    /// Chaos-test knob: deliberate worker panic (see [`ChaosPanic`]).
+    /// Chaos-test knob: deliberate session panic (see [`ChaosPanic`]).
     pub chaos_panic: Option<ChaosPanic>,
     /// Replication target: the standby's replication listener. When set,
     /// every persisted tenant checkpoint is shipped there as
@@ -68,12 +67,12 @@ pub struct ServerConfig {
     /// Chaos-test knob: the replication shipper goes silent after this
     /// many frames (0 = never) — a primary dying mid-checkpoint-ship.
     pub chaos_repl_stop_after_frames: u64,
-    /// Chaos-test knob: a tenant worker observes a deposing fencing
-    /// epoch just before consuming its Nth frame (0 = never) — a fence
-    /// racing a frame already in flight past the connection-level check.
-    /// Exercises the worker-level fail-closed gate deterministically.
+    /// Chaos-test knob: a tenant observes a deposing fencing epoch just
+    /// before consuming its Nth frame (0 = never) — a fence racing a
+    /// frame already in flight past the connection-level check.
+    /// Exercises the tenant-level fail-closed gate deterministically.
     pub chaos_fence_at_frame: u64,
-    /// Capacity of each tenant worker's ingress span recorder (wire-frame
+    /// Capacity of each tenant's ingress span recorder (wire-frame
     /// arrival spans for `/trace`); 0 disables ingress spans. Engine-side
     /// span capacity is configured per tenant by the session factory's
     /// `TelemetryConfig`.

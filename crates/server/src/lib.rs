@@ -4,16 +4,16 @@
 //! service with the robustness properties a mutually-untrusted,
 //! many-client deployment needs:
 //!
-//! * **Supervised tenant isolation** — every tenant's session runs on
-//!   its own worker thread behind `catch_unwind`. A panicking pipeline,
-//!   a corrupt checkpoint, or a byte-garbage-spewing connection
-//!   quarantines exactly that tenant (fail closed: the session stops
-//!   consuming and its last good checkpoint stands); neighbors never
-//!   notice.
-//! * **Deadlines everywhere** — per-read socket timeouts bound stalls
+//! * **Supervised tenant isolation** — every tenant's session sits
+//!   behind its own lock, and the connection thread that decoded a frame
+//!   pushes it in place under that lock and `catch_unwind`. A panicking
+//!   pipeline, a corrupt checkpoint, or a byte-garbage-spewing
+//!   connection quarantines exactly that tenant (fail closed: the
+//!   session stops consuming and its last good checkpoint stands); a
+//!   poisoned lock reads the same way; neighbors never notice.
+//! * **Deadlines at the socket** — per-read socket timeouts bound stalls
 //!   and length-lying frame headers; silent connections are reaped by
-//!   an idle deadline; a wedged tenant worker reads as quarantine
-//!   rather than hanging its connections.
+//!   an idle deadline.
 //! * **Backpressure as protocol** — per-tenant admission verdicts
 //!   travel back as `Overloaded` control frames carrying retry hints;
 //!   the connection cap refuses loudly with the same frame.

@@ -20,7 +20,7 @@
 //! fencing epoch, and [`StandbyHandle::promote`] claims `highest seen +
 //! 1`, writing a [`Control::Fence`] to any still-connected primary. A
 //! deposed primary that sees a higher epoch — on the replication link
-//! or in an echo — fails closed immediately: tenant workers refuse all
+//! or in an echo — fails closed immediately: tenant sessions refuse all
 //! further input (counted and audited as `RecoveryFailClosed`), client
 //! connections get a `Fence` frame so they re-home to the standby, and
 //! `/healthz` reports unhealthy. A fenced node never releases another
@@ -31,7 +31,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -46,18 +46,14 @@ use sp_engine::{
 
 use crate::config::ServerConfig;
 use crate::server::Server;
-use crate::tenant::{SessionFactory, StoreMap};
+use crate::tenant::{unpoison, SessionFactory, StoreMap};
 use crate::ServerHandle;
-
-fn unpoison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------------
 // Shared fencing + lag state (lives inside ServerState on the primary)
 // ---------------------------------------------------------------------------
 
-/// Replication-facing state shared between the server's workers, its
+/// Replication-facing state shared between the server's tenants, its
 /// connection threads, the shipper thread, and the metrics listener.
 pub(crate) struct ReplState {
     /// This node's fencing epoch. Starts at the configured epoch and
@@ -114,7 +110,7 @@ impl ReplState {
     }
 }
 
-/// A worker's note to the shipper: this tenant persisted a checkpoint;
+/// A tenant's note to the shipper: this tenant persisted a checkpoint;
 /// ship the store's latest (notifications coalesce naturally — the
 /// shipper skips epochs it already shipped).
 pub(crate) struct ShipRequest {
@@ -291,7 +287,7 @@ impl Shipper {
                     if self.repl.killed.load(Ordering::SeqCst) {
                         return;
                     }
-                    // Every worker is gone (drain or kill): flush frames
+                    // Every tenant is gone (drain or kill): flush frames
                     // the fault injector still holds, collect final
                     // acks, and exit.
                     if let Some(held) = self.faults.as_mut().map(LinkFaultInjector::drain) {
@@ -317,14 +313,16 @@ impl Shipper {
     }
 }
 
-/// Spawns the checkpoint-shipping thread on the primary.
+/// Spawns the checkpoint-shipping thread on the primary, with the queue
+/// that feeds it. Tenants notify without blocking; the shipper exits
+/// once every sender is dropped.
 pub(crate) fn spawn_shipper(
     cfg: ServerConfig,
     target: SocketAddr,
     repl: Arc<ReplState>,
     stores: StoreMap,
-    rx: Receiver<ShipRequest>,
-) -> std::io::Result<JoinHandle<()>> {
+) -> std::io::Result<(SyncSender<ShipRequest>, JoinHandle<()>)> {
+    let (tx, rx) = mpsc::sync_channel(1024);
     let shipper = Shipper {
         cfg,
         target,
@@ -334,7 +332,9 @@ pub(crate) fn spawn_shipper(
         faults: cfg.repl_faults.map(LinkFaultInjector::new),
         frames_sent: 0,
     };
-    std::thread::Builder::new().name("sp-repl-ship".into()).spawn(move || shipper.run(&rx))
+    let join =
+        std::thread::Builder::new().name("sp-repl-ship".into()).spawn(move || shipper.run(&rx))?;
+    Ok((tx, join))
 }
 
 // ---------------------------------------------------------------------------

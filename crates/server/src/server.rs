@@ -3,9 +3,9 @@
 //!
 //! One thread per connection reads CRC-framed bytes under a read
 //! deadline, resynchronizes past garbage with [`StreamDecoder`], and
-//! round-trips each decoded data frame through the owning tenant's
-//! worker. Responses (`Ack` / `Overloaded` / `Quarantined` / `Draining`)
-//! travel back as control frames. Connections that stay silent past the
+//! pushes each decoded data frame into the owning tenant's session
+//! itself, under that tenant's lock. Responses (`Ack` / `Overloaded` /
+//! `Quarantined` / `Draining`) travel back as control frames. Connections that stay silent past the
 //! idle deadline are reaped; connections that spew garbage past the
 //! budget quarantine their tenant (fail closed); a draining server
 //! checkpoints every tenant before closing.
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -27,12 +27,8 @@ use sp_engine::MetricsRegistry;
 use crate::config::ServerConfig;
 use crate::replication::{spawn_shipper, ReplState, ShipRequest};
 use crate::tenant::{
-    spawn_tenant, Cmd, FrameOutcome, SessionFactory, StoreMap, TenantHandle, TenantReport,
+    unpoison, FrameOutcome, SessionFactory, StoreMap, Tenant, TenantHandle, TenantReport,
 };
-
-fn unpoison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Shared server state: configuration, tenant registry, counters.
 pub(crate) struct ServerState {
@@ -56,22 +52,40 @@ pub(crate) struct ServerState {
     /// Checkpoint-ship notifications to the shipper thread (None when
     /// no standby is configured). Taken (dropped) on finish so the
     /// shipper sees disconnect and exits.
-    pub ship_tx: Mutex<Option<mpsc::SyncSender<ShipRequest>>>,
+    pub ship_tx: Mutex<Option<SyncSender<ShipRequest>>>,
 }
 
 impl ServerState {
+    /// The tenant's handle, registered (not yet resumed) on first sight.
+    /// Every method here lets go of the map lock before it takes a
+    /// tenant's: one tenant's slow frame or resume never holds up another
+    /// tenant's `Hello`.
     fn tenant(&self, id: u32) -> Arc<TenantHandle> {
         let mut map = unpoison(self.tenants.lock());
         Arc::clone(map.entry(id).or_insert_with(|| {
-            Arc::new(spawn_tenant(
+            Arc::new(TenantHandle::new(
                 id,
-                &self.factory,
+                Arc::clone(&self.factory),
                 self.stores.store(id),
                 self.cfg,
                 Arc::clone(&self.repl),
                 unpoison(self.ship_tx.lock()).clone(),
             ))
         }))
+    }
+
+    /// Every registered tenant, sorted by id.
+    fn handles(&self) -> Vec<(u32, Arc<TenantHandle>)> {
+        let mut all: Vec<_> =
+            unpoison(self.tenants.lock()).iter().map(|(id, h)| (*id, Arc::clone(h))).collect();
+        all.sort_unstable_by_key(|(id, _)| *id);
+        all
+    }
+
+    /// Runs `f` on one registered tenant under its lock.
+    fn with_tenant<R>(&self, id: u32, f: impl FnOnce(&mut Tenant) -> R) -> Option<R> {
+        let h = unpoison(self.tenants.lock()).get(&id).cloned()?;
+        h.with(f).ok()
     }
 
     /// Server-level metrics plus every live tenant's engine metrics,
@@ -115,10 +129,8 @@ impl ServerState {
             "",
             c(&self.frames),
         );
-        let quarantined = {
-            let map = unpoison(self.tenants.lock());
-            map.values().filter(|t| t.quarantined.load(Ordering::SeqCst)).count() as u64
-        };
+        let handles = self.handles();
+        let quarantined = handles.iter().filter(|(_, h)| h.is_quarantined()).count() as u64;
         reg.add_counter(
             "sp_server_tenants_quarantined",
             "Tenant sessions currently quarantined (fail closed)",
@@ -159,38 +171,20 @@ impl ServerState {
             "",
             &lat,
         );
-        let handles: Vec<Arc<TenantHandle>> =
-            unpoison(self.tenants.lock()).values().cloned().collect();
-        for h in handles {
-            let (tx, rx) = mpsc::sync_channel(1);
-            if h.tx.send(Cmd::Metrics { reply: tx }).is_ok() {
-                if let Ok(m) = rx.recv_timeout(Duration::from_secs(2)) {
-                    reg.merge(&m);
-                }
+        for (_, h) in handles {
+            if let Ok(m) = h.with(|t| t.metrics()) {
+                reg.merge(&m);
             }
         }
         reg
     }
 
-    /// One tenant's merged span sheet, fetched through the worker FIFO.
-    pub(crate) fn tenant_spans(&self, tenant: u32) -> Option<sp_engine::SpanSheet> {
-        let h = {
-            let map = unpoison(self.tenants.lock());
-            map.get(&tenant).cloned()
-        }?;
-        let (tx, rx) = mpsc::sync_channel(1);
-        h.tx.send(Cmd::Trace { reply: tx }).ok()?;
-        rx.recv_timeout(Duration::from_secs(2)).ok()
-    }
-
     /// Chrome trace-event JSON over every live tenant: each tenant's
     /// span sheet becomes one `pid` lane so merged runs stay readable.
     pub(crate) fn trace_json(&self) -> String {
-        let mut ids: Vec<u32> = unpoison(self.tenants.lock()).keys().copied().collect();
-        ids.sort_unstable();
         let mut events = Vec::new();
-        for id in ids {
-            if let Some(sheet) = self.tenant_spans(id) {
+        for (id, h) in self.handles() {
+            if let Ok(sheet) = h.with(|t| t.span_sheet()) {
                 sheet.chrome_events(id, &mut events);
             }
         }
@@ -199,28 +193,16 @@ impl ServerState {
 
     /// Human-readable audit + span-tree text over every live tenant.
     pub(crate) fn audit_text(&self) -> String {
-        let mut ids: Vec<u32> = unpoison(self.tenants.lock()).keys().copied().collect();
-        ids.sort_unstable();
         let mut out = String::new();
-        for id in ids {
+        for (id, h) in self.handles() {
             out.push_str(&format!("== tenant {id} ==\n"));
-            let h = {
-                let map = unpoison(self.tenants.lock());
-                map.get(&id).cloned()
+            let Ok((text, sheet)) = h.with(|t| (t.audit_text(), t.span_sheet())) else {
+                continue;
             };
-            if let Some(h) = h {
-                let (tx, rx) = mpsc::sync_channel(1);
-                if h.tx.send(Cmd::Audit { reply: tx }).is_ok() {
-                    if let Ok(text) = rx.recv_timeout(Duration::from_secs(2)) {
-                        out.push_str(&text);
-                    }
-                }
-            }
-            if let Some(sheet) = self.tenant_spans(id) {
-                if !sheet.is_empty() {
-                    out.push_str("-- spans --\n");
-                    out.push_str(&sheet.render_tree());
-                }
+            out.push_str(&text);
+            if !sheet.is_empty() {
+                out.push_str("-- spans --\n");
+                out.push_str(&sheet.render_tree());
             }
         }
         out
@@ -230,10 +212,9 @@ impl ServerState {
     /// than a live, accepting server is not ready.
     pub(crate) fn healthz(&self) -> (bool, String) {
         let draining = self.draining.load(Ordering::SeqCst);
-        let map = unpoison(self.tenants.lock());
-        let quarantined = map.values().filter(|t| t.quarantined.load(Ordering::SeqCst)).count();
-        let tenants = map.len();
-        drop(map);
+        let handles = self.handles();
+        let quarantined = handles.iter().filter(|(_, h)| h.is_quarantined()).count();
+        let tenants = handles.len();
         if self.repl.fenced.load(Ordering::SeqCst) {
             let epoch = self.repl.fencing_epoch.load(Ordering::SeqCst);
             (false, format!("fenced epoch={epoch} tenants={tenants} quarantined={quarantined}\n"))
@@ -318,8 +299,7 @@ impl Server {
         let repl = Arc::new(ReplState::new(cfg.fencing_epoch));
         let (ship_tx, shipper) = match cfg.replicate_to {
             Some(target) => {
-                let (tx, rx) = mpsc::sync_channel::<ShipRequest>(1024);
-                let j = spawn_shipper(cfg, target, Arc::clone(&repl), stores.clone(), rx)?;
+                let (tx, j) = spawn_shipper(cfg, target, Arc::clone(&repl), stores.clone())?;
                 (Some(tx), Some(j))
             }
             None => (None, None),
@@ -407,27 +387,6 @@ fn write_ctrl(stream: &mut TcpStream, ctrl: &Control) -> std::io::Result<()> {
     stream.write_all(&ctrl.encode_to_vec())
 }
 
-/// Round-trips one frame through the tenant worker. A dead or wedged
-/// worker reads as quarantine — the connection must never hang forever
-/// on a tenant that stopped replying.
-fn round_trip(
-    handle: &TenantHandle,
-    stream: sp_core::StreamId,
-    elements: Vec<sp_core::StreamElement>,
-    trace: Option<sp_core::TraceContext>,
-) -> FrameOutcome {
-    let (tx, rx) = mpsc::sync_channel(1);
-    if handle.tx.send(Cmd::Frame { stream, elements, trace, reply: tx }).is_err() {
-        return FrameOutcome::Quarantined { code: QuarantineCode::Panicked };
-    }
-    match rx.recv_timeout(Duration::from_secs(10)) {
-        Ok(outcome) => outcome,
-        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-            FrameOutcome::Quarantined { code: QuarantineCode::Panicked }
-        }
-    }
-}
-
 fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
     let cfg = state.cfg;
     let _ = stream.set_nodelay(true);
@@ -446,7 +405,7 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
             break;
         }
         if state.draining.load(Ordering::SeqCst) {
-            let pos = tenant.as_ref().map_or(0, |t| t.pos.load(Ordering::SeqCst));
+            let pos = tenant.as_ref().and_then(|h| h.with(|t| t.pos).ok()).unwrap_or(0);
             let _ = write_ctrl(&mut stream, &Control::Draining { pos });
             break;
         }
@@ -470,40 +429,15 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
             Err(_) => break,
         };
         for frame in dec.feed(&buf[..n]) {
-            match frame {
+            let reply = match frame {
                 WireFrame::Control(Control::Hello { tenant: id, .. }) => {
-                    let h = state.tenant(id);
-                    // Read the cursor through the worker's FIFO queue,
-                    // not the atomic mirror: frames a dead connection
-                    // left in flight are counted before we answer, so a
-                    // reconnecting client can never be told to replay
-                    // an element the session is about to consume.
-                    let report = {
-                        let (tx, rx) = mpsc::sync_channel(1);
-                        if h.tx.send(Cmd::Report { reply: tx }).is_ok() {
-                            rx.recv_timeout(Duration::from_secs(10)).ok()
-                        } else {
-                            None
-                        }
-                    };
-                    let resume_from = report
-                        .as_ref()
-                        .map_or_else(|| h.pos.load(Ordering::SeqCst), |r| r.input_pos);
-                    let was_quarantined = h.quarantined.load(Ordering::SeqCst);
-                    tenant = Some(h);
-                    if was_quarantined {
+                    match tenant.insert(state.tenant(id)).hello() {
+                        Ok(resume_from) => Control::HelloAck { resume_from },
                         // Answer the handshake itself with the verdict
                         // (no HelloAck first): the client learns the real
                         // cause and stops, instead of racing a replay
                         // against a connection we are about to close.
-                        let code = report
-                            .and_then(|r| r.quarantine_code)
-                            .unwrap_or(QuarantineCode::Panicked);
-                        let _ = write_ctrl(&mut stream, &Control::Quarantined { code });
-                        break 'conn;
-                    }
-                    if write_ctrl(&mut stream, &Control::HelloAck { resume_from }).is_err() {
-                        break 'conn;
+                        Err(code) => Control::Quarantined { code },
                     }
                 }
                 WireFrame::Message(msg) => {
@@ -513,22 +447,22 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
                         break 'conn;
                     };
                     let t0 = Instant::now();
-                    let outcome = round_trip(h, msg.stream, msg.elements, pending_trace.take());
+                    let trace = pending_trace.take();
+                    let outcome = h.with(|t| t.push_frame(msg.stream, msg.elements, trace));
                     let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
                     unpoison(state.latency.lock()).record(us);
                     state.frames.fetch_add(1, Ordering::SeqCst);
-                    let ctrl = match outcome {
-                        FrameOutcome::Ack { pos } => Control::Ack { pos },
-                        FrameOutcome::Overloaded { retry_after_ms, pos } => {
+                    match outcome {
+                        Ok(FrameOutcome::Ack { pos }) => Control::Ack { pos },
+                        Ok(FrameOutcome::Overloaded { retry_after_ms, pos }) => {
                             Control::Overloaded { retry_after_ms, pos }
                         }
-                        FrameOutcome::Quarantined { code } => Control::Quarantined { code },
-                        FrameOutcome::Fenced { fencing_epoch } => Control::Fence { fencing_epoch },
-                    };
-                    let terminal =
-                        matches!(ctrl, Control::Quarantined { .. } | Control::Fence { .. });
-                    if write_ctrl(&mut stream, &ctrl).is_err() || terminal {
-                        break 'conn;
+                        Ok(FrameOutcome::Quarantined { code }) | Err(code) => {
+                            Control::Quarantined { code }
+                        }
+                        Ok(FrameOutcome::Fenced { fencing_epoch }) => {
+                            Control::Fence { fencing_epoch }
+                        }
                     }
                 }
                 WireFrame::Control(Control::Trace { trace_id, parent_span }) => {
@@ -536,6 +470,7 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
                     // observational: no reply, no state change beyond
                     // remembering it for the frame that follows.
                     pending_trace = Some(sp_core::TraceContext { trace_id, parent_span });
+                    continue;
                 }
                 WireFrame::Control(_) => {
                     // Clients only send Hello and Trace; anything else is
@@ -553,14 +488,18 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
                     state.protocol_errors.fetch_add(1, Ordering::SeqCst);
                     break 'conn;
                 }
+            };
+            // A verdict ends the connection: the client stops or re-homes.
+            let terminal = matches!(reply, Control::Quarantined { .. } | Control::Fence { .. });
+            if write_ctrl(&mut stream, &reply).is_err() || terminal {
+                break 'conn;
             }
         }
         if dec.corrupted_frames > cfg.garbage_quarantine {
             // Past the garbage budget the client is treated as hostile:
             // its tenant session fails closed.
             if let Some(h) = tenant.as_ref() {
-                let _ = h.tx.send(Cmd::Quarantine { code: QuarantineCode::Garbage });
-                h.quarantined.store(true, Ordering::SeqCst);
+                let _ = h.with(|t| t.quarantine(QuarantineCode::Garbage));
             }
             let _ =
                 write_ctrl(&mut stream, &Control::Quarantined { code: QuarantineCode::Garbage });
@@ -573,16 +512,10 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
 
 impl ServerHandle {
     /// A live tenant report (None when the tenant has no session yet or
-    /// its worker died).
+    /// its lock is poisoned).
     #[must_use]
     pub fn tenant_report(&self, tenant: u32) -> Option<TenantReport> {
-        let h = {
-            let map = unpoison(self.state.tenants.lock());
-            map.get(&tenant).cloned()
-        }?;
-        let (tx, rx) = mpsc::sync_channel(1);
-        h.tx.send(Cmd::Report { reply: tx }).ok()?;
-        rx.recv_timeout(Duration::from_secs(5)).ok()
+        self.state.with_tenant(tenant, |t| t.report())
     }
 
     /// The merged metrics snapshot in Prometheus text exposition format.
@@ -594,7 +527,7 @@ impl ServerHandle {
     /// One tenant's merged span sheet (ingress + engine sections), live.
     #[must_use]
     pub fn tenant_spans(&self, tenant: u32) -> Option<sp_engine::SpanSheet> {
-        self.state.tenant_spans(tenant)
+        self.state.with_tenant(tenant, |t| t.span_sheet())
     }
 
     /// Chrome trace-event JSON over every live tenant (what `/trace`
@@ -661,33 +594,21 @@ impl ServerHandle {
         if let Some(j) = self.metrics_join.take() {
             let _ = j.join();
         }
-        let handles: Vec<Arc<TenantHandle>> = {
-            let mut map = unpoison(self.state.tenants.lock());
-            map.drain().map(|(_, h)| h).collect()
-        };
+        // Every connection thread is joined, so nothing contends for a
+        // tenant lock from here on. Emptying the map drops every session;
+        // a killed one goes without a final checkpoint.
+        let handles = self.state.handles();
+        unpoison(self.state.tenants.lock()).clear();
         let mut tenants = Vec::new();
-        let mut clean = true;
-        for h in handles {
+        let mut clean = graceful;
+        for (_, h) in handles {
             if graceful {
-                let (tx, rx) = mpsc::sync_channel(1);
-                if h.tx.send(Cmd::Drain { reply: tx }).is_ok() {
-                    match rx.recv_timeout(Duration::from_secs(10)) {
-                        Ok(report) => tenants.push(report),
-                        Err(_) => clean = false,
-                    }
-                } else {
-                    clean = false;
+                match h.with(Tenant::drain) {
+                    Ok(report) => tenants.push(report),
+                    Err(_) => clean = false,
                 }
             }
-            // Dropping the handle closes the command channel; a killed
-            // worker exits without checkpointing.
-            let join = unpoison(h.join.lock()).take();
-            drop(h);
-            if let Some(j) = join {
-                let _ = j.join();
-            }
         }
-        tenants.sort_by_key(|t| t.tenant);
         // Dropping the ship sender lets the shipper flush its queue of
         // final (drain-time) checkpoints, collect acks, and exit.
         drop(unpoison(self.state.ship_tx.lock()).take());
@@ -704,7 +625,7 @@ impl ServerHandle {
             corrupted_frames: c(&self.state.corrupted_frames),
             frames: c(&self.state.frames),
             latency: unpoison(self.state.latency.lock()).clone(),
-            clean: clean && graceful,
+            clean,
             fencing_epoch: self.state.repl.fencing_epoch.load(Ordering::SeqCst),
             fenced: self.state.repl.fenced.load(Ordering::SeqCst),
             repl_frames_shipped: c(&self.state.repl.frames_shipped),

@@ -1,8 +1,9 @@
 //! Supervised per-tenant sessions.
 //!
-//! Every tenant gets an isolated pipeline: a dedicated worker thread
-//! owning its own [`sp_query::RunningDsms`], fed through a bounded
-//! channel by whatever connections the tenant has open. The worker is
+//! Every tenant gets an isolated pipeline: one [`sp_query::RunningDsms`]
+//! behind one lock. Whichever connection thread decoded a frame takes the
+//! tenant's lock and pushes the frame itself, so a frame is the unit of
+//! mutual exclusion and nothing is handed to another thread. The lock is
 //! the tenant's *blast radius*: a panic inside its engine, a resume
 //! failure, or a garbage verdict from the transport quarantines exactly
 //! this session — the session stops consuming (fail closed, its last
@@ -10,10 +11,9 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Mutex};
 
 use sp_core::trace::{site, trace_id_for_sp, trace_id_for_tuple};
 use sp_core::{QuarantineCode, StreamElement, StreamId, TraceContext};
@@ -40,7 +40,10 @@ pub type SessionFactory = Arc<dyn Fn(u32) -> Dsms + Send + Sync>;
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore(Arc<Mutex<MemStore>>);
 
-fn unpoison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
+/// Recovers a poisoned guard. Only for data every update leaves valid at
+/// every step (registries, counters, stores) — never for a tenant's
+/// session, whose poison means what it says (see [`TenantHandle::with`]).
+pub(crate) fn unpoison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -142,51 +145,108 @@ pub struct TenantReport {
     pub fence_audit: Vec<u8>,
 }
 
-/// Commands a tenant worker accepts from connection threads and the
-/// server's drain path.
-pub(crate) enum Cmd {
-    /// Push one decoded data frame; reply with the outcome. `trace` is
-    /// the client-supplied causal context for the frame, if any.
-    Frame {
-        stream: StreamId,
-        elements: Vec<StreamElement>,
-        trace: Option<TraceContext>,
-        reply: SyncSender<FrameOutcome>,
-    },
-    /// Quarantine the session (transport-level verdict, e.g. garbage).
-    Quarantine { code: QuarantineCode },
-    /// Report current session state without stopping.
-    Report { reply: SyncSender<TenantReport> },
-    /// Report current engine metrics without stopping.
-    Metrics { reply: SyncSender<MetricsRegistry> },
-    /// Report the merged span sheet (ingress + engine) without stopping.
-    Trace { reply: SyncSender<SpanSheet> },
-    /// Report the rendered audit trail without stopping.
-    Audit { reply: SyncSender<String> },
-    /// Checkpoint (unless quarantined), report, and stop.
-    Drain { reply: SyncSender<TenantReport> },
-}
-
-/// Shared view of one tenant's worker.
+/// One tenant as the server sees it: the session state behind its lock.
 pub(crate) struct TenantHandle {
-    pub tx: SyncSender<Cmd>,
-    /// Mirror of the session's input position (the HelloAck cursor).
-    pub pos: Arc<AtomicU64>,
-    pub quarantined: Arc<AtomicBool>,
-    pub join: Mutex<Option<JoinHandle<()>>>,
+    /// Published copy of "`Tenant::quarantine_code` is set or the lock is
+    /// poisoned", refreshed by [`TenantHandle::with`] before it unlocks.
+    /// It lives outside the lock so `/healthz` and the quarantined-tenants
+    /// gauge never wait on a tenant that is mid-frame or mid-resume.
+    quarantined: AtomicBool,
+    state: Mutex<Tenant>,
 }
 
-/// The worker's owned state.
-struct Worker {
+impl TenantHandle {
+    /// A tenant that resumes from `store` the first time it is used.
+    pub(crate) fn new(
+        id: u32,
+        factory: SessionFactory,
+        store: SharedStore,
+        cfg: ServerConfig,
+        repl: Arc<ReplState>,
+        ship_tx: Option<SyncSender<ShipRequest>>,
+    ) -> Self {
+        Self {
+            quarantined: AtomicBool::new(false),
+            state: Mutex::new(Tenant {
+                id,
+                factory: Some(factory),
+                session: None,
+                store,
+                pos: 0,
+                quarantine_code: None,
+                tuples_ingested: 0,
+                sps_ingested: 0,
+                epoch: 0,
+                frames_seen: 0,
+                frames_since_ckpt: 0,
+                checkpoints_taken: 0,
+                cfg,
+                repl,
+                ship_tx,
+                fenced_refused: 0,
+                fence_audit: FlightRecorder::new(1024),
+                ingress: SpanRecorder::new(cfg.trace_capacity),
+            }),
+        }
+    }
+
+    /// Whether the session is quarantined, without taking its lock.
+    pub(crate) fn is_quarantined(&self) -> bool {
+        self.quarantined.load(Ordering::SeqCst)
+    }
+
+    /// Runs `f` on the (resumed) tenant under its lock. This is the only
+    /// way to the state, and it holds the isolation rules:
+    ///
+    /// * a panic inside `f` quarantines the tenant — the engine state may
+    ///   be mid-mutation, so it is dropped, the last good checkpoint
+    ///   stands — and yields `Err(Panicked)`;
+    /// * a poisoned lock (a panic that escaped the rule above, e.g. while
+    ///   dropping that state) is never recovered: engine state may be
+    ///   half-written, so it yields `Err(Panicked)` for good.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut Tenant) -> R) -> Result<R, QuarantineCode> {
+        let Ok(mut tenant) = self.state.lock() else {
+            self.quarantined.store(true, Ordering::SeqCst);
+            return Err(QuarantineCode::Panicked);
+        };
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            tenant.ensure_started();
+            f(&mut tenant)
+        }));
+        if out.is_err() {
+            // Published first: if dropping the session panics too, the
+            // lock is poisoned with the flag already up.
+            self.quarantined.store(true, Ordering::SeqCst);
+            tenant.quarantine(QuarantineCode::Panicked);
+        }
+        self.quarantined.store(tenant.quarantine_code.is_some(), Ordering::SeqCst);
+        out.map_err(|_| QuarantineCode::Panicked)
+    }
+
+    /// The handshake: the replay cursor, or why there is no session. Read
+    /// under the lock, so frames another connection of this tenant already
+    /// handed over are counted before a reconnecting client is told where
+    /// to resume.
+    pub(crate) fn hello(&self) -> Result<u64, QuarantineCode> {
+        self.with(|t| t.quarantine_code.map_or(Ok(t.pos), Err))?
+    }
+}
+
+/// One tenant's session state. Reached only through
+/// [`TenantHandle::with`].
+pub(crate) struct Tenant {
     id: u32,
-    dsms: Dsms,
-    /// `None` once quarantined — the engine state is untrusted (panic)
-    /// or was never trusted (resume failure), so it is dropped rather
-    /// than consulted.
-    session: Option<RunningDsms>,
+    /// Taken by the first use, which builds and resumes the session.
+    factory: Option<SessionFactory>,
+    /// The running session and the `Dsms` it was started from. `None`
+    /// once quarantined — the engine state is untrusted (panic) or was
+    /// never trusted (resume failure), so it is dropped rather than
+    /// consulted.
+    session: Option<(Dsms, RunningDsms)>,
     store: SharedStore,
-    pos: Arc<AtomicU64>,
-    quarantined: Arc<AtomicBool>,
+    /// The session's input position after the last whole frame (the
+    /// HelloAck cursor); outlives a dropped session.
+    pub(crate) pos: u64,
     quarantine_code: Option<QuarantineCode>,
     tuples_ingested: u64,
     sps_ingested: u64,
@@ -204,17 +264,44 @@ struct Worker {
     ingress: SpanRecorder,
 }
 
-impl Worker {
-    fn quarantine(&mut self, code: QuarantineCode) {
-        self.session = None;
-        self.quarantine_code.get_or_insert(code);
-        self.quarantined.store(true, Ordering::SeqCst);
+impl Tenant {
+    /// Builds the session and resumes it from the store, once. This runs
+    /// under the tenant's lock, never the tenants-map lock: a slow or
+    /// panicking resume holds up this tenant's `Hello` only.
+    fn ensure_started(&mut self) {
+        let Some(factory) = self.factory.take() else { return };
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            let dsms = factory(self.id);
+            let session = dsms.resume(&self.store);
+            (dsms, session)
+        }));
+        match built {
+            Ok((dsms, Ok(session))) => {
+                self.pos = session.input_pos();
+                // Epochs stay monotone across incarnations: a resumed
+                // session checkpoints *after* the epoch it restored, so
+                // replication idempotence (refuse epoch ≤ applied) never
+                // mistakes a fresh post-restart checkpoint for a stale
+                // duplicate.
+                self.epoch = self.store.load_latest().map_or(0, |c| c.epoch);
+                self.session = Some((dsms, session));
+            }
+            // A corrupt checkpoint or a factory panic both fail
+            // closed: the tenant starts quarantined rather than
+            // half-restored.
+            _ => self.quarantine(QuarantineCode::ResumeFailed),
+        }
     }
 
-    /// Pushes one frame's elements, tracking admission refusals.
-    /// Runs under `catch_unwind`: a panic anywhere in here quarantines
-    /// the tenant (the caller handles the unwind).
-    fn push_frame(
+    /// Fails the session closed. The first cause wins.
+    pub(crate) fn quarantine(&mut self, code: QuarantineCode) {
+        self.session = None;
+        self.quarantine_code.get_or_insert(code);
+    }
+
+    /// Pushes one decoded data frame's elements into the session,
+    /// tracking admission refusals.
+    pub(crate) fn push_frame(
         &mut self,
         stream: StreamId,
         elements: Vec<StreamElement>,
@@ -223,7 +310,7 @@ impl Worker {
         self.frames_seen += 1;
         if self.cfg.chaos_fence_at_frame > 0 && self.frames_seen == self.cfg.chaos_fence_at_frame {
             // Chaos: a deposing epoch lands while this frame is already
-            // past the connection-level fence check — the worker-level
+            // past the connection-level fence check — the tenant-level
             // gate below must fail closed on it.
             let epoch = self.repl.fencing_epoch.load(Ordering::SeqCst) + 1;
             self.repl.observe_epoch(epoch);
@@ -235,16 +322,12 @@ impl Worker {
             // audits a terminal fail-closed state.
             let refused = elements.len() as u64;
             self.fenced_refused += refused;
-            self.fence_audit.record(
-                NO_TUPLE,
-                self.pos.load(Ordering::SeqCst),
-                AuditEvent::RecoveryFailClosed { refused },
-            );
+            self.fence_audit.record(NO_TUPLE, self.pos, AuditEvent::RecoveryFailClosed { refused });
             return FrameOutcome::Fenced {
                 fencing_epoch: self.repl.fencing_epoch.load(Ordering::SeqCst),
             };
         }
-        let Some(session) = self.session.as_mut() else {
+        let Some((_, session)) = self.session.as_mut() else {
             return FrameOutcome::Quarantined {
                 code: self.quarantine_code.unwrap_or(QuarantineCode::Panicked),
             };
@@ -253,7 +336,7 @@ impl Worker {
         for elem in elements {
             if let Some(chaos) = self.cfg.chaos_panic {
                 if chaos.tenant == self.id && session.input_pos() >= chaos.at_pos {
-                    panic!("chaos: deliberate tenant worker panic");
+                    panic!("chaos: deliberate tenant panic");
                 }
             }
             let is_tuple = elem.is_tuple();
@@ -286,7 +369,7 @@ impl Worker {
             }
         }
         let pos = session.input_pos();
-        self.pos.store(pos, Ordering::SeqCst);
+        self.pos = pos;
         self.frames_since_ckpt += 1;
         if self.cfg.checkpoint_every_frames > 0
             && self.frames_since_ckpt >= self.cfg.checkpoint_every_frames
@@ -300,7 +383,7 @@ impl Worker {
     }
 
     fn checkpoint(&mut self) {
-        if let Some(session) = self.session.as_ref() {
+        if let Some((_, session)) = self.session.as_ref() {
             self.epoch += 1;
             if session.checkpoint_to(self.epoch, &mut self.store).is_ok() {
                 self.checkpoints_taken += 1;
@@ -317,19 +400,36 @@ impl Worker {
 
     /// The merged span sheet: the ingress (wire-frame) section followed
     /// by the engine's analyzer/operator sections, in canonical order.
-    fn span_sheet(&self) -> SpanSheet {
-        let mut sheet = self.session.as_ref().map(RunningDsms::span_sheet).unwrap_or_default();
+    pub(crate) fn span_sheet(&self) -> SpanSheet {
+        let mut sheet = self.session.as_ref().map(|(_, s)| s.span_sheet()).unwrap_or_default();
         if !self.ingress.is_empty() || self.ingress.evicted() > 0 {
             sheet.push_section(AuditOp::Ingress, self.ingress.clone());
         }
         sheet
     }
 
-    fn report(&self) -> TenantReport {
+    /// Engine metrics (empty once quarantined).
+    pub(crate) fn metrics(&self) -> MetricsRegistry {
+        self.session.as_ref().map(|(_, s)| s.metrics()).unwrap_or_default()
+    }
+
+    /// The rendered audit trail (empty once quarantined).
+    pub(crate) fn audit_text(&self) -> String {
+        self.session.as_ref().map(|(_, s)| s.audit_trail().render(None)).unwrap_or_default()
+    }
+
+    /// Graceful end: checkpoint (unless quarantined), then report.
+    pub(crate) fn drain(&mut self) -> TenantReport {
+        if self.quarantine_code.is_none() {
+            self.checkpoint();
+        }
+        self.report()
+    }
+
+    pub(crate) fn report(&self) -> TenantReport {
         let (released, audit, admission_rejected) = match self.session.as_ref() {
-            Some(session) => {
-                let released = self
-                    .dsms
+            Some((dsms, session)) => {
+                let released = dsms
                     .queries()
                     .iter()
                     .map(|q| {
@@ -348,8 +448,8 @@ impl Worker {
         };
         TenantReport {
             tenant: self.id,
-            input_pos: self.pos.load(Ordering::SeqCst),
-            quarantined: self.quarantined.load(Ordering::SeqCst),
+            input_pos: self.pos,
+            quarantined: self.quarantine_code.is_some(),
             quarantine_code: self.quarantine_code,
             tuples_ingested: self.tuples_ingested,
             sps_ingested: self.sps_ingested,
@@ -367,122 +467,66 @@ impl Worker {
             },
         }
     }
-
-    fn run(mut self, rx: &Receiver<Cmd>) {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                Cmd::Frame { stream, elements, trace, reply } => {
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| self.push_frame(stream, elements, trace)));
-                    let outcome = match outcome {
-                        Ok(o) => o,
-                        Err(_) => {
-                            // The engine state may be mid-mutation:
-                            // untrusted. Fail closed — drop it, keep the
-                            // last good checkpoint, quarantine.
-                            self.quarantine(QuarantineCode::Panicked);
-                            FrameOutcome::Quarantined { code: QuarantineCode::Panicked }
-                        }
-                    };
-                    let _ = reply.send(outcome);
-                }
-                Cmd::Quarantine { code } => self.quarantine(code),
-                Cmd::Report { reply } => {
-                    let _ = reply.send(self.report());
-                }
-                Cmd::Metrics { reply } => {
-                    let reg = self.session.as_ref().map(RunningDsms::metrics).unwrap_or_default();
-                    let _ = reply.send(reg);
-                }
-                Cmd::Trace { reply } => {
-                    let _ = reply.send(self.span_sheet());
-                }
-                Cmd::Audit { reply } => {
-                    let text = self
-                        .session
-                        .as_ref()
-                        .map(|s| s.audit_trail().render(None))
-                        .unwrap_or_default();
-                    let _ = reply.send(text);
-                }
-                Cmd::Drain { reply } => {
-                    if !self.quarantined.load(Ordering::SeqCst) {
-                        self.checkpoint();
-                    }
-                    let _ = reply.send(self.report());
-                    return;
-                }
-            }
-        }
-        // All senders dropped without a drain: a hard kill. No final
-        // checkpoint — the last periodic one stands, and resume replays
-        // from it.
-    }
 }
 
-/// Spawns the worker thread for a tenant, resuming from its store.
-pub(crate) fn spawn_tenant(
-    id: u32,
-    factory: &SessionFactory,
-    store: SharedStore,
-    cfg: ServerConfig,
-    repl: Arc<ReplState>,
-    ship_tx: Option<SyncSender<ShipRequest>>,
-) -> TenantHandle {
-    let (tx, rx) = mpsc::sync_channel::<Cmd>(256);
-    let pos = Arc::new(AtomicU64::new(0));
-    let quarantined = Arc::new(AtomicBool::new(false));
-    let factory = Arc::clone(factory);
-    let (pos_t, quarantined_t) = (Arc::clone(&pos), Arc::clone(&quarantined));
-    let join = std::thread::Builder::new().name(format!("tenant-{id}")).spawn(move || {
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            let dsms = factory(id);
-            let session = dsms.resume(&store);
-            (dsms, session)
-        }));
-        let mut worker = Worker {
-            id,
-            dsms: Dsms::new(),
-            session: None,
-            store,
-            pos: pos_t,
-            quarantined: quarantined_t,
-            quarantine_code: None,
-            tuples_ingested: 0,
-            sps_ingested: 0,
-            epoch: 0,
-            frames_seen: 0,
-            frames_since_ckpt: 0,
-            checkpoints_taken: 0,
-            cfg,
-            repl,
-            ship_tx,
-            fenced_refused: 0,
-            fence_audit: FlightRecorder::new(1024),
-            ingress: SpanRecorder::new(cfg.trace_capacity),
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use sp_engine::TelemetryConfig;
+    use sp_mog::{location_stream, MovingObjectSim, WorkloadConfig};
+
+    fn handle(id: u32) -> TenantHandle {
+        let factory: SessionFactory = Arc::new(|tenant| {
+            let mut dsms = Dsms::new();
+            dsms.register_stream(StreamId(1), MovingObjectSim::location_schema()).unwrap();
+            dsms.register_role("analyst").unwrap();
+            let subject = dsms.register_subject(&format!("tenant-{tenant}"), &["analyst"]).unwrap();
+            dsms.submit("SELECT obj_id FROM LocationUpdates WHERE speed >= 5.0", subject).unwrap();
+            dsms.telemetry = Some(TelemetryConfig::enabled());
+            dsms
+        });
+        let repl = Arc::new(ReplState::new(1));
+        TenantHandle::new(id, factory, SharedStore::default(), ServerConfig::default(), repl, None)
+    }
+
+    #[test]
+    fn poisoned_lock_reads_as_panicked_and_spares_the_neighbour() {
+        let w = location_stream(&WorkloadConfig { objects: 20, ticks: 10, ..Default::default() });
+        let frames: Vec<&[StreamElement]> = w.elements.chunks(16).collect();
+        let feed = |h: &TenantHandle, frames: &[&[StreamElement]]| -> Vec<_> {
+            frames.iter().map(|f| h.with(|t| t.push_frame(w.stream, f.to_vec(), None))).collect()
         };
-        match built {
-            Ok((dsms, Ok(session))) => {
-                worker.pos.store(session.input_pos(), Ordering::SeqCst);
-                // Epochs stay monotone across incarnations: a resumed
-                // session checkpoints *after* the epoch it restored, so
-                // replication idempotence (refuse epoch ≤ applied) never
-                // mistakes a fresh post-restart checkpoint for a stale
-                // duplicate.
-                worker.epoch = worker.store.load_latest().map_or(0, |c| c.epoch);
-                worker.dsms = dsms;
-                worker.session = Some(session);
-            }
-            // A corrupt checkpoint or a factory panic both fail
-            // closed: the tenant starts quarantined rather than
-            // half-restored.
-            Ok((dsms, Err(_))) => {
-                worker.dsms = dsms;
-                worker.quarantine(QuarantineCode::ResumeFailed);
-            }
-            Err(_) => worker.quarantine(QuarantineCode::ResumeFailed),
-        }
-        worker.run(&rx);
-    });
-    TenantHandle { tx, pos, quarantined, join: Mutex::new(join.ok()) }
+        let alone = handle(0);
+        feed(&alone, &frames);
+        let want = alone.with(|t| t.report()).unwrap();
+        assert!(want.released.iter().any(|(_, v)| !v.is_empty()));
+
+        let (neighbour, victim) = (handle(0), handle(1));
+        let (head, tail) = frames.split_at(frames.len() / 2);
+        feed(&neighbour, head);
+        assert!(feed(&victim, head).iter().all(|o| matches!(o, Ok(FrameOutcome::Ack { .. }))));
+        assert_eq!(victim.hello(), Ok(head.iter().map(|f| f.len() as u64).sum()));
+
+        // A panic that unwinds through the guard itself, past `with`'s
+        // `catch_unwind`: the state may be half-written for all anyone knows.
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = victim.state.lock().unwrap();
+            panic!("poisoning tenant 1's lock");
+        }));
+        assert!(poisoned.is_err());
+
+        assert!(feed(&victim, tail).iter().all(|o| *o == Err(QuarantineCode::Panicked)));
+        assert_eq!(victim.hello(), Err(QuarantineCode::Panicked));
+        assert!(victim.is_quarantined());
+        assert!(victim.with(|t| t.report()).is_err(), "a poisoned tenant reports no releases");
+
+        feed(&neighbour, tail);
+        assert!(!neighbour.is_quarantined());
+        let got = neighbour.with(|t| t.report()).unwrap();
+        assert_eq!(got.released, want.released);
+        assert_eq!(got.audit, want.audit);
+        assert_eq!(got.input_pos, w.elements.len() as u64);
+    }
 }

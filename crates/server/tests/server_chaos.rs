@@ -504,3 +504,123 @@ fn connection_cap_refuses_loudly() {
     let report = handle.drain();
     assert!(report.conns_refused >= 1);
 }
+
+/// One raw connection to `tenant`: handshake, then deliver `frames` one
+/// at a time, each awaiting its reply. Every client meets at `round`
+/// before each frame, so frame k of every connection is in flight at
+/// once. Returns the `Ack` position of every frame.
+fn raw_lockstep_client(
+    addr: std::net::SocketAddr,
+    tenant: u32,
+    frames: &[Vec<u8>],
+    round: &std::sync::Barrier,
+) -> Vec<u64> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut dec = sp_core::StreamDecoder::new(1 << 16);
+    let mut buf = [0u8; 4096];
+    let mut next_ctrl = |stream: &mut TcpStream| loop {
+        let n = stream.read(&mut buf).expect("server reply");
+        assert!(n > 0, "server closed the connection");
+        if let Some(sp_core::WireFrame::Control(c)) = dec.feed(&buf[..n]).into_iter().next() {
+            return c;
+        }
+    };
+    stream.write_all(&sp_core::Control::Hello { tenant, acked: 0 }.encode_to_vec()).unwrap();
+    assert!(matches!(next_ctrl(&mut stream), sp_core::Control::HelloAck { .. }));
+    frames
+        .iter()
+        .map(|frame| {
+            round.wait();
+            stream.write_all(frame).unwrap();
+            match next_ctrl(&mut stream) {
+                sp_core::Control::Ack { pos } => pos,
+                other => panic!("expected Ack, got {other:?}"),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_connections_to_one_tenant_serialize_whole_frames() {
+    const FRAME: usize = 8;
+    const CLIENTS: u64 = 2;
+    const TID_STRIDE: u64 = 1_000_000;
+    // Each client offers the same stream shape under its own tid range,
+    // every tuple with a tid of its own (the simulator reuses object ids).
+    let offered = |client: u64| -> Vec<StreamElement> {
+        workload_input(18)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (_, e))| match e {
+                StreamElement::Tuple(t) => StreamElement::tuple(sp_core::Tuple::new(
+                    t.sid,
+                    sp_core::TupleId(client * TID_STRIDE + i as u64),
+                    t.ts,
+                    t.values().to_vec(),
+                )),
+                sp => sp,
+            })
+            .collect()
+    };
+    let inputs: Vec<Vec<StreamElement>> = (0..CLIENTS).map(offered).collect();
+    let total: usize = inputs.iter().map(Vec::len).sum();
+    let sps = inputs.iter().flatten().filter(|e| !e.is_tuple()).count();
+    // tid → (client, frame index): the frame each tuple travelled in.
+    let frame_of = |tid: u64| (tid / TID_STRIDE, (tid % TID_STRIDE) as usize / FRAME);
+
+    let handle = Server::start(default_cfg(), factory(None), StoreMap::new()).unwrap();
+    let addr = handle.addr;
+    let round = std::sync::Barrier::new(inputs.len());
+    let acks: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let clients: Vec<_> = inputs
+            .iter()
+            .map(|input| {
+                let frames: Vec<Vec<u8>> = input
+                    .chunks(FRAME)
+                    .map(|c| Message { stream: StreamId(1), elements: c.to_vec() }.encode_to_vec())
+                    .collect();
+                let round = &round;
+                s.spawn(move || raw_lockstep_client(addr, 0, &frames, round))
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+
+    // Every frame moved the one cursor by exactly its own length: the
+    // Ack positions of both connections together are distinct, and the
+    // last one is the total offered.
+    let mut all_acks: Vec<u64> = acks.iter().flatten().copied().collect();
+    all_acks.sort_unstable();
+    assert!(all_acks.windows(2).all(|w| w[0] < w[1]), "two frames were acked at one position");
+    assert_eq!(all_acks.last().copied(), Some(total as u64));
+    for per_conn in &acks {
+        assert!(per_conn.windows(2).all(|w| w[0] < w[1]), "a connection's cursor went back");
+    }
+
+    // The shield's decisions, in order, from the audit trail.
+    let audit = handle.audit_text();
+    let decided: Vec<u64> = audit
+        .lines()
+        .take_while(|l| *l != "-- spans --")
+        .filter_map(|l| l.split_once("] tuple ")?.1.split(' ').next()?.parse().ok())
+        .collect();
+    let report = handle.drain();
+    assert!(report.clean);
+    let t = report.tenant(0).unwrap();
+    assert!(!t.quarantined);
+    assert_eq!(t.input_pos, total as u64, "every offered element consumed exactly once");
+    assert_eq!(t.sps_ingested, sps as u64, "every sp ingested");
+    assert_eq!(t.tuples_ingested, (total - sps) as u64);
+
+    assert_eq!(decided.len(), total - sps, "one shield decision per offered tuple: {audit}");
+    assert_eq!(decided.iter().collect::<HashSet<_>>().len(), decided.len(), "a tuple ran twice");
+    // A frame is the unit of mutual exclusion: once the trail moves on to
+    // another frame it never comes back to an earlier one.
+    let mut runs: Vec<(u64, usize)> = decided.iter().map(|tid| frame_of(*tid)).collect();
+    runs.dedup();
+    assert_eq!(runs.iter().collect::<HashSet<_>>().len(), runs.len(), "a frame was split");
+    // And the rounds made the connections take turns, so that was tested.
+    let switches = runs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    assert!(switches >= total / FRAME / CLIENTS as usize, "no interleaving: {switches} switches");
+}
