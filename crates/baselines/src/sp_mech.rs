@@ -49,9 +49,7 @@ impl SpMechanism {
     ) -> Self {
         Self {
             analyzer: SpAnalyzer::new(schema, catalog),
-            // The mechanism has its own stopwatch; the shield's internal
-            // per-element timing would double-count clock reads.
-            shield: SecurityShield::new(query_roles).without_timing(),
+            shield: SecurityShield::new(query_roles),
             in_flight: in_flight.max(1),
             window: VecDeque::new(),
             window_total: 0,

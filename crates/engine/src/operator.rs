@@ -94,15 +94,17 @@ pub trait Operator: Send {
     /// batch-capable by construction. Hot operators override this with
     /// vectorized fast paths (the Security Shield releases or suppresses a
     /// whole segment run under one cached verdict; select/project run
-    /// tight loops without per-element clock reads).
+    /// tight loops with bulk counter updates). Operators do not time
+    /// themselves: the executor reads the clock around this call, once
+    /// per batch, and only while metrics are on.
     ///
     /// **Equivalence contract**: an override must be observationally
     /// identical to the default — same emitted elements in the same
     /// order, same logical counters, same audit records, same snapshot
     /// bytes — for *any* batch, including mixed-kind ones (the routers
     /// only build kind-homogeneous batches, but the differential tests
-    /// drive arbitrary cuts). Only wall-clock cost buckets, which are
-    /// excluded from canonical encodings, may differ.
+    /// drive arbitrary cuts). Only SAJoin's wall-clock cost buckets
+    /// (Fig. 9), which are excluded from canonical encodings, may differ.
     ///
     /// # Errors
     ///
@@ -121,7 +123,7 @@ pub trait Operator: Send {
         Ok(())
     }
 
-    /// Cost counters.
+    /// Logical counters (plus SAJoin's Fig. 9 cost buckets).
     fn stats(&self) -> &OperatorStats;
 
     /// Fail-closed degradation counters this operator contributes, if it
@@ -254,8 +256,9 @@ pub trait Operator: Send {
     /// caches are excluded), so checkpoints can be compared byte-wise
     /// across runs and runtimes. Configuration (predicates, windows,
     /// roles) is *not* serialized — a restore target is rebuilt from the
-    /// same plan, so only runtime state travels. Wall-clock cost buckets
-    /// are excluded for the same reason; logical counters are included via
+    /// same plan, so only runtime state travels. SAJoin's wall-clock
+    /// cost buckets are excluded for the same reason; logical counters
+    /// are included via
     /// [`OperatorStats::encode_counters`](crate::stats::OperatorStats::encode_counters).
     ///
     /// Stateless operators use the default empty snapshot.

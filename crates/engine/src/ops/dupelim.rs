@@ -31,7 +31,7 @@ use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
-use crate::stats::{CostKind, OperatorStats};
+use crate::stats::OperatorStats;
 use crate::window::WindowSpec;
 
 /// Output-state entry for one distinct value.
@@ -146,16 +146,13 @@ impl Operator for DupElim {
         }
         match elem {
             Element::Policy(seg) => {
-                let start = std::time::Instant::now();
                 self.stats.sps_in += 1;
                 let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
                 if newer {
                     self.current = Some(seg);
                 }
-                self.stats.charge(CostKind::Sp, start.elapsed());
             }
             Element::Tuple(tuple) => {
-                let start = std::time::Instant::now();
                 self.stats.tuples_in += 1;
                 self.expire(tuple.ts);
                 let p_new: SharedPolicy = match &self.current {
@@ -197,13 +194,10 @@ impl Operator for DupElim {
                         }
                     }
                 };
-                self.stats.charge(CostKind::Tuple, start.elapsed());
                 if let Some(roles) = action {
                     if !roles.is_empty() {
                         let ts = tuple.ts;
-                        let emit_start = std::time::Instant::now();
                         self.emit(out, tuple, roles, ts);
-                        self.stats.charge(CostKind::Tuple, emit_start.elapsed());
                     } else {
                         self.stats.tuples_shielded += 1;
                     }

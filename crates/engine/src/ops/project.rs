@@ -12,7 +12,7 @@
 use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
-use crate::stats::{CostKind, OperatorStats};
+use crate::stats::OperatorStats;
 
 /// The projection operator.
 #[derive(Debug)]
@@ -64,25 +64,18 @@ impl Operator for Project {
             return Err(EngineError::BadPort { operator: "project".into(), port, arity: 1 });
         }
         match elem {
-            Element::Policy(seg) => {
-                let start = std::time::Instant::now();
-                self.remap_policy(&seg, out);
-                self.stats.charge(CostKind::Sp, start.elapsed());
-            }
+            Element::Policy(seg) => self.remap_policy(&seg, out),
             Element::Tuple(tuple) => {
-                let start = std::time::Instant::now();
                 self.stats.tuples_in += 1;
                 self.stats.tuples_out += 1;
                 out.push(Element::tuple(tuple.project(&self.indices)));
-                self.stats.charge(CostKind::Tuple, start.elapsed());
             }
         }
         Ok(())
     }
 
     /// Vectorized fast path: a tuple run projects in one tight loop with
-    /// bulk counter updates, one output reservation, and a single clock
-    /// pair for the whole batch.
+    /// bulk counter updates and one output reservation.
     fn process_batch(
         &mut self,
         port: usize,
@@ -92,8 +85,6 @@ impl Operator for Project {
         if port != 0 {
             return Err(EngineError::BadPort { operator: "project".into(), port, arity: 1 });
         }
-        let start = std::time::Instant::now();
-        let cost = if batch.is_control() { CostKind::Sp } else { CostKind::Tuple };
         if batch.is_tuples() && !batch.is_control() {
             let n = batch.len();
             self.stats.tuples_in += n as u64;
@@ -116,7 +107,6 @@ impl Operator for Project {
                 }
             }
         }
-        self.stats.charge(cost, start.elapsed());
         Ok(())
     }
 

@@ -23,7 +23,7 @@ use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
-use crate::stats::{CostKind, OperatorStats};
+use crate::stats::OperatorStats;
 use crate::window::WindowSpec;
 
 /// Security-aware bag union.
@@ -69,7 +69,6 @@ impl Operator for Union {
         }
         match elem {
             Element::Policy(seg) => {
-                let start = std::time::Instant::now();
                 self.stats.sps_in += 1;
                 let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
                 if newer {
@@ -79,10 +78,8 @@ impl Operator for Union {
                     }
                     self.current[port] = Some(seg);
                 }
-                self.stats.charge(CostKind::Sp, start.elapsed());
             }
             Element::Tuple(tuple) => {
-                let start = std::time::Instant::now();
                 self.stats.tuples_in += 1;
                 let needs_announce = match (&self.announced, &self.current[port]) {
                     (Some((p, seg)), Some(cur)) => *p != port || !Arc::ptr_eq(seg, cur),
@@ -113,7 +110,6 @@ impl Operator for Union {
                 }
                 self.stats.tuples_out += 1;
                 out.push(Element::Tuple(tuple));
-                self.stats.charge(CostKind::Tuple, start.elapsed());
             }
         }
         Ok(())
@@ -219,11 +215,9 @@ impl SAIntersect {
 
     fn invalidate(&mut self, side: usize, now: Timestamp) {
         let Some(horizon) = self.window.horizon(now) else { return };
-        let start = std::time::Instant::now();
         while self.windows[side].front().is_some_and(|(t, _)| t.ts <= horizon) {
             self.windows[side].pop_front();
         }
-        self.stats.charge(CostKind::TupleMaintenance, start.elapsed());
     }
 }
 
@@ -247,13 +241,11 @@ impl Operator for SAIntersect {
         }
         match elem {
             Element::Policy(seg) => {
-                let start = std::time::Instant::now();
                 self.stats.sps_in += 1;
                 let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
                 if newer {
                     self.current[port] = Some(seg);
                 }
-                self.stats.charge(CostKind::SpMaintenance, start.elapsed());
             }
             Element::Tuple(tuple) => {
                 self.stats.tuples_in += 1;
@@ -272,7 +264,6 @@ impl Operator for SAIntersect {
                 // the own-side insert is equivalent — a tuple never probes
                 // its own window — and lets the policy Arc move into the
                 // window instead of being cloned.
-                let start = std::time::Instant::now();
                 let mut combined = sp_core::RoleSet::new();
                 for (u, up) in &self.windows[1 - port] {
                     if u.values() == tuple.values() {
@@ -281,17 +272,13 @@ impl Operator for SAIntersect {
                         combined.union_with(&pair);
                     }
                 }
-                let probe_cost = start.elapsed();
                 // Insert into own window (count windows trim here).
-                let maint = std::time::Instant::now();
                 self.windows[port].push_back((tuple.clone(), policy));
                 if let Some(capacity) = self.window.capacity() {
                     while self.windows[port].len() > capacity {
                         self.windows[port].pop_front();
                     }
                 }
-                self.stats.charge(CostKind::TupleMaintenance, maint.elapsed());
-                let start = std::time::Instant::now();
                 if !combined.is_empty() {
                     let out_policy = Policy::tuple_level(combined, tuple.ts);
                     let repeated = self
@@ -308,7 +295,6 @@ impl Operator for SAIntersect {
                 } else {
                     self.stats.tuples_shielded += 1;
                 }
-                self.stats.charge(CostKind::Join, probe_cost + start.elapsed());
             }
         }
         Ok(())

@@ -25,12 +25,18 @@
 //! [`Executor::push_all`] additionally *defers* drains across inputs on
 //! binary-free plans (where per-operator input order alone fixes every
 //! observable), letting whole segments accumulate into one run between
-//! punctuation cuts; [`MAX_DEFERRED_INPUTS`] bounds queue growth.
+//! punctuation cuts; [`MAX_DEFERRED_INPUTS`] bounds queue growth. This is
+//! the production path: a session hands each decoded frame to `push_all`
+//! whole, and [`Executor::push`] is its one-element case.
+//!
+//! **One clock.** Operators do not time themselves. The executor reads
+//! the clock around each operator call — one pair per *batch* — and only
+//! while `telemetry.metrics` is on, to feed `sp_operator_latency_ns`.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 use sp_core::{RoleCatalog, Schema, StreamElement, StreamId};
 
@@ -107,8 +113,6 @@ impl From<NodeRef> for Upstream {
 pub(crate) struct Node {
     pub(crate) op: Box<dyn Operator>,
     pub(crate) outputs: Vec<Target>,
-    /// Wall time spent inside `process`, measured by the executor.
-    pub(crate) elapsed: Duration,
 }
 
 pub(crate) struct Source {
@@ -232,7 +236,7 @@ impl PlanBuilder {
     pub fn add(&mut self, op: impl Operator + 'static, input: impl Into<Upstream>) -> NodeRef {
         debug_assert_eq!(op.arity(), 1, "use add_binary for binary operators");
         let node = NodeRef(self.nodes.len());
-        self.nodes.push(Node { op: Box::new(op), outputs: Vec::new(), elapsed: Duration::ZERO });
+        self.nodes.push(Node { op: Box::new(op), outputs: Vec::new() });
         self.connect(input.into(), Target::Node(node.0, 0));
         node
     }
@@ -247,7 +251,7 @@ impl PlanBuilder {
     ) -> NodeRef {
         debug_assert_eq!(op.arity(), 2, "operator is not binary");
         let node = NodeRef(self.nodes.len());
-        self.nodes.push(Node { op: Box::new(op), outputs: Vec::new(), elapsed: Duration::ZERO });
+        self.nodes.push(Node { op: Box::new(op), outputs: Vec::new() });
         self.connect(left.into(), Target::Node(node.0, 0));
         self.connect(right.into(), Target::Node(node.0, 1));
         node
@@ -387,7 +391,8 @@ impl Executor {
         self.drain()
     }
 
-    /// Feeds a whole batch, then drains.
+    /// Feeds a whole batch — in production, one decoded frame's admitted
+    /// elements — then drains.
     ///
     /// On binary-free plans with batching enabled, inputs are *staged*
     /// and the plan drained only every [`MAX_DEFERRED_INPUTS`] inputs (and
@@ -403,7 +408,9 @@ impl Executor {
     /// Stops at and returns the first [`EngineError`]. In deferred mode
     /// the failure discards all staged work, including outputs of inputs
     /// staged before the failing one — strictly more fail-closed than the
-    /// per-input path (never releases more).
+    /// per-input path (never releases more). The discarded work can
+    /// include policy updates bound for operators that did not fail, so
+    /// an executor that returned an error must not be fed again.
     pub fn push_all(
         &mut self,
         items: impl IntoIterator<Item = (StreamId, StreamElement)>,
@@ -427,11 +434,11 @@ impl Executor {
     }
 
     /// Enables or disables batch coalescing and deferred draining (on by
-    /// default). Disabled, the executor routes singleton batches through
-    /// `process_batch` and drains after every input — the tuple-at-a-time
-    /// reference mode the differential equivalence suite (`batch_equiv.rs`)
-    /// and perfbench's `engine.mode.tuple_at_a_time.vs_sequential` row
-    /// compare against.
+    /// default, and what every session runs). Disabled, the executor
+    /// routes singleton batches through `process_batch` and drains after
+    /// every input — the tuple-at-a-time reference the differential
+    /// equivalence suite (`batch_equiv.rs`) and perfbench's
+    /// `engine.mode.tuple_at_a_time.vs_sequential` row compare against.
     pub fn set_batching(&mut self, batching: bool) {
         self.batching = batching;
     }
@@ -461,46 +468,51 @@ impl Executor {
 
     fn drain(&mut self) -> Result<(), EngineError> {
         let mut emitter = std::mem::take(&mut self.emitter);
+        let mut result = Ok(());
         while let Some((target, batch)) = self.queue.pop_front() {
-            match target {
+            result = match target {
                 Target::Sink(i) => {
                     let result = self.sinks[i].process_batch(0, batch, &mut emitter);
                     debug_assert!(emitter.is_empty(), "sinks do not emit");
-                    if let Err(e) = result {
-                        self.queue.clear();
-                        let _ = emitter.take();
-                        self.emitter = emitter;
-                        return Err(e);
-                    }
+                    result
                 }
                 Target::Node(n, port) => {
                     let node = &mut self.nodes[n];
                     let len = batch.len() as u64;
-                    let start = std::time::Instant::now();
+                    // The only per-call clock, read only while someone
+                    // consumes it: one pair per batch; the histogram
+                    // records the per-element average `len` times so
+                    // counts still mean "elements processed".
+                    let start = self.telemetry.metrics.then(Instant::now);
                     let result = node.op.process_batch(port, batch, &mut emitter);
-                    let elapsed = start.elapsed();
-                    node.elapsed += elapsed;
-                    if self.telemetry.metrics {
-                        // One clock pair per batch; the histogram records
-                        // the per-element average `len` times so counts
-                        // still mean "elements processed".
+                    if let Some(start) = start {
                         #[allow(clippy::cast_possible_truncation)] // < 585 years
-                        self.latency[n].record_n(elapsed.as_nanos() as u64 / len.max(1), len);
+                        let ns = start.elapsed().as_nanos() as u64;
+                        self.latency[n].record_n(ns / len.max(1), len);
                         self.queue_depth.record(self.queue.len() as u64);
                     }
-                    if let Err(e) = result {
-                        self.queue.clear();
-                        let _ = emitter.take();
-                        self.emitter = emitter;
-                        return Err(e);
+                    if result.is_ok() {
+                        enqueue_fanout(
+                            &mut self.queue,
+                            &node.outputs,
+                            emitter.drain(),
+                            self.batching,
+                        );
                     }
-                    let outputs = &self.nodes[n].outputs;
-                    enqueue_fanout(&mut self.queue, outputs, emitter.drain(), self.batching);
+                    result
                 }
+            };
+            if result.is_err() {
+                // Fail closed: everything staged behind the failure —
+                // including the failing call's own partial output — is
+                // discarded, never released.
+                self.queue.clear();
+                let _ = emitter.take();
+                break;
             }
         }
         self.emitter = emitter;
-        Ok(())
+        result
     }
 
     /// The sink's collected results.
@@ -518,12 +530,6 @@ impl Executor {
     #[must_use]
     pub fn stats(&self, n: NodeRef) -> &OperatorStats {
         self.nodes[n.0].op.stats()
-    }
-
-    /// Wall time the executor spent inside a node's `process`.
-    #[must_use]
-    pub fn elapsed(&self, n: NodeRef) -> Duration {
-        self.nodes[n.0].elapsed
     }
 
     /// A node's state footprint in bytes.
@@ -841,53 +847,6 @@ impl Executor {
     pub fn update_predicate(&mut self, n: NodeRef, roles: &sp_core::RoleSet) -> bool {
         self.nodes[n.0].op.update_predicate(roles)
     }
-
-    /// A human-readable per-operator report: counts, shielded tuples,
-    /// elapsed wall time and state footprint — the runtime introspection a
-    /// DSMS operator console would show.
-    #[must_use]
-    pub fn report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<3} {:<10} {:>10} {:>10} {:>8} {:>8} {:>9} {:>10} {:>10}",
-            "#",
-            "op",
-            "tuples in",
-            "tuples out",
-            "sps in",
-            "sps out",
-            "shielded",
-            "time µs",
-            "state B"
-        );
-        for (i, node) in self.nodes.iter().enumerate() {
-            let s = node.op.stats();
-            let _ = writeln!(
-                out,
-                "{:<3} {:<10} {:>10} {:>10} {:>8} {:>8} {:>9} {:>10.0} {:>10}",
-                i,
-                node.op.name(),
-                s.tuples_in,
-                s.tuples_out,
-                s.sps_in,
-                s.sps_out,
-                s.tuples_shielded,
-                node.elapsed.as_secs_f64() * 1e6,
-                node.op.state_mem_bytes(),
-            );
-        }
-        for (i, sink) in self.sinks.iter().enumerate() {
-            let s = sink.stats();
-            let _ = writeln!(
-                out,
-                "q{:<2} {:<10} {:>10} {:>10} {:>8} {:>8}",
-                i, "sink", s.tuples_in, "-", s.sps_in, "-"
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -949,7 +908,6 @@ mod tests {
 
         let tuples: Vec<u64> = exec.sink(sink).tuples().map(|t| t.tid.raw()).collect();
         assert_eq!(tuples, vec![1]);
-        assert!(exec.elapsed(ss) > Duration::ZERO);
         assert!(exec.stats(ss).tuples_in >= 1);
     }
 
@@ -983,18 +941,67 @@ mod tests {
         assert_eq!(q2_ids, vec![2, 3]);
     }
 
+    /// Forwards everything, failing on the tuple with id `fail_on`.
+    struct FailsOn {
+        fail_on: u64,
+        stats: OperatorStats,
+    }
+
+    impl Operator for FailsOn {
+        fn name(&self) -> &str {
+            "fails-on"
+        }
+
+        fn process(
+            &mut self,
+            _port: usize,
+            elem: Element,
+            out: &mut Emitter,
+        ) -> Result<(), EngineError> {
+            if elem.as_tuple().is_some_and(|t| t.tid.raw() == self.fail_on) {
+                return Err(EngineError::MalformedElement {
+                    operator: "fails-on".into(),
+                    reason: "test failure".into(),
+                });
+            }
+            out.push(elem);
+            Ok(())
+        }
+
+        fn stats(&self) -> &OperatorStats {
+            &self.stats
+        }
+    }
+
     #[test]
-    fn report_renders_per_operator_rows() {
+    fn operator_error_releases_nothing_staged_behind_it() {
+        // Two queries share the source; the first one's operator fails on
+        // tuple 2 of a frame that `push_all` staged whole.
         let mut b = PlanBuilder::new(catalog());
         let src = b.source(StreamId(1), schema());
+        let failing = b.add(FailsOn { fail_on: 2, stats: OperatorStats::new() }, src);
         let ss = b.add(SecurityShield::new(RoleSet::from([1])), src);
-        let _sink = b.sink(ss);
+        let q1 = b.sink(failing);
+        let q2 = b.sink(ss);
         let mut exec = b.build();
-        exec.push_all([(StreamId(1), sp(&[1], 0)), (StreamId(1), tup(1, 1, 2))]).unwrap();
-        let report = exec.report();
-        assert!(report.contains("ss"), "{report}");
-        assert!(report.contains("sink"), "{report}");
-        assert!(report.lines().count() >= 3);
+
+        let err = exec.push_all([
+            (StreamId(1), sp(&[1], 0)),
+            (StreamId(1), tup(1, 1, 0)),
+            (StreamId(1), tup(2, 2, 0)), // fails in query 1
+            (StreamId(1), sp(&[2], 3)),  // revokes role 1: discarded with the rest
+            (StreamId(1), tup(3, 4, 0)),
+        ]);
+        assert!(matches!(err, Err(EngineError::MalformedElement { .. })), "{err:?}");
+
+        // The whole staged chunk fails closed: even tuple 1, judged before
+        // the failure, had its output still queued — in either query.
+        assert_eq!(exec.sink(q1).tuple_count(), 0);
+        assert_eq!(exec.sink(q2).tuple_count(), 0);
+        // The revocation bound for query 2's shield went with the queue,
+        // so the shield still holds the older, wider policy: an executor
+        // that returned an error must be dropped, not fed again.
+        assert_eq!(exec.stats(ss).sps_in, 1);
     }
 
     #[test]

@@ -1,25 +1,22 @@
 //! Per-operator cost accounting.
 //!
-//! The evaluation figures (Figs. 8 and 9) report per-operator processing
-//! time broken down by cause — tuple processing, sp processing, join
-//! probing, state maintenance. Every operator owns an [`OperatorStats`] and
-//! charges elapsed time into named buckets; the bench harness reads these to
-//! regenerate the paper's cost breakdowns.
+//! Every operator owns an [`OperatorStats`] and counts what it saw and
+//! released. Operators do not time themselves: the executor's
+//! metrics-gated clock pair (`sp_operator_latency_ns`) is the only
+//! per-call timer. The one exception is SAJoin, whose join / sp-maintenance
+//! / tuple-maintenance breakdown is the paper's Fig. 9: it charges elapsed
+//! time into the [`CostKind`] buckets and `fig9` reads them back.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Cost buckets distinguished by the evaluation.
+/// SAJoin's cost buckets (Fig. 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostKind {
-    /// Processing data tuples (predicate checks, projections, probes).
-    Tuple,
-    /// Processing security punctuations / segment policies.
-    Sp,
-    /// Join probing and result construction (SAJoin breakdown).
+    /// Join probing and result construction.
     Join,
-    /// Punctuation/index maintenance in stateful operators.
+    /// Punctuation/index maintenance.
     SpMaintenance,
-    /// Window/tuple state maintenance (insertion + invalidation).
+    /// Window state maintenance (insertion + invalidation).
     TupleMaintenance,
 }
 
@@ -36,8 +33,6 @@ pub struct OperatorStats {
     pub sps_out: u64,
     /// Tuples discarded by access control.
     pub tuples_shielded: u64,
-    tuple_time: Duration,
-    sp_time: Duration,
     join_time: Duration,
     sp_maint_time: Duration,
     tuple_maint_time: Duration,
@@ -53,28 +48,16 @@ impl OperatorStats {
     /// Charges `elapsed` into the given bucket.
     pub fn charge(&mut self, kind: CostKind, elapsed: Duration) {
         match kind {
-            CostKind::Tuple => self.tuple_time += elapsed,
-            CostKind::Sp => self.sp_time += elapsed,
             CostKind::Join => self.join_time += elapsed,
             CostKind::SpMaintenance => self.sp_maint_time += elapsed,
             CostKind::TupleMaintenance => self.tuple_maint_time += elapsed,
         }
     }
 
-    /// Runs `f`, charging its wall time into `kind`.
-    pub fn timed<T>(&mut self, kind: CostKind, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.charge(kind, start.elapsed());
-        out
-    }
-
     /// Time spent in the given bucket.
     #[must_use]
     pub fn time(&self, kind: CostKind) -> Duration {
         match kind {
-            CostKind::Tuple => self.tuple_time,
-            CostKind::Sp => self.sp_time,
             CostKind::Join => self.join_time,
             CostKind::SpMaintenance => self.sp_maint_time,
             CostKind::TupleMaintenance => self.tuple_maint_time,
@@ -84,7 +67,7 @@ impl OperatorStats {
     /// Total time across all buckets.
     #[must_use]
     pub fn total_time(&self) -> Duration {
-        self.tuple_time + self.sp_time + self.join_time + self.sp_maint_time + self.tuple_maint_time
+        self.join_time + self.sp_maint_time + self.tuple_maint_time
     }
 
     /// Serializes the five logical counters (big-endian `u64`s) for an
@@ -124,8 +107,6 @@ impl OperatorStats {
         self.sps_in += other.sps_in;
         self.sps_out += other.sps_out;
         self.tuples_shielded += other.tuples_shielded;
-        self.tuple_time += other.tuple_time;
-        self.sp_time += other.sp_time;
         self.join_time += other.join_time;
         self.sp_maint_time += other.sp_maint_time;
         self.tuple_maint_time += other.tuple_maint_time;
@@ -352,19 +333,11 @@ mod tests {
     #[test]
     fn charge_and_read() {
         let mut s = OperatorStats::new();
-        s.charge(CostKind::Tuple, Duration::from_millis(3));
-        s.charge(CostKind::Sp, Duration::from_millis(2));
+        s.charge(CostKind::TupleMaintenance, Duration::from_millis(3));
+        s.charge(CostKind::SpMaintenance, Duration::from_millis(2));
         s.charge(CostKind::Join, Duration::from_millis(1));
-        assert_eq!(s.time(CostKind::Tuple), Duration::from_millis(3));
+        assert_eq!(s.time(CostKind::TupleMaintenance), Duration::from_millis(3));
         assert_eq!(s.total_time(), Duration::from_millis(6));
-    }
-
-    #[test]
-    fn timed_charges_elapsed() {
-        let mut s = OperatorStats::new();
-        let v = s.timed(CostKind::TupleMaintenance, || 42);
-        assert_eq!(v, 42);
-        assert!(s.time(CostKind::TupleMaintenance) > Duration::ZERO);
     }
 
     #[test]

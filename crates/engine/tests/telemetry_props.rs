@@ -58,7 +58,7 @@ fn stats_of(vals: &[u64], nanos: u64) -> OperatorStats {
     s.sps_in = vals[2];
     s.sps_out = vals[3];
     s.tuples_shielded = vals[4];
-    s.charge(CostKind::Tuple, std::time::Duration::from_nanos(nanos));
+    s.charge(CostKind::Join, std::time::Duration::from_nanos(nanos));
     s
 }
 

@@ -37,4 +37,4 @@ pub use parser::parse;
 pub use physical::{instantiate, instantiate_with, InstantiateOptions};
 pub use planner::{plan_insert_sp, plan_select, DEFAULT_WINDOW_MS};
 pub use rules::{all_rewrites, apply, apply_anywhere, merged_predicate, Rule, ALL_RULES};
-pub use session::{Dsms, PlannedQuery, RunningDsms};
+pub use session::{Dsms, FrameAdmission, PlannedQuery, RunningDsms};

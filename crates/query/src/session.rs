@@ -229,6 +229,18 @@ impl Dsms {
     }
 }
 
+/// What admission did with one frame ([`RunningDsms::push_frame`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameAdmission {
+    /// Data tuples admitted into the plan.
+    pub tuples: u64,
+    /// Security punctuations ingested (admission never refuses one).
+    pub sps: u64,
+    /// The largest retry hint among the frame's refused tuples; `None`
+    /// when every tuple was admitted.
+    pub retry_after_ms: Option<u64>,
+}
+
 /// A running DSMS instance.
 pub struct RunningDsms {
     executor: Executor,
@@ -251,27 +263,76 @@ impl RunningDsms {
         }
     }
 
-    /// Feeds one raw stream element, propagating engine errors.
+    /// Feeds one raw stream element, propagating engine errors: the
+    /// one-element case of [`RunningDsms::push_frame`].
     ///
     /// # Errors
     ///
-    /// Returns the engine's typed error when the plan rejects the element
-    /// (malformed input, operator failure). The executor has already
-    /// dropped the in-flight elements of this push — nothing from a
-    /// failed push is released.
+    /// [`sp_engine::EngineError::Overloaded`] when admission refused the
+    /// tuple, else whatever `push_frame` returns.
     pub fn try_push(
         &mut self,
         stream: StreamId,
         elem: StreamElement,
     ) -> Result<(), sp_engine::EngineError> {
-        // Count the element even when the push fails: a checkpoint taken
-        // afterwards must not invite a replay of the rejected element.
-        self.input_pos += 1;
-        if let Some(ac) = &mut self.admission {
-            let is_tuple = matches!(elem, StreamElement::Tuple(_));
-            ac.admit(stream, is_tuple, elem.ts())?;
+        match self.ingest(stream, std::iter::once(elem))?.retry_after_ms {
+            Some(retry_after_ms) => Err(sp_engine::EngineError::Overloaded { retry_after_ms }),
+            None => Ok(()),
         }
-        self.executor.push(stream, elem)
+    }
+
+    /// Feeds one decoded frame as one batch: every element is admitted in
+    /// order (sps bypass admission; a refused tuple is dropped and
+    /// counted, and the frame goes on), and the admitted elements reach
+    /// the executor in one [`Executor::push_all`], so whole
+    /// policy-homogeneous runs coalesce between punctuation cuts.
+    ///
+    /// # Errors
+    ///
+    /// Returns the engine's typed error when an operator fails. The
+    /// executor has already discarded everything staged behind the
+    /// failure — which may include policy updates bound for other queries,
+    /// so the session must not be fed again (`sp-server` quarantines the
+    /// tenant). Admission refusals are not errors here: they are reported
+    /// in [`FrameAdmission::retry_after_ms`].
+    pub fn push_frame(
+        &mut self,
+        stream: StreamId,
+        elements: Vec<StreamElement>,
+    ) -> Result<FrameAdmission, sp_engine::EngineError> {
+        self.ingest(stream, elements.into_iter())
+    }
+
+    fn ingest(
+        &mut self,
+        stream: StreamId,
+        elements: impl ExactSizeIterator<Item = StreamElement>,
+    ) -> Result<FrameAdmission, sp_engine::EngineError> {
+        // Count every element, refused or failed: a checkpoint taken
+        // afterwards must not invite a replay of a rejected element.
+        self.input_pos += elements.len() as u64;
+        let mut frame = FrameAdmission::default();
+        let admission = &mut self.admission;
+        let admitted = elements.filter(|elem| {
+            let is_tuple = elem.is_tuple();
+            if let Some(ac) = admission {
+                // `admit` refuses only with `Overloaded`.
+                if let Err(e) = ac.admit(stream, is_tuple, elem.ts()) {
+                    if let sp_engine::EngineError::Overloaded { retry_after_ms } = e {
+                        frame.retry_after_ms = frame.retry_after_ms.max(Some(retry_after_ms));
+                    }
+                    return false;
+                }
+            }
+            if is_tuple {
+                frame.tuples += 1;
+            } else {
+                frame.sps += 1;
+            }
+            true
+        });
+        self.executor.push_all(admitted.map(|elem| (stream, elem)))?;
+        Ok(frame)
     }
 
     /// Degradation counters for the whole session: every operator's

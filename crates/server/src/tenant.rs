@@ -332,42 +332,35 @@ impl Tenant {
                 code: self.quarantine_code.unwrap_or(QuarantineCode::Panicked),
             };
         };
-        let mut worst_retry: Option<u64> = None;
-        for elem in elements {
-            if let Some(chaos) = self.cfg.chaos_panic {
-                if chaos.tenant == self.id && session.input_pos() >= chaos.at_pos {
-                    panic!("chaos: deliberate tenant panic");
-                }
+        if let Some(chaos) = self.cfg.chaos_panic {
+            if chaos.tenant == self.id && session.input_pos() + elements.len() as u64 > chaos.at_pos
+            {
+                panic!("chaos: deliberate tenant panic");
             }
-            let is_tuple = elem.is_tuple();
-            if self.ingress.enabled() {
-                // The WIRE_FRAME span: the element's arrival at the front
-                // door, keyed to its own deterministic trace id and
-                // parented to the client's root span when one was sent.
-                let (trace_id, tid, ts) = match &elem {
+        }
+        if self.ingress.enabled() {
+            // The WIRE_FRAME spans: each element's arrival at the front
+            // door, keyed to its own deterministic trace id and parented
+            // to the client's root span when one was sent.
+            let parent = trace.map_or(0, |c| c.parent_span);
+            for elem in &elements {
+                let (trace_id, tid, ts) = match elem {
                     StreamElement::Tuple(t) => (trace_id_for_tuple(t.tid.0), t.tid.0, t.ts.0),
                     StreamElement::Punctuation(sp) => (trace_id_for_sp(sp.ts.0), NO_TUPLE, sp.ts.0),
                 };
-                let parent = trace.map_or(0, |c| c.parent_span);
                 self.ingress.record(SpanRecord::at(trace_id, site::WIRE_FRAME, parent, tid, ts));
             }
-            match session.try_push(stream, elem) {
-                Ok(()) => {
-                    if is_tuple {
-                        self.tuples_ingested += 1;
-                    } else {
-                        self.sps_ingested += 1;
-                    }
-                }
-                Err(EngineError::Overloaded { retry_after_ms }) => {
-                    worst_retry = Some(worst_retry.unwrap_or(0).max(retry_after_ms));
-                }
-                // Any other engine error fails closed per element: the
-                // executor already dropped the in-flight elements, and
-                // the error stays visible in the session's error log.
-                Err(_) => {}
-            }
         }
+        let Ok(frame) = session.push_frame(stream, elements) else {
+            // An operator failed mid-frame: the executor discarded what
+            // was staged behind it, possibly a policy update bound for
+            // another query's shield. Engine state may be mid-mutation,
+            // exactly as after a panic, so the session is dropped.
+            self.quarantine(QuarantineCode::Panicked);
+            return FrameOutcome::Quarantined { code: QuarantineCode::Panicked };
+        };
+        self.tuples_ingested += frame.tuples;
+        self.sps_ingested += frame.sps;
         let pos = session.input_pos();
         self.pos = pos;
         self.frames_since_ckpt += 1;
@@ -376,7 +369,7 @@ impl Tenant {
         {
             self.checkpoint();
         }
-        match worst_retry {
+        match frame.retry_after_ms {
             Some(retry_after_ms) => FrameOutcome::Overloaded { retry_after_ms, pos },
             None => FrameOutcome::Ack { pos },
         }

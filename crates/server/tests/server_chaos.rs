@@ -430,6 +430,61 @@ fn non_backing_off_client_is_shed_not_serviced() {
 }
 
 #[test]
+fn frame_with_refusals_in_the_middle_is_consumed_whole() {
+    // Three ticks of 40 same-instant tuples against 20 tokens per tick:
+    // one frame whose refusals sit between admitted tuples and sps.
+    let f = factory(Some(200));
+    let elements: Vec<StreamElement> =
+        workload_input(17).into_iter().take(130).map(|(_, e)| e).collect();
+
+    // The in-memory run, element by element.
+    let dsms = f(0);
+    let mut running = dsms.start();
+    let verdicts: Vec<bool> =
+        elements.iter().map(|e| running.try_push(StreamId(1), e.clone()).is_ok()).collect();
+    let first_refused = verdicts.iter().position(|ok| !ok).expect("the limit must bind");
+    let behind = || elements[first_refused..].iter().zip(&verdicts[first_refused..]);
+    assert!(behind().any(|(e, ok)| e.is_tuple() && *ok), "refusals must be mid-frame");
+    assert!(behind().any(|(e, _)| !e.is_tuple()), "an sp must ride behind a refusal");
+    let sps = elements.iter().filter(|e| !e.is_tuple()).count() as u64;
+    let admitted = verdicts.iter().filter(|ok| **ok).count() as u64 - sps;
+    let want: Vec<String> =
+        running.results(dsms.queries()[0].id).tuples().map(|t| t.to_string()).collect();
+
+    let handle = Server::start(default_cfg(), Arc::clone(&f), StoreMap::new()).unwrap();
+    let mut stream = TcpStream::connect(handle.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut dec = sp_core::StreamDecoder::new(1 << 16);
+    let mut buf = [0u8; 4096];
+    let mut next_ctrl = |stream: &mut TcpStream| loop {
+        let n = stream.read(&mut buf).expect("server reply");
+        assert!(n > 0, "server closed the connection");
+        if let Some(sp_core::WireFrame::Control(c)) = dec.feed(&buf[..n]).into_iter().next() {
+            return c;
+        }
+    };
+    stream.write_all(&sp_core::Control::Hello { tenant: 0, acked: 0 }.encode_to_vec()).unwrap();
+    assert!(matches!(next_ctrl(&mut stream), sp_core::Control::HelloAck { resume_from: 0 }));
+    stream.write_all(&Message { stream: StreamId(1), elements }.encode_to_vec()).unwrap();
+    match next_ctrl(&mut stream) {
+        sp_core::Control::Overloaded { retry_after_ms, pos } => {
+            assert!(retry_after_ms > 0);
+            assert_eq!(pos, 130, "shed tuples are consumed, not left for replay");
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    drop(stream);
+
+    let report = handle.drain();
+    let t = report.tenant(0).unwrap();
+    assert_eq!(t.input_pos, 130);
+    assert_eq!(t.sps_ingested, sps, "no sp of the frame is shed or skipped");
+    assert_eq!(t.tuples_ingested, admitted);
+    assert_eq!(t.admission_rejected, 130 - sps - admitted);
+    assert_eq!(t.released, vec![(dsms.queries()[0].id.raw(), want)]);
+}
+
+#[test]
 fn idle_connection_is_reaped_and_partial_frame_cannot_stall() {
     let cfg = ServerConfig { read_timeout_ms: 10, idle_timeout_ms: 80, ..ServerConfig::default() };
     let handle = Server::start(cfg, factory(None), StoreMap::new()).unwrap();
