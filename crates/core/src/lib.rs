@@ -44,7 +44,8 @@ pub use element::StreamElement;
 pub use ids::{QueryId, RoleId, StreamId, SubjectId, Timestamp, TupleId};
 pub use policy::{Policy, SharedPolicy, Sign};
 pub use punctuation::{
-    combine_batch, DataDescription, RoleSpec, SecurityPunctuation, SecurityRestriction,
+    combine_batch, DataDescription, PatternTable, RoleSpec, SecurityPunctuation,
+    SecurityRestriction, MAX_WIRE_ROLE_ID,
 };
 pub use rbac::{AccessModel, RbacError, Right, RoleCatalog, Subject};
 pub use roleset::RoleSet;

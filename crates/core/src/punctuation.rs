@@ -18,13 +18,14 @@
 //! Sps always precede the tuples they govern; the tuples up to the next
 //! batch form the *s-punctuated segment* of the policy.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 use sp_pattern::Pattern;
 
-use crate::ids::Timestamp;
+use crate::ids::{RoleId, Timestamp};
 use crate::policy::{Policy, Sign};
 use crate::rbac::{AccessModel, RoleCatalog};
 use crate::roleset::RoleSet;
@@ -111,6 +112,59 @@ impl SecurityRestriction {
             RoleSpec::Explicit(set) => set.clone(),
             RoleSpec::Pattern(p) => catalog.resolve_roles(p),
         }
+    }
+}
+
+/// The largest role id [`SecurityPunctuation::decode`] accepts in an
+/// explicit role list.
+///
+/// A role id sizes the decoded bitmap, so it is bounded where it enters:
+/// at this ceiling a [`RoleSet`] is at most 1024 words (8 KiB), which
+/// also keeps its `u16` word count in [`RoleSet::encode`] exact when the
+/// sp is checkpointed. An sp naming a larger id is malformed.
+pub const MAX_WIRE_ROLE_ID: u32 = (1 << 16) - 1;
+
+/// Compiled patterns keyed by their wire bytes, so an sp whose patterns
+/// were seen before is decoded without compiling them again.
+///
+/// The table is bounded: it holds at most [`Self::CAPACITY`] patterns
+/// and is cleared when a new one would exceed that; a source longer than
+/// [`Self::MAX_SOURCE_LEN`] bytes is compiled but never kept. Only
+/// patterns that compiled are kept, so an invalid one is an error every
+/// time it arrives. Whoever decodes owns a table — one per connection in
+/// [`crate::wire::StreamDecoder`] — so one sender's patterns can neither
+/// evict nor pre-seed another's.
+#[derive(Debug, Default)]
+pub struct PatternTable {
+    compiled: BTreeMap<Box<[u8]>, Pattern>,
+}
+
+impl PatternTable {
+    /// Patterns held before the table is cleared.
+    pub const CAPACITY: usize = 64;
+    /// Longest pattern source, in bytes, that is kept.
+    pub const MAX_SOURCE_LEN: usize = 64;
+
+    /// An empty table.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The pattern whose source is `src`, compiled on a miss.
+    fn pattern(&mut self, src: &[u8]) -> Result<Pattern, String> {
+        if let Some(p) = self.compiled.get(src) {
+            return Ok(p.clone());
+        }
+        let text = std::str::from_utf8(src).map_err(|e| format!("invalid UTF-8 in sp: {e}"))?;
+        let p = Pattern::compile(text).map_err(|e| e.to_string())?;
+        if src.len() <= Self::MAX_SOURCE_LEN {
+            if self.compiled.len() >= Self::CAPACITY {
+                self.compiled.clear();
+            }
+            self.compiled.insert(src.into(), p.clone());
+        }
+        Ok(p)
     }
 }
 
@@ -264,10 +318,9 @@ impl SecurityPunctuation {
         match &self.srp.roles {
             RoleSpec::Explicit(set) => {
                 buf.put_u8(0);
-                let roles: Vec<u32> = set.iter().map(|r| r.0).collect();
-                buf.put_u16(roles.len() as u16);
-                for r in roles {
-                    buf.put_u32(r);
+                buf.put_u16(set.len() as u16);
+                for r in set.iter() {
+                    buf.put_u32(r.0);
                 }
             }
             RoleSpec::Pattern(p) => {
@@ -277,26 +330,25 @@ impl SecurityPunctuation {
         }
     }
 
-    /// Decodes an sp from its wire form.
+    /// Decodes an sp from its wire form, taking its patterns from
+    /// `patterns` where they were compiled before.
     ///
     /// # Errors
     ///
-    /// Returns a message describing truncation or pattern syntax errors.
-    pub fn decode(buf: &mut impl Buf) -> Result<Self, String> {
-        fn get_str(buf: &mut impl Buf) -> Result<String, String> {
+    /// Returns a message describing truncation, pattern syntax errors or
+    /// a role id above [`MAX_WIRE_ROLE_ID`].
+    pub fn decode(buf: &mut impl Buf, patterns: &mut PatternTable) -> Result<Self, String> {
+        fn pat(buf: &mut impl Buf, patterns: &mut PatternTable) -> Result<Pattern, String> {
             if buf.remaining() < 2 {
                 return Err("truncated sp: missing string length".into());
             }
             let len = buf.get_u16() as usize;
-            if buf.remaining() < len {
+            let Some(src) = buf.chunk().get(..len) else {
                 return Err("truncated sp: missing string body".into());
-            }
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            String::from_utf8(bytes).map_err(|e| format!("invalid UTF-8 in sp: {e}"))
-        }
-        fn pat(src: &str) -> Result<Pattern, String> {
-            Pattern::compile(src).map_err(|e| e.to_string())
+            };
+            let p = patterns.pattern(src)?;
+            buf.advance(len);
+            Ok(p)
         }
         if buf.remaining() < 10 {
             return Err("truncated sp: missing header".into());
@@ -309,9 +361,9 @@ impl SecurityPunctuation {
             2 => AccessModel::Mac,
             other => return Err(format!("unknown access model tag {other}")),
         };
-        let stream = pat(&get_str(buf)?)?;
-        let tuple = pat(&get_str(buf)?)?;
-        let attrs = pat(&get_str(buf)?)?;
+        let stream = pat(buf, patterns)?;
+        let tuple = pat(buf, patterns)?;
+        let attrs = pat(buf, patterns)?;
         if buf.remaining() < 1 {
             return Err("truncated sp: missing role spec".into());
         }
@@ -321,16 +373,24 @@ impl SecurityPunctuation {
                     return Err("truncated sp: missing role count".into());
                 }
                 let n = buf.get_u16() as usize;
-                if buf.remaining() < n * 4 {
+                let Some(raw) = buf.chunk().get(..n * 4) else {
                     return Err("truncated sp: missing role ids".into());
+                };
+                let ids = raw.chunks_exact(4).map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]));
+                // The largest id sizes the bitmap: bound it, then allocate once.
+                let max = ids.clone().max();
+                if let Some(id) = max.filter(|&id| id > MAX_WIRE_ROLE_ID) {
+                    return Err(format!("role id {id} above the wire ceiling"));
                 }
-                let mut set = RoleSet::new();
-                for _ in 0..n {
-                    set.insert(crate::ids::RoleId(buf.get_u32()));
+                let mut set =
+                    max.map_or_else(RoleSet::new, |id| RoleSet::with_room_for(RoleId(id)));
+                for id in ids {
+                    set.insert(RoleId(id));
                 }
+                buf.advance(n * 4);
                 RoleSpec::Explicit(set)
             }
-            1 => RoleSpec::Pattern(pat(&get_str(buf)?)?),
+            1 => RoleSpec::Pattern(pat(buf, patterns)?),
             other => return Err(format!("unknown role spec tag {other}")),
         };
         Ok(Self {
@@ -392,7 +452,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::ids::{RoleId, StreamId, TupleId};
+    use crate::ids::{StreamId, TupleId};
     use crate::value::{Value, ValueType};
 
     fn catalog() -> RoleCatalog {
@@ -534,7 +594,8 @@ mod tests {
             .immutable();
         let mut buf = Vec::new();
         sp.encode(&mut buf);
-        let decoded = SecurityPunctuation::decode(&mut buf.as_slice()).unwrap();
+        let decoded =
+            SecurityPunctuation::decode(&mut buf.as_slice(), &mut PatternTable::new()).unwrap();
         assert_eq!(decoded, sp);
     }
 
@@ -549,7 +610,8 @@ mod tests {
         };
         let mut buf = Vec::new();
         sp.encode(&mut buf);
-        let decoded = SecurityPunctuation::decode(&mut buf.as_slice()).unwrap();
+        let decoded =
+            SecurityPunctuation::decode(&mut buf.as_slice(), &mut PatternTable::new()).unwrap();
         assert_eq!(decoded, sp);
     }
 
@@ -566,11 +628,49 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(SecurityPunctuation::decode(&mut &b"xx"[..]).is_err());
+        assert!(SecurityPunctuation::decode(&mut &b"xx"[..], &mut PatternTable::new()).is_err());
         let mut buf = Vec::new();
         SecurityPunctuation::grant_all(RoleSet::new(), Timestamp(0)).encode(&mut buf);
         buf.truncate(buf.len() - 1);
-        assert!(SecurityPunctuation::decode(&mut buf.as_slice()).is_err());
+        assert!(SecurityPunctuation::decode(&mut buf.as_slice(), &mut PatternTable::new()).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_role_ids_above_the_wire_ceiling() {
+        // The encoder writes explicit role ids last, so the final four
+        // bytes of a one-role sp are that role's id.
+        let with_id = |id: u32| {
+            let mut buf = Vec::new();
+            SecurityPunctuation::grant_all(RoleSet::single(RoleId(0)), Timestamp(1))
+                .encode(&mut buf);
+            let at = buf.len() - 4;
+            buf[at..].copy_from_slice(&id.to_be_bytes());
+            SecurityPunctuation::decode(&mut buf.as_slice(), &mut PatternTable::new())
+        };
+        let at_ceiling = with_id(MAX_WIRE_ROLE_ID).unwrap();
+        assert_eq!(at_ceiling.srp.roles, RoleSpec::Explicit(RoleSet::single(RoleId(65_535))));
+        // Refused before a bitmap is sized for it (u32::MAX would be 512 MiB).
+        assert!(with_id(MAX_WIRE_ROLE_ID + 1).is_err());
+        assert!(with_id(u32::MAX).is_err());
+    }
+
+    #[test]
+    fn pattern_table_is_bounded_and_never_keeps_a_failure() {
+        let mut table = PatternTable::new();
+        for i in 0..3 * PatternTable::CAPACITY {
+            let src = format!("<{i}-{}>", i + 1);
+            assert_eq!(table.pattern(src.as_bytes()).unwrap(), Pattern::compile(&src).unwrap());
+            assert!(table.compiled.len() <= PatternTable::CAPACITY);
+        }
+        let long = "a".repeat(PatternTable::MAX_SOURCE_LEN + 1);
+        let held = table.compiled.len();
+        assert!(table.pattern(long.as_bytes()).unwrap().matches(&long));
+        assert_eq!(table.compiled.len(), held, "an over-long source is compiled, not kept");
+        for _ in 0..2 {
+            assert!(table.pattern(b"<5-").is_err());
+            assert!(table.pattern(&[0xFF, 0xFE]).is_err());
+        }
+        assert_eq!(table.compiled.len(), held);
     }
 
     #[test]

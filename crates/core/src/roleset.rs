@@ -43,6 +43,13 @@ impl RoleSet {
         Self::default()
     }
 
+    /// The empty set with its bitmap already sized for every role up to
+    /// and including `max`, so inserting those never reallocates.
+    #[must_use]
+    pub fn with_room_for(max: RoleId) -> Self {
+        Self { words: vec![0; max.0 as usize / 64 + 1] }
+    }
+
     /// A set containing the single role `r`.
     #[must_use]
     pub fn single(r: RoleId) -> Self {

@@ -23,7 +23,9 @@
 //!   flipped bit anywhere in the body fails the checksum instead of
 //!   decoding into a different policy;
 //! * [`Message::decode`] never panics on arbitrary bytes — every read is
-//!   bounds-checked and all failures are typed [`WireError`]s;
+//!   bounds-checked, no wire-supplied count or id sizes an allocation
+//!   before it is checked against the bytes present or a fixed ceiling,
+//!   and all failures are typed [`WireError`]s;
 //! * [`StreamDecoder`] consumes a raw byte stream, *resynchronizing* past
 //!   corrupted frames by scanning to the next frame boundary and
 //!   counting what it had to skip — a damaged frame costs its own
@@ -33,7 +35,7 @@ use bytes::{Buf, BufMut};
 
 use crate::element::StreamElement;
 use crate::ids::{StreamId, Timestamp, TupleId};
-use crate::punctuation::SecurityPunctuation;
+use crate::punctuation::{PatternTable, SecurityPunctuation};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -45,11 +47,13 @@ pub const MAGIC: u8 = 0xA5;
 const TAG_TUPLE: u8 = 0;
 const TAG_SP: u8 = 1;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables,
 /// built at compile time — hand-rolled so the wire layer stays
-/// dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// dependency-free. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which lets [`crc32`] fold eight input bytes per step (slicing-by-8).
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -58,18 +62,48 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE 802.3) of `bytes`.
+/// One byte-at-a-time CRC step: the tail of [`crc32`] and, under test,
+/// the oracle the sliced loop is compared against.
+fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+}
+
+/// CRC-32 (IEEE 802.3) of `bytes`, eight bytes per step.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = crc32_step(c, b);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -183,6 +217,11 @@ pub fn decode_tuple(buf: &mut impl Buf) -> Result<Tuple, WireError> {
     let tid = TupleId(buf.get_u64());
     let ts = Timestamp(buf.get_u64());
     let arity = buf.get_u16() as usize;
+    // Every value is at least its one-byte tag: bound the wire-supplied
+    // count by the bytes that are there before allocating for it.
+    if arity > buf.remaining() {
+        return Err(err("truncated tuple values"));
+    }
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
         values.push(decode_value(buf)?);
@@ -258,19 +297,19 @@ impl Message {
         }
         let len = buf.get_u32() as usize;
         let crc = buf.get_u32();
-        if buf.remaining() < len {
+        let Some(body) = buf.chunk().get(..len) else {
             return Err(err("truncated frame body"));
-        }
-        let mut body = vec![0u8; len];
-        buf.copy_to_slice(&mut body);
-        if crc32(&body) != crc {
+        };
+        if crc32(body) != crc {
             return Err(err("frame checksum mismatch"));
         }
-        Self::decode_body(&body)
+        let msg = Self::decode_body(body, &mut PatternTable::new())?;
+        buf.advance(len);
+        Ok(msg)
     }
 
     /// Decodes a checksum-verified frame body.
-    fn decode_body(mut body: &[u8]) -> Result<Self, WireError> {
+    fn decode_body(mut body: &[u8], patterns: &mut PatternTable) -> Result<Self, WireError> {
         let buf = &mut body;
         if buf.remaining() < 4 + 4 {
             return Err(err("truncated message header"));
@@ -285,7 +324,7 @@ impl Message {
             match buf.get_u8() {
                 TAG_TUPLE => elements.push(StreamElement::tuple(decode_tuple(buf)?)),
                 TAG_SP => elements.push(StreamElement::punctuation(
-                    SecurityPunctuation::decode(buf).map_err(WireError)?,
+                    SecurityPunctuation::decode(buf, patterns).map_err(WireError)?,
                 )),
                 other => return Err(WireError(format!("unknown element tag {other}"))),
             }
@@ -678,8 +717,11 @@ pub enum WireFrame {
 /// not stall the connection past its read deadline).
 #[derive(Debug)]
 pub struct StreamDecoder {
+    /// The unfinished tail of the byte stream; empty between frames.
     buf: Vec<u8>,
     max_frame_len: usize,
+    /// This connection's compiled sp patterns (see [`PatternTable`]).
+    patterns: PatternTable,
     /// Frames skipped because of checksum/body failure or an absurd
     /// claimed length.
     pub corrupted_frames: u64,
@@ -695,7 +737,13 @@ impl StreamDecoder {
     /// `max_frame_len` bytes.
     #[must_use]
     pub fn new(max_frame_len: usize) -> Self {
-        Self { buf: Vec::new(), max_frame_len, corrupted_frames: 0, skipped_bytes: 0 }
+        Self {
+            buf: Vec::new(),
+            max_frame_len,
+            patterns: PatternTable::new(),
+            corrupted_frames: 0,
+            skipped_bytes: 0,
+        }
     }
 
     /// Bytes buffered waiting for the rest of a frame.
@@ -707,71 +755,78 @@ impl StreamDecoder {
     /// Feeds a chunk of received bytes, returning every frame that
     /// completed. Never panics on arbitrary input; counters accumulate
     /// across the connection's lifetime.
+    ///
+    /// With nothing buffered the frames are parsed where they lie in
+    /// `bytes` and only an unfinished tail is copied; otherwise `bytes`
+    /// joins the buffered tail and that is parsed.
     pub fn feed(&mut self, bytes: &[u8]) -> Vec<WireFrame> {
-        self.buf.extend_from_slice(bytes);
         let mut out = Vec::new();
+        if self.buf.is_empty() {
+            let used = self.scan(bytes, &mut out);
+            self.buf.extend_from_slice(&bytes[used..]);
+        } else {
+            let mut buf = std::mem::take(&mut self.buf);
+            buf.extend_from_slice(bytes);
+            let used = self.scan(&buf, &mut out);
+            buf.drain(..used);
+            self.buf = buf;
+        }
+        out
+    }
+
+    /// Decodes every complete frame of `src` into `out`, resynchronizing
+    /// past corruption, and returns how many bytes were consumed: the
+    /// rest is the start of a frame that has not fully arrived.
+    fn scan(&mut self, src: &[u8], out: &mut Vec<WireFrame>) -> usize {
         let mut pos = 0;
         loop {
-            while pos < self.buf.len()
-                && self.buf[pos] != MAGIC
-                && self.buf[pos] != MAGIC_CTRL
-                && self.buf[pos] != crate::crypto::frame::MAGIC_CIPHER
+            while pos < src.len()
+                && src[pos] != MAGIC
+                && src[pos] != MAGIC_CTRL
+                && src[pos] != crate::crypto::frame::MAGIC_CIPHER
             {
                 pos += 1;
                 self.skipped_bytes += 1;
             }
-            if self.buf.len() - pos < FRAME_HEADER {
+            let Some(&[magic, l0, l1, l2, l3, c0, c1, c2, c3]) = src[pos..].first_chunk() else {
                 break; // incomplete header: wait for more bytes
-            }
-            let len = u32::from_be_bytes([
-                self.buf[pos + 1],
-                self.buf[pos + 2],
-                self.buf[pos + 3],
-                self.buf[pos + 4],
-            ]) as usize;
-            if len > self.max_frame_len {
-                self.corrupted_frames += 1;
-                self.skipped_bytes += 1;
-                pos += 1;
-                continue;
-            }
-            if self.buf.len() - pos < FRAME_HEADER + len {
-                break; // incomplete body: wait for more bytes
-            }
-            let crc = u32::from_be_bytes([
-                self.buf[pos + 5],
-                self.buf[pos + 6],
-                self.buf[pos + 7],
-                self.buf[pos + 8],
-            ]);
-            let body = &self.buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-            if crc32(body) != crc {
-                self.corrupted_frames += 1;
-                self.skipped_bytes += 1;
-                pos += 1;
-                continue;
-            }
-            let decoded = if self.buf[pos] == MAGIC {
-                Message::decode_body(body).map(WireFrame::Message)
-            } else if self.buf[pos] == MAGIC_CTRL {
-                Control::decode_body(body).map(WireFrame::Control)
-            } else {
-                crate::crypto::CipherFrame::decode_body(body).map(WireFrame::Cipher)
             };
-            match decoded {
-                Ok(frame) => {
+            let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+            let frame = if len > self.max_frame_len {
+                None // an absurd length is corruption now, not bytes to wait for
+            } else {
+                let Some(body) = src[pos + FRAME_HEADER..].get(..len) else {
+                    break; // incomplete body: wait for more bytes
+                };
+                self.decode_frame(magic, u32::from_be_bytes([c0, c1, c2, c3]), body)
+            };
+            match frame {
+                Some(frame) => {
                     out.push(frame);
                     pos += FRAME_HEADER + len;
                 }
-                Err(_) => {
+                // Not a frame start after all: resume one byte on.
+                None => {
                     self.corrupted_frames += 1;
                     self.skipped_bytes += 1;
                     pos += 1;
                 }
             }
         }
-        self.buf.drain(..pos);
-        out
+        pos
+    }
+
+    /// The frame `body` holds, if it passes its checksum and is well
+    /// formed for its magic.
+    fn decode_frame(&mut self, magic: u8, crc: u32, body: &[u8]) -> Option<WireFrame> {
+        if crc32(body) != crc {
+            return None;
+        }
+        match magic {
+            MAGIC => Message::decode_body(body, &mut self.patterns).map(WireFrame::Message).ok(),
+            MAGIC_CTRL => Control::decode_body(body).map(WireFrame::Control).ok(),
+            _ => crate::crypto::CipherFrame::decode_body(body).map(WireFrame::Cipher).ok(),
+        }
     }
 }
 
@@ -872,6 +927,49 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// The byte-at-a-time loop the sliced [`crc32`] replaced: the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_bytewise_at_every_length_and_alignment() {
+        // 8 alignments + 256 bytes, with a non-repeating pattern so a
+        // misplaced table index cannot cancel out.
+        let data: Vec<u8> =
+            (0..8 + 256u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=256 {
+                let window = &data[start..start + len];
+                assert_eq!(crc32(window), crc32_bytewise(window), "start {start} len {len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sliced_crc32_equals_bytewise_on_random_buffers(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+            start in 0usize..8,
+        ) {
+            let window = bytes.get(start..).unwrap_or(&[]);
+            proptest::prop_assert_eq!(crc32(window), crc32_bytewise(window));
+        }
+    }
+
+    #[test]
+    fn tuple_arity_is_bounded_by_the_bytes_present() {
+        // A bare 22-byte header claiming 65 535 values must be refused
+        // before anything is allocated for them.
+        let mut bytes = Vec::new();
+        encode_tuple(&Tuple::new(StreamId(1), TupleId(2), Timestamp(3), vec![]), &mut bytes);
+        assert_eq!(bytes.len(), 22);
+        bytes[20..].copy_from_slice(&u16::MAX.to_be_bytes());
+        assert_eq!(decode_tuple(&mut bytes.as_slice()), Err(err("truncated tuple values")));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sp_core::{
-    combine_batch, DataDescription, Policy, RoleCatalog, RoleId, RoleSet, Schema,
+    combine_batch, DataDescription, PatternTable, Policy, RoleCatalog, RoleId, RoleSet, Schema,
     SecurityPunctuation, Timestamp, ValueType,
 };
 
@@ -132,7 +132,7 @@ proptest! {
         }
         let mut buf = Vec::new();
         sp.encode(&mut buf);
-        let decoded = SecurityPunctuation::decode(&mut buf.as_slice()).unwrap();
+        let decoded = SecurityPunctuation::decode(&mut buf.as_slice(), &mut PatternTable::new()).unwrap();
         prop_assert_eq!(decoded, sp);
     }
 

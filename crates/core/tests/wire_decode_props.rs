@@ -8,7 +8,8 @@
 use proptest::prelude::*;
 use sp_core::wire::{Control, Message, StreamDecoder, WireFrame};
 use sp_core::{
-    RoleId, RoleSet, SecurityPunctuation, StreamElement, StreamId, Timestamp, Tuple, TupleId, Value,
+    PatternTable, RoleId, RoleSet, SecurityPunctuation, StreamElement, StreamId, Timestamp, Tuple,
+    TupleId, Value, MAX_WIRE_ROLE_ID,
 };
 
 fn arb_element() -> impl Strategy<Value = StreamElement> {
@@ -125,6 +126,7 @@ proptest! {
         frames in arb_frames(),
         ctrls in prop::collection::vec(arb_control(), 0..4),
         sizes in prop::collection::vec(1usize..40, 1..8),
+        cut_back in any::<usize>(),
     ) {
         let mut bytes = Vec::new();
         let mut want = Vec::new();
@@ -138,9 +140,56 @@ proptest! {
         }
         let mut dec = StreamDecoder::new(1 << 20);
         let got = feed_in_chunks(&mut dec, &bytes, &sizes);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got, &want);
         prop_assert_eq!(dec.corrupted_frames, 0);
         prop_assert_eq!(dec.buffered(), 0, "nothing may linger after clean delivery");
+
+        // Several whole frames plus a partial one in a single `feed`:
+        // the whole ones are parsed where they lie, only the cut frame's
+        // bytes are held back, and the rest completes it.
+        let last_len = match want.last() {
+            Some(WireFrame::Message(m)) => m.encode_to_vec().len(),
+            Some(WireFrame::Control(c)) => c.encode_to_vec().len(),
+            _ => 0,
+        };
+        let cut = bytes.len() - 1 - cut_back % last_len;
+        let mut dec = StreamDecoder::new(1 << 20);
+        let mut got = dec.feed(&bytes[..cut]);
+        prop_assert_eq!(&got[..], &want[..want.len() - 1]);
+        prop_assert_eq!(dec.buffered(), cut - (bytes.len() - last_len));
+        got.extend(dec.feed(&bytes[cut..]));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!((dec.buffered(), dec.skipped_bytes, dec.corrupted_frames), (0, 0, 0));
+    }
+
+    /// Garbage before, between and inside frames: what the decoder
+    /// emits, holds back, skips and counts depends on the byte stream
+    /// alone, never on how the socket happened to chunk it — whether a
+    /// frame was parsed in the caller's slice or in the buffer.
+    #[test]
+    fn stream_decoder_counters_do_not_depend_on_chunking(
+        frames in arb_frames(),
+        garbage in prop::collection::vec(any::<u8>(), 0..24),
+        flip in any::<usize>(),
+        cut_back in 0usize..12,
+        sizes in prop::collection::vec(1usize..600, 1..8),
+    ) {
+        let mut bytes = garbage.clone();
+        for f in &frames {
+            f.encode(&mut bytes);
+            bytes.extend_from_slice(&garbage);
+        }
+        let at = flip % bytes.len();
+        bytes[at] ^= 0x10;
+        bytes.truncate(bytes.len() - cut_back.min(bytes.len()));
+        let run = |sizes: &[usize]| {
+            let mut dec = StreamDecoder::new(4096);
+            let got = feed_in_chunks(&mut dec, &bytes, sizes);
+            (got, dec.buffered(), dec.skipped_bytes, dec.corrupted_frames)
+        };
+        let one_feed = run(&[bytes.len()]);
+        prop_assert_eq!(&run(&sizes), &one_feed);
+        prop_assert_eq!(&run(&[1]), &one_feed);
     }
 
     /// Chunked delivery with magic-free garbage between frames: every
@@ -530,5 +579,214 @@ proptest! {
         for g in &got {
             prop_assert!(want.contains(g), "decoder fabricated a cipher frame");
         }
+    }
+}
+
+// ------------------------------------------------------------------------
+// Sp decode through the decoder's pattern table, and the bounds on what
+// an sp may make the decoder allocate.
+
+/// The wire form of an sp, written by hand so a test can put bytes on
+/// the wire that [`SecurityPunctuation::encode`] never would.
+fn raw_sp(ts: u64, ddp: [&str; 3], roles: &[u32]) -> Vec<u8> {
+    let mut b = ts.to_be_bytes().to_vec();
+    b.extend_from_slice(&[0, 0]); // positive + mutable, RBAC
+    for src in ddp {
+        b.extend_from_slice(&(src.len() as u16).to_be_bytes());
+        b.extend_from_slice(src.as_bytes());
+    }
+    b.push(0); // explicit roles
+    b.extend_from_slice(&(roles.len() as u16).to_be_bytes());
+    for r in roles {
+        b.extend_from_slice(&r.to_be_bytes());
+    }
+    b
+}
+
+/// A checksummed data frame for stream `stream` holding one sp.
+fn frame_of_raw_sp(stream: u32, sp: &[u8]) -> Vec<u8> {
+    let mut body = stream.to_be_bytes().to_vec();
+    body.extend_from_slice(&1u32.to_be_bytes());
+    body.push(1); // sp tag
+    body.extend_from_slice(sp);
+    let mut bytes = vec![sp_core::wire::MAGIC];
+    bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(&sp_core::wire::crc32(&body).to_be_bytes());
+    bytes.extend_from_slice(&body);
+    bytes
+}
+
+/// Pattern sources over a space far wider than the table: numeric
+/// ranges, literals, alternations and VM shapes.
+fn arb_pattern_source() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("*".to_owned()),
+        (0u64..300, 0u64..40).prop_map(|(lo, w)| format!("<{lo}-{}>", lo + w)),
+        (0u32..200).prop_map(|n| format!("{n}")),
+        (0u32..50, 0u32..50).prop_map(|(a, b)| format!("s{a}|s{b}")),
+        (0u32..50).prop_map(|n| format!("{n}[0-9]+")),
+    ]
+}
+
+/// Sources the pattern compiler refuses.
+const INVALID_PATTERNS: [&str; 3] = ["<5-", "(ab", "a{3,1}"];
+
+/// One sp on the wire: three pattern sources, or `None` for an sp whose
+/// tuple pattern is the given invalid source.
+fn arb_wire_sp() -> impl Strategy<Value = ([String; 3], Option<usize>)> {
+    (
+        arb_pattern_source(),
+        arb_pattern_source(),
+        arb_pattern_source(),
+        prop_oneof![Just(None), Just(None), Just(None), (0usize..3).prop_map(Some)],
+    )
+        .prop_map(|(s, t, a, invalid)| ([s, t, a], invalid))
+}
+
+const PROBE_IDS: [u64; 8] = [0, 1, 7, 42, 120, 133, 299, 10_000];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A long sequence of sps with more distinct patterns than the
+    /// table holds (so it is cleared mid-stream) decodes through one
+    /// long-lived decoder to exactly what a fresh decoder makes of each
+    /// frame alone; an sp with an invalid pattern is refused on every
+    /// occurrence, never remembered as valid or poisoning a neighbour.
+    #[test]
+    fn pattern_table_never_changes_what_an_sp_decodes_to(
+        sps in prop::collection::vec(arb_wire_sp(), 100..160),
+        sizes in prop::collection::vec(1usize..300, 1..6),
+    ) {
+        let frames: Vec<(Vec<u8>, bool)> = sps
+            .iter()
+            .enumerate()
+            .map(|(i, (srcs, invalid))| {
+                let tuple = invalid.map_or(srcs[1].as_str(), |k| INVALID_PATTERNS[k]);
+                let sp = raw_sp(i as u64, [&srcs[0], tuple, &srcs[2]], &[1, 2]);
+                (frame_of_raw_sp(i as u32, &sp), invalid.is_none())
+            })
+            .collect();
+        let distinct: std::collections::BTreeSet<&String> =
+            sps.iter().flat_map(|(srcs, _)| srcs).collect();
+        prop_assert!(distinct.len() > PatternTable::CAPACITY, "the table must overflow");
+
+        // Each frame alone, through a decoder that has seen nothing.
+        let mut want = Vec::new();
+        for (bytes, valid) in &frames {
+            let alone = StreamDecoder::new(4096).feed(bytes);
+            prop_assert_eq!(alone.len(), usize::from(*valid));
+            want.extend(alone);
+        }
+        // All of them through one decoder. Padding completes any fake
+        // frame a refused one's bytes may start (see the resync cases).
+        let mut stream: Vec<u8> = frames.iter().flat_map(|(b, _)| b.iter().copied()).collect();
+        stream.extend(std::iter::repeat_n(0u8, 4096 + 16));
+        let mut dec = StreamDecoder::new(4096);
+        let got = feed_in_chunks(&mut dec, &stream, &sizes);
+        let refused = frames.iter().filter(|(_, valid)| !valid).count() as u64;
+        prop_assert!(dec.corrupted_frames >= refused);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g, w);
+            let (WireFrame::Message(g), WireFrame::Message(w)) = (g, w) else {
+                prop_assert!(false, "only data frames were sent");
+                continue;
+            };
+            let (StreamElement::Punctuation(g), StreamElement::Punctuation(w)) =
+                (&g.elements[0], &w.elements[0])
+            else {
+                prop_assert!(false, "every frame holds one sp");
+                continue;
+            };
+            // `==` compares pattern sources; the compiled matchers must
+            // agree too.
+            prop_assert_eq!(g.to_string(), w.to_string());
+            for id in PROBE_IDS {
+                prop_assert_eq!(g.ddp.tuple.matches_u64(id), w.ddp.tuple.matches_u64(id));
+                prop_assert_eq!(g.ddp.stream.matches_u64(id), w.ddp.stream.matches_u64(id));
+                prop_assert_eq!(g.ddp.attrs.matches_u64(id), w.ddp.attrs.matches_u64(id));
+            }
+        }
+    }
+
+    /// An sp naming a role id above the ceiling is a malformed body: the
+    /// decoder drops that frame, counts it, and recovers the next one.
+    #[test]
+    fn oversized_role_id_costs_its_frame_only(
+        id in MAX_WIRE_ROLE_ID + 1..=u32::MAX,
+        good in arb_frames(),
+        sizes in prop::collection::vec(1usize..24, 1..8),
+    ) {
+        let mut bytes = frame_of_raw_sp(9, &raw_sp(1, ["*", "*", "*"], &[3, id]));
+        bytes.extend(encode_all(&good));
+        bytes.extend(std::iter::repeat_n(0u8, 4096 + 16));
+        let mut dec = StreamDecoder::new(4096);
+        let got = feed_in_chunks(&mut dec, &bytes, &sizes);
+        let want: Vec<WireFrame> = good.iter().cloned().map(WireFrame::Message).collect();
+        prop_assert_eq!(got, want);
+        prop_assert!(dec.corrupted_frames >= 1);
+    }
+}
+
+/// A fixed hostile byte stream: garbage (with fake magics and lying
+/// lengths) before, between and inside frames, one frame corrupted in
+/// its body, and a final frame cut short.
+fn hostile_stream() -> Vec<u8> {
+    let tuple = |tid: u64| {
+        StreamElement::tuple(Tuple::new(
+            StreamId(1),
+            TupleId(tid),
+            Timestamp(tid * 10),
+            vec![Value::Int(tid as i64), Value::Float(0.5)],
+        ))
+    };
+    let sp = |ts: u64| {
+        StreamElement::punctuation(SecurityPunctuation::grant_all(
+            [1u32, 5, 9].into_iter().map(RoleId).collect::<RoleSet>(),
+            Timestamp(ts),
+        ))
+    };
+    let frame = |id: u32| Message::new(StreamId(id), vec![sp(u64::from(id)), tuple(1), tuple(2)]);
+    // Before: plain noise, then a data magic claiming a 4 GiB body.
+    let mut bytes = vec![0xDE, 0xAD, 0x00, 0xA5, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02];
+    frame(1).encode(&mut bytes);
+    // Between: a control magic with a plausible length and a body that
+    // fails its checksum, then a cipher magic torn after two bytes.
+    bytes.extend_from_slice(&[0x5A, 0, 0, 0, 4, 9, 9, 9, 9, 1, 2, 3, 4, 0xC3, 0x00]);
+    // Inside: the second frame has one body byte flipped.
+    let at = bytes.len() + 9 + 11;
+    frame(2).encode(&mut bytes);
+    bytes[at] ^= 0x20;
+    Control::Ack { pos: 77 }.encode(&mut bytes);
+    frame(3).encode(&mut bytes);
+    frame(4).encode(&mut bytes);
+    // The fourth frame is cut five bytes short of its end.
+    bytes.truncate(bytes.len() - 5);
+    bytes
+}
+
+/// The counters of the decoder before it parsed frames in place, recorded
+/// on [`hostile_stream`] — identical under every chunking there too.
+#[test]
+fn hostile_stream_counters_match_the_recorded_values() {
+    let bytes = hostile_stream();
+    for size in [bytes.len(), 1, 7, 64, 200] {
+        let mut dec = StreamDecoder::new(1 << 16);
+        let got: Vec<WireFrame> = bytes.chunks(size).flat_map(|c| dec.feed(c)).collect();
+        let ids: Vec<Option<u32>> = got
+            .iter()
+            .map(|f| match f {
+                WireFrame::Message(m) => Some(m.stream.raw()),
+                WireFrame::Control(_) | WireFrame::Cipher(_) => None,
+            })
+            .collect();
+        assert_eq!(ids, [Some(1), None, Some(3)], "chunks of {size}");
+        assert_eq!(got[1], WireFrame::Control(Control::Ack { pos: 77 }));
+        assert_eq!(
+            (dec.buffered(), dec.skipped_bytes, dec.corrupted_frames),
+            (129, 159, 4),
+            "chunks of {size}"
+        );
     }
 }

@@ -469,8 +469,9 @@ impl SpAnalyzer {
             ckpt::need(buf, 4, "analyzer batch length")?;
             let n = buf.get_u32() as usize;
             let mut batch = Vec::with_capacity(n);
+            let mut patterns = sp_core::PatternTable::new();
             for _ in 0..n {
-                batch.push(Arc::new(SecurityPunctuation::decode(buf)?));
+                batch.push(Arc::new(SecurityPunctuation::decode(buf, &mut patterns)?));
             }
             self.batch = batch;
             self.last_emitted = ckpt::decode_opt_segment(buf)?;

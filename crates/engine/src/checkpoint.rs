@@ -30,8 +30,8 @@ use bytes::{Buf, BufMut};
 
 use sp_core::wire::crc32;
 use sp_core::{
-    decode_tuple, encode_tuple, Policy, SecurityPunctuation, SharedPolicy, StreamElement,
-    Timestamp, Tuple,
+    decode_tuple, encode_tuple, PatternTable, Policy, SecurityPunctuation, SharedPolicy,
+    StreamElement, Timestamp, Tuple,
 };
 use sp_pattern::Pattern;
 
@@ -244,7 +244,10 @@ pub fn decode_stream_element(buf: &mut impl Buf) -> Result<StreamElement, CodecE
     need(buf, 1, "stream element tag")?;
     match buf.get_u8() {
         0 => Ok(StreamElement::tuple(decode_tuple(buf).map_err(|e| e.to_string())?)),
-        1 => Ok(StreamElement::punctuation(SecurityPunctuation::decode(buf)?)),
+        1 => Ok(StreamElement::punctuation(SecurityPunctuation::decode(
+            buf,
+            &mut PatternTable::new(),
+        )?)),
         other => Err(format!("unknown stream element tag {other}")),
     }
 }
