@@ -17,10 +17,12 @@
 //! release or suppress an entire run under one cached verdict.
 //!
 //! The representation is a two-variant inline/heap enum rather than an
-//! external small-vector type (the workspace vendors no `smallvec`): the
-//! dominant tuple-at-a-time case — a batch of one — stores its element
-//! inline with no heap allocation, and only multi-element runs spill to a
-//! `Vec`.
+//! external small-vector type (the workspace vendors no `smallvec`): a
+//! batch of one — every policy batch, and every batch of the
+//! tuple-at-a-time reference mode and of plans with a binary node, whose
+//! multi-consumer edges carry singletons — stores its element inline with
+//! no heap allocation; the tuple runs of the production path (a frame's
+//! segment, whole, on every edge of a binary-free plan) spill to a `Vec`.
 
 use crate::element::Element;
 

@@ -123,6 +123,22 @@ pub trait Operator: Send {
         Ok(())
     }
 
+    /// Processes a run the executor only *lends*: a multi-consumer edge
+    /// shows every consumer but the last the same run instead of cloning
+    /// it per consumer. The default clones the run into
+    /// [`Operator::process_batch`]; operators that drop much of what they
+    /// see (the Security Shield, select) override it so only a released /
+    /// surviving tuple costs an `Arc` increment. Same equivalence contract
+    /// and errors as `process_batch`.
+    fn process_run(
+        &mut self,
+        port: usize,
+        run: &[Element],
+        out: &mut Emitter,
+    ) -> Result<(), EngineError> {
+        self.process_batch(port, ElementBatch::from_run(run.to_vec()), out)
+    }
+
     /// Logical counters (plus SAJoin's Fig. 9 cost buckets).
     fn stats(&self) -> &OperatorStats;
 
@@ -282,6 +298,15 @@ pub trait Operator: Send {
         } else {
             Err(EngineError::corrupt(self.name(), "stateless operator given non-empty snapshot"))
         }
+    }
+}
+
+/// The port check of a unary operator: only port 0 exists.
+pub(crate) fn unary_port(operator: &str, port: usize) -> Result<(), EngineError> {
+    if port == 0 {
+        Ok(())
+    } else {
+        Err(EngineError::BadPort { operator: operator.into(), port, arity: 1 })
     }
 }
 

@@ -9,7 +9,9 @@
 //! one, and silently dropping it would leave a stale grant governing the
 //! segment's tuples downstream.
 
-use crate::element::Element;
+use std::sync::Arc;
+
+use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::stats::OperatorStats;
@@ -36,16 +38,25 @@ impl Project {
     }
 
     /// Remaps one segment policy's attribute-scoped grants to the output
-    /// attribute positions.
-    fn remap_policy(&mut self, seg: &crate::element::SegmentPolicy, out: &mut Emitter) {
+    /// attribute positions. With no attribute grant to move and no
+    /// deny-all entry to drop the remap is the identity, and the policy is
+    /// forwarded as it came — the common, tuple-level case builds nothing.
+    fn remap_policy(&mut self, seg: Arc<SegmentPolicy>, out: &mut Emitter) {
         self.stats.sps_in += 1;
-        let remapped = seg.map_policies(|p| {
-            p.remap_attrs(|old| {
-                self.indices.iter().position(|&k| k == old as usize).map(|new| new as u16)
-            })
-        });
         self.stats.sps_out += 1;
-        out.push(Element::policy(remapped));
+        let identity = seg
+            .entries()
+            .iter()
+            .all(|e| e.policy.attr_grants().is_empty() && !e.policy.is_deny_all());
+        out.push(if identity {
+            Element::Policy(seg)
+        } else {
+            Element::policy(seg.map_policies(|p| {
+                p.remap_attrs(|old| {
+                    self.indices.iter().position(|&k| k == old as usize).map(|new| new as u16)
+                })
+            }))
+        });
     }
 }
 
@@ -64,7 +75,7 @@ impl Operator for Project {
             return Err(EngineError::BadPort { operator: "project".into(), port, arity: 1 });
         }
         match elem {
-            Element::Policy(seg) => self.remap_policy(&seg, out),
+            Element::Policy(seg) => self.remap_policy(seg, out),
             Element::Tuple(tuple) => {
                 self.stats.tuples_in += 1;
                 self.stats.tuples_out += 1;
@@ -98,7 +109,7 @@ impl Operator for Project {
         } else {
             for elem in batch {
                 match elem {
-                    Element::Policy(seg) => self.remap_policy(&seg, out),
+                    Element::Policy(seg) => self.remap_policy(seg, out),
                     Element::Tuple(tuple) => {
                         self.stats.tuples_in += 1;
                         self.stats.tuples_out += 1;
@@ -147,7 +158,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::element::SegmentPolicy;
     use crate::operator::run_unary;
     use sp_core::{Policy, RoleId, RoleSet, StreamId, Timestamp, Tuple, TupleId, Value};
 
@@ -176,6 +186,61 @@ mod tests {
             .unwrap()
             .policy_for(&Tuple::new(StreamId(0), TupleId(0), Timestamp(0), vec![]))
             .allows(&RoleSet::from([1])));
+    }
+
+    #[test]
+    fn tuple_level_policy_is_forwarded_as_is() {
+        // No attribute grant to move, no deny-all entry to drop: the remap
+        // is the identity, so the very same allocation goes downstream —
+        // for a uniform segment, a scoped one, and the empty (deny) one.
+        let grant = |r| Arc::new(Policy::tuple_level(RoleSet::from([r]), Timestamp(3)));
+        let scoped = SegmentPolicy::new(
+            vec![
+                crate::element::PolicyEntry {
+                    scope: sp_pattern::Pattern::numeric_range(0, 5),
+                    policy: grant(1),
+                },
+                crate::element::PolicyEntry {
+                    scope: sp_pattern::Pattern::numeric_range(3, 9),
+                    policy: grant(2),
+                },
+            ],
+            Timestamp(3),
+        );
+        let uniform = SegmentPolicy::uniform(Policy::tuple_level(RoleSet::from([1]), Timestamp(4)));
+        for seg in [scoped, uniform, SegmentPolicy::deny(Timestamp(5))] {
+            let seg = Arc::new(seg);
+            let mut proj = Project::new(vec![1]);
+            let out = run_unary(&mut proj, vec![Element::Policy(seg.clone())]);
+            assert!(Arc::ptr_eq(out[0].as_policy().unwrap(), &seg));
+            // … and it is what the remap would have built.
+            assert_eq!(*seg, seg.map_policies(|p| p.remap_attrs(|_| None)));
+            assert_eq!((proj.stats().sps_in, proj.stats().sps_out), (1, 1));
+        }
+    }
+
+    #[test]
+    fn deny_all_entry_is_still_dropped() {
+        // A scoped segment with one deny-all entry is not the identity
+        // case: the remap drops that entry, as before.
+        let seg = SegmentPolicy::new(
+            vec![
+                crate::element::PolicyEntry {
+                    scope: sp_pattern::Pattern::numeric_range(0, 5),
+                    policy: Arc::new(Policy::tuple_level(RoleSet::from([1]), Timestamp(3))),
+                },
+                crate::element::PolicyEntry {
+                    scope: sp_pattern::Pattern::numeric_range(6, 9),
+                    policy: Arc::new(Policy::deny_all(Timestamp(3))),
+                },
+            ],
+            Timestamp(3),
+        );
+        let mut proj = Project::new(vec![0]);
+        let out = run_unary(&mut proj, vec![Element::policy(seg.clone())]);
+        let forwarded = out[0].as_policy().unwrap();
+        assert_eq!(forwarded.entries().len(), 1);
+        assert_eq!(**forwarded, seg.map_policies(|p| p.remap_attrs(|_| None)));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::expr::Expr;
-use crate::operator::{Emitter, Operator};
+use crate::operator::{unary_port, Emitter, Operator};
 use crate::stats::OperatorStats;
 
 /// The selection operator.
@@ -75,18 +75,20 @@ impl Select {
         self.pending_policy = Some(seg);
     }
 
-    /// Filters one tuple, flushing the pending policy before the first
-    /// survivor of its segment.
-    fn filter_tuple(&mut self, tuple: Arc<sp_core::Tuple>, out: &mut Emitter) {
+    /// Tests one tuple, flushing the pending policy before the first
+    /// survivor of its segment. The caller emits a survivor: by move when
+    /// it owns the run, by clone when it was lent it.
+    fn keeps(&mut self, tuple: &sp_core::Tuple, out: &mut Emitter) -> bool {
         self.stats.tuples_in += 1;
-        if self.condition.test(&tuple) {
+        let keep = self.condition.test(tuple);
+        if keep {
             if let Some(policy) = self.pending_policy.take() {
                 self.stats.sps_out += 1;
                 out.push(Element::Policy(policy));
             }
             self.stats.tuples_out += 1;
-            out.push(Element::Tuple(tuple));
         }
+        keep
     }
 }
 
@@ -101,14 +103,7 @@ impl Operator for Select {
         elem: Element,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "select".into(), port, arity: 1 });
-        }
-        match elem {
-            Element::Policy(seg) => self.absorb_policy(seg, out),
-            Element::Tuple(tuple) => self.filter_tuple(tuple, out),
-        }
-        Ok(())
+        self.process_batch(port, crate::batch::ElementBatch::single(elem), out)
     }
 
     /// Vectorized fast path: a whole run is filtered in one tight loop.
@@ -118,13 +113,36 @@ impl Operator for Select {
         batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "select".into(), port, arity: 1 });
-        }
+        unary_port("select", port)?;
         for elem in batch {
             match elem {
-                Element::Tuple(tuple) => self.filter_tuple(tuple, out),
+                Element::Tuple(tuple) => {
+                    if self.keeps(&tuple, out) {
+                        out.push(Element::Tuple(tuple));
+                    }
+                }
                 Element::Policy(seg) => self.absorb_policy(seg, out),
+            }
+        }
+        Ok(())
+    }
+
+    /// A lent run costs an `Arc` increment per *surviving* tuple only.
+    fn process_run(
+        &mut self,
+        port: usize,
+        run: &[Element],
+        out: &mut Emitter,
+    ) -> Result<(), EngineError> {
+        unary_port("select", port)?;
+        for elem in run {
+            match elem {
+                Element::Tuple(tuple) => {
+                    if self.keeps(tuple, out) {
+                        out.push(elem.clone());
+                    }
+                }
+                Element::Policy(seg) => self.absorb_policy(seg.clone(), out),
             }
         }
         Ok(())

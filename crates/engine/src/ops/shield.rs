@@ -14,15 +14,24 @@
 //! intersection — the paper's suggested bitmap encoding) and `Scan` (role-
 //! by-role probing, the unindexed baseline whose cost grows linearly with
 //! the SS state size, Fig. 8b).
+//!
+//! A policy switch builds only what it forwards: the policy owed
+//! downstream is narrowed to the predicate at the segment's first
+//! *release* (or when a checkpoint has to write it), so a segment that
+//! releases nothing costs no narrowing, and a tuple-granularity verdict
+//! allocates nothing. One run body serves owned and lent runs alike; of a
+//! run the executor only lends (a multi-query edge) a suppressed tuple is
+//! never cloned.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use sp_core::{RoleSet, SharedPolicy};
+use sp_core::{RoleSet, SharedPolicy, Tuple};
 
 use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
-use crate::operator::{Emitter, Operator};
+use crate::operator::{unary_port, Emitter, Operator};
 use crate::stats::OperatorStats;
 use crate::telemetry::{AuditEvent, Recorders, SpanRecord, NO_SP, NO_TUPLE};
 
@@ -62,9 +71,29 @@ enum Verdict {
     PerTuple,
 }
 
+/// How a released tuple leaves the shield.
+#[derive(Debug, Clone)]
+enum Release {
+    /// As it arrived. Tuple granularity only ever says this, so that
+    /// path never builds or clones a mask.
+    Whole,
+    /// With these attribute positions nulled (attribute granularity).
+    Masked(Arc<[usize]>),
+}
+
+impl Release {
+    fn masking(attrs: Vec<usize>) -> Self {
+        if attrs.is_empty() {
+            Release::Whole
+        } else {
+            Release::Masked(attrs.into())
+        }
+    }
+}
+
 /// Cached scoped-segment decision: the resolved policy allocation, the
-/// release mask (if attribute granularity), and the authorizing role.
-type TupleVerdictCache = (SharedPolicy, Option<Arc<[usize]>>, u32);
+/// verdict (`None` = suppress), and the authorizing role.
+type TupleVerdictCache = (SharedPolicy, Option<Release>, u32);
 
 /// The Security Shield operator.
 #[derive(Debug)]
@@ -74,11 +103,14 @@ pub struct SecurityShield {
     mode: MatchMode,
     current: Option<Arc<SegmentPolicy>>,
     verdict: Verdict,
-    /// Lazily emitted before the first passing tuple of the segment, so
-    /// that discarded segments' punctuations are discarded too.
+    /// The segment policy owed downstream, emitted — narrowed to the
+    /// predicate — before the first released tuple of the segment, so
+    /// that discarded segments' punctuations are discarded too and cost
+    /// no narrowing. Held un-narrowed (after a restore: as checkpointed,
+    /// which narrowing again does not change).
     pending_policy: Option<Arc<SegmentPolicy>>,
     /// `(arity, mask)` cache for attribute-granularity uniform segments.
-    mask_cache: Option<(usize, Arc<[usize]>)>,
+    mask_cache: Option<(usize, Release)>,
     /// Per-tuple verdict cache for scoped segments: consecutive tuples of
     /// one segment resolve to the *same shared policy allocation*, so a
     /// pointer compare reuses the previous decision ("once an sp has been
@@ -224,33 +256,41 @@ impl SecurityShield {
         }
     }
 
-    /// Evaluates the predicate against a resolved policy, producing the
-    /// pass verdict (with attribute mask) or `None` for deny.
-    fn judge(&self, policy: &SharedPolicy, arity: usize) -> Option<Arc<[usize]>> {
-        let pass = match self.granularity {
-            Granularity::Tuple => policy.allows(&self.roles),
-            Granularity::Attribute => policy.allows_any_attr(&self.roles),
-        };
-        if !pass {
-            return None;
+    /// Evaluates the predicate against a resolved policy: how the tuple
+    /// is released, or `None` for deny.
+    fn judge(&self, policy: &SharedPolicy, arity: usize) -> Option<Release> {
+        match self.granularity {
+            Granularity::Tuple => policy.allows(&self.roles).then_some(Release::Whole),
+            Granularity::Attribute => policy
+                .allows_any_attr(&self.roles)
+                .then(|| Release::masking(policy.masked_attrs(arity, &self.roles))),
         }
-        let masked: Arc<[usize]> = if self.granularity == Granularity::Attribute {
-            policy.masked_attrs(arity, &self.roles).into()
-        } else {
-            Arc::from([])
-        };
-        Some(masked)
     }
 
     /// The attribute mask for a uniform segment at the given arity, cached.
-    fn cached_mask(&mut self, policy: &SharedPolicy, arity: usize) -> Arc<[usize]> {
+    fn cached_mask(&mut self, policy: &SharedPolicy, arity: usize) -> Release {
         match &self.mask_cache {
             Some((a, mask)) if *a == arity => mask.clone(),
             _ => {
-                let mask: Arc<[usize]> = policy.masked_attrs(arity, &self.roles).into();
+                let mask = Release::masking(policy.masked_attrs(arity, &self.roles));
                 self.mask_cache = Some((arity, mask.clone()));
                 mask
             }
+        }
+    }
+
+    /// `seg` narrowed to this shield's predicate: downstream of ψ_p
+    /// nothing may observe access beyond p (least privilege), and
+    /// narrowing makes the Table II push-down rules exact.
+    fn narrowed(&self, seg: &SegmentPolicy) -> SegmentPolicy {
+        seg.map_policies(|p| p.restrict_to(&self.roles))
+    }
+
+    /// Emits the owed segment policy, if any, ahead of a release.
+    fn flush_pending(&mut self, out: &mut Emitter) {
+        if let Some(seg) = self.pending_policy.take() {
+            self.stats.sps_out += 1;
+            out.push(Element::policy(self.narrowed(&seg)));
         }
     }
 
@@ -264,11 +304,7 @@ impl SecurityShield {
             self.verdict = self.evaluate_segment(&seg);
             self.pending_policy = match self.verdict {
                 Verdict::Fail | Verdict::Deny => None,
-                // Forward the policy narrowed to this shield's
-                // predicate: downstream of ψ_p nothing may observe
-                // access beyond p (least privilege), and narrowing
-                // makes the Table II push-down rules exact.
-                _ => Some(Arc::new(seg.map_policies(|p| p.restrict_to(&self.roles)))),
+                _ => Some(seg.clone()),
             };
             // The enforcement moment: span + enforcement-lag sample,
             // keyed to the sp-batch stamp (stream time only).
@@ -321,18 +357,22 @@ impl SecurityShield {
         self.rec.audit.enabled() || self.rec.spans.enabled() || self.rec.lag.armed()
     }
 
-    /// Judges one tuple under the current verdict (the `process` tuple
-    /// arm).
-    fn shield_tuple(&mut self, tuple: Arc<sp_core::Tuple>, out: &mut Emitter) {
+    /// The one decision core: judges a tuple under the current verdict
+    /// and does everything a decision entails — counters, recorders, the
+    /// owed policy ahead of a release — except emitting the tuple, which
+    /// the caller moves (it owns the run) or clones (it was lent it).
+    /// `None` suppresses. Inlined into each run body: as a call returning
+    /// its verdict through memory it cost a singleton run ≈ 7 ns.
+    #[inline(always)]
+    fn judge_tuple(&mut self, tuple: &Tuple, out: &mut Emitter) -> Option<Release> {
         self.stats.tuples_in += 1;
-        let (tid_raw, ts_raw) = (tuple.tid.raw(), tuple.ts.0);
         let mut audit_role = u32::MAX;
         let decision = match &self.verdict {
             Verdict::Deny | Verdict::Fail => None,
             Verdict::Pass { mask_from } => {
                 audit_role = self.seg_role;
                 match mask_from.clone() {
-                    None => Some(Arc::from([])),
+                    None => Some(Release::Whole),
                     Some(policy) => Some(self.cached_mask(&policy, tuple.arity())),
                 }
             }
@@ -341,7 +381,7 @@ impl SecurityShield {
                 // mutation of the verdict cache.
                 enum Hit {
                     Deny,
-                    Cached(Option<Arc<[usize]>>, u32),
+                    Cached(Option<Release>, u32),
                     Evaluate(SharedPolicy),
                     Combined(SharedPolicy),
                 }
@@ -350,7 +390,7 @@ impl SecurityShield {
                     // while a segment is current.
                     #[allow(clippy::expect_used)]
                     let seg = self.current.as_ref().expect("PerTuple implies a segment");
-                    match seg.resolve_ref(&tuple) {
+                    match seg.resolve_ref(tuple) {
                         crate::element::Resolved::None => Hit::Deny,
                         crate::element::Resolved::One(policy) => {
                             // Hot path: consecutive tuples of one
@@ -364,7 +404,7 @@ impl SecurityShield {
                                 _ => Hit::Evaluate(policy.clone()),
                             }
                         }
-                        crate::element::Resolved::Many => Hit::Combined(seg.policy_for(&tuple)),
+                        crate::element::Resolved::Many => Hit::Combined(seg.policy_for(tuple)),
                     }
                 };
                 match hit {
@@ -387,25 +427,80 @@ impl SecurityShield {
                 }
             }
         };
-        match decision {
-            Some(masked) => {
-                if let Some(policy) = self.pending_policy.take() {
-                    self.stats.sps_out += 1;
-                    out.push(Element::Policy(policy));
-                }
-                self.stats.tuples_out += 1;
-                let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                self.record_decision(true, tid_raw, ts_raw, sp_ts, audit_role);
-                if masked.is_empty() {
-                    out.push(Element::Tuple(tuple));
-                } else {
-                    out.push(Element::tuple(tuple.mask(&masked)));
+        if decision.is_some() {
+            self.flush_pending(out);
+            self.stats.tuples_out += 1;
+        } else {
+            self.stats.tuples_shielded += 1;
+        }
+        let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
+        self.record_decision(decision.is_some(), tuple.tid.raw(), tuple.ts.0, sp_ts, audit_role);
+        decision
+    }
+
+    /// One run through the shield, owned or lent: `T` is an `Element`
+    /// the caller gives up (`own` is the identity, released tuples move
+    /// through) or a `&Element` it was shown (`own` clones, and runs only
+    /// for what is released or absorbed).
+    ///
+    /// A tuple-only run is judged under one verdict — no policy can
+    /// arrive inside it — and released whole (uniform pass, tuple
+    /// granularity) or suppressed whole (deny/fail) with O(1) counter
+    /// updates. Attribute-masked and scoped segments, and any run holding
+    /// a policy, go element by element through the decision core, so
+    /// outputs, counters, audit records and snapshots are those of
+    /// element-at-a-time processing for every run shape.
+    fn shield_run<T: Borrow<Element>>(
+        &mut self,
+        run: impl ExactSizeIterator<Item = T>,
+        tuples_only: bool,
+        own: impl Fn(T) -> Element,
+        out: &mut Emitter,
+    ) {
+        let n = run.len();
+        let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
+        match &self.verdict {
+            Verdict::Deny | Verdict::Fail if tuples_only => {
+                self.stats.tuples_in += n as u64;
+                self.stats.tuples_shielded += n as u64;
+                if self.recording() {
+                    for item in run {
+                        if let Some(t) = item.borrow().as_tuple() {
+                            self.record_decision(false, t.tid.raw(), t.ts.0, sp_ts, u32::MAX);
+                        }
+                    }
                 }
             }
-            None => {
-                self.stats.tuples_shielded += 1;
-                let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                self.record_decision(false, tid_raw, ts_raw, sp_ts, audit_role);
+            Verdict::Pass { mask_from: None } if tuples_only => {
+                self.stats.tuples_in += n as u64;
+                self.stats.tuples_out += n as u64;
+                self.flush_pending(out);
+                out.reserve(n);
+                let recording = self.recording();
+                for item in run {
+                    if let (true, Some(t)) = (recording, item.borrow().as_tuple()) {
+                        self.record_decision(true, t.tid.raw(), t.ts.0, sp_ts, self.seg_role);
+                    }
+                    out.push(own(item));
+                }
+            }
+            _ => {
+                for item in run {
+                    match item.borrow() {
+                        Element::Tuple(tuple) => match self.judge_tuple(tuple, out) {
+                            None => {}
+                            Some(Release::Whole) => out.push(own(item)),
+                            Some(Release::Masked(attrs)) => {
+                                out.push(Element::tuple(tuple.mask(&attrs)));
+                            }
+                        },
+                        Element::Policy(_) => {
+                            if let Element::Policy(seg) = own(item) {
+                                self.absorb_policy(seg);
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -422,96 +517,32 @@ impl Operator for SecurityShield {
         elem: Element,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "ss".into(), port, arity: 1 });
-        }
-        match elem {
-            Element::Policy(seg) => self.absorb_policy(seg),
-            Element::Tuple(tuple) => self.shield_tuple(tuple, out),
-        }
+        unary_port("ss", port)?;
+        self.shield_run(std::iter::once(elem), false, |e| e, out);
         Ok(())
     }
 
-    /// Vectorized fast path: a tuple-only run is judged under one cached
-    /// verdict — the whole run is released (uniform pass, tuple
-    /// granularity) or suppressed (deny/fail) with O(1) counter updates.
-    /// Attribute-masked and scoped (per-tuple) segments, and any batch
-    /// containing policies, fall back to the per-element cores, so
-    /// outputs, counters, audit records, and snapshots are identical to
-    /// element-at-a-time processing for every batch shape.
     fn process_batch(
         &mut self,
         port: usize,
         batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "ss".into(), port, arity: 1 });
-        }
-        if batch.is_control() {
-            // Policy run (or a mixed test batch): per-element cores.
-            for elem in batch {
-                match elem {
-                    Element::Policy(seg) => self.absorb_policy(seg),
-                    Element::Tuple(tuple) => self.shield_tuple(tuple, out),
-                }
-            }
-        } else {
-            // Tuple-only run: no policy can arrive mid-batch, so one
-            // verdict governs the entire run.
-            let n = batch.len() as u64;
-            match &self.verdict {
-                Verdict::Deny | Verdict::Fail => {
-                    self.stats.tuples_in += n;
-                    self.stats.tuples_shielded += n;
-                    if self.recording() {
-                        let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                        for elem in &batch {
-                            if let Some(t) = elem.as_tuple() {
-                                self.record_decision(false, t.tid.raw(), t.ts.0, sp_ts, u32::MAX);
-                            }
-                        }
-                    }
-                }
-                Verdict::Pass { mask_from: None } => {
-                    self.stats.tuples_in += n;
-                    self.stats.tuples_out += n;
-                    if let Some(policy) = self.pending_policy.take() {
-                        self.stats.sps_out += 1;
-                        out.push(Element::Policy(policy));
-                    }
-                    out.reserve(batch.len());
-                    if self.recording() {
-                        let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-                        for elem in &batch {
-                            if let Some(t) = elem.as_tuple() {
-                                self.record_decision(
-                                    true,
-                                    t.tid.raw(),
-                                    t.ts.0,
-                                    sp_ts,
-                                    self.seg_role,
-                                );
-                            }
-                        }
-                    }
-                    for elem in batch {
-                        out.push(elem);
-                    }
-                }
-                // Attribute masks and scoped segments need per-tuple
-                // resolution; caches inside the core keep it O(1) per
-                // tuple.
-                Verdict::Pass { mask_from: Some(_) } | Verdict::PerTuple => {
-                    for elem in batch {
-                        match elem {
-                            Element::Tuple(tuple) => self.shield_tuple(tuple, out),
-                            Element::Policy(seg) => self.absorb_policy(seg),
-                        }
-                    }
-                }
-            }
-        }
+        unary_port("ss", port)?;
+        let tuples_only = !batch.is_control();
+        self.shield_run(batch.into_iter(), tuples_only, |e| e, out);
+        Ok(())
+    }
+
+    /// A lent run costs an `Arc` increment per *released* tuple only.
+    fn process_run(
+        &mut self,
+        port: usize,
+        run: &[Element],
+        out: &mut Emitter,
+    ) -> Result<(), EngineError> {
+        unary_port("ss", port)?;
+        self.shield_run(run.iter(), run.iter().all(Element::is_tuple), Element::clone, out);
         Ok(())
     }
 
@@ -561,12 +592,14 @@ impl Operator for SecurityShield {
     }
 
     /// Snapshot: counters, the buffered segment policy, and the pending
-    /// (not-yet-emitted) narrowed policy. The verdict and both caches are
-    /// derived state, re-evaluated on restore.
+    /// (not-yet-emitted) policy — narrowed here, as it will be emitted, so
+    /// the bytes do not say when narrowing happens. The verdict and both
+    /// caches are derived state, re-evaluated on restore.
     fn snapshot(&self, buf: &mut Vec<u8>) {
         self.stats.encode_counters(buf);
         ckpt::encode_opt_segment(self.current.as_ref(), buf);
-        ckpt::encode_opt_segment(self.pending_policy.as_ref(), buf);
+        let pending = self.pending_policy.as_deref().map(|seg| Arc::new(self.narrowed(seg)));
+        ckpt::encode_opt_segment(pending.as_ref(), buf);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
@@ -604,7 +637,7 @@ impl Operator for SecurityShield {
             self.verdict = self.evaluate_segment(&seg);
             self.pending_policy = match self.verdict {
                 Verdict::Fail | Verdict::Deny => None,
-                _ => Some(Arc::new(seg.map_policies(|p| p.restrict_to(&self.roles)))),
+                _ => Some(seg),
             };
         }
         true
@@ -730,6 +763,52 @@ mod tests {
         let mut strict = SecurityShield::new(RoleSet::from([1]));
         let out2 = run_unary(&mut strict, vec![Element::policy(seg2), tup(42, 1)]);
         assert!(tuples_of(&out2).is_empty());
+    }
+
+    /// The shield narrows the owed policy at the first release, not when
+    /// it absorbs it — but a checkpoint cut in between must not say so:
+    /// its bytes are those of a shield that narrowed eagerly, and the
+    /// restored shield emits that same narrowed policy first.
+    #[test]
+    fn checkpoint_between_policy_and_first_release_holds_narrowed_policy() {
+        let roles = RoleSet::from([1]);
+        let seg = |scope_hi, granted: &[u32]| crate::element::PolicyEntry {
+            scope: Pattern::numeric_range(0, scope_hi),
+            policy: Arc::new(Policy::tuple_level(
+                granted.iter().map(|&r| RoleId(r)).collect(),
+                Timestamp(5),
+            )),
+        };
+        // Scoped (PerTuple verdict), wider than the predicate, with an
+        // entry that narrows to deny-all and is dropped.
+        let raw =
+            Arc::new(SegmentPolicy::new(vec![seg(9, &[1, 2, 3]), seg(4, &[2])], Timestamp(5)));
+        let narrowed = raw.map_policies(|p| p.restrict_to(&roles));
+        assert_ne!(*raw, narrowed);
+
+        let mut ss = SecurityShield::new(roles.clone());
+        let out = run_unary(&mut ss, vec![Element::Policy(raw.clone())]);
+        assert!(out.is_empty(), "the policy is owed, not yet emitted");
+
+        let mut expected = Vec::new();
+        ss.stats.encode_counters(&mut expected);
+        ckpt::encode_opt_segment(Some(&raw), &mut expected);
+        ckpt::encode_opt_segment(Some(&Arc::new(narrowed.clone())), &mut expected);
+        let mut snap = Vec::new();
+        ss.snapshot(&mut snap);
+        assert_eq!(snap, expected);
+
+        let mut restored = SecurityShield::new(roles);
+        restored.restore(&snap).unwrap();
+        let mut again = Vec::new();
+        restored.snapshot(&mut again);
+        assert_eq!(again, snap, "restore → snapshot is the identity");
+        for shield in [&mut ss, &mut restored] {
+            let out = run_unary(shield, vec![tup(7, 6)]);
+            assert_eq!(**out[0].as_policy().unwrap(), narrowed);
+            assert_eq!(tuples_of(&out), vec![7]);
+            assert_eq!(shield.stats().sps_out, 1);
+        }
     }
 
     #[test]

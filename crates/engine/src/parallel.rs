@@ -20,7 +20,7 @@
 //! number per run) when the source has a single consumer; a multi-consumer
 //! source sends per-element singletons, because a downstream seq-ordered
 //! merge of a fan-out must see the same element-major interleaving the
-//! sequential executor routes. Workers likewise forward their emitted
+//! sequential executor keeps on plans with a binary node. Workers likewise forward their emitted
 //! outputs as runs under the input's sequence number; since every output
 //! of one input already shared a sequence number in element-at-a-time
 //! routing and the port-0 tie-break drains equal-seq entries port-major,

@@ -6,28 +6,35 @@
 //! consumers — the multi-query sharing of Fig. 5) are expressed by adding
 //! several edges from one node. Execution is push-based and deterministic:
 //! [`Executor::push`] runs an arriving raw element through the analyzer and
-//! then drains a FIFO work queue of `(target, batch)` items.
+//! then drains a FIFO work queue of `(edge, batch)` items.
 //!
 //! **Batch execution.** The queue moves [`ElementBatch`]es — contiguous
-//! kind-homogeneous runs of elements — rather than single elements. Runs
-//! are formed by coalescing: a routed element joins the queue's tail batch
-//! when the tail targets the same destination and holds the same element
-//! kind, and otherwise starts a new batch. Coalescing only ever merges
-//! *adjacent* queue entries, which preserves the tuple-at-a-time engine's
-//! per-operator input order exactly (adjacent same-target entries were
-//! processed back-to-back anyway, and their outputs are appended to the
-//! queue tail in the same order either way) — so released tuples, final
-//! policy tables, snapshots, and audit trails are byte-identical to
-//! per-element execution. Fan-out to several consumers routes
-//! element-major (each element to every target before the next element),
-//! which makes coalescing degrade to singleton batches across a split and
-//! keeps cross-branch interleaving at downstream binary merges unchanged.
-//! [`Executor::push_all`] additionally *defers* drains across inputs on
-//! binary-free plans (where per-operator input order alone fixes every
-//! observable), letting whole segments accumulate into one run between
-//! punctuation cuts; [`MAX_DEFERRED_INPUTS`] bounds queue growth. This is
-//! the production path: a session hands each decoded frame to `push_all`
-//! whole, and [`Executor::push`] is its one-element case.
+//! kind-homogeneous runs of elements — one entry per *edge* (everything
+//! one upstream emits, before it fans out). Runs are formed by
+//! coalescing: an emitted element joins the queue's tail batch when the
+//! tail sits on the same edge and holds the same element kind, and
+//! otherwise starts a new batch. Coalescing only ever merges *adjacent*
+//! queue entries, which preserves the tuple-at-a-time engine's
+//! per-operator input order exactly — so released tuples, final policy
+//! tables, snapshots, and audit trails are byte-identical to per-element
+//! execution.
+//!
+//! **Fan-out is by run, not by element.** A dequeued batch is shown to
+//! every consumer of its edge in turn: all but the last are *lent* it
+//! ([`Operator::process_run`] — a shield or select clones only what it
+//! releases), the last takes it by move ([`Operator::process_batch`]; a
+//! single-consumer edge is that case alone). On binary-free plans every
+//! node has exactly one upstream edge, so an operator's input *sequence*
+//! fixes every observable and the order in which sibling consumers run is
+//! free: runs coalesce across a split, and [`Executor::push_all`] stages
+//! up to [`MAX_DEFERRED_INPUTS`] inputs through the analyzers before it
+//! drains, so the eight shields of an eight-query plan each see a whole
+//! segment run. A binary merge observes the *interleaving* of its two
+//! inputs, so a plan with a binary node keeps the tuple-at-a-time order:
+//! a multi-consumer edge carries singleton batches (each element visits
+//! every consumer before the next element) and the plan drains after
+//! every input. A session hands each decoded frame to `push_all` whole;
+//! [`Executor::push`] is its one-element case.
 //!
 //! **One clock.** Operators do not time themselves. The executor reads
 //! the clock around each operator call — one pair per *batch* — and only
@@ -287,6 +294,7 @@ impl PlanBuilder {
             by_stream.entry(s.stream).or_default().push(i);
         }
         let latency = vec![Histogram::new(); self.nodes.len()];
+        let staged = self.sources.iter().map(|_| Vec::with_capacity(16)).collect();
         let has_binary = self.nodes.iter().any(|n| n.op.arity() > 1);
         Executor {
             nodes: self.nodes,
@@ -294,59 +302,44 @@ impl PlanBuilder {
             sinks: self.sinks,
             by_stream,
             queue: VecDeque::with_capacity(64),
-            staged: Vec::with_capacity(16),
+            staged,
             emitter: Emitter::with_capacity(64),
             telemetry: self.telemetry,
             latency,
             queue_depth: Histogram::new(),
             batching: true,
             has_binary,
+            failed: None,
         }
     }
 }
 
-/// Routes one emitted element to a target: coalesce into the queue's tail
-/// batch when the tail has the same target and element kind, else start a
-/// new singleton batch. Merging only ever touches the *tail*, so the
-/// per-target element order is exactly the order routed here.
-fn route(
-    queue: &mut VecDeque<(Target, ElementBatch)>,
-    target: Target,
-    elem: Element,
-    coalesce: bool,
-) {
-    if coalesce {
-        if let Some((t, batch)) = queue.back_mut() {
-            if *t == target && batch.accepts(&elem) {
-                batch.push(elem);
-                return;
-            }
-        }
-    }
-    queue.push_back((target, ElementBatch::single(elem)));
+/// A plan edge, named by what feeds it. The work queue holds one copy of
+/// a run per edge; [`Executor::drain`] shows it to each consumer in the
+/// upstream's `outputs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Edge {
+    Source(usize),
+    Node(usize),
 }
 
-/// Routes a run of elements to every target, element-major: each element
-/// visits all targets before the next element, cloning for all targets
-/// but the last (which takes the element by move). Element-major order
-/// keeps cross-branch interleaving at downstream merges identical to
-/// tuple-at-a-time routing; across a multi-target split, tail coalescing
-/// then naturally degrades to singleton batches, while single-consumer
-/// chains — the common case — coalesce whole runs.
-fn enqueue_fanout(
-    queue: &mut VecDeque<(Target, ElementBatch)>,
-    targets: &[Target],
+/// Queues `elems` on `edge`. With `coalesce`, an element joins the queue's
+/// tail batch when that batch is on the same edge and of the same kind;
+/// otherwise it starts a singleton batch. Merging only ever touches the
+/// *tail*, so the per-edge element order is exactly the order queued here.
+fn enqueue(
+    queue: &mut VecDeque<(Edge, ElementBatch)>,
+    edge: Edge,
     elems: impl Iterator<Item = Element>,
     coalesce: bool,
 ) {
-    let Some((&last, rest)) = targets.split_last() else {
-        return;
-    };
     for elem in elems {
-        for &t in rest {
-            route(queue, t, elem.clone(), coalesce);
+        match queue.back_mut() {
+            Some((tail, batch)) if coalesce && *tail == edge && batch.accepts(&elem) => {
+                batch.push(elem);
+            }
+            _ => queue.push_back((edge, ElementBatch::single(elem))),
         }
-        route(queue, last, elem, coalesce);
     }
 }
 
@@ -356,9 +349,9 @@ pub struct Executor {
     sources: Vec<Source>,
     sinks: Vec<Sink>,
     by_stream: HashMap<StreamId, Vec<usize>>,
-    queue: VecDeque<(Target, ElementBatch)>,
-    /// Reusable analyzer-output scratch (avoids a fresh allocation per push).
-    staged: Vec<Element>,
+    queue: VecDeque<(Edge, ElementBatch)>,
+    /// Analyzer output not yet queued, per source (reused across pushes).
+    staged: Vec<Vec<Element>>,
     /// Reusable operator-output scratch.
     emitter: Emitter,
     pub(crate) telemetry: TelemetryConfig,
@@ -371,66 +364,77 @@ pub struct Executor {
     /// tuple-at-a-time reference mode.
     batching: bool,
     /// Whether any node is binary. Binary merges observe the *interleaving*
-    /// of their two input sequences, so deferred draining is only safe on
-    /// binary-free plans, where each operator's input sequence alone
-    /// determines every observable.
+    /// of their two input sequences, so deferred draining and coalescing
+    /// across a multi-consumer edge are only safe on binary-free plans,
+    /// where each operator's input sequence alone determines every
+    /// observable.
     has_binary: bool,
+    /// The first error an operator reported. The work discarded with it
+    /// can hold a revocation bound for another query's shield, so a failed
+    /// executor stays failed: every later push returns this error again.
+    failed: Option<EngineError>,
 }
 
 impl Executor {
     /// Feeds one raw stream element into every source registered for its
-    /// stream and runs the plan to quiescence.
+    /// stream and runs the plan to quiescence: the one-element case of
+    /// [`Executor::push_all`].
     ///
     /// # Errors
     ///
-    /// Propagates the first [`EngineError`] an operator reports; pending
-    /// work queued behind the failing element is discarded (fail-closed:
-    /// nothing is released past a failed operator).
+    /// As [`Executor::push_all`].
     pub fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError> {
-        self.stage(stream, elem);
-        self.drain()
+        self.push_all(std::iter::once((stream, elem)))
     }
 
     /// Feeds a whole batch — in production, one decoded frame's admitted
     /// elements — then drains.
     ///
     /// On binary-free plans with batching enabled, inputs are *staged*
-    /// and the plan drained only every [`MAX_DEFERRED_INPUTS`] inputs (and
-    /// once at the end), so whole segment runs coalesce into single
-    /// batches. This is output-equivalent to draining per input: without a
-    /// binary merge, each operator's input sequence — which deferral
-    /// preserves exactly — determines every observable. Plans with a
-    /// binary node drain per input, where within-push coalescing still
-    /// applies.
+    /// through the analyzers and the plan drained only every
+    /// [`MAX_DEFERRED_INPUTS`] inputs (and once at the end), so whole
+    /// segment runs reach every consumer as single batches. This is
+    /// output-equivalent to draining per input: without a binary merge,
+    /// each operator's input sequence — which deferral preserves exactly —
+    /// determines every observable. Plans with a binary node drain per
+    /// input, where within-push coalescing still applies.
     ///
     /// # Errors
     ///
-    /// Stops at and returns the first [`EngineError`]. In deferred mode
-    /// the failure discards all staged work, including outputs of inputs
-    /// staged before the failing one — strictly more fail-closed than the
-    /// per-input path (never releases more). The discarded work can
-    /// include policy updates bound for operators that did not fail, so
-    /// an executor that returned an error must not be fed again.
+    /// Stops at and returns the first [`EngineError`]. The failure
+    /// discards all staged work, including outputs of inputs staged before
+    /// the failing one — strictly more fail-closed than the per-input path
+    /// (never releases more). The discarded work can include policy
+    /// updates bound for operators that did not fail, so the error is
+    /// latched: every later `push`, `push_all` and `finish` returns it
+    /// again without running an analyzer or an operator.
     pub fn push_all(
         &mut self,
         items: impl IntoIterator<Item = (StreamId, StreamElement)>,
     ) -> Result<(), EngineError> {
-        if !self.batching || self.has_binary {
-            for (stream, elem) in items {
-                self.push(stream, elem)?;
+        self.alive()?;
+        let chunk = if self.run_major() { MAX_DEFERRED_INPUTS } else { 1 };
+        let mut items = items.into_iter().peekable();
+        while items.peek().is_some() {
+            // One `by_stream` lookup per stream switch, not per element.
+            let mut registered: (Option<StreamId>, &[usize]) = (None, &[]);
+            for (stream, elem) in items.by_ref().take(chunk) {
+                if registered.0 != Some(stream) {
+                    registered =
+                        (Some(stream), self.by_stream.get(&stream).map_or(&[], Vec::as_slice));
+                }
+                // The raw element is cloned only for multiply-registered
+                // streams: the last source takes it by move.
+                if let Some((&last, rest)) = registered.1.split_last() {
+                    for &sid in rest {
+                        self.sources[sid].analyzer.push(elem.clone(), &mut self.staged[sid]);
+                    }
+                    self.sources[last].analyzer.push(elem, &mut self.staged[last]);
+                }
             }
-            return Ok(());
+            self.run_staged()?;
         }
-        let mut pending = 0usize;
-        for (stream, elem) in items {
-            self.stage(stream, elem);
-            pending += 1;
-            if pending >= MAX_DEFERRED_INPUTS {
-                self.drain()?;
-                pending = 0;
-            }
-        }
-        self.drain()
+        Ok(())
     }
 
     /// Enables or disables batch coalescing and deferred draining (on by
@@ -443,69 +447,70 @@ impl Executor {
         self.batching = batching;
     }
 
-    /// Runs one raw element through the analyzers of every source
-    /// registered for its stream and routes the resolved elements into the
-    /// work queue (no draining). The raw element is cloned only for
-    /// multiply-registered streams: the last source takes it by move.
-    fn stage(&mut self, stream: StreamId, elem: StreamElement) {
-        let Some(source_ids) = self.by_stream.get(&stream) else {
-            return;
-        };
-        let Some((&last_sid, rest)) = source_ids.split_last() else {
-            return;
-        };
-        let mut staged = std::mem::take(&mut self.staged);
-        for &sid in rest {
-            let source = &mut self.sources[sid];
-            source.analyzer.push(elem.clone(), &mut staged);
-            enqueue_fanout(&mut self.queue, &source.outputs, staged.drain(..), self.batching);
+    /// The one routing fork: on a binary-free plan with batching on, runs
+    /// coalesce across multi-consumer edges and drains are deferred.
+    fn run_major(&self) -> bool {
+        self.batching && !self.has_binary
+    }
+
+    fn outputs(&self, edge: Edge) -> &[Target] {
+        match edge {
+            Edge::Source(s) => &self.sources[s].outputs,
+            Edge::Node(n) => &self.nodes[n].outputs,
         }
-        let source = &mut self.sources[last_sid];
-        source.analyzer.push(elem, &mut staged);
-        enqueue_fanout(&mut self.queue, &source.outputs, staged.drain(..), self.batching);
-        self.staged = staged;
+    }
+
+    /// The latched failure, if any (see [`Executor::push_all`]).
+    fn alive(&self) -> Result<(), EngineError> {
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
+
+    /// Whether runs coalesce on `edge`. Off the run-major path a
+    /// multi-consumer edge never coalesces, so each element visits every
+    /// consumer before the next one does — the tuple-at-a-time order a
+    /// binary merge needs.
+    fn coalesces(&self, edge: Edge) -> bool {
+        self.run_major() || (self.batching && self.outputs(edge).len() < 2)
+    }
+
+    /// Queues every source's staged analyzer output and drains.
+    fn run_staged(&mut self) -> Result<(), EngineError> {
+        for sid in 0..self.staged.len() {
+            let edge = Edge::Source(sid);
+            let coalesce = self.coalesces(edge);
+            enqueue(&mut self.queue, edge, self.staged[sid].drain(..), coalesce);
+        }
+        self.drain()
     }
 
     fn drain(&mut self) -> Result<(), EngineError> {
         let mut emitter = std::mem::take(&mut self.emitter);
         let mut result = Ok(());
-        while let Some((target, batch)) = self.queue.pop_front() {
-            result = match target {
-                Target::Sink(i) => {
-                    let result = self.sinks[i].process_batch(0, batch, &mut emitter);
-                    debug_assert!(emitter.is_empty(), "sinks do not emit");
-                    result
-                }
-                Target::Node(n, port) => {
-                    let node = &mut self.nodes[n];
-                    let len = batch.len() as u64;
-                    // The only per-call clock, read only while someone
-                    // consumes it: one pair per batch; the histogram
-                    // records the per-element average `len` times so
-                    // counts still mean "elements processed".
-                    let start = self.telemetry.metrics.then(Instant::now);
-                    let result = node.op.process_batch(port, batch, &mut emitter);
-                    if let Some(start) = start {
-                        #[allow(clippy::cast_possible_truncation)] // < 585 years
-                        let ns = start.elapsed().as_nanos() as u64;
-                        self.latency[n].record_n(ns / len.max(1), len);
-                        self.queue_depth.record(self.queue.len() as u64);
-                    }
-                    if result.is_ok() {
-                        enqueue_fanout(
-                            &mut self.queue,
-                            &node.outputs,
-                            emitter.drain(),
-                            self.batching,
-                        );
-                    }
-                    result
-                }
+        while let Some((edge, batch)) = self.queue.pop_front() {
+            // Every consumer but the last is lent the run; the last (on a
+            // single-consumer edge, the only one) takes it by move.
+            let Some(last) = self.outputs(edge).len().checked_sub(1) else {
+                continue;
             };
-            if result.is_err() {
+            let len = batch.len() as u64;
+            result = (0..last).try_for_each(|i| {
+                self.feed(self.outputs(edge)[i], len, &mut emitter, |op, port, out| {
+                    op.process_run(port, batch.as_slice(), out)
+                })
+            });
+            if result.is_ok() {
+                result = self.feed(self.outputs(edge)[last], len, &mut emitter, |op, port, out| {
+                    op.process_batch(port, batch, out)
+                });
+            }
+            if let Err(e) = &result {
                 // Fail closed: everything staged behind the failure —
                 // including the failing call's own partial output — is
-                // discarded, never released.
+                // discarded, never released, and the executor stays failed.
+                self.failed = Some(e.clone());
                 self.queue.clear();
                 let _ = emitter.take();
                 break;
@@ -513,6 +518,41 @@ impl Executor {
         }
         self.emitter = emitter;
         result
+    }
+
+    /// Runs one operator call on `target` and queues what it emits.
+    fn feed(
+        &mut self,
+        target: Target,
+        len: u64,
+        emitter: &mut Emitter,
+        call: impl FnOnce(&mut dyn Operator, usize, &mut Emitter) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        match target {
+            Target::Sink(i) => {
+                let result = call(&mut self.sinks[i], 0, emitter);
+                debug_assert!(emitter.is_empty(), "sinks do not emit");
+                result
+            }
+            Target::Node(n, port) => {
+                // The only per-call clock, read only while someone
+                // consumes it: one pair per batch; the histogram
+                // records the per-element average `len` times so
+                // counts still mean "elements processed".
+                let start = self.telemetry.metrics.then(Instant::now);
+                call(self.nodes[n].op.as_mut(), port, emitter)?;
+                if let Some(start) = start {
+                    #[allow(clippy::cast_possible_truncation)] // < 585 years
+                    let ns = start.elapsed().as_nanos() as u64;
+                    self.latency[n].record_n(ns / len.max(1), len);
+                    self.queue_depth.record(self.queue.len() as u64);
+                }
+                let edge = Edge::Node(n);
+                let coalesce = self.coalesces(edge);
+                enqueue(&mut self.queue, edge, emitter.drain(), coalesce);
+                Ok(())
+            }
+        }
     }
 
     /// The sink's collected results.
@@ -557,14 +597,11 @@ impl Executor {
     ///
     /// Propagates the first [`EngineError`] an operator reports.
     pub fn finish(&mut self) -> Result<(), EngineError> {
-        let coalesce = self.batching;
-        let mut staged = std::mem::take(&mut self.staged);
-        for source in &mut self.sources {
-            source.analyzer.flush(&mut staged);
-            enqueue_fanout(&mut self.queue, &source.outputs, staged.drain(..), coalesce);
+        self.alive()?;
+        for (source, staged) in self.sources.iter_mut().zip(&mut self.staged) {
+            source.analyzer.flush(staged);
         }
-        self.staged = staged;
-        self.drain()
+        self.run_staged()
     }
 
     /// Routes one pre-analyzed batch into the plan at source slot `idx`,
@@ -573,9 +610,9 @@ impl Executor {
     /// once, centrally, and ships already-analyzed elements to shards,
     /// so per-shard analyzer state cannot exist (let alone diverge).
     pub(crate) fn inject(&mut self, idx: usize, batch: ElementBatch) -> Result<(), EngineError> {
-        let coalesce = self.batching;
-        enqueue_fanout(&mut self.queue, &self.sources[idx].outputs, batch.into_iter(), coalesce);
-        self.drain()
+        self.alive()?;
+        self.staged[idx].extend(batch);
+        self.run_staged()
     }
 
     /// Number of source slots (shard plumbing).
@@ -992,16 +1029,83 @@ mod tests {
             (StreamId(1), sp(&[2], 3)),  // revokes role 1: discarded with the rest
             (StreamId(1), tup(3, 4, 0)),
         ]);
+        let judged = (exec.stats(ss).sps_in, exec.stats(ss).tuples_in);
         assert!(matches!(err, Err(EngineError::MalformedElement { .. })), "{err:?}");
 
-        // The whole staged chunk fails closed: even tuple 1, judged before
-        // the failure, had its output still queued — in either query.
+        // The whole staged chunk fails closed — error-path granularity is
+        // the staged chunk (DESIGN §10 *Error path*): even tuple 1, judged
+        // before the failure, had its output still queued, in either
+        // query. How far query 2's shield got before the failure is a
+        // property of the routing order, not of the contract, so it is not
+        // asserted.
         assert_eq!(exec.sink(q1).tuple_count(), 0);
         assert_eq!(exec.sink(q2).tuple_count(), 0);
-        // The revocation bound for query 2's shield went with the queue,
-        // so the shield still holds the older, wider policy: an executor
-        // that returned an error must be dropped, not fed again.
-        assert_eq!(exec.stats(ss).sps_in, 1);
+
+        // The revocation bound for query 2's shield may have gone with
+        // the queue, leaving it on the older, wider policy — so the failure
+        // is latched: a later grant + tuple is refused with the same error
+        // and releases nothing under that stale policy.
+        let again = exec.push_all([(StreamId(1), sp(&[1], 5)), (StreamId(1), tup(4, 6, 0))]);
+        assert_eq!(again, err);
+        assert_eq!(exec.push(StreamId(1), tup(5, 7, 0)), err);
+        assert_eq!(exec.finish(), err);
+        assert_eq!(exec.sink(q1).tuple_count(), 0);
+        assert_eq!(exec.sink(q2).tuple_count(), 0);
+        assert_eq!((exec.stats(ss).sps_in, exec.stats(ss).tuples_in), judged, "no operator ran");
+    }
+
+    /// A plan with a binary node never takes run-major routing: a
+    /// self-join (one source → two selects → SAJoin ports 0/1) fed a policy
+    /// and tuples in one `push_all` matches the tuple-at-a-time executor on
+    /// output, counters and checkpoint bytes — the join saw the same
+    /// interleaving of its two inputs.
+    #[test]
+    fn binary_plan_keeps_element_major_routing() {
+        use crate::ops::sajoin::{JoinVariant, SAJoin};
+        let build = || {
+            let mut b = PlanBuilder::new(catalog());
+            let src = b.source(StreamId(1), schema());
+            let pass = |limit| {
+                Select::new(Expr::cmp(CmpOp::Ge, Expr::Attr(1), Expr::Const(Value::Int(limit))))
+            };
+            let left = b.add(pass(0), src);
+            let right = b.add(pass(2), src);
+            let join = b.add_binary(SAJoin::new(JoinVariant::Index, 100, 1, 1, 2), left, right);
+            let sink = b.sink(join);
+            (b.build(), [left, right, join], sink)
+        };
+        let input = || {
+            let xs = [1, 2, 3, 2, 1, 3, 2];
+            std::iter::once(sp(&[1, 2], 0))
+                .chain(xs.into_iter().enumerate().map(|(i, x)| tup(i as u64 + 1, i as u64 + 1, x)))
+                .chain([sp(&[2], 20), tup(9, 21, 2), tup(10, 22, 3)])
+                .map(|e| (StreamId(1), e))
+        };
+
+        let (mut batched, nodes, sink) = build();
+        assert!(batched.has_binary && !batched.run_major());
+        batched.push_all(input()).unwrap();
+        batched.finish().unwrap();
+
+        let (mut reference, _, _) = build();
+        reference.set_batching(false);
+        for (stream, elem) in input() {
+            reference.push(stream, elem).unwrap();
+        }
+        reference.finish().unwrap();
+
+        assert!(batched.sink(sink).tuple_count() > 0, "the join must produce output");
+        assert_eq!(batched.sink(sink).elements(), reference.sink(sink).elements());
+        for n in nodes {
+            assert_eq!(batched.stats(n).tuples_in, reference.stats(n).tuples_in);
+            assert_eq!(batched.stats(n).tuples_out, reference.stats(n).tuples_out);
+            assert_eq!(batched.stats(n).sps_in, reference.stats(n).sps_in);
+            assert_eq!(batched.stats(n).sps_out, reference.stats(n).sps_out);
+        }
+        let (ck_b, ck_r) = (batched.checkpoint(0, 0), reference.checkpoint(0, 0));
+        assert_eq!(ck_b.analyzers, ck_r.analyzers);
+        assert_eq!(ck_b.nodes, ck_r.nodes);
+        assert_eq!(ck_b.sinks, ck_r.sinks);
     }
 
     #[test]

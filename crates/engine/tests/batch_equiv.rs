@@ -10,12 +10,20 @@
 //!    the routers never produce) yields the same emissions, the same
 //!    snapshot bytes (which embed the logical counters), and the same
 //!    audit-trail bytes;
-//! 2. **executor differential** — a multi-operator plan run with batching
-//!    enabled (`push_all`) matches the same plan run element-at-a-time
-//!    with batching disabled: same sink contents, same operator
-//!    checkpoints, same audit trail;
+//!    the shield and select are also driven through the lent-run entry
+//!    (`process_run`) at the same cuts;
+//! 2. **executor differential** — a multi-query plan (nine consumers on
+//!    the source edge, two on an operator's) run with batching enabled
+//!    (`push_all`: run-major fan-out, lent runs, deferred drains) matches
+//!    the same plan run element-at-a-time with batching disabled: same
+//!    sink contents, same operator checkpoints, same audit trail;
 //! 3. **ingestion-path differential** — `push_all` (deferred drains) and
 //!    per-element `push` (eager drains) agree on the same batched plan.
+//!
+//! The workloads mix uniform grants with sp-batches of range-scoped sps
+//! (overlapping ranges, so per-tuple resolution meets one, several and no
+//! matching entry) and attribute-scoped grants (so an attribute-
+//! granularity shield masks).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -23,14 +31,15 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sp_core::{
-    RoleCatalog, RoleId, RoleSet, Schema, SecurityPunctuation, StreamElement, StreamId, Timestamp,
-    Tuple, TupleId, Value, ValueType,
+    DataDescription, RoleCatalog, RoleId, RoleSet, Schema, SecurityPunctuation, StreamElement,
+    StreamId, Timestamp, Tuple, TupleId, Value, ValueType,
 };
 use sp_engine::{
-    AggFunc, CmpOp, DupElim, Element, ElementBatch, Emitter, Expr, GroupBy, JoinVariant, Operator,
-    PlanBuilder, Project, SAIntersect, SAJoin, SecurityShield, Select, ShedPolicy, Shedder,
-    ShedderConfig, Sink, SinkRef, TelemetryConfig, Union,
+    AggFunc, CmpOp, DupElim, Element, ElementBatch, Emitter, Expr, Granularity, GroupBy,
+    JoinVariant, Operator, PlanBuilder, Project, SAIntersect, SAJoin, SecurityShield, Select,
+    ShedPolicy, Shedder, ShedderConfig, Sink, SinkRef, TelemetryConfig, Union,
 };
+use sp_pattern::Pattern;
 
 const AUDIT_CAP: usize = 1 << 12;
 
@@ -44,18 +53,31 @@ fn catalog() -> Arc<RoleCatalog> {
     Arc::new(c)
 }
 
-/// One raw workload item: an sp-batch grant or a tuple.
+/// One sp of a scoped sp-batch: the tuple-id range it governs, the roles
+/// it grants, and whether it grants them on attribute `v` only.
+type ScopedSp = (u64, u64, Vec<u32>, bool);
+
+/// One raw workload item: a uniform grant, an sp-batch of range-scoped
+/// sps sharing one timestamp, or a tuple.
 #[derive(Debug, Clone)]
 enum Item {
     Sp(Vec<u32>),
+    Scoped(Vec<ScopedSp>),
     Tup(i64, i64),
 }
 
 fn arb_items() -> impl Strategy<Value = Vec<Item>> {
+    // Tuple ids are item positions (< 48), so ranges this wide overlap
+    // each other and the tuples that follow more often than not.
+    let scoped_sp = (0u64..40, 0u64..24, prop::collection::vec(0u32..6, 1..3), any::<bool>())
+        .prop_map(|(lo, span, roles, attr_only)| (lo, lo + span, roles, attr_only));
+    let tup = || (0i64..6, 0i64..50).prop_map(|(k, v)| Item::Tup(k, v));
     prop::collection::vec(
         prop_oneof![
             prop::collection::vec(0u32..6, 0..3).prop_map(Item::Sp),
-            (0i64..6, 0i64..50).prop_map(|(k, v)| Item::Tup(k, v)),
+            prop::collection::vec(scoped_sp, 1..3).prop_map(Item::Scoped),
+            tup(),
+            tup(),
         ],
         4..48,
     )
@@ -69,22 +91,32 @@ fn arb_cuts() -> impl Strategy<Value = Vec<usize>> {
 }
 
 fn raw_stream(items: &[Item]) -> Vec<StreamElement> {
+    let grant = |roles: &[u32], ts| {
+        SecurityPunctuation::grant_all(roles.iter().map(|&r| RoleId(r)).collect(), ts)
+    };
     items
         .iter()
         .enumerate()
-        .map(|(i, item)| {
+        .flat_map(|(i, item)| {
             let ts = Timestamp(i as u64 + 1);
             match item {
-                Item::Sp(roles) => {
-                    let rs: RoleSet = roles.iter().map(|&r| RoleId(r)).collect();
-                    StreamElement::punctuation(SecurityPunctuation::grant_all(rs, ts))
-                }
-                Item::Tup(k, v) => StreamElement::tuple(Tuple::new(
+                Item::Sp(roles) => vec![StreamElement::punctuation(grant(roles, ts))],
+                Item::Scoped(sps) => sps
+                    .iter()
+                    .map(|(lo, hi, roles, attr_only)| {
+                        let mut ddp = DataDescription::tuple_range(*lo, *hi);
+                        if *attr_only {
+                            ddp.attrs = Pattern::literal("v");
+                        }
+                        StreamElement::punctuation(grant(roles, ts).with_ddp(ddp))
+                    })
+                    .collect(),
+                Item::Tup(k, v) => vec![StreamElement::tuple(Tuple::new(
                     StreamId(1),
                     TupleId(i as u64),
                     ts,
                     vec![Value::Int(*k), Value::Int(*v)],
-                )),
+                ))],
             }
         })
         .collect()
@@ -140,10 +172,16 @@ fn feed_elements(op: &mut dyn Operator, elems: &[Element]) -> Vec<String> {
     out
 }
 
-/// Candidate semantics: `process_batch` at the given cut lengths. A batch
-/// breaks early when the port flips (batches never span ports), but NOT
-/// at kind boundaries — mixed batches are deliberately exercised.
-fn feed_batches(op: &mut dyn Operator, elems: &[Element], cuts: &[usize]) -> Vec<String> {
+/// Candidate semantics: `process_batch` — or, with `lend`, the lent-run
+/// entry `process_run` — at the given cut lengths. A batch breaks early
+/// when the port flips (batches never span ports), but NOT at kind
+/// boundaries — mixed batches are deliberately exercised.
+fn feed_batches(
+    op: &mut dyn Operator,
+    elems: &[Element],
+    cuts: &[usize],
+    lend: bool,
+) -> Vec<String> {
     let arity = op.arity();
     let mut emitter = Emitter::new();
     let mut out = Vec::new();
@@ -159,7 +197,11 @@ fn feed_batches(op: &mut dyn Operator, elems: &[Element], cuts: &[usize]) -> Vec
             batch.push(elems[i].clone());
             i += 1;
         }
-        op.process_batch(port, batch, &mut emitter).unwrap();
+        if lend {
+            op.process_run(port, batch.as_slice(), &mut emitter).unwrap();
+        } else {
+            op.process_batch(port, batch, &mut emitter).unwrap();
+        }
         out.extend(emitter.take().iter().map(|e| format!("{e:?}")));
     }
     out
@@ -167,7 +209,28 @@ fn feed_batches(op: &mut dyn Operator, elems: &[Element], cuts: &[usize]) -> Vec
 
 /// The operator differential: element-at-a-time vs batched at random cuts
 /// must produce the same emissions, snapshot bytes, and audit bytes.
-fn check_operator(mut fresh: impl FnMut() -> Box<dyn Operator>, items: &[Item], cuts: &[usize]) {
+fn check_operator(fresh: impl FnMut() -> Box<dyn Operator>, items: &[Item], cuts: &[usize]) {
+    check_operator_at(fresh, items, cuts, false);
+}
+
+/// [`check_operator`], and the same again with every batch lent
+/// (`process_run`) instead of handed over — for the operators that
+/// override that entry.
+fn check_operator_lent(
+    mut fresh: impl FnMut() -> Box<dyn Operator>,
+    items: &[Item],
+    cuts: &[usize],
+) {
+    check_operator_at(&mut fresh, items, cuts, false);
+    check_operator_at(&mut fresh, items, cuts, true);
+}
+
+fn check_operator_at(
+    mut fresh: impl FnMut() -> Box<dyn Operator>,
+    items: &[Item],
+    cuts: &[usize],
+    lend: bool,
+) {
     let elems = engine_elements(items);
 
     let mut reference = fresh();
@@ -176,20 +239,23 @@ fn check_operator(mut fresh: impl FnMut() -> Box<dyn Operator>, items: &[Item], 
 
     let mut batched = fresh();
     batched.set_audit(AUDIT_CAP);
-    let out_batched = feed_batches(batched.as_mut(), &elems, cuts);
+    let out_batched = feed_batches(batched.as_mut(), &elems, cuts, lend);
 
-    prop_assert_eq!(out_ref, out_batched, "{}: emissions diverged", reference.name());
+    let name = if lend { "lent" } else { "owned" };
+    prop_assert_eq!(out_ref, out_batched, "{} {}: emissions diverged", reference.name(), name);
     prop_assert_eq!(
         snapshot_of(reference.as_ref()),
         snapshot_of(batched.as_ref()),
-        "{}: snapshot bytes diverged",
-        reference.name()
+        "{} {}: snapshot bytes diverged",
+        reference.name(),
+        name
     );
     prop_assert_eq!(
         audit_of(reference.as_ref()),
         audit_of(batched.as_ref()),
-        "{}: audit records diverged",
-        reference.name()
+        "{} {}: audit records diverged",
+        reference.name(),
+        name
     );
 }
 
@@ -207,7 +273,7 @@ proptest! {
 
     #[test]
     fn select_batch_equiv(items in arb_items(), cuts in arb_cuts()) {
-        check_operator(
+        check_operator_lent(
             || Box::new(Select::new(Expr::cmp(CmpOp::Ge, Expr::Attr(1), Expr::Const(Value::Int(10))))),
             &items,
             &cuts,
@@ -222,9 +288,16 @@ proptest! {
     #[test]
     fn shield_batch_equiv(items in arb_items(), cuts in arb_cuts()) {
         // Both a role the workload frequently grants (bulk release path)
-        // and one it rarely grants (bulk suppress path).
+        // and one it never grants (bulk suppress path), at both
+        // granularities, owned and lent.
         for roles in [RoleSet::from([1, 3]), RoleSet::from([7])] {
-            check_operator(|| Box::new(SecurityShield::new(roles.clone())), &items, &cuts);
+            for g in [Granularity::Tuple, Granularity::Attribute] {
+                check_operator_lent(
+                    || Box::new(SecurityShield::new(roles.clone()).with_granularity(g)),
+                    &items,
+                    &cuts,
+                );
+            }
         }
     }
 
@@ -234,7 +307,7 @@ proptest! {
         let mut reference = Sink::new();
         feed_elements(&mut reference, &elems);
         let mut batched = Sink::new();
-        feed_batches(&mut batched, &elems, &cuts);
+        feed_batches(&mut batched, &elems, &cuts, false);
         prop_assert_eq!(reference.elements(), batched.elements());
         prop_assert_eq!(snapshot_of(&reference), snapshot_of(&batched));
     }
@@ -341,29 +414,51 @@ proptest! {
         let ck_e = eager.checkpoint(0, 0);
         prop_assert_eq!(ck_d.analyzers, ck_e.analyzers);
         prop_assert_eq!(ck_d.nodes, ck_e.nodes);
+        prop_assert_eq!(
+            deferred.audit_trail().encode_to_vec(),
+            eager.audit_trail().encode_to_vec()
+        );
     }
 }
 
-/// The plan both executor properties run: source → shedder → select →
-/// two shields (fan-out) → two sinks, with the audit trail armed. Covers
-/// fan-out routing, the shedder's virtual-queue accounting, the shield's
-/// bulk release/suppress paths, and delayed sp propagation.
+/// The plan both executor properties run, with the audit trail armed.
+/// Nine consumers share the source edge: eight shields under eight
+/// distinct roles (roles 6 and 7 are never granted; role 2's shield
+/// enforces at attribute granularity; role 3's feeds a projection), each
+/// its own query — the run-major, lent-run fan-out — and a shedder →
+/// select chain that fans out again, at an operator's edge, to two more
+/// shields. Covers both fan-out levels, the shedder's virtual-queue
+/// accounting, the shield's bulk, masked and per-tuple paths with its
+/// narrow-at-first-release, projection's identity remap, and delayed sp
+/// propagation.
 fn equiv_plan() -> (PlanBuilder, Vec<SinkRef>) {
     let mut b = PlanBuilder::new(catalog());
     let src = b.source(StreamId(1), schema());
+    let mut sinks = Vec::new();
+    for role in 0..8u32 {
+        let granularity = if role == 2 { Granularity::Attribute } else { Granularity::Tuple };
+        let ss =
+            b.add(SecurityShield::new(RoleSet::from([role])).with_granularity(granularity), src);
+        sinks.push(if role == 3 {
+            let proj = b.add(Project::new(vec![1]), ss);
+            b.sink(proj)
+        } else {
+            b.sink(ss)
+        });
+    }
     let shed = b.add(Shedder::new(shedder_cfg()), src);
     let sel =
         b.add(Select::new(Expr::cmp(CmpOp::Ge, Expr::Attr(1), Expr::Const(Value::Int(0)))), shed);
     let q0 = b.add(SecurityShield::new(RoleSet::from([1])), sel);
     let q1 = b.add(SecurityShield::new(RoleSet::from([4])), sel);
-    let s0 = b.sink(q0);
-    let s1 = b.sink(q1);
+    sinks.push(b.sink(q0));
+    sinks.push(b.sink(q1));
     b.enable_telemetry(TelemetryConfig {
         audit_capacity: AUDIT_CAP,
         span_capacity: 0,
         metrics: false,
     });
-    (b, vec![s0, s1])
+    (b, sinks)
 }
 
 /// Deterministic witness for the mixed-kind contract: a single batch

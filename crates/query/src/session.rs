@@ -256,6 +256,8 @@ impl RunningDsms {
     /// Engine errors are absorbed, not propagated: the executor fails
     /// closed (in-flight elements of the failed push are discarded, never
     /// released), and the error is recorded for [`RunningDsms::errors`].
+    /// An operator failure is latched by the executor, so feeding on after
+    /// one only records that same error again — nothing more is released.
     /// Use [`RunningDsms::try_push`] to propagate instead.
     pub fn push(&mut self, stream: StreamId, elem: StreamElement) {
         if let Err(e) = self.try_push(stream, elem) {
@@ -292,9 +294,10 @@ impl RunningDsms {
     /// Returns the engine's typed error when an operator fails. The
     /// executor has already discarded everything staged behind the
     /// failure — which may include policy updates bound for other queries,
-    /// so the session must not be fed again (`sp-server` quarantines the
-    /// tenant). Admission refusals are not errors here: they are reported
-    /// in [`FrameAdmission::retry_after_ms`].
+    /// so it latches the error and refuses every later frame with it
+    /// (`sp-server` quarantines the tenant). Admission refusals are not
+    /// errors here: they are reported in
+    /// [`FrameAdmission::retry_after_ms`].
     pub fn push_frame(
         &mut self,
         stream: StreamId,
