@@ -12,7 +12,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sp_core::{RoleCatalog, RoleSet, Schema, StreamElement, Tuple};
-use sp_engine::{Element, Emitter, Operator, SecurityShield, SegmentPolicy, SpAnalyzer};
+use sp_engine::{
+    Element, Emitter, Operator, OperatorExt, SecurityShield, SegmentPolicy, SpAnalyzer,
+};
 
 use crate::mechanism::{EnforcementMechanism, MechStats};
 

@@ -1,13 +1,14 @@
-//! Four-way mechanism comparison with the crypto-enforced path included
-//! (the outsourced-enforcement cost table), writing a machine-readable
-//! summary to `target/BENCH_crypto.json`.
+//! **Release lint** for the crypto-enforced (outsourced-enforcement)
+//! mechanism: on a clean workload it must release exactly the same tuple
+//! multiset as the security-punctuation mechanism — release is a
+//! cryptographic fact, and any divergence from the plaintext shield's
+//! decisions means a broken capsule schedule or an unsound client — and no
+//! frame may be released without a verified AEAD tag. Either violation
+//! exits nonzero, failing CI.
 //!
-//! Doubles as a **release lint**: on a clean workload the crypto-enforced
-//! mechanism must release exactly the same tuple multiset as the
-//! security-punctuation mechanism — release is a cryptographic fact, and
-//! any divergence from the plaintext shield's decisions means a broken
-//! capsule schedule or an unsound client. Divergence exits nonzero,
-//! failing CI.
+//! Nothing is timed here: what the crypto path costs per tuple is
+//! `perfbench/`'s `baselines.crypto.ns_per_tuple` row, next to
+//! `baselines.sp.ns_per_tuple`.
 //!
 //! Usage: `cargo run --release -p sp-bench --bin crypto_bench`
 
@@ -15,9 +16,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sp_baselines::{run_mechanism, CryptoEnforced, SpMechanism};
-use sp_bench::mechanisms::{all_mechanisms, catalog, drive, probe_roles, MechRun, IN_FLIGHT};
+use sp_bench::mechanisms::{catalog, probe_roles, IN_FLIGHT};
 use sp_bench::workloads::fig7_workload;
-use sp_bench::{log_rows, print_table, us_per, warn_if_debug, Row};
 use sp_core::Tuple;
 
 /// sp:tuple = 1/25, 3-role policies, 50% selectivity — the paper's
@@ -36,59 +36,9 @@ fn multiset(tuples: &[Arc<Tuple>]) -> HashMap<u64, u64> {
 }
 
 fn main() {
-    warn_if_debug();
     let workload = fig7_workload(SP_EVERY, POLICY_ROLES, SELECTIVITY, SEED);
     let catalog = catalog(128);
 
-    // -- timing sweep: best of 3 per mechanism, fresh instance each run --
-    let n = all_mechanisms(&catalog, &workload.schema, &probe_roles()).len();
-    let mut best: Vec<MechRun> = Vec::with_capacity(n);
-    for idx in 0..n {
-        let mut fastest: Option<MechRun> = None;
-        for _ in 0..3 {
-            let mut mechs = all_mechanisms(&catalog, &workload.schema, &probe_roles());
-            let mut mech = mechs.swap_remove(idx);
-            let run = drive(mech.as_mut(), &workload.elements);
-            if fastest.as_ref().is_none_or(|b| run.elapsed < b.elapsed) {
-                fastest = Some(run);
-            }
-        }
-        best.push(fastest.expect("three runs"));
-    }
-
-    let rows: Vec<Vec<String>> = best
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_string(),
-                format!("{:.3}", us_per(r.elapsed, workload.tuples as u64)),
-                r.released.to_string(),
-                r.denied.to_string(),
-                format!("{:.1}", r.policy_mem as f64 / 1024.0),
-            ]
-        })
-        .collect();
-    print_table(
-        "crypto bench: four-way mechanism comparison",
-        &["mechanism", "us/tuple", "released", "denied", "policy KB"],
-        &rows,
-    );
-
-    log_rows(
-        &best
-            .iter()
-            .map(|r| Row {
-                experiment: "crypto_bench",
-                param: "mechanism",
-                value: r.name.into(),
-                series: "clean".into(),
-                metric: "us_per_tuple",
-                measured: us_per(r.elapsed, workload.tuples as u64),
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    // -- release lint: crypto-enforced vs security-punctuations multiset --
     let mut sp_mech =
         SpMechanism::new(catalog.clone(), workload.schema.clone(), probe_roles(), IN_FLIGHT);
     let sp_out = run_mechanism(&mut sp_mech, workload.elements.iter().cloned());
@@ -100,58 +50,13 @@ fn main() {
     let multiset_ok = sp_set == crypto_set;
     let unauth = crypto.client().released_unauthenticated();
 
-    let crypto_run = best.iter().find(|r| r.name == "crypto-enforced").expect("crypto run");
-    let sp_run = best.iter().find(|r| r.name == "security-punctuations").expect("sp run");
-    let overhead = crypto_run.elapsed.as_secs_f64() / sp_run.elapsed.as_secs_f64().max(1e-9);
-
-    println!("\n  sp released            {:>10}", sp_out.len());
+    println!("crypto lint: crypto-enforced vs security-punctuations on a clean workload");
+    println!("  sp released            {:>10}", sp_out.len());
     println!("  crypto released        {:>10}", crypto_out.len());
     println!("  multiset identical     {multiset_ok:>10}");
     println!("  unauthenticated rel.   {unauth:>10}");
-    println!("  crypto/sp cost ratio   {overhead:>9.2}x");
     println!("  relay frames           {:>10}", crypto.relay().forwarded);
     println!("  relay ciphertext KB    {:>10.1}", crypto.relay().bytes as f64 / 1024.0);
-
-    if std::fs::create_dir_all("target").is_ok() {
-        let mut per_mech = String::new();
-        for (i, r) in best.iter().enumerate() {
-            if i > 0 {
-                per_mech.push_str(",\n");
-            }
-            per_mech.push_str(&format!(
-                concat!(
-                    "    {{\"mechanism\": \"{}\", \"us_per_tuple\": {:.3}, ",
-                    "\"released\": {}, \"denied\": {}, \"policy_mem_bytes\": {}}}"
-                ),
-                r.name,
-                us_per(r.elapsed, workload.tuples as u64),
-                r.released,
-                r.denied,
-                r.policy_mem,
-            ));
-        }
-        let json = format!(
-            concat!(
-                "{{\n  \"experiment\": \"crypto_bench\",\n",
-                "  \"tuples\": {},\n  \"sp_every\": {},\n",
-                "  \"mechanisms\": [\n{}\n  ],\n",
-                "  \"multiset_identical\": {},\n",
-                "  \"released_unauthenticated\": {},\n",
-                "  \"crypto_over_sp_cost\": {:.3},\n",
-                "  \"relay_frames\": {},\n  \"relay_bytes\": {}\n}}\n"
-            ),
-            workload.tuples,
-            SP_EVERY,
-            per_mech,
-            multiset_ok,
-            unauth,
-            overhead,
-            crypto.relay().forwarded,
-            crypto.relay().bytes,
-        );
-        let _ = std::fs::write("target/BENCH_crypto.json", json);
-        println!("  wrote target/BENCH_crypto.json");
-    }
 
     if !multiset_ok {
         eprintln!(

@@ -18,8 +18,8 @@
 //! * **identical policy state** — analyzer and operator bytes of the
 //!   promoted drain checkpoint match the control's cut.
 //!
-//! Writes `target/BENCH_failover.json` and exits nonzero on any
-//! violation, so CI can gate on it.
+//! A lint, not a measurement: it prints counters, times nothing and
+//! exits nonzero on any violation, so CI can gate on it.
 //!
 //! Usage: `cargo run --release -p sp-bench --bin failover_drill [-- tenants]`
 
@@ -117,7 +117,6 @@ fn main() {
     let primary = Server::start(cfg, Arc::clone(&f), StoreMap::new()).expect("primary binds");
     let primary_addr = primary.addr;
 
-    let start = Instant::now();
     // Phase 1: the soak — every tenant delivers two thirds of its stream
     // to the replicating primary.
     let mut joins = Vec::new();
@@ -174,11 +173,9 @@ fn main() {
 
     // Promote and re-home the fleet: each client targets the dead
     // primary first and fails over to the promoted standby.
-    let promote_start = Instant::now();
     let promoted = standby
         .promote(ServerConfig { max_conns: 512, ..ServerConfig::default() })
         .expect("promotion");
-    let promote_ms = promote_start.elapsed().as_millis() as u64;
     let promoted_addr = promoted.addr;
 
     let mut joins = Vec::new();
@@ -205,7 +202,6 @@ fn main() {
             violations.push(format!("tenant {tenant}: expected exactly one failover: {r:?}"));
         }
     }
-    let wall = start.elapsed();
 
     let report = promoted.drain();
     if !report.clean {
@@ -258,38 +254,9 @@ fn main() {
     println!("  repl frames shipped{repl_frames:>10}");
     println!("  repl lag at kill   {max_lag:>10} epochs (max over tenants)");
     println!("  tenants replicated {applied:>10}");
-    println!("  promote time       {promote_ms:>10} ms");
     println!("  client failovers   {failovers:>10}");
     println!("  audit identical    {audit_identical:>10} / {tenants}");
     println!("  clean drain        {:>10}", report.clean);
-    println!("  wall time          {:>10.2} s", wall.as_secs_f64());
-
-    if std::fs::create_dir_all("target").is_ok() {
-        let json = format!(
-            concat!(
-                "{{\n  \"experiment\": \"failover_drill\",\n",
-                "  \"tenants\": {},\n  \"repl_frames_shipped\": {},\n",
-                "  \"repl_lag_at_kill_epochs\": {},\n  \"tenants_replicated\": {},\n",
-                "  \"promote_ms\": {},\n  \"client_failovers\": {},\n",
-                "  \"audit_identical\": {},\n  \"sp_loss\": 0,\n",
-                "  \"fencing_epoch\": {},\n  \"clean_drain\": {},\n",
-                "  \"wall_s\": {:.3},\n  \"violations\": {}\n}}\n"
-            ),
-            tenants,
-            repl_frames,
-            max_lag,
-            applied,
-            promote_ms,
-            failovers,
-            audit_identical,
-            report.fencing_epoch,
-            report.clean,
-            wall.as_secs_f64(),
-            violations.len(),
-        );
-        let _ = std::fs::write("target/BENCH_failover.json", json);
-        println!("  wrote target/BENCH_failover.json");
-    }
 
     if !violations.is_empty() {
         eprintln!("\n{} violation(s):", violations.len());

@@ -5,27 +5,23 @@
 //! (stream-time arrival compression via the workload's burst shaping) and
 //! reports, per load level:
 //!
-//! * **throughput** — tuples the plan processed per wall-clock second;
 //! * **shed ratio** — fraction of offered tuples the semantic load
 //!   shedder discarded (sps are control traffic and are never shed);
-//! * **p99 enqueue latency** — 99th-percentile wall time of a single
-//!   `push` into the plan;
 //! * the **admission controller's** rejections at the ingestion boundary
 //!   and the **degradation ladder's** peak rung / transition counts.
 //!
-//! Results go to stdout, `target/bench-results.jsonl` (per-metric rows)
-//! and `target/BENCH_overload.json` (one machine-readable document).
+//! Everything here is driven by stream time, so the sweep is fully
+//! seeded — two runs print the same bytes — and nothing is timed (what a
+//! push costs is `perfbench/`'s `engine.executor.*` rows). Results go to
+//! stdout and `target/bench-results.jsonl` (per-metric rows).
 //!
 //! Usage: `cargo run --release -p sp-bench --bin fig10`
 
-use std::io::Write as _;
-use std::time::Instant;
-
-use sp_bench::{log_rows, print_table, warn_if_debug, Row};
+use sp_bench::{log_rows, print_table, Row};
 use sp_core::{RoleSet, StreamElement};
 use sp_engine::{
-    AdmissionConfig, AdmissionController, DegradationStats, Histogram, PlanBuilder,
-    QuarantinePolicy, SecurityShield, ShedPolicy, Shedder, ShedderConfig, WatermarkConfig,
+    AdmissionConfig, AdmissionController, DegradationStats, PlanBuilder, QuarantinePolicy,
+    SecurityShield, ShedPolicy, Shedder, ShedderConfig, WatermarkConfig,
 };
 use sp_mog::{location_stream, BurstConfig, WorkloadConfig};
 
@@ -40,12 +36,9 @@ const ADMIT_TOKENS_PER_SEC: u64 = 4_000;
 
 struct LoadResult {
     label: &'static str,
-    amplitude: u64,
     offered: u64,
     released: u64,
     admission_rejected: u64,
-    throughput_ktps: f64,
-    p99_enqueue_us: f64,
     deg: DegradationStats,
 }
 
@@ -105,90 +98,36 @@ fn run_load(amplitude: u64, label: &'static str) -> LoadResult {
         enqueue_deadline_ms: 10,
     });
 
-    // Telemetry-style log-scale histogram: constant memory regardless of
-    // run length, and the same percentile machinery the engine exports.
-    let mut push_ns = Histogram::new();
-    let start = Instant::now();
     for e in &w.elements {
         let is_tuple = matches!(e, StreamElement::Tuple(_));
         if admission.admit(w.stream, is_tuple, e.ts()).is_err() {
             continue; // refused at the boundary, never enqueued
         }
-        let t0 = Instant::now();
         let _ = exec.push(w.stream, e.clone());
-        push_ns.record(t0.elapsed().as_nanos() as u64);
     }
     let _ = exec.finish();
-    let elapsed = start.elapsed();
-
-    let p99 = push_ns.percentile(99.0) as f64 / 1_000.0;
 
     let mut deg = exec.degradation();
     deg.absorb(&admission.degradation());
     LoadResult {
         label,
-        amplitude,
         offered: w.tuples as u64,
         released: exec.sink(sink).tuple_count() as u64,
         admission_rejected: admission.rejected(),
-        throughput_ktps: w.tuples as f64 / elapsed.as_secs_f64().max(1e-9) / 1_000.0,
-        p99_enqueue_us: p99,
         deg,
     }
 }
 
-/// Renders the whole sweep as one JSON document (hand-rolled: flat
-/// numeric fields only, no escaping needed beyond the fixed labels).
-fn to_json(results: &[LoadResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"fig10_overload\",\n");
-    out.push_str(&format!("  \"drain_per_ms\": {DRAIN_PER_MS},\n"));
-    out.push_str("  \"loads\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"offered\": \"{}\", \"amplitude\": {}, \"tuples\": {}, ",
-                "\"released\": {}, \"shed_tuples\": {}, \"shed_critical\": {}, ",
-                "\"shed_ratio\": {:.4}, \"admission_rejected\": {}, ",
-                "\"throughput_ktuples_per_s\": {:.2}, \"p99_enqueue_us\": {:.2}, ",
-                "\"overload_peak\": {}, \"ladder_escalations\": {}, ",
-                "\"ladder_recoveries\": {}}}{}\n"
-            ),
-            r.label,
-            r.amplitude,
-            r.offered,
-            r.released,
-            r.deg.shed_tuples,
-            r.deg.shed_critical,
-            r.shed_ratio(),
-            r.admission_rejected,
-            r.throughput_ktps,
-            r.p99_enqueue_us,
-            r.deg.overload_peak,
-            r.deg.ladder_escalations,
-            r.deg.ladder_recoveries,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn main() {
-    warn_if_debug();
     let results: Vec<LoadResult> = LOADS.iter().map(|&(amp, label)| run_load(amp, label)).collect();
 
-    let header =
-        ["load", "throughput kt/s", "shed ratio", "p99 push µs", "admit rejected", "peak rung"];
+    let header = ["load", "shed ratio", "admit rejected", "peak rung"];
     let table: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
             vec![
                 r.label.to_string(),
-                format!("{:.1}", r.throughput_ktps),
                 format!("{:.3}", r.shed_ratio()),
-                format!("{:.2}", r.p99_enqueue_us),
                 r.admission_rejected.to_string(),
                 r.deg.overload_peak.to_string(),
             ]
@@ -211,22 +150,13 @@ fn main() {
             series: "sp-overload".into(),
             metric,
             measured,
+            spread: None,
         };
-        rows.push(mk("throughput_ktuples_per_s", r.throughput_ktps));
         rows.push(mk("shed_ratio", r.shed_ratio()));
-        rows.push(mk("p99_enqueue_us", r.p99_enqueue_us));
         rows.push(mk("admission_rejected", r.admission_rejected as f64));
         rows.push(mk("overload_peak", r.deg.overload_peak as f64));
         rows.push(mk("ladder_escalations", r.deg.ladder_escalations as f64));
         rows.push(mk("ladder_recoveries", r.deg.ladder_recoveries as f64));
     }
     log_rows(&rows);
-
-    let json = to_json(&results);
-    if std::fs::create_dir_all("target").is_ok() {
-        if let Ok(mut f) = std::fs::File::create("target/BENCH_overload.json") {
-            let _ = f.write_all(json.as_bytes());
-            println!("\nwrote target/BENCH_overload.json");
-        }
-    }
 }

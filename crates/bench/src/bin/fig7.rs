@@ -9,19 +9,24 @@
 //! Usage: `cargo run --release -p sp-bench --bin fig7 -- [a|p|c|d|r|all]`
 //! (no argument = `all`; anything else prints this line and exits 2).
 //!
-//! `r` prints the hostile-stream degradation report: the same workload is
-//! replayed through the wire with seeded faults (drops, reorders, byte
-//! corruption) into a hardened plan, and every fail-closed loss counter is
-//! reported — nothing is dropped silently. It then reruns the workload
-//! under a crash supervisor with injected pipeline kills, reporting the
-//! recovery counters and the checkpoint overhead at the default epoch
-//! interval (target: under 10%).
+//! Timed cells (7a, 7p, 7d) are the median of [`sp_bench::timing::RUNS`]
+//! runs, printed as `median [low..high]`.
 //!
-//! Telemetry, span and batch-mode overheads are measured by the repo's
-//! benchmark (`perfbench/`: `engine.telemetry.*_overhead_pct`,
+//! `r` is a lint, not a measurement: it prints the hostile-stream
+//! degradation report — the same workload is replayed through the wire
+//! with seeded faults (drops, reorders, byte corruption) into a hardened
+//! plan, and every fail-closed loss counter is reported; nothing is
+//! dropped silently — and then reruns the workload under a crash
+//! supervisor with injected pipeline kills, reporting the recovery
+//! counters. It is fully seeded: two runs print the same bytes.
+//!
+//! Checkpoint, telemetry, span and batch-mode costs are measured by the
+//! repo's benchmark (`perfbench/`: `engine.checkpoint.us_per_cut`,
+//! `engine.telemetry.*_overhead_pct`,
 //! `engine.mode.tuple_at_a_time.vs_sequential`), not here.
 
 use sp_bench::mechanisms::{all_mechanisms, catalog, drive, probe_roles, MechRun};
+use sp_bench::timing::{median_of_runs, Timed};
 use sp_bench::workloads::fig7_workload;
 use sp_bench::{log_rows, print_table, us_per, warn_if_debug, Row};
 use sp_core::wire::{Message, StreamDecoder, WireFrame};
@@ -36,23 +41,20 @@ const POLICY_SIZES: [u32; 5] = [1, 10, 25, 50, 100];
 /// Fixed sp:tuple ratio for the policy-size experiments (paper: 1/10).
 const MEM_RATIO: usize = 10;
 
-/// Runs mechanism `idx` over the workload three times (fresh instance each
-/// run), keeping the fastest run — one-shot wall timings are noisy.
-fn best_of_3(
+/// Runs mechanism `idx` over the workload (a fresh instance each run),
+/// ranked by the time the mechanism spent inside itself.
+fn timed_mechanism(
     catalog: &std::sync::Arc<sp_core::RoleCatalog>,
     workload: &sp_mog::Workload,
     idx: usize,
-) -> MechRun {
-    let mut best: Option<MechRun> = None;
-    for _ in 0..3 {
+) -> Timed<MechRun> {
+    median_of_runs(|| {
         let mut mechs = all_mechanisms(catalog, &workload.schema, &probe_roles());
         let mut mech = mechs.swap_remove(idx);
         let run = drive(mech.as_mut(), &workload.elements);
-        if best.as_ref().is_none_or(|b| run.elapsed < b.elapsed) {
-            best = Some(run);
-        }
-    }
-    best.expect("three runs")
+        let elapsed = run.elapsed;
+        (run, elapsed)
+    })
 }
 
 fn main() {
@@ -177,21 +179,8 @@ fn degradation_report() {
     recovery_report();
 }
 
-/// Fastest of three runs of `f` — one-shot wall timings are noisy.
-fn time_best_of_3(mut f: impl FnMut()) -> std::time::Duration {
-    (0..3)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed()
-        })
-        .min()
-        .expect("three runs")
-}
-
 /// Crash-recovery degradation: the Fig. 7 workload under a crash
-/// supervisor that loses the whole pipeline at three separate points, and
-/// the wall-clock cost of checkpointing at the default epoch interval.
+/// supervisor that loses the whole pipeline at three separate points.
 fn recovery_report() {
     let catalog = catalog(128);
     let workload = fig7_workload(10, 3, 0.5, 42);
@@ -212,22 +201,6 @@ fn recovery_report() {
     // addresses the same sink in every builder() executor.
     let (_, sink) = build_with_sink();
     let cfg = SupervisorConfig::default();
-
-    // Checkpoint overhead: the same uninterrupted run with and without a
-    // supervisor cutting epochs at the default interval.
-    let plain = time_best_of_3(|| {
-        let mut exec = builder().build();
-        for (s, e) in &input {
-            let _ = exec.push(*s, e.clone());
-        }
-        let _ = exec.finish();
-    });
-    let supervised = time_best_of_3(|| {
-        let mut store = MemStore::default();
-        let _ = run_supervised(builder, &input, &cfg, &mut store, &mut |_, _| false);
-    });
-    let overhead =
-        (supervised.as_secs_f64() - plain.as_secs_f64()) / plain.as_secs_f64().max(1e-9) * 100.0;
 
     // Crash recovery: kill the pipeline at three spread-out positions;
     // each death drops the live executor and restores the last durable
@@ -254,10 +227,6 @@ fn recovery_report() {
         workload.tuples
     );
     println!("  {deg}");
-    println!(
-        "  checkpoint overhead {overhead:.1}% at epoch interval {} (target < 10%)",
-        cfg.epoch_interval
-    );
     let row = |metric: &'static str, measured: f64| Row {
         experiment: "fig7r",
         param: "recovery",
@@ -265,9 +234,9 @@ fn recovery_report() {
         series: "supervised".into(),
         metric,
         measured,
+        spread: None,
     };
     log_rows(&[
-        row("checkpoint_overhead_pct", overhead),
         row("checkpoints_taken", deg.checkpoints_taken as f64),
         row("checkpoints_restored", deg.checkpoints_restored as f64),
         row("epochs_replayed", deg.epochs_replayed as f64),
@@ -282,6 +251,15 @@ fn recovery_report() {
     ]);
 }
 
+/// Column header for a mechanism.
+fn short_name(name: &'static str) -> &'static str {
+    match name {
+        "store-and-probe" => "store-probe",
+        "tuple-embedded" => "tuple-embed",
+        other => other,
+    }
+}
+
 /// Figures 7a (output rate) and 7b (processing cost per tuple).
 fn ratio_sweep(output_rate: bool) {
     let catalog = catalog(128);
@@ -293,28 +271,28 @@ fn ratio_sweep(output_rate: bool) {
         let workload = fig7_workload(ratio, 3, 0.5, 42 + ratio as u64);
         let mut line = vec![format!("1/{ratio}")];
         for idx in 0..3usize {
-            let run = best_of_3(&catalog, &workload, idx);
+            let timed = timed_mechanism(&catalog, &workload, idx);
+            let name = timed.run.name;
             if !names_done {
-                header.push(match run.name {
-                    "store-and-probe" => "store-probe",
-                    "tuple-embedded" => "tuple-embed",
-                    other => other,
-                });
+                header.push(short_name(name));
             }
-            let measured = if output_rate {
-                // tuples processed per millisecond of mechanism time
-                workload.tuples as f64 / run.elapsed.as_secs_f64().max(1e-9) / 1000.0
-            } else {
-                us_per(run.elapsed, workload.tuples as u64)
-            };
-            line.push(format!("{measured:.2}"));
+            let cell = timed.spread(|elapsed| {
+                if output_rate {
+                    // tuples processed per millisecond of mechanism time
+                    workload.tuples as f64 / elapsed.as_secs_f64().max(1e-9) / 1000.0
+                } else {
+                    us_per(elapsed, workload.tuples as u64)
+                }
+            });
+            line.push(cell.cell(2));
             rows.push(Row {
                 experiment: if output_rate { "fig7a" } else { "fig7b" },
                 param: "sp_ratio",
                 value: format!("1/{ratio}"),
-                series: run.name.to_owned(),
+                series: name.to_owned(),
                 metric: if output_rate { "tuples_per_ms" } else { "us_per_tuple" },
-                measured,
+                measured: cell.median,
+                spread: Some((cell.low, cell.high)),
             });
         }
         names_done = true;
@@ -340,27 +318,29 @@ fn policy_size_sweep(memory: bool) {
         let workload = fig7_workload(MEM_RATIO, size, 0.5, 99 + u64::from(size));
         let mut line = vec![format!("{size}")];
         for idx in 0..3usize {
-            let run = best_of_3(&catalog, &workload, idx);
+            let timed = timed_mechanism(&catalog, &workload, idx);
+            let name = timed.run.name;
             if !names_done {
-                header.push(match run.name {
-                    "store-and-probe" => "store-probe",
-                    "tuple-embedded" => "tuple-embed",
-                    other => other,
-                });
+                header.push(short_name(name));
             }
-            let measured = if memory {
-                run.policy_mem as f64 / 1024.0
+            // Policy memory is a count, the same in every run.
+            let (measured, spread) = if memory {
+                let kb = timed.run.policy_mem as f64 / 1024.0;
+                line.push(format!("{kb:.1}"));
+                (kb, None)
             } else {
-                us_per(run.elapsed, workload.tuples as u64) * 100.0
+                let cell = timed.spread(|e| us_per(e, workload.tuples as u64) * 100.0);
+                line.push(cell.cell(1));
+                (cell.median, Some((cell.low, cell.high)))
             };
-            line.push(format!("{measured:.1}"));
             rows.push(Row {
                 experiment: if memory { "fig7c" } else { "fig7d" },
                 param: "policy_size",
                 value: size.to_string(),
-                series: run.name.to_owned(),
+                series: name.to_owned(),
                 metric: if memory { "policy_kb" } else { "us_per_100_tuples" },
                 measured,
+                spread,
             });
         }
         names_done = true;

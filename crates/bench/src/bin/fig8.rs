@@ -9,15 +9,20 @@
 //!   (unindexed role list, the paper's growth effect) and `bitmap` (the
 //!   compact-encoding ablation).
 //!
+//! Cells are the median of [`sp_bench::timing::RUNS`] runs, printed as
+//! `median [low..high]`.
+//!
 //! Usage: `cargo run --release -p sp-bench --bin fig8 -- [a|b|all]`
 
 use std::sync::Arc;
 
+use sp_bench::timing::{median_of_runs, wall, Spread};
 use sp_bench::workloads::fig8_workload;
 use sp_bench::{log_rows, print_table, us_per, warn_if_debug, Row};
 use sp_core::{RoleSet, Value};
 use sp_engine::{
-    CmpOp, Element, Emitter, Expr, MatchMode, Operator, Project, SecurityShield, Select, SpAnalyzer,
+    CmpOp, Element, Emitter, Expr, MatchMode, Operator, OperatorExt, Project, SecurityShield,
+    Select, SpAnalyzer,
 };
 use sp_mog::Workload;
 
@@ -51,21 +56,23 @@ fn resolve(workload: &Workload) -> Vec<Element> {
     out
 }
 
-/// Runs fresh operators over the elements three times, returning the best
-/// (minimum-noise) µs per data tuple.
-fn measure(mut make: impl FnMut() -> Box<dyn Operator>, elements: &[Element], tuples: u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
+/// Runs a fresh operator over the elements, in µs per data tuple.
+fn measure(
+    mut make: impl FnMut() -> Box<dyn Operator>,
+    elements: &[Element],
+    tuples: u64,
+) -> Spread {
+    median_of_runs(|| {
         let mut op = make();
         let mut emitter = Emitter::new();
-        let start = std::time::Instant::now();
-        for e in elements {
-            op.process(0, e.clone(), &mut emitter).expect("bench operator failed");
-            let _ = emitter.take();
-        }
-        best = best.min(us_per(start.elapsed(), tuples));
-    }
-    best
+        wall(|| {
+            for e in elements {
+                op.process(0, e.clone(), &mut emitter).expect("bench operator failed");
+                let _ = emitter.take();
+            }
+        })
+    })
+    .spread(|elapsed| us_per(elapsed, tuples))
 }
 
 /// The paper's region query: a select on the location attributes.
@@ -96,14 +103,15 @@ fn ratio_sweep() {
                 value: format!("1/{ratio}"),
                 series: series.into(),
                 metric: "us_per_tuple",
-                measured: v,
+                measured: v.median,
+                spread: Some((v.low, v.high)),
             });
         }
         table.push(vec![
             format!("1/{ratio}"),
-            format!("{project_us:.3}"),
-            format!("{select_us:.3}"),
-            format!("{ss_us:.3}"),
+            project_us.cell(3),
+            select_us.cell(3),
+            ss_us.cell(3),
         ]);
     }
     print_table(
@@ -148,15 +156,16 @@ fn state_size_sweep() {
                 value: count.to_string(),
                 series: series.into(),
                 metric: "us_per_tuple",
-                measured: v,
+                measured: v.median,
+                spread: Some((v.low, v.high)),
             });
         }
         table.push(vec![
             format!("R={count}"),
-            format!("{scan_us:.3}"),
-            format!("{bitmap_us:.3}"),
-            format!("{select_us:.3}"),
-            format!("{project_us:.3}"),
+            scan_us.cell(3),
+            bitmap_us.cell(3),
+            select_us.cell(3),
+            project_us.cell(3),
         ]);
     }
     print_table(

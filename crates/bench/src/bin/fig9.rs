@@ -7,11 +7,18 @@
 //! Fig. 9. The filter-and-probe nested-loop variant (§V-B.1) is included
 //! as the ablation between plain nested loop and the SPIndex.
 //!
+//! SAJoin times its own phases (the one operator that does); a row is the
+//! median of [`sp_bench::timing::RUNS`] runs by that total, printed as
+//! `median [low..high]`, with the median run's breakdown beside it.
+//!
 //! Usage: `cargo run --release -p sp-bench --bin fig9 [-- tuples_per_side]`
 
+use sp_bench::timing::median_of_runs;
 use sp_bench::workloads::fig9_workload;
 use sp_bench::{log_rows, print_table, us_per, warn_if_debug, Row};
-use sp_engine::{CostKind, Element, Emitter, JoinVariant, Operator, SAJoin, SpAnalyzer};
+use sp_engine::{
+    CostKind, Element, Emitter, JoinVariant, Operator, OperatorExt, SAJoin, SpAnalyzer,
+};
 
 const SIGMAS: [f64; 4] = [0.0, 0.1, 0.5, 1.0];
 const WINDOW_MS: u64 = 4000;
@@ -45,9 +52,9 @@ fn main() {
         }
 
         for variant in [JoinVariant::NestedLoopPF, JoinVariant::NestedLoopFP, JoinVariant::Index] {
-            // Best of three runs (fresh operator each time).
-            let mut best: Option<(SAJoin, u64)> = None;
-            for _ in 0..3 {
+            // A fresh operator each run, ranked by the time it charged
+            // to its own cost buckets.
+            let timed = median_of_runs(|| {
                 let mut join = SAJoin::new(variant, WINDOW_MS, 1, 1, 2);
                 let mut emitter = Emitter::new();
                 let mut results = 0u64;
@@ -55,30 +62,26 @@ fn main() {
                     join.process(*port, elem.clone(), &mut emitter).expect("bench join failed");
                     results += emitter.take().iter().filter(|e| e.is_tuple()).count() as u64;
                 }
-                let better = best
-                    .as_ref()
-                    .is_none_or(|(b, _)| join.stats().total_time() < b.stats().total_time());
-                if better {
-                    best = Some((join, results));
-                }
-            }
-            let (join, results) = best.expect("three runs");
+                let total = join.stats().total_time();
+                ((join, results), total)
+            });
+            let (join, results) = &timed.run;
             let stats = join.stats();
-            let per100 = |k: CostKind| us_per(stats.time(k), workload.tuples as u64) * 100.0;
-            let join_us = per100(CostKind::Join);
-            let sp_us = per100(CostKind::SpMaintenance);
-            let tuple_us = per100(CostKind::TupleMaintenance);
-            let total_us = join_us + sp_us + tuple_us;
+            let per100 = |d| us_per(d, workload.tuples as u64) * 100.0;
+            let join_us = per100(stats.time(CostKind::Join));
+            let sp_us = per100(stats.time(CostKind::SpMaintenance));
+            let tuple_us = per100(stats.time(CostKind::TupleMaintenance));
+            let total_us = timed.spread(per100);
             let name = match variant {
                 JoinVariant::NestedLoopPF => "nested-PF",
                 JoinVariant::NestedLoopFP => "nested-FP",
                 JoinVariant::Index => "index",
             };
-            for (metric, v) in [
-                ("total_us_per_100", total_us),
-                ("join_us_per_100", join_us),
-                ("sp_maint_us_per_100", sp_us),
-                ("tuple_maint_us_per_100", tuple_us),
+            for (metric, v, spread) in [
+                ("total_us_per_100", total_us.median, Some((total_us.low, total_us.high))),
+                ("join_us_per_100", join_us, None),
+                ("sp_maint_us_per_100", sp_us, None),
+                ("tuple_maint_us_per_100", tuple_us, None),
             ] {
                 rows.push(Row {
                     experiment: "fig9",
@@ -87,11 +90,12 @@ fn main() {
                     series: name.into(),
                     metric,
                     measured: v,
+                    spread,
                 });
             }
             table.push(vec![
                 format!("σ={sigma} {name}"),
-                format!("{total_us:.1}"),
+                total_us.cell(1),
                 format!("{join_us:.1}"),
                 format!("{sp_us:.1}"),
                 format!("{tuple_us:.1}"),

@@ -11,17 +11,19 @@
 //!   tenant ingests exactly the sps its client offered;
 //! * **exactly-once data** — every tenant's cursor ends at its input
 //!   length: reconnects never duplicate or drop elements;
-//! * **bounded p99 handling latency** — the server-side frame round trip
-//!   (decode → admission verdict → reply) stays under the bound;
+//! * **liveness** — the server-side p99 frame handling time (decode →
+//!   admission verdict → reply, from the server's own histogram) stays
+//!   under a 500 ms bound: a wedged tenant fails the run, a slow host
+//!   does not;
 //! * **clean drain** — every tenant checkpoints on shutdown.
 //!
-//! Writes `target/BENCH_server.json` and exits nonzero on any violation,
-//! so CI can gate on it.
+//! A lint, not a measurement: it prints counters, times nothing (the
+//! server's throughput and latency are `perfbench/`'s end-to-end rows)
+//! and exits nonzero on any violation, so CI can gate on it.
 //!
 //! Usage: `cargo run --release -p sp-bench --bin server_load [-- tenants]`
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use sp_core::{StreamElement, StreamId};
 use sp_engine::{AdmissionConfig, TelemetryConfig};
@@ -29,7 +31,7 @@ use sp_mog::{location_stream, MovingObjectSim, WorkloadConfig};
 use sp_query::Dsms;
 use sp_server::{ClientConfig, LoadClient, Server, ServerConfig, SessionFactory, StoreMap};
 
-/// p99 bound on the server-side frame handling latency, microseconds.
+/// Liveness bound on the server-side p99 frame handling time, microseconds.
 const P99_BOUND_US: u64 = 500_000;
 
 fn factory() -> SessionFactory {
@@ -61,7 +63,6 @@ fn main() {
     let handle = Server::start(cfg, factory(), StoreMap::new()).expect("server binds");
     let addr = handle.addr;
 
-    let start = Instant::now();
     let mut joins = Vec::new();
     let mut expected: Vec<(u32, usize, usize)> = Vec::new(); // tenant, elements, sps
     for tenant in 0..tenants {
@@ -103,7 +104,6 @@ fn main() {
             violations.push(format!("tenant {tenant}: unexpected quarantine: {r:?}"));
         }
     }
-    let wall = start.elapsed();
 
     let report = handle.drain();
     if !report.clean {
@@ -141,7 +141,6 @@ fn main() {
             report.connections_total
         ));
     }
-    let p50 = report.latency.percentile(50.0);
     let p99 = report.latency.percentile(99.0);
     if p99 > P99_BOUND_US {
         violations.push(format!("p99 frame handling {p99}us exceeds {P99_BOUND_US}us"));
@@ -156,39 +155,8 @@ fn main() {
     println!("  frames             {:>10}", report.frames);
     println!("  overload replies   {overloads:>10}");
     println!("  tuples shed        {shed_total:>10}");
-    println!("  frame handle p50   {p50:>10} us");
-    println!("  frame handle p99   {p99:>10} us  (bound {P99_BOUND_US})");
+    println!("  liveness bound     {:>10}", if p99 > P99_BOUND_US { "BROKEN" } else { "held" });
     println!("  clean drain        {:>10}", report.clean);
-    println!("  wall time          {:>10.2} s", wall.as_secs_f64());
-
-    if std::fs::create_dir_all("target").is_ok() {
-        let json = format!(
-            concat!(
-                "{{\n  \"experiment\": \"server_load\",\n",
-                "  \"tenants\": {},\n  \"connections\": {},\n",
-                "  \"reconnects\": {},\n  \"frames\": {},\n",
-                "  \"overload_replies\": {},\n  \"tuples_shed\": {},\n",
-                "  \"sp_loss\": 0,\n",
-                "  \"frame_handle_p50_us\": {},\n  \"frame_handle_p99_us\": {},\n",
-                "  \"p99_bound_us\": {},\n  \"clean_drain\": {},\n",
-                "  \"wall_s\": {:.3},\n  \"violations\": {}\n}}\n"
-            ),
-            tenants,
-            report.connections_total,
-            reconnects,
-            report.frames,
-            overloads,
-            shed_total,
-            p50,
-            p99,
-            P99_BOUND_US,
-            report.clean,
-            wall.as_secs_f64(),
-            violations.len(),
-        );
-        let _ = std::fs::write("target/BENCH_server.json", json);
-        println!("  wrote target/BENCH_server.json");
-    }
 
     if !violations.is_empty() {
         eprintln!("\n{} violation(s):", violations.len());
@@ -197,5 +165,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("OK: zero sp loss, exactly-once delivery, bounded p99, clean drain.");
+    println!("OK: zero sp loss, exactly-once delivery, liveness bound held, clean drain.");
 }

@@ -12,13 +12,15 @@
 //!    the end".
 //!
 //! All three must release identical per-query results; the harness prints
-//! total engine time for each and the optimizer's own merge decision.
+//! total engine time for each (median of [`sp_bench::timing::RUNS`] runs,
+//! as `median [low..high]`) and the optimizer's own merge decision.
 //!
 //! Usage: `cargo run --release -p sp-bench --bin shared [-- n_queries]`
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
+use sp_bench::timing::{median_of_runs, wall};
 use sp_bench::workloads::fig8_workload;
 use sp_bench::{log_rows, print_table, warn_if_debug, Row};
 use sp_core::{RoleId, RoleSet, StreamElement, Value};
@@ -42,14 +44,14 @@ fn catalog() -> Arc<sp_core::RoleCatalog> {
     Arc::new(c)
 }
 
-/// Deploys one of the three variants, returning per-query released counts
-/// and the wall time of the run.
+/// Deploys one of the three variants and runs it once, returning
+/// per-query released counts and the wall time of the run.
 fn run(
     variant: &str,
     n_queries: u32,
     elements: &[StreamElement],
     schema: &Arc<sp_core::Schema>,
-) -> (Vec<usize>, f64) {
+) -> (Vec<usize>, Duration) {
     let mut builder = PlanBuilder::new(catalog());
     let stream = sp_core::StreamId(1);
     let mut sinks: Vec<SinkRef> = Vec::new();
@@ -83,11 +85,11 @@ fn run(
         }
     }
     let mut exec = builder.build();
-    let start = Instant::now();
-    for e in elements {
-        exec.push(stream, e.clone()).expect("bench plan failed");
-    }
-    let elapsed = start.elapsed().as_secs_f64() * 1000.0;
+    let ((), elapsed) = wall(|| {
+        for e in elements {
+            exec.push(stream, e.clone()).expect("bench plan failed");
+        }
+    });
     let counts = sinks.iter().map(|&s| exec.sink(s).tuple_count()).collect();
     (counts, elapsed)
 }
@@ -104,20 +106,24 @@ fn main() {
     let mut rows = Vec::new();
     let mut reference: Option<Vec<usize>> = None;
     for variant in ["separate", "shared", "merged"] {
-        let (counts, ms) = run(variant, n_queries, &workload.elements, &workload.schema);
+        let timed =
+            median_of_runs(|| run(variant, n_queries, &workload.elements, &workload.schema));
+        let counts = &timed.run;
         match &reference {
             None => reference = Some(counts.clone()),
-            Some(r) => assert_eq!(&counts, r, "{variant} changed per-query results"),
+            Some(r) => assert_eq!(counts, r, "{variant} changed per-query results"),
         }
         let total: usize = counts.iter().sum();
-        table.push(vec![variant.to_owned(), format!("{ms:.1}"), format!("{total}")]);
+        let ms = timed.spread(|elapsed| elapsed.as_secs_f64() * 1000.0);
+        table.push(vec![variant.to_owned(), ms.cell(1), format!("{total}")]);
         rows.push(Row {
             experiment: "shared",
             param: "variant",
             value: variant.to_owned(),
             series: format!("{n_queries}q"),
             metric: "total_ms",
-            measured: ms,
+            measured: ms.median,
+            spread: Some((ms.low, ms.high)),
         });
     }
     print_table(

@@ -1,17 +1,26 @@
-//! # sp-bench — the evaluation harness
+//! # sp-bench — the paper's figures and the release lints
 //!
 //! Regenerates every figure of the paper's evaluation (§VII). One binary
 //! per figure:
 //!
-//! * `fig7 [a|b|c|d|all]` — the three enforcement mechanisms compared on
+//! * `fig7 [a|p|c|d|all]` — the three enforcement mechanisms compared on
 //!   output rate, processing cost, memory and policy-size sensitivity;
 //! * `fig8 [a|b|all]` — Security Shield overhead vs select and project;
-//! * `fig9` — nested-loop vs index SAJoin across sp selectivities.
+//! * `fig9` — nested-loop vs index SAJoin across sp selectivities;
+//! * `shared` — the §VI-C multi-query sharing ablation.
 //!
 //! Numbers are machine-specific; the *shapes* (who wins, by what factor,
 //! where the crossovers sit) are what reproduce the paper. Run in release
-//! mode. Each binary prints an aligned table and appends JSON-lines rows to
+//! mode. Every timed cell is the median of [`timing::RUNS`] runs with the
+//! fastest and slowest beside it ([`timing`] is the only module that
+//! reads the clock); the repository's measured numbers — throughput,
+//! latency, per-layer costs — come from `perfbench/`, not from here. Each
+//! binary prints an aligned table and appends JSON-lines rows to
 //! `target/bench-results.jsonl` for EXPERIMENTS.md bookkeeping.
+//!
+//! The other binaries are lints, not measurements: `fig7 r`, `fig10`,
+//! `crypto_bench`, `server_load`, `failover_drill` and `promlint` print
+//! counters, time nothing, and exit non-zero when an invariant breaks.
 
 #![warn(missing_docs)]
 
@@ -20,6 +29,7 @@ use std::time::Duration;
 
 pub mod mechanisms;
 pub mod prom;
+pub mod timing;
 pub mod workloads;
 
 /// One measured table row, serialized to the results log.
@@ -35,18 +45,24 @@ pub struct Row {
     pub series: String,
     /// The measured metric.
     pub metric: &'static str,
-    /// The measurement.
+    /// The measurement: a counter, or the median of a timed cell.
     pub measured: f64,
+    /// `(low, high)` over the runs of a timed cell; `None` for a counter.
+    pub spread: Option<(f64, f64)>,
 }
 
 impl Row {
     /// Renders the row as one JSON object. Hand-rolled (the build
     /// environment has no crates.io access for serde); fields are flat
-    /// strings and one float, so escaping strings suffices.
+    /// strings and floats, so escaping strings suffices. A timed row
+    /// carries `low`/`high` after `measured`.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let spread = self.spread.map_or_else(String::new, |(low, high)| {
+            format!(r#","low":{},"high":{}"#, json_f64(low), json_f64(high))
+        });
         format!(
-            r#"{{"experiment":{},"param":{},"value":{},"series":{},"metric":{},"measured":{}}}"#,
+            r#"{{"experiment":{},"param":{},"value":{},"series":{},"metric":{},"measured":{}{spread}}}"#,
             json_str(self.experiment),
             json_str(self.param),
             json_str(&self.value),
@@ -112,21 +128,32 @@ pub fn us_per(elapsed: Duration, units: u64) -> f64 {
     }
 }
 
-/// Prints a header plus aligned rows.
+/// Prints a header plus aligned rows (first column left-aligned, the
+/// rest right-aligned to the widest cell of their column).
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
-    let mut line = format!("{:<14}", header.first().copied().unwrap_or(""));
-    for h in &header[1..] {
-        line.push_str(&format!("{h:>18}"));
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len()));
-    for row in rows {
-        let mut line = format!("{:<14}", row.first().cloned().unwrap_or_default());
-        for cell in &row[1..] {
-            line.push_str(&format!("{cell:>18}"));
+    let widths: Vec<usize> = (0..header.len())
+        .map(|col| {
+            let cells = rows.iter().filter_map(|r| r.get(col)).map(|c| c.chars().count());
+            cells.chain([header[col].chars().count()]).max().unwrap_or(0)
+        })
+        .collect();
+    let render = |cells: Vec<&str>| {
+        let mut line = String::new();
+        for (cell, &w) in cells.into_iter().zip(&widths) {
+            if line.is_empty() {
+                line.push_str(&format!("{cell:<w$}", w = w.max(12)));
+            } else {
+                line.push_str(&format!("  {cell:>w$}"));
+            }
         }
-        println!("{line}");
+        line
+    };
+    let head = render(header.to_vec());
+    println!("{head}");
+    println!("{}", "-".repeat(head.chars().count()));
+    for row in rows {
+        println!("{}", render(row.iter().map(String::as_str).collect()));
     }
 }
 
@@ -157,10 +184,12 @@ mod tests {
             series: "sp \"quoted\"\\".into(),
             metric: "tuples_per_ms",
             measured: 12.5,
+            spread: None,
         };
-        let json = row.to_json();
+        assert!(row.to_json().ends_with(r#""measured":12.5}"#), "a counter row has no spread");
+        let json = Row { spread: Some((11.0, 14.25)), ..row }.to_json();
         assert!(json.contains(r#""experiment":"fig7a""#), "{json}");
         assert!(json.contains(r#""series":"sp \"quoted\"\\""#), "{json}");
-        assert!(json.contains(r#""measured":12.5"#), "{json}");
+        assert!(json.ends_with(r#""measured":12.5,"low":11,"high":14.25}"#), "{json}");
     }
 }

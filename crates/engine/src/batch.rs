@@ -28,11 +28,10 @@ use crate::element::Element;
 
 /// A contiguous run of same-kind elements travelling an edge together.
 ///
-/// Equivalence invariant: processing a batch through
+/// Cut invariance: where a run is cut into batches is not observable —
+/// any partition of an input sequence fed through
 /// [`Operator::process_batch`](crate::operator::Operator::process_batch)
-/// is observationally identical to processing its elements one at a time
-/// through [`Operator::process`](crate::operator::Operator::process) —
-/// same emitted elements, same logical counters, same audit records, same
+/// gives the same emitted elements, logical counters, audit records and
 /// snapshot bytes. Only wall-clock cost buckets (excluded from canonical
 /// encodings) may differ.
 #[derive(Debug, Clone, PartialEq)]

@@ -46,11 +46,9 @@
 //!   with restore + deterministic replay, bounded exponential backoff,
 //!   and a terminal fail-closed state that refuses input rather than
 //!   leak it;
-//! * [`predicate_index`] — the CACQ-style grouped filter over SS states
-//!   that §V-A suggests for many-query shields;
 //! * [`telemetry`] — the security-decision audit trail (deterministic
 //!   per-operator flight recorders), mergeable log₂ histograms with
-//!   Prometheus/JSON export, and the sp-trace causal span plane.
+//!   Prometheus export, and the sp-trace causal span plane.
 
 #![warn(missing_docs)]
 
@@ -66,7 +64,6 @@ pub mod ops;
 pub mod overload;
 pub mod parallel;
 pub mod plan;
-pub mod predicate_index;
 pub mod reorder;
 pub mod shard;
 pub mod slack;
@@ -86,7 +83,7 @@ pub use fault::{
     FaultStats, LinkFaultInjector, LinkFaultPlan, LinkFaultStats, SocketEvent, SocketFaultInjector,
     SocketFaultPlan, SocketFaultStats,
 };
-pub use operator::{run_unary, Emitter, Operator};
+pub use operator::{run_unary, Emitter, Operator, OperatorExt};
 pub use ops::{
     AggFunc, DupElim, Granularity, GroupBy, JoinVariant, MatchMode, Project, SAIntersect, SAJoin,
     SecurityShield, Select, Sink, Union,
@@ -98,7 +95,6 @@ pub use overload::{
 };
 pub use parallel::{run_parallel, ParallelResults};
 pub use plan::{Executor, NodeRef, PlanBuilder, SinkRef, SourceRef, Upstream};
-pub use predicate_index::{PredicateIndex, QuerySet};
 pub use reorder::ReorderBuffer;
 pub use shard::{Partitioner, ShardedExecutor};
 pub use slack::Slack;

@@ -5,8 +5,8 @@ use crate::element::Element;
 use crate::error::EngineError;
 use crate::stats::OperatorStats;
 
-/// Collects the elements an operator emits during one `process` or
-/// `process_batch` call; the executor then routes them to downstream
+/// Collects the elements an operator emits during one `process_batch` or
+/// `process_run` call; the executor then routes them to downstream
 /// operators.
 #[derive(Debug, Default)]
 pub struct Emitter {
@@ -65,12 +65,12 @@ impl Emitter {
 /// A pipelined stream operator.
 ///
 /// Operators are single-threaded state machines: the executor feeds them
-/// runs of elements through [`Operator::process_batch`] (singleton runs in
-/// tuple-at-a-time mode) together with the input port they arrived on (0
-/// for unary operators, 0/1 for joins); [`Operator::process`] is the
-/// per-element step the default `process_batch` loops. Operators own
-/// their cost counters so the evaluation harness can read per-operator
-/// breakdowns.
+/// runs of elements — by move through [`Operator::process_batch`], the one
+/// processing method an operator must implement, or by loan through
+/// [`Operator::process_run`] — together with the input port they arrived
+/// on (0 for unary operators, 0/1 for joins). A single element is a run of
+/// one ([`OperatorExt::process`]). Operators own their cost counters so
+/// the evaluation harness can read per-operator breakdowns.
 pub trait Operator: Send {
     /// Operator name for plan display ("ss", "select", "sajoin", ...).
     fn name(&self) -> &str;
@@ -80,31 +80,26 @@ pub trait Operator: Send {
         1
     }
 
-    /// Processes one input element, emitting any outputs.
+    /// Processes a run of elements that arrived on one port, emitting any
+    /// outputs.
     ///
     /// Stream data is untrusted: implementations must report malformed
     /// input through [`EngineError`] rather than panicking, so a hostile
     /// stream can fail one query without taking the engine down.
-    fn process(&mut self, port: usize, elem: Element, out: &mut Emitter)
-        -> Result<(), EngineError>;
-
-    /// Processes a whole run of elements that arrived on one port.
+    /// Operators do not time themselves: the executor reads the clock
+    /// around this call, once per batch, and only while metrics are on.
     ///
-    /// The default loops [`Operator::process`], so every operator is
-    /// batch-capable by construction. Hot operators override this with
-    /// vectorized fast paths (the Security Shield releases or suppresses a
-    /// whole segment run under one cached verdict; select/project run
-    /// tight loops with bulk counter updates). Operators do not time
-    /// themselves: the executor reads the clock around this call, once
-    /// per batch, and only while metrics are on.
-    ///
-    /// **Equivalence contract**: an override must be observationally
-    /// identical to the default — same emitted elements in the same
-    /// order, same logical counters, same audit records, same snapshot
-    /// bytes — for *any* batch, including mixed-kind ones (the routers
-    /// only build kind-homogeneous batches, but the differential tests
-    /// drive arbitrary cuts). Only SAJoin's wall-clock cost buckets
-    /// (Fig. 9), which are excluded from canonical encodings, may differ.
+    /// **Cut invariance**: where a run is cut must not be observable.
+    /// Any partition of an input sequence into batches — singletons, the
+    /// routers' kind-homogeneous runs, or the arbitrary mixed-kind cuts
+    /// the differential tests drive — gives the same emitted elements in
+    /// the same order, the same logical counters, the same audit records
+    /// and the same snapshot bytes. A fast path taken for one run shape
+    /// (the Security Shield releasing or suppressing a whole tuple run
+    /// under one cached verdict) has to be indistinguishable from the
+    /// element-by-element walk of the same run. Only SAJoin's wall-clock
+    /// cost buckets (Fig. 9), which are excluded from canonical
+    /// encodings, may differ.
     ///
     /// # Errors
     ///
@@ -116,20 +111,16 @@ pub trait Operator: Send {
         port: usize,
         batch: ElementBatch,
         out: &mut Emitter,
-    ) -> Result<(), EngineError> {
-        for elem in batch {
-            self.process(port, elem, out)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), EngineError>;
 
     /// Processes a run the executor only *lends*: a multi-consumer edge
     /// shows every consumer but the last the same run instead of cloning
     /// it per consumer. The default clones the run into
     /// [`Operator::process_batch`]; operators that drop much of what they
     /// see (the Security Shield, select) override it so only a released /
-    /// surviving tuple costs an `Arc` increment. Same equivalence contract
-    /// and errors as `process_batch`.
+    /// surviving tuple costs an `Arc` increment. Same cut invariance and
+    /// errors as `process_batch`: a lent run and the same run moved are
+    /// indistinguishable.
     fn process_run(
         &mut self,
         port: usize,
@@ -301,6 +292,27 @@ pub trait Operator: Send {
     }
 }
 
+/// The one-element case of [`Operator::process_batch`], for tests, figure
+/// harnesses and baselines that step an operator element by element. A
+/// blanket impl, so no operator can give it a body of its own.
+pub trait OperatorExt: Operator {
+    /// Processes one element as a run of one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Operator::process_batch`].
+    fn process(
+        &mut self,
+        port: usize,
+        elem: Element,
+        out: &mut Emitter,
+    ) -> Result<(), EngineError> {
+        self.process_batch(port, ElementBatch::single(elem), out)
+    }
+}
+
+impl<O: Operator + ?Sized> OperatorExt for O {}
+
 /// The port check of a unary operator: only port 0 exists.
 pub(crate) fn unary_port(operator: &str, port: usize) -> Result<(), EngineError> {
     if port == 0 {
@@ -344,14 +356,16 @@ mod tests {
         fn name(&self) -> &str {
             "echo"
         }
-        fn process(
+        fn process_batch(
             &mut self,
             _port: usize,
-            elem: Element,
+            batch: ElementBatch,
             out: &mut Emitter,
         ) -> Result<(), EngineError> {
-            self.stats.tuples_in += 1;
-            out.push(elem);
+            for elem in batch {
+                self.stats.tuples_in += 1;
+                out.push(elem);
+            }
             Ok(())
         }
         fn stats(&self) -> &OperatorStats {

@@ -135,71 +135,74 @@ impl Operator for DupElim {
         "dupelim"
     }
 
-    fn process(
+    fn process_batch(
         &mut self,
         port: usize,
-        elem: Element,
+        batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
         if port != 0 {
             return Err(EngineError::BadPort { operator: "dupelim".into(), port, arity: 1 });
         }
-        match elem {
-            Element::Policy(seg) => {
-                self.stats.sps_in += 1;
-                let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
-                if newer {
-                    self.current = Some(seg);
+        for elem in batch {
+            match elem {
+                Element::Policy(seg) => {
+                    self.stats.sps_in += 1;
+                    let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
+                    if newer {
+                        self.current = Some(seg);
+                    }
                 }
-            }
-            Element::Tuple(tuple) => {
-                self.stats.tuples_in += 1;
-                self.expire(tuple.ts);
-                let p_new: SharedPolicy = match &self.current {
-                    Some(seg) => seg.policy_for(&tuple),
-                    None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
-                };
-                let key = self.key_of(&tuple);
-                // Take the roles first so the policy Arc can move into the
-                // window without an extra refcount round-trip.
-                let new_roles = p_new.tuple_roles().clone();
-                self.buffer.push_back((tuple.clone(), p_new));
-                self.trim_rows();
-                let action = match self.output.get_mut(&key) {
-                    None => {
-                        self.output.insert(key, OutEntry { roles: new_roles.clone(), support: 1 });
-                        Some(new_roles)
-                    }
-                    Some(entry) => {
-                        entry.support += 1;
-                        let common = entry.roles.intersect(&new_roles);
-                        if common.is_empty() {
-                            // Case 1: previous output was invisible to this
-                            // audience — re-release under P_new; the stored
-                            // audience accumulates.
-                            entry.roles.union_with(&new_roles);
-                            if new_roles.is_empty() {
-                                None // deny-all tuples are never released
-                            } else {
-                                Some(new_roles)
-                            }
-                        } else if common == new_roles {
-                            // Case 2: already visible to everyone in P_new.
-                            None
-                        } else {
-                            // Case 3: release only the newly-covered roles.
-                            let delta = new_roles.minus(&common);
-                            entry.roles.union_with(&new_roles);
-                            Some(delta)
+                Element::Tuple(tuple) => {
+                    self.stats.tuples_in += 1;
+                    self.expire(tuple.ts);
+                    let p_new: SharedPolicy = match &self.current {
+                        Some(seg) => seg.policy_for(&tuple),
+                        None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
+                    };
+                    let key = self.key_of(&tuple);
+                    // Take the roles first so the policy Arc can move into the
+                    // window without an extra refcount round-trip.
+                    let new_roles = p_new.tuple_roles().clone();
+                    self.buffer.push_back((tuple.clone(), p_new));
+                    self.trim_rows();
+                    let action = match self.output.get_mut(&key) {
+                        None => {
+                            self.output
+                                .insert(key, OutEntry { roles: new_roles.clone(), support: 1 });
+                            Some(new_roles)
                         }
-                    }
-                };
-                if let Some(roles) = action {
-                    if !roles.is_empty() {
-                        let ts = tuple.ts;
-                        self.emit(out, tuple, roles, ts);
-                    } else {
-                        self.stats.tuples_shielded += 1;
+                        Some(entry) => {
+                            entry.support += 1;
+                            let common = entry.roles.intersect(&new_roles);
+                            if common.is_empty() {
+                                // Case 1: previous output was invisible to this
+                                // audience — re-release under P_new; the stored
+                                // audience accumulates.
+                                entry.roles.union_with(&new_roles);
+                                if new_roles.is_empty() {
+                                    None // deny-all tuples are never released
+                                } else {
+                                    Some(new_roles)
+                                }
+                            } else if common == new_roles {
+                                // Case 2: already visible to everyone in P_new.
+                                None
+                            } else {
+                                // Case 3: release only the newly-covered roles.
+                                let delta = new_roles.minus(&common);
+                                entry.roles.union_with(&new_roles);
+                                Some(delta)
+                            }
+                        }
+                    };
+                    if let Some(roles) = action {
+                        if !roles.is_empty() {
+                            let ts = tuple.ts;
+                            self.emit(out, tuple, roles, ts);
+                        } else {
+                            self.stats.tuples_shielded += 1;
+                        }
                     }
                 }
             }

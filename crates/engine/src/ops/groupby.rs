@@ -249,49 +249,51 @@ impl Operator for GroupBy {
         "groupby"
     }
 
-    fn process(
+    fn process_batch(
         &mut self,
         port: usize,
-        elem: Element,
+        batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
         if port != 0 {
             return Err(EngineError::BadPort { operator: "groupby".into(), port, arity: 1 });
         }
-        match elem {
-            Element::Policy(seg) => {
-                self.stats.sps_in += 1;
-                let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
-                if newer {
-                    self.current = Some(seg);
-                }
-            }
-            Element::Tuple(tuple) => {
-                self.stats.tuples_in += 1;
-                self.expire(tuple.ts, out);
-                let policy: SharedPolicy = match &self.current {
-                    Some(seg) => seg.policy_for(&tuple),
-                    None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
-                };
-                let group = self.group_of(&tuple);
-                let idx = match self.asg_index(&group, policy.tuple_roles()) {
-                    Some(i) => i,
-                    None => {
-                        // `group` is not needed again: move it into the ASG.
-                        self.asgs.push(Asg {
-                            group,
-                            roles: policy.tuple_roles().clone(),
-                            state: AggState::default(),
-                        });
-                        self.asgs.len() - 1
+        for elem in batch {
+            match elem {
+                Element::Policy(seg) => {
+                    self.stats.sps_in += 1;
+                    let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
+                    if newer {
+                        self.current = Some(seg);
                     }
-                };
-                let null = Value::Null;
-                self.asgs[idx].state.add(tuple.value(self.agg_attr).unwrap_or(&null));
-                let ts = tuple.ts;
-                self.buffer.push_back((tuple, policy));
-                self.trim_rows(ts, out);
-                self.emit_asg(idx, ts, out);
+                }
+                Element::Tuple(tuple) => {
+                    self.stats.tuples_in += 1;
+                    self.expire(tuple.ts, out);
+                    let policy: SharedPolicy = match &self.current {
+                        Some(seg) => seg.policy_for(&tuple),
+                        None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
+                    };
+                    let group = self.group_of(&tuple);
+                    let idx = match self.asg_index(&group, policy.tuple_roles()) {
+                        Some(i) => i,
+                        None => {
+                            // `group` is not needed again: move it into the ASG.
+                            self.asgs.push(Asg {
+                                group,
+                                roles: policy.tuple_roles().clone(),
+                                state: AggState::default(),
+                            });
+                            self.asgs.len() - 1
+                        }
+                    };
+                    let null = Value::Null;
+                    self.asgs[idx].state.add(tuple.value(self.agg_attr).unwrap_or(&null));
+                    let ts = tuple.ts;
+                    self.buffer.push_back((tuple, policy));
+                    self.trim_rows(ts, out);
+                    self.emit_asg(idx, ts, out);
+                }
             }
         }
         Ok(())

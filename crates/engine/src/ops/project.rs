@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
-use crate::operator::{Emitter, Operator};
+use crate::operator::{unary_port, Emitter, Operator};
 use crate::stats::OperatorStats;
 
 /// The projection operator.
@@ -65,56 +65,21 @@ impl Operator for Project {
         "project"
     }
 
-    fn process(
-        &mut self,
-        port: usize,
-        elem: Element,
-        out: &mut Emitter,
-    ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "project".into(), port, arity: 1 });
-        }
-        match elem {
-            Element::Policy(seg) => self.remap_policy(seg, out),
-            Element::Tuple(tuple) => {
-                self.stats.tuples_in += 1;
-                self.stats.tuples_out += 1;
-                out.push(Element::tuple(tuple.project(&self.indices)));
-            }
-        }
-        Ok(())
-    }
-
-    /// Vectorized fast path: a tuple run projects in one tight loop with
-    /// bulk counter updates and one output reservation.
     fn process_batch(
         &mut self,
         port: usize,
         batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "project".into(), port, arity: 1 });
-        }
-        if batch.is_tuples() && !batch.is_control() {
-            let n = batch.len();
-            self.stats.tuples_in += n as u64;
-            self.stats.tuples_out += n as u64;
-            out.reserve(n);
-            for elem in batch {
-                if let Element::Tuple(tuple) = elem {
+        unary_port("project", port)?;
+        out.reserve(batch.len());
+        for elem in batch {
+            match elem {
+                Element::Policy(seg) => self.remap_policy(seg, out),
+                Element::Tuple(tuple) => {
+                    self.stats.tuples_in += 1;
+                    self.stats.tuples_out += 1;
                     out.push(Element::tuple(tuple.project(&self.indices)));
-                }
-            }
-        } else {
-            for elem in batch {
-                match elem {
-                    Element::Policy(seg) => self.remap_policy(seg, out),
-                    Element::Tuple(tuple) => {
-                        self.stats.tuples_in += 1;
-                        self.stats.tuples_out += 1;
-                        out.push(Element::tuple(tuple.project(&self.indices)));
-                    }
                 }
             }
         }

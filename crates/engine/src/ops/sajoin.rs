@@ -475,8 +475,7 @@ impl SAJoin {
         self.stats.charge(CostKind::Join, start.elapsed());
     }
 
-    /// The per-element join state machine (shared by `process` and
-    /// `process_batch`).
+    /// The per-element join state machine.
     fn handle(&mut self, from_left: bool, elem: Element, out: &mut Emitter) {
         match elem {
             Element::Policy(seg) => {
@@ -523,24 +522,10 @@ impl Operator for SAJoin {
         2
     }
 
-    fn process(
-        &mut self,
-        port: usize,
-        elem: Element,
-        out: &mut Emitter,
-    ) -> Result<(), EngineError> {
-        if port >= 2 {
-            return Err(EngineError::BadPort { operator: "sajoin".into(), port, arity: 2 });
-        }
-        self.handle(port == 0, elem, out);
-        Ok(())
-    }
-
-    /// Batch path: one port check, then the per-element join pipeline. All
-    /// join state (windows, invalidation, probes) is inherently sequential
-    /// in arrival order, so the batch loop is the per-element machine with
-    /// the dispatch overhead hoisted; timing is charged per cost kind
-    /// inside the maintenance/probe phases exactly as in `process`.
+    /// One port check, then the join pipeline element by element: all join
+    /// state (windows, invalidation, probes) is inherently sequential in
+    /// arrival order. Time is charged per cost kind inside the
+    /// maintenance/probe phases.
     fn process_batch(
         &mut self,
         port: usize,
@@ -650,6 +635,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::operator::OperatorExt;
     use sp_core::{RoleSet, StreamId, TupleId, Value};
 
     fn tup(sid: u32, tid: u64, ts: u64, key: i64) -> Element {

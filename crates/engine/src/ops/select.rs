@@ -97,16 +97,6 @@ impl Operator for Select {
         "select"
     }
 
-    fn process(
-        &mut self,
-        port: usize,
-        elem: Element,
-        out: &mut Emitter,
-    ) -> Result<(), EngineError> {
-        self.process_batch(port, crate::batch::ElementBatch::single(elem), out)
-    }
-
-    /// Vectorized fast path: a whole run is filtered in one tight loop.
     fn process_batch(
         &mut self,
         port: usize,

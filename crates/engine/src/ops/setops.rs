@@ -58,58 +58,60 @@ impl Operator for Union {
         2
     }
 
-    fn process(
+    fn process_batch(
         &mut self,
         port: usize,
-        elem: Element,
+        batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
         if port >= 2 {
             return Err(EngineError::BadPort { operator: "union".into(), port, arity: 2 });
         }
-        match elem {
-            Element::Policy(seg) => {
-                self.stats.sps_in += 1;
-                let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
-                if newer {
-                    // Invalidate the announcement if it was this port's.
-                    if matches!(&self.announced, Some((p, _)) if *p == port) {
-                        self.announced = None;
+        for elem in batch {
+            match elem {
+                Element::Policy(seg) => {
+                    self.stats.sps_in += 1;
+                    let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
+                    if newer {
+                        // Invalidate the announcement if it was this port's.
+                        if matches!(&self.announced, Some((p, _)) if *p == port) {
+                            self.announced = None;
+                        }
+                        self.current[port] = Some(seg);
                     }
-                    self.current[port] = Some(seg);
                 }
-            }
-            Element::Tuple(tuple) => {
-                self.stats.tuples_in += 1;
-                let needs_announce = match (&self.announced, &self.current[port]) {
-                    (Some((p, seg)), Some(cur)) => *p != port || !Arc::ptr_eq(seg, cur),
-                    (None, Some(_)) => true,
-                    // No policy on this port yet: forward the tuple bare;
-                    // downstream denial-by-default applies. Announce a
-                    // deny policy so a previous other-port grant cannot
-                    // leak onto this side's tuples.
-                    (_, None) => !matches!(&self.announced, Some((p, _)) if *p == port),
-                };
-                if needs_announce {
-                    let seg = self.current[port]
-                        .clone()
-                        .unwrap_or_else(|| Arc::new(SegmentPolicy::deny(tuple.ts)));
-                    // Keep the merged output's punctuations ordered: a
-                    // re-announced policy may carry an older timestamp
-                    // than the other side's last one.
-                    let announce_ts = seg.ts.max(self.last_announced_ts);
-                    let emitted = if announce_ts == seg.ts {
-                        seg.clone()
-                    } else {
-                        Arc::new(seg.with_ts(announce_ts))
+                Element::Tuple(tuple) => {
+                    self.stats.tuples_in += 1;
+                    let needs_announce = match (&self.announced, &self.current[port]) {
+                        (Some((p, seg)), Some(cur)) => *p != port || !Arc::ptr_eq(seg, cur),
+                        (None, Some(_)) => true,
+                        // No policy on this port yet: forward the tuple bare;
+                        // downstream denial-by-default applies. Announce a
+                        // deny policy so a previous other-port grant cannot
+                        // leak onto this side's tuples.
+                        (_, None) => !matches!(&self.announced, Some((p, _)) if *p == port),
                     };
-                    self.last_announced_ts = announce_ts;
-                    self.stats.sps_out += 1;
-                    out.push(Element::Policy(emitted));
-                    self.announced = Some((port, seg));
+                    if needs_announce {
+                        let seg = self.current[port]
+                            .clone()
+                            .unwrap_or_else(|| Arc::new(SegmentPolicy::deny(tuple.ts)));
+                        // Keep the merged output's punctuations ordered: a
+                        // re-announced policy may carry an older timestamp
+                        // than the other side's last one.
+                        let announce_ts = seg.ts.max(self.last_announced_ts);
+                        let emitted = if announce_ts == seg.ts {
+                            seg.clone()
+                        } else {
+                            Arc::new(seg.with_ts(announce_ts))
+                        };
+                        self.last_announced_ts = announce_ts;
+                        self.stats.sps_out += 1;
+                        out.push(Element::Policy(emitted));
+                        self.announced = Some((port, seg));
+                    }
+                    self.stats.tuples_out += 1;
+                    out.push(Element::Tuple(tuple));
                 }
-                self.stats.tuples_out += 1;
-                out.push(Element::Tuple(tuple));
             }
         }
         Ok(())
@@ -168,7 +170,7 @@ impl Operator for Union {
             ckpt::done(buf)
         };
         apply().map_err(|e| EngineError::corrupt("union", e))?;
-        // The announcement-validity check in `process` compares by pointer;
+        // The announcement-validity check in `process_batch` compares by pointer;
         // re-share the current policy's Arc when the decoded announcement
         // matches it by value so recovery does not force a spurious
         // re-announcement.
@@ -230,70 +232,72 @@ impl Operator for SAIntersect {
         2
     }
 
-    fn process(
+    fn process_batch(
         &mut self,
         port: usize,
-        elem: Element,
+        batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
         if port >= 2 {
             return Err(EngineError::BadPort { operator: "intersect".into(), port, arity: 2 });
         }
-        match elem {
-            Element::Policy(seg) => {
-                self.stats.sps_in += 1;
-                let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
-                if newer {
-                    self.current[port] = Some(seg);
-                }
-            }
-            Element::Tuple(tuple) => {
-                self.stats.tuples_in += 1;
-                self.invalidate(1 - port, tuple.ts);
-                let policy: SharedPolicy = match &self.current[port] {
-                    Some(seg) => seg.policy_for(&tuple),
-                    None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
-                };
-                // Probe the opposite window for value-equal partners. The
-                // governing policy of an intersection result is the union
-                // over all partners of the pairwise intersections — "roles
-                // that may see this tuple AND at least one matching
-                // partner". (Stopping at the first partner would tie the
-                // result's visibility to window order and break the
-                // Table II shield push-down equivalence.) Probing before
-                // the own-side insert is equivalent — a tuple never probes
-                // its own window — and lets the policy Arc move into the
-                // window instead of being cloned.
-                let mut combined = sp_core::RoleSet::new();
-                for (u, up) in &self.windows[1 - port] {
-                    if u.values() == tuple.values() {
-                        let mut pair = policy.tuple_roles().clone();
-                        pair.intersect_with(up.tuple_roles());
-                        combined.union_with(&pair);
+        for elem in batch {
+            match elem {
+                Element::Policy(seg) => {
+                    self.stats.sps_in += 1;
+                    let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
+                    if newer {
+                        self.current[port] = Some(seg);
                     }
                 }
-                // Insert into own window (count windows trim here).
-                self.windows[port].push_back((tuple.clone(), policy));
-                if let Some(capacity) = self.window.capacity() {
-                    while self.windows[port].len() > capacity {
-                        self.windows[port].pop_front();
+                Element::Tuple(tuple) => {
+                    self.stats.tuples_in += 1;
+                    self.invalidate(1 - port, tuple.ts);
+                    let policy: SharedPolicy = match &self.current[port] {
+                        Some(seg) => seg.policy_for(&tuple),
+                        None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
+                    };
+                    // Probe the opposite window for value-equal partners. The
+                    // governing policy of an intersection result is the union
+                    // over all partners of the pairwise intersections — "roles
+                    // that may see this tuple AND at least one matching
+                    // partner". (Stopping at the first partner would tie the
+                    // result's visibility to window order and break the
+                    // Table II shield push-down equivalence.) Probing before
+                    // the own-side insert is equivalent — a tuple never probes
+                    // its own window — and lets the policy Arc move into the
+                    // window instead of being cloned.
+                    let mut combined = sp_core::RoleSet::new();
+                    for (u, up) in &self.windows[1 - port] {
+                        if u.values() == tuple.values() {
+                            let mut pair = policy.tuple_roles().clone();
+                            pair.intersect_with(up.tuple_roles());
+                            combined.union_with(&pair);
+                        }
                     }
-                }
-                if !combined.is_empty() {
-                    let out_policy = Policy::tuple_level(combined, tuple.ts);
-                    let repeated = self
-                        .last_policy
-                        .as_ref()
-                        .is_some_and(|prev| prev.same_authorizations(&out_policy));
-                    if !repeated {
-                        self.stats.sps_out += 1;
-                        out.push(Element::policy(SegmentPolicy::uniform(out_policy.clone())));
+                    // Insert into own window (count windows trim here).
+                    self.windows[port].push_back((tuple.clone(), policy));
+                    if let Some(capacity) = self.window.capacity() {
+                        while self.windows[port].len() > capacity {
+                            self.windows[port].pop_front();
+                        }
                     }
-                    self.last_policy = Some(out_policy);
-                    self.stats.tuples_out += 1;
-                    out.push(Element::Tuple(tuple));
-                } else {
-                    self.stats.tuples_shielded += 1;
+                    if !combined.is_empty() {
+                        let out_policy = Policy::tuple_level(combined, tuple.ts);
+                        let repeated = self
+                            .last_policy
+                            .as_ref()
+                            .is_some_and(|prev| prev.same_authorizations(&out_policy));
+                        if !repeated {
+                            self.stats.sps_out += 1;
+                            out.push(Element::policy(SegmentPolicy::uniform(out_policy.clone())));
+                        }
+                        self.last_policy = Some(out_policy);
+                        self.stats.tuples_out += 1;
+                        out.push(Element::Tuple(tuple));
+                    } else {
+                        self.stats.tuples_shielded += 1;
+                    }
                 }
             }
         }
@@ -357,6 +361,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::operator::OperatorExt;
     use sp_core::{RoleId, StreamId, TupleId, Value};
 
     fn tup(sid: u32, tid: u64, ts: u64, v: i64) -> Element {

@@ -168,36 +168,6 @@ impl SecurityShield {
         &self.roles
     }
 
-    /// Splitting rule (Rule 1): splits this SS into one shield per
-    /// predicate role. `ψ_{p1∧…∧pn} ≡ ψ_{p1}(…(ψ_{pn}))` — for
-    /// disjunctive role predicates the useful split is by role subsets;
-    /// this helper splits into singletons.
-    #[must_use]
-    pub fn split(&self) -> Vec<SecurityShield> {
-        self.roles
-            .iter()
-            .map(|r| {
-                SecurityShield::new(RoleSet::single(r))
-                    .with_granularity(self.granularity)
-                    .with_mode(self.mode)
-            })
-            .collect()
-    }
-
-    /// Merging rule (Rule 1, reverse): one SS whose predicate is the union
-    /// of the given shields' predicates.
-    #[must_use]
-    pub fn merge(shields: &[SecurityShield]) -> SecurityShield {
-        let mut roles = RoleSet::new();
-        for s in shields {
-            roles.union_with(&s.roles);
-        }
-        let (granularity, mode) = shields
-            .first()
-            .map_or((Granularity::Tuple, MatchMode::Bitmap), |s| (s.granularity, s.mode));
-        SecurityShield::new(roles).with_granularity(granularity).with_mode(mode)
-    }
-
     /// Predicate check in the configured mode.
     fn authorized(&self, policy: &SharedPolicy) -> bool {
         match (self.mode, self.granularity) {
@@ -294,7 +264,7 @@ impl SecurityShield {
         }
     }
 
-    /// Absorbs one arriving segment policy (the `process` policy arm).
+    /// Absorbs one arriving segment policy.
     fn absorb_policy(&mut self, seg: Arc<SegmentPolicy>) {
         self.stats.sps_in += 1;
         // An sp-batch with a newer timestamp replaces the buffered
@@ -318,8 +288,8 @@ impl SecurityShield {
                     NO_TUPLE,
                     sp_ts,
                 ));
+                self.rec.lag.observe_policy(sp_ts);
             }
-            self.rec.lag.observe_policy(sp_ts);
             self.current = Some(seg);
         }
     }
@@ -330,18 +300,21 @@ impl SecurityShield {
     /// enforcement span. `role` is the authorizing role of a release.
     fn record_decision(&mut self, released: bool, tid: u64, ts: u64, sp_ts: u64, role: u32) {
         use sp_core::trace::{site, span_id, trace_id_for_sp, trace_id_for_tuple};
-        self.rec.lag.observe_tuple(ts);
         let (event, site) = if released {
-            self.rec.lag.observe_release(ts);
             (AuditEvent::Released { role, sp_ts }, site::RELEASE)
         } else {
-            self.rec.lag.observe_suppress(ts);
             (AuditEvent::Suppressed { sp_ts }, site::SUPPRESS)
         };
         if self.rec.audit.enabled() {
             self.rec.audit.record(tid, ts, event);
         }
         if self.rec.spans.enabled() {
+            self.rec.lag.observe_tuple(ts);
+            if released {
+                self.rec.lag.observe_release(ts);
+            } else {
+                self.rec.lag.observe_suppress(ts);
+            }
             let parent = if sp_ts == NO_SP {
                 0
             } else {
@@ -354,7 +327,7 @@ impl SecurityShield {
     /// Whether any recorder plane is armed (lets the batch paths skip the
     /// per-tuple recording loop entirely when telemetry is off).
     fn recording(&self) -> bool {
-        self.rec.audit.enabled() || self.rec.spans.enabled() || self.rec.lag.armed()
+        self.rec.audit.enabled() || self.rec.spans.enabled()
     }
 
     /// The one decision core: judges a tuple under the current verdict
@@ -448,8 +421,8 @@ impl SecurityShield {
     /// granularity) or suppressed whole (deny/fail) with O(1) counter
     /// updates. Attribute-masked and scoped segments, and any run holding
     /// a policy, go element by element through the decision core, so
-    /// outputs, counters, audit records and snapshots are those of
-    /// element-at-a-time processing for every run shape.
+    /// outputs, counters, audit records and snapshots do not depend on
+    /// where a run was cut.
     fn shield_run<T: Borrow<Element>>(
         &mut self,
         run: impl ExactSizeIterator<Item = T>,
@@ -509,17 +482,6 @@ impl SecurityShield {
 impl Operator for SecurityShield {
     fn name(&self) -> &str {
         "ss"
-    }
-
-    fn process(
-        &mut self,
-        port: usize,
-        elem: Element,
-        out: &mut Emitter,
-    ) -> Result<(), EngineError> {
-        unary_port("ss", port)?;
-        self.shield_run(std::iter::once(elem), false, |e| e, out);
-        Ok(())
     }
 
     fn process_batch(
@@ -811,16 +773,24 @@ mod tests {
         }
     }
 
+    /// The lag tracker has no switch of its own: it is fed exactly while
+    /// the span ring is on.
     #[test]
-    fn split_and_merge_round_trip() {
-        let ss = SecurityShield::new(RoleSet::from([1, 4, 7]));
-        let parts = ss.split();
-        assert_eq!(parts.len(), 3);
-        for p in &parts {
-            assert_eq!(p.predicate().len(), 1);
-        }
-        let merged = SecurityShield::merge(&parts);
-        assert_eq!(merged.predicate(), ss.predicate());
+    fn lag_is_fed_only_while_spans_are_armed() {
+        let input = || vec![pol(&[1], 0), tup(1, 1), pol(&[2], 2), tup(2, 3)];
+        let mut audited = SecurityShield::new(RoleSet::from([1]));
+        audited.set_audit(8);
+        let _ = run_unary(&mut audited, input());
+        assert_eq!(audited.rec.lag.enforce().count(), 0);
+
+        let mut traced = SecurityShield::new(RoleSet::from([1]));
+        traced.set_spans(8);
+        let _ = run_unary(&mut traced, input());
+        let lag = &traced.rec.lag;
+        assert_eq!(
+            (lag.enforce().count(), lag.release().count(), lag.suppress().count()),
+            (2, 1, 1)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use sp_core::Tuple;
 
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
-use crate::operator::{Emitter, Operator};
+use crate::operator::{unary_port, Emitter, Operator};
 use crate::stats::OperatorStats;
 
 /// Collects the elements delivered to one registered query.
@@ -64,35 +64,14 @@ impl Operator for Sink {
         "sink"
     }
 
-    fn process(
-        &mut self,
-        port: usize,
-        elem: Element,
-        _out: &mut Emitter,
-    ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "sink".into(), port, arity: 1 });
-        }
-        match &elem {
-            Element::Tuple(_) => self.stats.tuples_in += 1,
-            Element::Policy(_) => self.stats.sps_in += 1,
-        }
-        self.elements.push(elem);
-        Ok(())
-    }
-
-    /// Vectorized fast path: bulk counter updates and one reservation,
-    /// then an extend — a homogeneous batch counts entirely as tuples or
-    /// entirely as sps.
+    /// One counting pass, one reservation, then an extend.
     fn process_batch(
         &mut self,
         port: usize,
         batch: crate::batch::ElementBatch,
         _out: &mut Emitter,
     ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "sink".into(), port, arity: 1 });
-        }
+        unary_port("sink", port)?;
         let mut tuples = 0u64;
         for elem in &batch {
             match elem {
@@ -148,6 +127,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::operator::OperatorExt;
     use sp_core::{Policy, RoleSet, StreamId, Timestamp, TupleId};
 
     #[test]

@@ -46,7 +46,6 @@ use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::fault::SplitMix64;
 use crate::operator::{Emitter, Operator};
-use crate::predicate_index::PredicateIndex;
 use crate::slack::Slack;
 use crate::stats::{DegradationStats, OperatorStats};
 
@@ -59,9 +58,8 @@ pub enum OverloadLevel {
     Normal,
     /// The configured [`ShedPolicy`] decides which data tuples to drop.
     Shedding,
-    /// Only tuples that some registered query's predicate can match (or,
-    /// without an index, tuples whose governing policy is not deny-all)
-    /// pass; everything else is shed.
+    /// Only tuples some query could see (their governing policy is not
+    /// deny-all) pass; everything else is shed.
     CriticalShedding,
     /// All data is refused; security punctuations are still absorbed so
     /// policy state keeps advancing and recovery starts warm.
@@ -424,7 +422,7 @@ impl Default for ShedderConfig {
 /// set — overload behaviour is replayable and checkpointable.
 ///
 /// Security punctuations are never shed, delayed, or reordered: the
-/// policy arm of [`Operator::process`] forwards them unconditionally (it
+/// policy arm of the state machine forwards them unconditionally (it
 /// advances the clock and the ladder, but no level gates it). This is the
 /// leak-proofness half of the module's invariant; the `overload_props`
 /// suite proves the other half (released-set subset, byte-identical
@@ -441,9 +439,6 @@ pub struct Shedder {
     /// Latest security-policy segment seen, for the critical-level
     /// deny-all fallback filter.
     current: Option<Arc<SegmentPolicy>>,
-    /// Optional predicate index for the critical-level "some query could
-    /// match this" filter.
-    index: Option<PredicateIndex>,
     /// Per-stream admission counts for [`ShedPolicy::FairPerStream`].
     fair: BTreeMap<u32, u64>,
     shed_tuples: u64,
@@ -461,7 +456,7 @@ pub struct Shedder {
 }
 
 impl Shedder {
-    /// A shedder with the given configuration and no predicate index.
+    /// A shedder with the given configuration.
     #[must_use]
     pub fn new(cfg: ShedderConfig) -> Self {
         let seed = match cfg.policy {
@@ -474,7 +469,6 @@ impl Shedder {
             qlen: 0,
             clock: Timestamp::ZERO,
             current: None,
-            index: None,
             fair: BTreeMap::new(),
             shed_tuples: 0,
             shed_critical: 0,
@@ -484,15 +478,6 @@ impl Shedder {
             stats: OperatorStats::new(),
             cfg,
         }
-    }
-
-    /// Attaches a predicate index so `CriticalShedding` can pass exactly
-    /// the tuples some registered query's predicate might match, instead
-    /// of the coarser "policy is not deny-all" fallback.
-    #[must_use]
-    pub fn with_index(mut self, index: PredicateIndex) -> Self {
-        self.index = Some(index);
-        self
     }
 
     /// **Test-only negative control.** Makes the shedder drop security
@@ -575,19 +560,15 @@ impl Shedder {
         }
     }
 
-    /// Critical-level filter: does any registered query stand a chance of
-    /// seeing this tuple?
+    /// Critical-level filter: could any query see this tuple at all (its
+    /// governing policy is not deny-all)?
     fn critical_passes(&self, t: &Arc<Tuple>) -> bool {
         let Some(seg) = &self.current else {
             // No policy yet governs this tuple; downstream shields will
             // deny it anyway, so shedding it cannot change the output.
             return false;
         };
-        let policy = seg.policy_for(t);
-        match &self.index {
-            Some(idx) => !idx.matching_queries(&policy).is_empty(),
-            None => !policy.is_deny_all(),
-        }
+        !seg.policy_for(t).is_deny_all()
     }
 
     fn admit(&mut self, t: &Arc<Tuple>) {
@@ -603,33 +584,17 @@ impl Operator for Shedder {
         "shed"
     }
 
-    fn process(
-        &mut self,
-        port: usize,
-        elem: Element,
-        out: &mut Emitter,
-    ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "shed".into(), port, arity: 1 });
-        }
-        self.handle(elem, out);
-        Ok(())
-    }
-
-    /// Batch path: one port check, then the per-element state machine.
-    /// The virtual queue, drain clock, and ladder are judged per element
-    /// in batch order — identical accounting to element-at-a-time
-    /// processing (shed decisions depend on the *order* of arrivals,
-    /// which batching preserves, never on batch boundaries).
+    /// One port check, then the state machine element by element: the
+    /// virtual queue, drain clock and ladder are judged per element in
+    /// arrival order, so shed decisions never depend on where a run was
+    /// cut.
     fn process_batch(
         &mut self,
         port: usize,
         batch: crate::batch::ElementBatch,
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
-        if port != 0 {
-            return Err(EngineError::BadPort { operator: "shed".into(), port, arity: 1 });
-        }
+        crate::operator::unary_port("shed", port)?;
         for elem in batch {
             self.handle(elem, out);
         }
@@ -718,8 +683,7 @@ impl Operator for Shedder {
 }
 
 impl Shedder {
-    /// The per-element admission state machine (shared by `process` and
-    /// `process_batch`).
+    /// The per-element admission state machine.
     fn handle(&mut self, elem: Element, out: &mut Emitter) {
         match elem {
             Element::Policy(p) => {
@@ -1112,6 +1076,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::operator::OperatorExt;
     use sp_core::{Policy, TupleId};
 
     fn tup(sid: u32, tid: u64, ts: u64) -> Element {
@@ -1263,10 +1228,6 @@ mod tests {
 
     #[test]
     fn critical_level_passes_only_matchable_tuples() {
-        let mut index = PredicateIndex::new();
-        let mut roles = sp_core::RoleSet::new();
-        roles.insert(sp_core::RoleId(1));
-        index.register(roles);
         let cfg = ShedderConfig {
             capacity: 10,
             drain_per_ms: 0,
@@ -1280,7 +1241,7 @@ mod tests {
             },
             policy: ShedPolicy::RandomP { p: 0.0, seed: 1 },
         };
-        let mut shed = Shedder::new(cfg).with_index(index);
+        let mut shed = Shedder::new(cfg);
         let mut out = Emitter::new();
         shed.process(0, sp_open(0), &mut out).unwrap();
         for i in 0..3 {
@@ -1288,7 +1249,7 @@ mod tests {
         }
         assert_eq!(shed.level(), OverloadLevel::CriticalShedding);
         let _ = out.take();
-        // Governing policy grants role 1, which a registered query holds:
+        // The governing policy grants a role, so some query could match:
         // the tuple passes even at critical level.
         shed.process(0, tup(1, 20, 0), &mut out).unwrap();
         assert_eq!(out.len(), 1);

@@ -42,7 +42,7 @@
 //!   deliberate exception: an ordered two-way merge must be able to
 //!   buffer the non-selected port arbitrarily (bounding both ports can
 //!   deadlock diamond fan-ins), so those edges are unbounded.
-//! * **panic containment** — each `process` call runs under
+//! * **panic containment** — each operator call runs under
 //!   `catch_unwind`; a panicking operator surfaces as
 //!   [`EngineError::OperatorPanic`] from [`run_parallel`] instead of a
 //!   poisoned join or a silent hang.
@@ -737,18 +737,20 @@ mod tests {
         fn name(&self) -> &str {
             "panic-on"
         }
-        fn process(
+        fn process_batch(
             &mut self,
             _port: usize,
-            elem: Element,
+            batch: ElementBatch,
             out: &mut Emitter,
         ) -> Result<(), EngineError> {
-            if let Element::Tuple(t) = &elem {
-                if t.value(0).and_then(Value::as_i64) == Some(self.id) {
-                    panic!("injected operator failure");
+            for elem in batch {
+                if let Element::Tuple(t) = &elem {
+                    if t.value(0).and_then(Value::as_i64) == Some(self.id) {
+                        panic!("injected operator failure");
+                    }
                 }
+                out.push(elem);
             }
-            out.push(elem);
             Ok(())
         }
         fn stats(&self) -> &OperatorStats {
@@ -796,21 +798,23 @@ mod tests {
             fn name(&self) -> &str {
                 "fail-on"
             }
-            fn process(
+            fn process_batch(
                 &mut self,
                 _port: usize,
-                elem: Element,
+                batch: ElementBatch,
                 out: &mut Emitter,
             ) -> Result<(), EngineError> {
-                if let Element::Tuple(t) = &elem {
-                    if t.value(0).and_then(Value::as_i64) == Some(self.id) {
-                        return Err(EngineError::MalformedElement {
-                            operator: "fail-on".into(),
-                            reason: "injected failure".into(),
-                        });
+                for elem in batch {
+                    if let Element::Tuple(t) = &elem {
+                        if t.value(0).and_then(Value::as_i64) == Some(self.id) {
+                            return Err(EngineError::MalformedElement {
+                                operator: "fail-on".into(),
+                                reason: "injected failure".into(),
+                            });
+                        }
                     }
+                    out.push(elem);
                 }
-                out.push(elem);
                 Ok(())
             }
             fn stats(&self) -> &OperatorStats {

@@ -355,7 +355,7 @@ pub struct Executor {
     /// Reusable operator-output scratch.
     emitter: Emitter,
     pub(crate) telemetry: TelemetryConfig,
-    /// Per-node `process` latency in nanoseconds (metrics mode only).
+    /// Per-node operator-call latency in nanoseconds (metrics mode only).
     latency: Vec<Histogram>,
     /// Work-queue depth sampled at each dequeue (metrics mode only).
     queue_depth: Histogram,
@@ -561,11 +561,6 @@ impl Executor {
         &self.sinks[s.0]
     }
 
-    /// Mutable sink access (e.g. to clear between bench phases).
-    pub fn sink_mut(&mut self, s: SinkRef) -> &mut Sink {
-        &mut self.sinks[s.0]
-    }
-
     /// A node's cost counters.
     #[must_use]
     pub fn stats(&self, n: NodeRef) -> &OperatorStats {
@@ -576,12 +571,6 @@ impl Executor {
     #[must_use]
     pub fn state_mem_bytes(&self, n: NodeRef) -> usize {
         self.nodes[n.0].op.state_mem_bytes()
-    }
-
-    /// Total state footprint across all operators.
-    #[must_use]
-    pub fn total_state_mem_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.op.state_mem_bytes()).sum()
     }
 
     /// Access to a source's analyzer statistics.
@@ -742,7 +731,7 @@ impl Executor {
                     &self.latency[i],
                 );
             }
-            if let Some(lag) = node.op.recorders().map(|r| &r.lag).filter(|lag| lag.armed()) {
+            if let Some(lag) = node.op.recorders().filter(|r| r.spans.enabled()).map(|r| &r.lag) {
                 // Paper-grounded enforcement-lag windows, in stream time:
                 // how far behind the stream clock each sp took effect, and
                 // how wide the "security hole" between a revocation and
@@ -802,12 +791,6 @@ impl Executor {
     #[must_use]
     pub fn metrics_prometheus(&self) -> String {
         self.metrics().render_prometheus()
-    }
-
-    /// The metrics snapshot rendered as a JSON document.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        self.metrics().render_json()
     }
 
     /// Takes a consistent cut of the whole plan at an epoch boundary. Must
@@ -989,19 +972,21 @@ mod tests {
             "fails-on"
         }
 
-        fn process(
+        fn process_batch(
             &mut self,
             _port: usize,
-            elem: Element,
+            batch: ElementBatch,
             out: &mut Emitter,
         ) -> Result<(), EngineError> {
-            if elem.as_tuple().is_some_and(|t| t.tid.raw() == self.fail_on) {
-                return Err(EngineError::MalformedElement {
-                    operator: "fails-on".into(),
-                    reason: "test failure".into(),
-                });
+            for elem in batch {
+                if elem.as_tuple().is_some_and(|t| t.tid.raw() == self.fail_on) {
+                    return Err(EngineError::MalformedElement {
+                        operator: "fails-on".into(),
+                        reason: "test failure".into(),
+                    });
+                }
+                out.push(elem);
             }
-            out.push(elem);
             Ok(())
         }
 
@@ -1052,6 +1037,39 @@ mod tests {
         assert_eq!(exec.sink(q1).tuple_count(), 0);
         assert_eq!(exec.sink(q2).tuple_count(), 0);
         assert_eq!((exec.stats(ss).sps_in, exec.stats(ss).tuples_in), judged, "no operator ran");
+    }
+
+    /// `process_batch` is all an operator has to implement: the same
+    /// operator type, with neither a per-element step nor a `process_run`
+    /// of its own, sees a run by move (sole consumer of its edge) and by
+    /// loan (first of two consumers) and delivers the same elements.
+    #[test]
+    fn process_batch_alone_serves_moved_and_lent_runs() {
+        let forward = || FailsOn { fail_on: u64::MAX, stats: OperatorStats::new() };
+        let input = || {
+            [sp(&[1], 0), tup(1, 1, 0), tup(2, 2, 0), sp(&[2], 3), tup(3, 4, 0)]
+                .map(|e| (StreamId(1), e))
+        };
+
+        let mut b = PlanBuilder::new(catalog());
+        let src = b.source(StreamId(1), schema());
+        let alone = b.add(forward(), src);
+        let sink = b.sink(alone);
+        let mut moved = b.build();
+        moved.push_all(input()).unwrap();
+
+        let mut b = PlanBuilder::new(catalog());
+        let src = b.source(StreamId(1), schema());
+        let (first, last) = (b.add(forward(), src), b.add(forward(), src));
+        let (lent_sink, moved_sink) = (b.sink(first), b.sink(last));
+        let mut shared = b.build();
+        assert!(shared.run_major(), "the source edge lends to every consumer but the last");
+        shared.push_all(input()).unwrap();
+
+        let expected = moved.sink(sink).elements();
+        assert_eq!(expected.len(), 5);
+        assert_eq!(shared.sink(lent_sink).elements(), expected);
+        assert_eq!(shared.sink(moved_sink).elements(), expected);
     }
 
     /// A plan with a binary node never takes run-major routing: a
@@ -1131,7 +1149,7 @@ mod tests {
         exec.push_all([(StreamId(1), sp(&[1, 2], 1)), (StreamId(1), tup(1, 2, 1))]).unwrap();
         // Server policy removed role 2, so query with role 2 sees nothing.
         assert_eq!(exec.sink(sink).tuple_count(), 0);
-        assert!(exec.total_state_mem_bytes() > 0);
+        assert!(exec.state_mem_bytes(ss) > 0);
         assert_eq!(exec.analyzer(src).sps_filtered, 0);
     }
 

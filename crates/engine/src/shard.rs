@@ -822,7 +822,8 @@ impl ShardedExecutor {
                         }
                         // Element-wise: a sink delta may mix tuples and
                         // policies, which batch runs must not.
-                        if let Err(e) = self.sinks[j].process(0, elem, &mut emitter) {
+                        let one = ElementBatch::single(elem);
+                        if let Err(e) = self.sinks[j].process_batch(0, one, &mut emitter) {
                             let _ = emitter.take();
                             self.emitter = emitter;
                             return Err(self.fail(e));
@@ -1784,16 +1785,18 @@ mod tests {
             fn name(&self) -> &str {
                 "panic-on"
             }
-            fn process(
+            fn process_batch(
                 &mut self,
                 port: usize,
-                elem: Element,
+                batch: ElementBatch,
                 out: &mut Emitter,
             ) -> Result<(), EngineError> {
-                if let Element::Tuple(t) = &elem {
-                    assert!(t.tid.raw() != 3, "injected shard failure");
+                for elem in &batch {
+                    if let Element::Tuple(t) = elem {
+                        assert!(t.tid.raw() != 3, "injected shard failure");
+                    }
                 }
-                self.0.process(port, elem, out)
+                self.0.process_batch(port, batch, out)
             }
             fn stats(&self) -> &crate::stats::OperatorStats {
                 self.0.stats()

@@ -836,7 +836,7 @@ pub struct Recorders {
     pub audit: FlightRecorder,
     /// Causal spans (disabled unless spans are armed).
     pub spans: SpanRecorder,
-    /// Enforcement-lag histograms (armed together with `spans`).
+    /// Enforcement-lag histograms; fed only while `spans` is armed.
     pub lag: LagTracker,
 }
 
@@ -846,14 +846,13 @@ impl Recorders {
         self.audit = Ring::new(capacity);
     }
 
-    /// Arms the span ring with `capacity` (0 = off), emptying it, and
-    /// the lag tracker with it.
+    /// Arms the span ring with `capacity` (0 = off), emptying it; the
+    /// lag tracker is fed exactly while this ring is on.
     pub fn set_spans(&mut self, capacity: usize) {
         self.spans = Ring::new(capacity);
-        self.lag.set_armed(capacity > 0);
     }
 
-    /// Empties both rings and the lag tracker (arming keeps).
+    /// Empties both rings and the lag tracker (capacities keep).
     pub fn clear(&mut self) {
         self.audit.clear();
         self.spans.clear();
@@ -915,7 +914,6 @@ pub fn merge_recorders<'a, R: Record>(
 /// replay repopulates it.
 #[derive(Debug, Clone)]
 pub struct LagTracker {
-    armed: bool,
     clock: u64,
     sp_ts: u64,
     pending_release: bool,
@@ -928,7 +926,6 @@ pub struct LagTracker {
 impl Default for LagTracker {
     fn default() -> Self {
         Self {
-            armed: false,
             clock: 0,
             sp_ts: NO_SP,
             pending_release: false,
@@ -941,38 +938,23 @@ impl Default for LagTracker {
 }
 
 impl LagTracker {
-    /// A disarmed tracker (every observe is a branch and a return).
+    /// An empty tracker. It has no switch of its own: its owner feeds it
+    /// exactly while its span ring is on ([`Recorders::spans`]).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Arms or disarms the tracker.
-    pub fn set_armed(&mut self, armed: bool) {
-        self.armed = armed;
-    }
-
-    /// Whether the tracker is recording.
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
     /// Advances the shield's stream clock to `ts` (monotonic max).
     #[inline]
     pub fn observe_tuple(&mut self, ts: u64) {
-        if self.armed {
-            self.clock = self.clock.max(ts);
-        }
+        self.clock = self.clock.max(ts);
     }
 
     /// The shield absorbed the policy stamped `sp_ts`: records the
     /// enforcement lag against the stream clock and starts waiting for
     /// the first release/suppression it affects.
     pub fn observe_policy(&mut self, sp_ts: u64) {
-        if !self.armed {
-            return;
-        }
         self.enforce.record(self.clock.saturating_sub(sp_ts));
         self.sp_ts = sp_ts;
         self.pending_release = true;
@@ -983,7 +965,7 @@ impl LagTracker {
     /// once per absorbed policy.
     #[inline]
     pub fn observe_release(&mut self, ts: u64) {
-        if self.armed && self.pending_release {
+        if self.pending_release {
             self.pending_release = false;
             if self.sp_ts != NO_SP {
                 self.release.record(ts.saturating_sub(self.sp_ts));
@@ -997,7 +979,7 @@ impl LagTracker {
     /// the hole from).
     #[inline]
     pub fn observe_suppress(&mut self, ts: u64) {
-        if self.armed && self.pending_suppress {
+        if self.pending_suppress {
             self.pending_suppress = false;
             if self.sp_ts != NO_SP {
                 self.suppress.record(ts.saturating_sub(self.sp_ts));
@@ -1023,12 +1005,10 @@ impl LagTracker {
         &self.suppress
     }
 
-    /// Resets samples and pending state (armed keeps). Called on
-    /// restore; deterministic replay repopulates.
+    /// Resets samples and pending state. Called on restore;
+    /// deterministic replay repopulates.
     pub fn clear(&mut self) {
-        let armed = self.armed;
         *self = Self::default();
-        self.armed = armed;
     }
 }
 
@@ -1346,61 +1326,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the registry as a JSON document (hand-rolled; the
-    /// workspace vendors no serde). Histograms are summarized as
-    /// count/sum/mean plus p50/p90/p99 from the log buckets.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let mut counters: Vec<&(SeriesKey, u64)> = self.counters.iter().collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut hists: Vec<&(SeriesKey, Histogram)> = self.histograms.iter().collect();
-        hists.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut out = String::from("{\n  \"counters\": [\n");
-        for (i, ((family, labels), v)) in counters.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"labels\": \"{}\", \"value\": {v}}}{}\n",
-                esc(family),
-                esc(labels),
-                if i + 1 == counters.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"histograms\": [\n");
-        for (i, ((family, labels), h)) in hists.iter().enumerate() {
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"labels\": \"{}\", \"count\": {}, ",
-                    "\"sum\": {}, \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, ",
-                    "\"p99\": {}}}{}\n"
-                ),
-                esc(family),
-                esc(labels),
-                h.count(),
-                h.sum(),
-                h.mean(),
-                h.percentile(50.0),
-                h.percentile(90.0),
-                h.percentile(99.0),
-                if i + 1 == hists.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 /// What telemetry an executor collects. Every knob defaults to off, so
@@ -1546,8 +1471,6 @@ mod tests {
         assert!(text.contains("sp_operator_latency_ns_bucket{op=\"ss\",le=\"+Inf\"} 2"));
         assert!(text.contains("sp_operator_latency_ns_count{op=\"ss\"} 2"));
         assert!(text.contains("sp_tuples_released_total{op=\"ss\"} 2"));
-        let json = m.render_json();
-        assert!(json.contains("\"p99\""));
     }
 
     #[test]
@@ -1719,12 +1642,6 @@ mod tests {
     #[test]
     fn lag_tracker_measures_the_three_windows() {
         let mut lag = LagTracker::new();
-        // Disarmed: nothing records.
-        lag.observe_tuple(10);
-        lag.observe_policy(5);
-        assert_eq!(lag.enforce().count(), 0);
-
-        lag.set_armed(true);
         lag.observe_tuple(990);
         lag.observe_policy(1000); // in-order sp: clock behind its stamp
         assert_eq!(lag.enforce().count(), 1);
@@ -1746,7 +1663,6 @@ mod tests {
         assert_eq!(lag.enforce().sum(), 50);
 
         lag.clear();
-        assert!(lag.armed(), "clear keeps arming");
         assert_eq!(lag.enforce().count(), 0);
         assert_eq!(lag.release().count(), 0);
         assert_eq!(lag.suppress().count(), 0);

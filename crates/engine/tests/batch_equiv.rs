@@ -36,8 +36,8 @@ use sp_core::{
 };
 use sp_engine::{
     AggFunc, CmpOp, DupElim, Element, ElementBatch, Emitter, Expr, Granularity, GroupBy,
-    JoinVariant, Operator, PlanBuilder, Project, SAIntersect, SAJoin, SecurityShield, Select,
-    ShedPolicy, Shedder, ShedderConfig, Sink, SinkRef, TelemetryConfig, Union,
+    JoinVariant, Operator, OperatorExt, PlanBuilder, Project, SAIntersect, SAJoin, SecurityShield,
+    Select, ShedPolicy, Shedder, ShedderConfig, Sink, SinkRef, TelemetryConfig, Union,
 };
 use sp_pattern::Pattern;
 

@@ -31,8 +31,8 @@ use sp_core::{
     Tuple, TupleId, Value, ValueType,
 };
 use sp_engine::{
-    AdmissionConfig, AdmissionController, Element, Emitter, Operator, SecurityShield, ShedPolicy,
-    Shedder, ShedderConfig, Slack, SpAnalyzer, WatermarkConfig,
+    AdmissionConfig, AdmissionController, Element, Emitter, OperatorExt, SecurityShield,
+    ShedPolicy, Shedder, ShedderConfig, Slack, SpAnalyzer, WatermarkConfig,
 };
 
 fn schema() -> Arc<Schema> {

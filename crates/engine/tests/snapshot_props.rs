@@ -23,9 +23,9 @@ use sp_core::{
     Tuple, TupleId, Value, ValueType,
 };
 use sp_engine::{
-    AggFunc, CmpOp, DupElim, Element, Emitter, Expr, GroupBy, JoinVariant, Operator, Project,
-    QuarantinePolicy, ReorderBuffer, SAIntersect, SAJoin, SecurityShield, Select, Sink, SpAnalyzer,
-    Union,
+    AggFunc, CmpOp, DupElim, Element, Emitter, Expr, GroupBy, JoinVariant, Operator, OperatorExt,
+    Project, QuarantinePolicy, ReorderBuffer, SAIntersect, SAJoin, SecurityShield, Select, Sink,
+    SpAnalyzer, Union,
 };
 
 fn schema() -> Arc<Schema> {

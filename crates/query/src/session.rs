@@ -74,7 +74,7 @@ pub struct Dsms {
     /// security audit trail (a bounded flight recorder on each analyzer
     /// and shield) and the per-operator metrics histograms; read them
     /// back via [`RunningDsms::audit_trail`] and
-    /// [`RunningDsms::metrics_prometheus`] / [`RunningDsms::metrics_json`].
+    /// [`RunningDsms::metrics_prometheus`].
     pub telemetry: Option<sp_engine::TelemetryConfig>,
     queries: Vec<PlannedQuery>,
 }
@@ -417,12 +417,6 @@ impl RunningDsms {
     #[must_use]
     pub fn metrics_prometheus(&self) -> String {
         self.executor.metrics_prometheus()
-    }
-
-    /// The session's metrics snapshot as a JSON document.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        self.executor.metrics_json()
     }
 }
 

@@ -31,7 +31,8 @@ pub struct ServerConfig {
     /// Per-read socket deadline in milliseconds. Bounds how long a stall
     /// (or a length-lying frame header) can hold a connection thread.
     pub read_timeout_ms: u64,
-    /// A connection silent this long is reaped (idle deadline).
+    /// A connection silent this long is reaped (idle deadline); so is one
+    /// whose peer has not taken a reply for this long (write deadline).
     pub idle_timeout_ms: u64,
     /// Largest frame body accepted; a header claiming more is treated as
     /// corruption immediately.

@@ -136,7 +136,10 @@ pub(crate) fn spawn<S: Observe>(state: Arc<S>) -> std::io::Result<(SocketAddr, J
 }
 
 fn serve_one(state: &dyn Observe, mut stream: TcpStream) {
+    // One deadline each way: a scraper that asks and never reads must not
+    // hold the (single) metrics thread in `write_all`.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let mut req = [0u8; 1024];
     let n = stream.read(&mut req).unwrap_or(0);
     let line = String::from_utf8_lossy(&req[..n]);

@@ -391,6 +391,12 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
     let cfg = state.cfg;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))));
+    // A peer that sends but never reads fills both socket buffers and
+    // would pin this thread in `write_all`, and `drain` behind it, for
+    // good. A reply that cannot be written within the idle deadline is a
+    // write error like any other: the connection closes, the tenant and
+    // its cursor stay as the last handled frame left them.
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.idle_timeout_ms.max(1))));
     let mut dec = StreamDecoder::new(cfg.max_frame_len);
     let mut tenant: Option<Arc<TenantHandle>> = None;
     let mut pending_trace: Option<sp_core::TraceContext> = None;

@@ -679,3 +679,65 @@ fn concurrent_connections_to_one_tenant_serialize_whole_frames() {
     let switches = runs.windows(2).filter(|w| w[0].0 != w[1].0).count();
     assert!(switches >= total / FRAME / CLIENTS as usize, "no interleaving: {switches} switches");
 }
+
+#[test]
+fn peer_that_never_reads_cannot_pin_its_connection_or_the_drain() {
+    // One-element frames: the most Acks per byte sent, so the reply
+    // direction is the one that fills.
+    let frame = |e: &StreamElement| {
+        Message { stream: StreamId(1), elements: vec![e.clone()] }.encode_to_vec()
+    };
+    let frames: Vec<Vec<u8>> = workload_input(19).iter().map(|(_, e)| frame(e)).collect();
+
+    let cfg = ServerConfig { read_timeout_ms: 10, idle_timeout_ms: 200, ..ServerConfig::default() };
+    let handle = Server::start(cfg, factory(None), StoreMap::new()).unwrap();
+    let mut stream = TcpStream::connect(handle.addr).unwrap();
+    stream.write_all(&sp_core::Control::Hello { tenant: 0, acked: 0 }.encode_to_vec()).unwrap();
+
+    // Pipeline frames and never read a reply. Once the Acks have filled
+    // both socket buffers the server cannot write; it must give the
+    // connection up at its write deadline, which this side sees as a
+    // failed write. (Its own deadline only keeps a regression from
+    // hanging the test instead of failing it.)
+    stream.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+    let err = frames
+        .iter()
+        .cycle()
+        .take(20_000_000)
+        .find_map(|f| stream.write_all(f).err())
+        .expect("the server kept a connection whose peer reads nothing");
+    assert!(
+        !matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+        "only this side's own deadline ended the write: {err}"
+    );
+
+    // Whatever Acks did arrive: the last whole one is the client's view.
+    stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    let mut dec = sp_core::StreamDecoder::new(1 << 16);
+    let mut buf = [0u8; 1 << 16];
+    let mut last_acked = 0u64;
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        for f in dec.feed(&buf[..n]) {
+            if let sp_core::WireFrame::Control(sp_core::Control::Ack { pos }) = f {
+                last_acked = pos;
+            }
+        }
+    }
+    drop(stream);
+
+    // The drain must not wait on that connection's thread.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drainer = std::thread::spawn(move || {
+        let _ = tx.send(handle.drain());
+    });
+    let report = rx.recv_timeout(Duration::from_secs(30)).expect("drain blocked on a stuck write");
+    drainer.join().unwrap();
+    assert!(report.clean);
+    let t = report.tenant(0).unwrap();
+    assert!(!t.quarantined, "a slow reader is not a security event");
+    // One element per frame, so the last Ack the server produced — written
+    // or not — is Ack { pos: frames handled }: the cursor stands exactly
+    // there, at or one frame past what the client saw.
+    assert_eq!(t.input_pos, report.frames);
+    assert!(last_acked > 0 && last_acked <= t.input_pos, "{last_acked} vs {}", t.input_pos);
+}
