@@ -99,77 +99,53 @@ const DIGEST_IDX: u32 = u32::MAX;
 // Key authority
 // ---------------------------------------------------------------------------
 
-struct AuthorityInner {
-    epoch: u64,
-    /// Roles revoked, with the epoch at which revocation took effect.
-    revoked: HashMap<u32, u64>,
-}
-
 /// The trusted key service both ends share: derives per-(stream, role,
 /// epoch) keys and segment data keys from one master key. The
 /// *untrusted* server never talks to it.
 ///
 /// Epochs make revocation effective against a hostile forwarder: the
-/// authority hands out role keys only for its **current** epoch, and a
-/// role revoked at epoch *e* gets no key for *e* or later — so replayed
-/// old capsules fail the client's epoch check and new segments carry no
-/// capsule the revoked role could open.
+/// authority hands out role keys up to its **current** epoch only, and
+/// the provider advances it at every negative sp — so replayed old
+/// capsules fail the client's epoch check. *Who* may open a new segment
+/// is not the authority's to say: the segment carries a capsule for
+/// exactly the roles the governing sp-batch grants
+/// ([`sp_core::BatchPolicy`]), so a revoked role finds none — and finds
+/// one again when a later batch grants it anew.
 pub struct KeyAuthority {
     master: Key,
-    inner: Mutex<AuthorityInner>,
+    epoch: Mutex<u64>,
 }
 
 impl KeyAuthority {
     /// An authority deriving every key from `master`.
     #[must_use]
     pub fn new(master: Key) -> Self {
-        Self { master, inner: Mutex::new(AuthorityInner { epoch: 0, revoked: HashMap::new() }) }
+        Self { master, epoch: Mutex::new(0) }
     }
 
     /// The current key epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.lock().epoch
+        *self.lock()
     }
 
     /// Advances the key epoch (a revocation event); returns the new
     /// epoch.
     pub fn advance_epoch(&self) -> u64 {
-        let mut inner = self.lock();
-        inner.epoch += 1;
-        inner.epoch
-    }
-
-    /// Revokes a role effective from the **next** epoch: segments
-    /// already sealed under the current epoch were authorized when
-    /// produced, so their keys stand; no key is issued for any later
-    /// epoch. Call [`Self::advance_epoch`] afterwards to make the
-    /// revocation bite.
-    pub fn revoke_role(&self, role: u32) {
-        let mut inner = self.lock();
-        let effective = inner.epoch + 1;
-        inner.revoked.entry(role).or_insert(effective);
+        let mut epoch = self.lock();
+        *epoch += 1;
+        *epoch
     }
 
     /// The key a holder of `role` uses at `epoch` on `stream` — or
-    /// `None` (fail closed) when `epoch` has not been reached yet or the
-    /// role's revocation was effective at or before `epoch`. Keys for
-    /// *past* epochs where the role was still granted remain obtainable:
-    /// they were already distributed, and replay of old segments is the
-    /// client's job to refuse (segment highwater + epoch tracking), not
-    /// a secret the authority can retract.
+    /// `None` (fail closed) when `epoch` has not been reached yet. Keys
+    /// for *past* epochs remain obtainable: they were already
+    /// distributed, and replay of old segments is the client's job to
+    /// refuse (segment highwater + epoch tracking), not a secret the
+    /// authority can retract.
     #[must_use]
     pub fn role_key(&self, stream: u32, role: u32, epoch: u64) -> Option<Key> {
-        let inner = self.lock();
-        if epoch > inner.epoch {
-            return None;
-        }
-        if let Some(at) = inner.revoked.get(&role) {
-            if *at <= epoch {
-                return None;
-            }
-        }
-        Some(derive_key(&self.master, "role-key", &[u64::from(stream), u64::from(role), epoch]))
+        (epoch <= self.epoch()).then(|| self.wrap_key(stream, role, epoch))
     }
 
     /// The provider-side data key for segment `seg` of `stream`.
@@ -178,10 +154,9 @@ impl KeyAuthority {
         derive_key(&self.master, "data-key", &[u64::from(stream), seg])
     }
 
-    /// Provider-side role key derivation: unlike [`Self::role_key`] this
-    /// does not check revocation — the provider only wraps capsules for
-    /// roles the *policy* grants, which is where revocation semantics
-    /// live.
+    /// Provider-side role key derivation: the provider wraps capsules
+    /// only for roles the *policy* grants, which is where revocation
+    /// semantics live.
     fn wrap_key(&self, stream: u32, role: u32, epoch: u64) -> Key {
         derive_key(&self.master, "role-key", &[u64::from(stream), u64::from(role), epoch])
     }
@@ -189,14 +164,14 @@ impl KeyAuthority {
     /// Approximate bytes of key-derivation state held.
     #[must_use]
     pub fn mem_bytes(&self) -> usize {
-        crypto::KEY_LEN + self.lock().revoked.len() * (4 + 8)
+        crypto::KEY_LEN + std::mem::size_of::<u64>()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, AuthorityInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
         // A poisoned authority lock means a panic mid-derivation; the
         // state is plain integers, safe to keep using (fail closed is
         // preserved because derivation is pure).
-        match self.inner.lock() {
+        match self.epoch.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         }
@@ -229,7 +204,6 @@ struct OpenProviderSegment {
 /// [`MAX_SEGMENT_FRAMES`] frames to bound client-side journaling.
 pub struct CryptoProvider {
     analyzer: SpAnalyzer,
-    catalog: Arc<RoleCatalog>,
     authority: Arc<KeyAuthority>,
     stream: Option<u32>,
     current: Option<Arc<SegmentPolicy>>,
@@ -247,8 +221,7 @@ impl CryptoProvider {
         authority: Arc<KeyAuthority>,
     ) -> Self {
         Self {
-            analyzer: SpAnalyzer::new(schema, catalog.clone()),
-            catalog,
+            analyzer: SpAnalyzer::new(schema, catalog),
             authority,
             stream: None,
             current: None,
@@ -270,17 +243,17 @@ impl CryptoProvider {
     /// produces (possibly none — analyzer buffering — or several —
     /// segment close + open).
     pub fn push(&mut self, elem: StreamElement, frames: &mut Vec<Vec<u8>>) {
-        if let StreamElement::Punctuation(sp) = &elem {
+        if let (StreamElement::Punctuation(sp), Some(stream)) = (&elem, self.stream) {
             if sp.sign == Sign::Negative {
                 // Key revocation rides the sp channel: close the open
-                // segment under the old epoch, revoke the named roles,
-                // advance the epoch, and punctuate the cipher stream.
+                // segment under the old epoch, advance the epoch, and
+                // punctuate the cipher stream (before the first tuple
+                // there is no cipher stream yet, and no key to rotate).
+                // Whom the revocation reaches is the resolved policy's
+                // to say — the capsules of the segments that follow —
+                // not the authority's.
                 self.close_segment(frames);
-                for role in sp.srp.resolve(&self.catalog).iter() {
-                    self.authority.revoke_role(role.raw());
-                }
                 let epoch = self.authority.advance_epoch();
-                let stream = self.stream_id();
                 frames.push(Frame::KeyEpoch { stream, epoch }.encode_to_vec());
             }
         }
@@ -289,20 +262,9 @@ impl CryptoProvider {
                 self.stream = Some(t.sid.raw());
             }
         }
-        self.staged.clear();
         let mut staged = std::mem::take(&mut self.staged);
         self.analyzer.push(elem, &mut staged);
-        for e in staged.drain(..) {
-            match e {
-                Element::Policy(seg) => {
-                    // Policy boundary: the next tuple decides whether a
-                    // new cipher segment is actually needed.
-                    self.current = Some(seg);
-                    self.close_segment(frames);
-                }
-                Element::Tuple(t) => self.push_tuple(&t, frames),
-            }
-        }
+        self.seal_staged(&mut staged, frames);
         self.staged = staged;
     }
 
@@ -311,18 +273,28 @@ impl CryptoProvider {
     /// unreleasable (the client, correctly, never commits an unclosed
     /// segment).
     pub fn finish(&mut self, frames: &mut Vec<Vec<u8>>) {
-        self.analyzer.flush(&mut self.staged);
-        let staged: Vec<Element> = self.staged.drain(..).collect();
-        for e in staged {
+        let mut staged = std::mem::take(&mut self.staged);
+        self.analyzer.flush(&mut staged);
+        self.seal_staged(&mut staged, frames);
+        self.staged = staged;
+        self.close_segment(frames);
+    }
+
+    /// Turns what the analyzer emitted into cipher frames.
+    fn seal_staged(&mut self, staged: &mut Vec<Element>, frames: &mut Vec<Vec<u8>>) {
+        for e in staged.drain(..) {
             match e {
                 Element::Policy(seg) => {
-                    self.current = Some(seg);
+                    // Policy boundary: the next tuple decides whether a
+                    // new cipher segment is actually needed.
+                    if seg.replaces(self.current.as_ref()) {
+                        self.current = Some(seg);
+                    }
                     self.close_segment(frames);
                 }
                 Element::Tuple(t) => self.push_tuple(&t, frames),
             }
         }
-        self.close_segment(frames);
     }
 
     fn stream_id(&self) -> u32 {
@@ -333,7 +305,7 @@ impl CryptoProvider {
         let stream = self.stream.get_or_insert(t.sid.raw());
         let stream = *stream;
         let (roles, sp_ts) = match &self.current {
-            Some(seg) => (seg.policy_for(t).tuple_roles().clone(), seg.ts.0),
+            Some(seg) => (seg.policy_for(t.tid).tuple_roles().clone(), seg.ts.0),
             // No governing policy: default deny — a segment no role can
             // open (zero capsules), so the decision is still made by
             // cryptography, uniformly.
@@ -1484,21 +1456,32 @@ mod tests {
         assert!(c.violation_count(CipherViolation::Replayed) > 0);
     }
 
+    // Behaviour changed: a negative sp no longer strikes its roles from
+    // the authority for good (which ignored the sp's DDP and outlived the
+    // batch). It rotates the key epoch; who opens the segments that
+    // follow is what the governing sp-batch grants, so a later grant
+    // re-admits the role — as in every other mechanism.
     #[test]
     fn revocation_rides_the_sp_channel() {
         let (mut p, mut c, authority) = parts(&[1], 64);
         let out = run(
             &mut p,
             &mut c,
-            vec![sp(&[1], 0), tup(1, 1), neg_sp(&[1], 10), sp(&[2], 20), tup(2, 21), tup(3, 22)],
+            vec![
+                sp(&[1], 0),
+                tup(1, 1),
+                neg_sp(&[1], 10),
+                sp(&[2], 20),
+                tup(2, 21),
+                sp(&[1], 30),
+                tup(3, 31),
+            ],
         );
-        // Tuple 1 released under the pre-revocation policy; after the
-        // negative sp role 1 is revoked and the policy grants role 2
-        // only, so nothing else is released.
-        assert_eq!(out.iter().map(|t| t.tid.raw()).collect::<Vec<_>>(), vec![1]);
+        // Tuple 1 released under the pre-revocation policy; the batch at
+        // ts 20 grants role 2 only, so tuple 2 ships without a capsule
+        // role 1 could open; the batch at ts 30 grants role 1 again.
+        assert_eq!(out.iter().map(|t| t.tid.raw()).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(authority.epoch(), 1);
-        assert!(authority.role_key(0, 1, 1).is_none(), "revoked role gets no key");
-        assert!(authority.role_key(0, 2, 1).is_some());
         assert!(authority.role_key(0, 1, 0).is_some(), "pre-revocation keys stand");
         assert!(authority.role_key(0, 2, 2).is_none(), "future epoch gets no key");
     }

@@ -14,10 +14,13 @@
 //!   cryptographic fact — a role-held key opening the capsule — rather
 //!   than a server decision.
 //!
-//! All four enforce identical semantics — the cross-mechanism equivalence
-//! tests assert byte-identical released tuple sequences on clean streams —
-//! and differ only in trust assumptions, processing, and memory profile,
-//! which is what Fig. 7 (and the crypto bench) measures.
+//! All four enforce identical semantics — each takes the policy governing
+//! a tuple from [`sp_core::BatchPolicy`], and `tests/security_invariant.rs`
+//! asserts identical released tuple sequences, equal to an independent
+//! reference, on any punctuated stream (several sps of either sign per
+//! batch, overlapping scopes, tuples outside every scope) — and differ only
+//! in where the policy lives, trust assumptions, processing, and memory
+//! profile, which is what Fig. 7 (and the crypto bench) measures.
 
 #![warn(missing_docs)]
 

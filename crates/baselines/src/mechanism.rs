@@ -9,10 +9,14 @@
 //! processing and memory profile. The security-equivalence test suite
 //! asserts that all four release exactly the same tuples.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sp_core::{StreamElement, Tuple};
+use sp_core::{
+    BatchPolicy, RoleCatalog, Schema, SecurityPunctuation, SharedPolicy, StreamElement, Tuple,
+    TupleId,
+};
 
 /// One access-control enforcement mechanism under test.
 pub trait EnforcementMechanism {
@@ -87,6 +91,58 @@ pub struct MechStats {
     pub released: u64,
     /// Denied tuple count.
     pub denied: u64,
+}
+
+/// The sp-batch governing arriving tuples, for a mechanism that meets raw
+/// sps one at a time instead of behind an SP Analyzer: consecutive sps
+/// with one timestamp form a batch (§III-A), a tuple closes it, and a
+/// batch at least as new as the one held replaces it wholesale while an
+/// older one is ignored (§V-A). What the held batch *means* is
+/// [`BatchPolicy`]'s to say, as for every other mechanism; it is resolved
+/// anew at each sp taken — the per-policy-change write both baselines pay.
+#[derive(Debug, Default)]
+pub(crate) struct GoverningBatch {
+    sps: Vec<Arc<SecurityPunctuation>>,
+    /// Whether the next sp with the held timestamp still joins the batch.
+    open: bool,
+    policy: BatchPolicy,
+}
+
+impl GoverningBatch {
+    /// Takes one arriving sp (one for another stream, or of a batch older
+    /// than the one held, changes nothing).
+    pub(crate) fn push(
+        &mut self,
+        sp: Arc<SecurityPunctuation>,
+        catalog: &RoleCatalog,
+        schema: &Schema,
+    ) {
+        if !sp.matches_stream(schema.name()) {
+            return;
+        }
+        let held = self.sps.first().map(|first| first.ts);
+        if !(self.open && held == Some(sp.ts)) {
+            self.open = held.is_none_or(|held| sp.ts >= held);
+            if self.open {
+                self.sps.clear();
+            }
+        }
+        if self.open {
+            self.sps.push(sp);
+            self.policy = BatchPolicy::resolve(&self.sps, None, catalog, schema);
+        }
+    }
+
+    /// The policy governing an arriving tuple, which closes the batch.
+    pub(crate) fn policy_for(&mut self, tid: TupleId) -> Cow<'_, SharedPolicy> {
+        self.open = false;
+        self.policy.policy_for(tid)
+    }
+
+    /// The resolved batch held.
+    pub(crate) fn policy(&self) -> &BatchPolicy {
+        &self.policy
+    }
 }
 
 /// Test/bench helper: runs a raw stream through a mechanism, returning the

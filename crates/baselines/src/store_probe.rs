@@ -7,36 +7,22 @@
 //! policy changes pays a table update, and *every* tuple pays a probe —
 //! there is no sharing of access decisions between adjacent tuples.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sp_core::{
-    Policy, RoleCatalog, RoleSet, Schema, SecurityPunctuation, StreamElement, Timestamp, Tuple,
-};
-use sp_pattern::Pattern;
+use sp_core::{RoleCatalog, RoleSet, Schema, StreamElement, Tuple};
 
-use crate::mechanism::{EnforcementMechanism, MechStats};
-
-/// One table row: a policy for all objects matching `scope`.
-#[derive(Debug)]
-struct TableEntry {
-    scope: Pattern,
-    policy: Policy,
-}
+use crate::mechanism::{EnforcementMechanism, GoverningBatch, MechStats};
 
 /// The store-and-probe mechanism.
 pub struct StoreAndProbe {
     catalog: Arc<RoleCatalog>,
     schema: Arc<Schema>,
     query_roles: RoleSet,
-    /// The central policy table, keyed by the policy's object scope. A
-    /// literal scope over tuple ids also lands in `exact` for O(1) probing
-    /// by id; every other scope is scanned per probe — the central-table
-    /// bottleneck the paper describes.
-    table: HashMap<String, TableEntry>,
-    /// tid → scope key, for exact probes.
-    exact: HashMap<u64, String>,
+    /// The central policy table: one row per object scope of the governing
+    /// sp-batch, rewritten at every policy change and scanned by every
+    /// probe — the central-table bottleneck the paper describes.
+    table: GoverningBatch,
     stats: MechStats,
 }
 
@@ -55,8 +41,7 @@ impl StoreAndProbe {
             catalog,
             schema,
             query_roles,
-            table: HashMap::new(),
-            exact: HashMap::new(),
+            table: GoverningBatch::default(),
             stats: MechStats::default(),
         }
     }
@@ -64,75 +49,7 @@ impl StoreAndProbe {
     /// Number of policies currently stored.
     #[must_use]
     pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
-
-    fn update(&mut self, sp: &SecurityPunctuation) {
-        if !sp.matches_stream(self.schema.name()) {
-            return;
-        }
-        let key = sp.ddp.tuple.source().to_owned();
-        let mut policy = Policy::deny_all(sp.ts);
-        sp.apply_to(&mut policy, &self.catalog, &self.schema);
-        match self.table.get_mut(&key) {
-            Some(entry) => {
-                // Same timestamp: same policy, union. Newer: override.
-                if sp.ts == entry.policy.ts {
-                    entry.policy = entry.policy.union(&policy);
-                } else if sp.ts > entry.policy.ts {
-                    entry.policy = policy;
-                }
-            }
-            None => {
-                if let Some(lit) = sp.ddp.tuple.as_literal() {
-                    if let Ok(tid) = lit.parse::<u64>() {
-                        self.exact.insert(tid, key.clone());
-                    }
-                }
-                self.table.insert(key, TableEntry { scope: sp.ddp.tuple.clone(), policy });
-            }
-        }
-    }
-
-    /// Probes the table for the policy governing `tuple`: the newest
-    /// matching entry wins (override semantics); equal-timestamp matches
-    /// union.
-    fn probe(&self, tuple: &Tuple) -> Option<RoleSet> {
-        let tid = tuple.tid.raw();
-        // Exact probe first.
-        let mut best_ts = Timestamp::ZERO;
-        let mut roles: Option<RoleSet> = None;
-        if let Some(key) = self.exact.get(&tid) {
-            if let Some(entry) = self.table.get(key) {
-                best_ts = entry.policy.ts;
-                roles = Some(entry.policy.tuple_roles().clone());
-            }
-        }
-        // Scan pattern-scoped entries (ranges, wildcards).
-        for entry in self.table.values() {
-            if entry.scope.as_literal().is_some() {
-                continue; // already covered by the exact probe
-            }
-            if !entry.scope.matches_u64(tid) {
-                continue;
-            }
-            let ts = entry.policy.ts;
-            match &mut roles {
-                None => {
-                    best_ts = ts;
-                    roles = Some(entry.policy.tuple_roles().clone());
-                }
-                Some(r) => {
-                    if ts > best_ts {
-                        best_ts = ts;
-                        *r = entry.policy.tuple_roles().clone();
-                    } else if ts == best_ts {
-                        r.union_with(entry.policy.tuple_roles());
-                    }
-                }
-            }
-        }
-        roles
+        self.table.policy().entries().len()
     }
 }
 
@@ -144,11 +61,9 @@ impl EnforcementMechanism for StoreAndProbe {
     fn process(&mut self, elem: StreamElement, out: &mut Vec<Arc<Tuple>>) {
         let start = Instant::now();
         match elem {
-            StreamElement::Punctuation(sp) => self.update(&sp),
+            StreamElement::Punctuation(sp) => self.table.push(sp, &self.catalog, &self.schema),
             StreamElement::Tuple(tuple) => {
-                let authorized =
-                    self.probe(&tuple).is_some_and(|roles| roles.intersects(&self.query_roles));
-                if authorized {
+                if self.table.policy_for(tuple.tid).allows(&self.query_roles) {
                     self.stats.released += 1;
                     out.push(tuple);
                 } else {
@@ -162,13 +77,13 @@ impl EnforcementMechanism for StoreAndProbe {
     fn policy_mem_bytes(&self) -> usize {
         // Conventional (role-list) policy storage: the central table does
         // not benefit from the sp model's bitmap encoding.
-        let table: usize = self
-            .table
+        let table = self.table.policy();
+        table
+            .entries()
             .iter()
-            .map(|(k, e)| k.len() + e.scope.source().len() + e.policy.mem_bytes_list())
-            .sum();
-        let exact = self.exact.len() * (8 + std::mem::size_of::<String>());
-        table + exact
+            .chain(table.denials())
+            .map(|row| row.scope.source().len() + row.policy.mem_bytes_list())
+            .sum()
     }
 
     fn elapsed(&self) -> Duration {
@@ -190,7 +105,11 @@ mod tests {
 
     use super::*;
     use crate::mechanism::run_mechanism;
-    use sp_core::{DataDescription, RoleId, StreamId, TupleId, Value, ValueType};
+    use sp_core::{
+        DataDescription, RoleId, SecurityPunctuation, StreamId, Timestamp, TupleId, Value,
+        ValueType,
+    };
+    use sp_pattern::Pattern;
 
     fn setup(roles: &[u32]) -> StoreAndProbe {
         let mut c = RoleCatalog::new();

@@ -13,9 +13,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sp_core::{Policy, RoleCatalog, RoleSet, Schema, StreamElement, Timestamp, Tuple};
+use sp_core::{Policy, RoleCatalog, RoleSet, Schema, StreamElement, Tuple};
 
-use crate::mechanism::{EnforcementMechanism, MechStats};
+use crate::mechanism::{EnforcementMechanism, GoverningBatch, MechStats};
 
 /// A tuple with its embedded policy copy.
 #[derive(Debug)]
@@ -35,8 +35,7 @@ pub struct TupleEmbedded {
     /// system, each carrying its embedded policy copy).
     in_flight: usize,
     /// The policy the data source is currently stamping onto its tuples.
-    current: Vec<(sp_pattern::Pattern, Policy)>,
-    current_ts: Timestamp,
+    current: GoverningBatch,
     /// The in-flight embedded tuples (the memory cost driver).
     window: VecDeque<EmbeddedTuple>,
     stats: MechStats,
@@ -57,8 +56,7 @@ impl TupleEmbedded {
             schema,
             query_roles,
             in_flight: in_flight.max(1),
-            current: Vec::new(),
-            current_ts: Timestamp::ZERO,
+            current: GoverningBatch::default(),
             window: VecDeque::new(),
             stats: MechStats::default(),
         }
@@ -68,22 +66,6 @@ impl TupleEmbedded {
     #[must_use]
     pub fn window_len(&self) -> usize {
         self.window.len()
-    }
-
-    /// The policy stamped onto a tuple: combination of current-source
-    /// policies whose scopes match, denial-by-default otherwise. Always an
-    /// **owned copy** — that is the point of this baseline.
-    fn stamp(&self, tuple: &Tuple) -> Policy {
-        let mut out: Option<Policy> = None;
-        for (scope, policy) in &self.current {
-            if scope.matches_u64(tuple.tid.raw()) {
-                out = Some(match out {
-                    None => policy.clone(),
-                    Some(acc) => acc.union(policy),
-                });
-            }
-        }
-        out.unwrap_or_else(|| Policy::deny_all(self.current_ts))
     }
 }
 
@@ -95,29 +77,16 @@ impl EnforcementMechanism for TupleEmbedded {
     fn process(&mut self, elem: StreamElement, out: &mut Vec<Arc<Tuple>>) {
         let start = Instant::now();
         match elem {
-            StreamElement::Punctuation(sp) => {
-                // The data source's policy changes; subsequent tuples are
-                // stamped with the new policy.
-                if sp.matches_stream(self.schema.name()) {
-                    let mut policy = Policy::deny_all(sp.ts);
-                    sp.apply_to(&mut policy, &self.catalog, &self.schema);
-                    if sp.ts > self.current_ts {
-                        self.current.clear();
-                        self.current_ts = sp.ts;
-                    }
-                    let scope = sp.ddp.tuple.clone();
-                    match self.current.iter_mut().find(|(s, _)| s.source() == scope.source()) {
-                        Some((_, existing)) => *existing = existing.union(&policy),
-                        None => self.current.push((scope, policy)),
-                    }
-                }
-            }
+            // The data source's policy changes; subsequent tuples are
+            // stamped with the new policy.
+            StreamElement::Punctuation(sp) => self.current.push(sp, &self.catalog, &self.schema),
             StreamElement::Tuple(tuple) => {
                 while self.window.len() >= self.in_flight {
                     self.window.pop_front();
                 }
-                // Embed: every tuple gets its own policy copy.
-                let policy = self.stamp(&tuple);
+                // Embed: every tuple gets its own policy copy — always an
+                // owned one, that is the point of this baseline.
+                let policy = Policy::clone(&self.current.policy_for(tuple.tid));
                 // Enforce: every tuple's policy is evaluated individually.
                 let authorized = policy.allows(&self.query_roles);
                 self.window.push_back(EmbeddedTuple { tuple: tuple.clone(), policy });
@@ -158,7 +127,7 @@ mod tests {
 
     use super::*;
     use crate::mechanism::run_mechanism;
-    use sp_core::{RoleId, SecurityPunctuation, StreamId, TupleId, Value, ValueType};
+    use sp_core::{RoleId, SecurityPunctuation, StreamId, Timestamp, TupleId, Value, ValueType};
 
     fn setup(roles: &[u32]) -> TupleEmbedded {
         let mut c = RoleCatalog::new();

@@ -10,10 +10,11 @@
 //!   streaming data model;
 //! * [`roleset`] — bitmap role sets (the paper's compact policy encoding);
 //! * [`rbac`] — the flat-RBAC catalog: roles, subjects, role activation;
-//! * [`policy`] — resolved policies and the `union` / `intersect` /
-//!   `override` combination semantics;
+//! * [`policy`] — resolved policies, the `union` / `intersect` /
+//!   `override` combination semantics, and sp-batch resolution: which
+//!   policy governs a tuple;
 //! * [`punctuation`] — security punctuations `<DDP | SRP | Sign |
-//!   Immutable | ts>`, sp-batch combination and the compact wire encoding;
+//!   Immutable | ts>` and the compact wire encoding;
 //! * [`element`] — the punctuated stream element type;
 //! * [`wire`] — the compact network framing that ships punctuations in the
 //!   same message as the data (§I-B);
@@ -42,10 +43,10 @@ pub mod wire;
 pub use crypto::{CipherFrame, KeyCapsule};
 pub use element::StreamElement;
 pub use ids::{QueryId, RoleId, StreamId, SubjectId, Timestamp, TupleId};
-pub use policy::{Policy, SharedPolicy, Sign};
+pub use policy::{BatchPolicy, Policy, PolicyEntry, SharedPolicy, Sign};
 pub use punctuation::{
-    combine_batch, DataDescription, PatternTable, RoleSpec, SecurityPunctuation,
-    SecurityRestriction, MAX_WIRE_ROLE_ID,
+    DataDescription, PatternTable, RoleSpec, SecurityPunctuation, SecurityRestriction,
+    MAX_WIRE_ROLE_ID,
 };
 pub use rbac::{AccessModel, RbacError, Right, RoleCatalog, Subject};
 pub use roleset::RoleSet;

@@ -6,6 +6,12 @@
 //! algebra (Table I) manipulate these resolved policies; the raw pattern
 //! form lives in [`crate::punctuation`].
 //!
+//! [`BatchPolicy`] is the one place that decides which policy governs a
+//! tuple: it is built once per sp-batch ([`BatchPolicy::resolve`]) and
+//! asked per tuple ([`BatchPolicy::policy_for`]). The SP Analyzer, every
+//! operator that buffers a segment policy and the comparison mechanisms
+//! all ask it, so they cannot disagree.
+//!
 //! The paper's three combination operations are implemented here:
 //!
 //! * [`Policy::union`] — multiple sps from the same data provider with the
@@ -15,11 +21,17 @@
 //! * [`Policy::override_with`] — an sp with a newer timestamp replaces the
 //!   earlier policy on the same objects.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::ids::Timestamp;
+use sp_pattern::Pattern;
+
+use crate::ids::{Timestamp, TupleId};
+use crate::punctuation::SecurityPunctuation;
+use crate::rbac::RoleCatalog;
 use crate::roleset::RoleSet;
+use crate::schema::Schema;
 
 /// Positive (grant) or negative (deny) authorization (§III-B, Sign field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -113,6 +125,16 @@ impl Policy {
             set.minus_with(roles);
         }
         self.prune();
+    }
+
+    /// Revokes everything `denied` names: its tuple-level roles lose the
+    /// tuple and every attribute, its attribute-scoped roles that
+    /// attribute.
+    pub fn revoke_all(&mut self, denied: &Policy) {
+        self.revoke(&denied.tuple_roles);
+        for (attr, roles) in &denied.attr_roles {
+            self.revoke_attr(*attr, roles);
+        }
     }
 
     /// Grants access to one attribute for `roles`.
@@ -366,6 +388,226 @@ impl Policy {
 /// A policy shared across operators and window states.
 pub type SharedPolicy = Arc<Policy>;
 
+/// The shared deny-all policy governing a tuple no sp matches.
+fn deny_all() -> &'static SharedPolicy {
+    static DENY: OnceLock<SharedPolicy> = OnceLock::new();
+    DENY.get_or_init(|| Arc::new(Policy::deny_all(Timestamp::ZERO)))
+}
+
+/// One entry of a [`BatchPolicy`]: a tuple-id scope and the resolved policy
+/// for tuples in that scope.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyEntry {
+    /// Which tuple ids of the segment this entry governs.
+    pub scope: Pattern,
+    /// The resolved policy for those tuples.
+    pub policy: SharedPolicy,
+}
+
+/// What one sp-batch means for the tuples that follow it (§III-A, §III-E).
+///
+/// A tuple is governed by the sps of the batch whose DDP matches it: what
+/// the positive ones grant, less what the negative ones revoke — a denial
+/// wins for that tuple whatever the order and tuple scope of the sps. A
+/// tuple no sp matches is denied, and a batch says nothing about the batch
+/// before it: the newer one replaces the older wholesale.
+///
+/// Typically a batch is a single tuple-granularity sp covering the whole
+/// segment — the `uniform` case, where [`Self::policy_for`] borrows one
+/// precomputed policy. A tuple inside a single scope borrows that scope's
+/// entry; only a tuple that several scopes claim is combined anew.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct BatchPolicy {
+    /// One entry per distinct tuple scope, in order of first appearance:
+    /// what the scope's positive sps grant less what its negative sps
+    /// revoke.
+    entries: Vec<PolicyEntry>,
+    /// What the negative sps of a scope revoke, kept when the batch has
+    /// several scopes: there a revocation also reaches what the other
+    /// scopes grant on the tuples it matches.
+    denials: Vec<PolicyEntry>,
+    /// Set when a single entry covers every tuple id.
+    uniform: Option<SharedPolicy>,
+}
+
+/// The policy `list` holds for `scope`, opened as `start` on first use.
+fn slot<'a>(list: &'a mut Vec<PolicyEntry>, scope: &Pattern, start: &Policy) -> &'a mut Policy {
+    let at = list.iter().position(|e| e.scope == *scope).unwrap_or_else(|| {
+        list.push(PolicyEntry { scope: scope.clone(), policy: Arc::new(start.clone()) });
+        list.len() - 1
+    });
+    Arc::make_mut(&mut list[at].policy)
+}
+
+impl BatchPolicy {
+    /// Resolves one **sp-batch** (consecutive sps with equal timestamps,
+    /// §III-A) against the role catalog and the stream's schema. Sps whose
+    /// DDP names another stream are ignored.
+    ///
+    /// Every tuple scope starts from `onto` — denial by default; the
+    /// analyzer's incremental mode passes the previous policy instead.
+    #[must_use]
+    pub fn resolve(
+        batch: &[Arc<SecurityPunctuation>],
+        onto: Option<&Policy>,
+        catalog: &RoleCatalog,
+        schema: &Schema,
+    ) -> Self {
+        let ts = batch.first().map_or(Timestamp::ZERO, |sp| sp.ts);
+        debug_assert!(batch.iter().all(|sp| sp.ts == ts), "an sp-batch shares one timestamp");
+        let start = Policy { ts, ..onto.cloned().unwrap_or_default() };
+        let mut entries = Vec::new();
+        let mut denials = Vec::new();
+        for sp in batch.iter().filter(|sp| sp.matches_stream(schema.name())) {
+            let scope = &sp.ddp.tuple;
+            let grants = slot(&mut entries, scope, &start);
+            grants.immutable |= sp.immutable;
+            let side = match sp.sign {
+                Sign::Positive => grants,
+                Sign::Negative => slot(&mut denials, scope, &Policy::deny_all(ts)),
+            };
+            sp.add_roles_to(side, catalog, schema);
+        }
+        // Every grant of a scope is in before its revocations apply.
+        for denied in &denials {
+            slot(&mut entries, &denied.scope, &start).revoke_all(&denied.policy);
+        }
+        if entries.len() < 2 {
+            denials.clear();
+        }
+        Self::from_parts(entries, denials)
+    }
+
+    /// A batch policy from already-resolved entries and the revocations
+    /// that reach across them (checkpoint decode, tests).
+    #[must_use]
+    pub fn from_parts(entries: Vec<PolicyEntry>, denials: Vec<PolicyEntry>) -> Self {
+        let uniform = match entries.as_slice() {
+            [single] if single.scope.is_match_all() && denials.is_empty() => {
+                Some(single.policy.clone())
+            }
+            _ => None,
+        };
+        Self { entries, denials, uniform }
+    }
+
+    /// The uniform policy, if a single entry governs every tuple id.
+    #[must_use]
+    pub fn as_uniform(&self) -> Option<&SharedPolicy> {
+        self.uniform.as_ref()
+    }
+
+    /// The per-scope entries.
+    #[must_use]
+    pub fn entries(&self) -> &[PolicyEntry] {
+        &self.entries
+    }
+
+    /// The per-scope revocations that reach across entries.
+    #[must_use]
+    pub fn denials(&self) -> &[PolicyEntry] {
+        &self.denials
+    }
+
+    /// The policy governing tuple `tid`, borrowed wherever one exists
+    /// already: the uniform policy, the entry of the only scope claiming
+    /// the tuple, or the shared deny-all when none does (§III-A). A tuple
+    /// several scopes claim gets the union of their entries less every
+    /// revocation matching it.
+    #[must_use]
+    pub fn policy_for(&self, tid: TupleId) -> Cow<'_, SharedPolicy> {
+        if let Some(p) = &self.uniform {
+            return Cow::Borrowed(p);
+        }
+        let tid = tid.raw();
+        let mut claiming = self.entries.iter().filter(|e| e.scope.matches_u64(tid));
+        let Some(first) = claiming.next() else {
+            return Cow::Borrowed(deny_all());
+        };
+        let mut combined: Option<Policy> = None;
+        for entry in claiming {
+            combined = Some(combined.as_ref().unwrap_or(&first.policy).union(&entry.policy));
+        }
+        for denied in self.denials.iter().filter(|d| d.scope.matches_u64(tid)) {
+            // A lone entry already has its own scope's revocations applied.
+            if combined.is_some() || denied.scope != first.scope {
+                combined
+                    .get_or_insert_with(|| Policy::clone(&first.policy))
+                    .revoke_all(&denied.policy);
+            }
+        }
+        match combined {
+            Some(p) => Cow::Owned(Arc::new(p)),
+            None => Cow::Borrowed(&first.policy),
+        }
+    }
+
+    /// `intersect()` lifted to a batch: every entry is combined with the
+    /// server policy, which may only reduce access (§III-E; an immutable
+    /// entry opts out, §III-B). Revocations stand as they are.
+    #[must_use]
+    pub fn intersect(mut self, server: &Policy) -> Self {
+        // Release the second handle so the entries are rewritten in place.
+        self.uniform = None;
+        for entry in &mut self.entries {
+            let policy = Arc::make_mut(&mut entry.policy);
+            *policy = policy.intersect(server);
+        }
+        Self::from_parts(self.entries, self.denials)
+    }
+
+    /// Transforms every entry and revocation (narrowing to a predicate,
+    /// projection remapping — `f` must commute with revocation), dropping
+    /// those that become deny-all.
+    #[must_use]
+    pub fn map_policies(&self, f: impl Fn(&Policy) -> Policy) -> BatchPolicy {
+        let map = |list: &[PolicyEntry]| -> Vec<PolicyEntry> {
+            list.iter()
+                .filter_map(|e| {
+                    let policy = f(&e.policy);
+                    (!policy.is_deny_all())
+                        .then(|| PolicyEntry { scope: e.scope.clone(), policy: Arc::new(policy) })
+                })
+                .collect()
+        };
+        let entries = map(&self.entries);
+        // With no grant left there is nothing to revoke.
+        let denials = if entries.is_empty() { Vec::new() } else { map(&self.denials) };
+        Self::from_parts(entries, denials)
+    }
+
+    /// True if both batches authorize exactly the same access, scope by
+    /// scope (timestamps aside) — the analyzer's similar-policy test.
+    #[must_use]
+    pub fn same_authorizations(&self, other: &BatchPolicy) -> bool {
+        let same = |a: &[PolicyEntry], b: &[PolicyEntry]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(a, b)| a.scope == b.scope && a.policy.same_authorizations(&b.policy))
+        };
+        same(&self.entries, &other.entries) && same(&self.denials, &other.denials)
+    }
+
+    /// True if no entry authorizes anyone.
+    #[must_use]
+    pub fn is_deny_all(&self) -> bool {
+        self.entries.iter().all(|e| e.policy.is_deny_all())
+    }
+
+    /// Approximate heap footprint in bytes.
+    #[must_use]
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<BatchPolicy>()
+            + self
+                .entries
+                .iter()
+                .chain(&self.denials)
+                .map(|e| e.scope.source().len() + e.policy.mem_bytes())
+                .sum::<usize>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -524,5 +766,158 @@ mod tests {
     fn sign_display() {
         assert_eq!(Sign::Positive.to_string(), "+");
         assert_eq!(Sign::Negative.to_string(), "-");
+    }
+
+    use crate::punctuation::DataDescription;
+    use crate::value::ValueType;
+
+    /// An sp over `scope` (`None` = every tuple id) at timestamp 1.
+    fn sp(roles: &[u32], scope: Option<(u64, u64)>, negative: bool) -> Arc<SecurityPunctuation> {
+        let mut sp = SecurityPunctuation::grant_all(rs(roles), Timestamp(1));
+        if let Some((lo, hi)) = scope {
+            sp = sp.with_ddp(DataDescription::tuple_range(lo, hi));
+        }
+        Arc::new(if negative { sp.negative() } else { sp })
+    }
+
+    fn resolve(batch: &[Arc<SecurityPunctuation>]) -> BatchPolicy {
+        let schema = Schema::of("s", &[("id", ValueType::Int), ("v", ValueType::Int)]);
+        BatchPolicy::resolve(batch, None, &RoleCatalog::new(), &schema)
+    }
+
+    fn entry(scope: (u64, u64), roles: &[u32]) -> PolicyEntry {
+        PolicyEntry {
+            scope: Pattern::numeric_range(scope.0, scope.1),
+            policy: Arc::new(Policy::tuple_level(rs(roles), Timestamp(1))),
+        }
+    }
+
+    #[test]
+    fn uniform_batch_lends_one_policy() {
+        let batch = resolve(&[sp(&[1], None, false), sp(&[2], None, false)]);
+        let uniform = batch.as_uniform().unwrap();
+        assert!(uniform.allows(&rs(&[1])) && uniform.allows(&rs(&[2])));
+        for tid in [1, 2] {
+            match batch.policy_for(TupleId(tid)) {
+                Cow::Borrowed(p) => assert!(Arc::ptr_eq(p, uniform)),
+                Cow::Owned(_) => panic!("the uniform case allocates nothing"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_tuple_no_scope_claims_is_denied() {
+        let batch = resolve(&[sp(&[1], Some((10, 20)), false)]);
+        assert!(batch.as_uniform().is_none());
+        assert!(batch.policy_for(TupleId(15)).allows(&rs(&[1])));
+        assert!(matches!(batch.policy_for(TupleId(15)), Cow::Borrowed(_)), "one scope: its entry");
+        assert!(batch.policy_for(TupleId(25)).is_deny_all());
+        assert!(BatchPolicy::default().policy_for(TupleId(1)).is_deny_all());
+    }
+
+    #[test]
+    fn overlapping_scopes_union() {
+        let batch =
+            BatchPolicy::from_parts(vec![entry((0, 50), &[1]), entry((40, 90), &[2])], vec![]);
+        let both = batch.policy_for(TupleId(45));
+        assert!(both.allows(&rs(&[1])) && both.allows(&rs(&[2])));
+        let only_first = batch.policy_for(TupleId(10));
+        assert!(only_first.allows(&rs(&[1])) && !only_first.allows(&rs(&[2])));
+    }
+
+    #[test]
+    fn denial_wins_within_a_scope_in_either_order() {
+        let (grant, deny) = (sp(&[0, 1], None, false), sp(&[1], None, true));
+        let a = resolve(&[grant.clone(), deny.clone()]);
+        assert_eq!(a, resolve(&[deny, grant]));
+        let p = a.as_uniform().expect("one scope stays uniform: its revocations are applied");
+        assert!(p.allows(&rs(&[0])) && !p.allows(&rs(&[1])));
+        assert!(a.denials().is_empty());
+    }
+
+    #[test]
+    fn denial_wins_per_tuple_across_scopes() {
+        // + {r0} on every tuple, - {r0} on <6-9>: tuple 7 matches both.
+        let batch = resolve(&[sp(&[0], None, false), sp(&[0], Some((6, 9)), true)]);
+        assert!(batch.as_uniform().is_none(), "a foreign revocation rules the fast path out");
+        assert!(batch.policy_for(TupleId(4)).allows(&rs(&[0])));
+        assert!(matches!(batch.policy_for(TupleId(4)), Cow::Borrowed(_)));
+        assert!(batch.policy_for(TupleId(7)).is_deny_all());
+        // A revocation reaches overlapping grants only where it matches.
+        let batch = resolve(&[sp(&[0, 1], Some((0, 9)), false), sp(&[1], Some((5, 20)), true)]);
+        assert!(batch.policy_for(TupleId(2)).allows(&rs(&[1])));
+        assert!(!batch.policy_for(TupleId(7)).allows(&rs(&[1])));
+        assert!(batch.policy_for(TupleId(7)).allows(&rs(&[0])));
+        assert!(batch.policy_for(TupleId(15)).is_deny_all());
+    }
+
+    #[test]
+    fn attribute_revocation_reaches_across_scopes() {
+        let attr_sp = |roles: &[u32], scope, negative: bool| {
+            let mut sp = SecurityPunctuation::clone(&sp(roles, scope, negative));
+            sp.ddp.attrs = Pattern::literal("v");
+            Arc::new(sp)
+        };
+        let batch = resolve(&[attr_sp(&[3], None, false), attr_sp(&[3], Some((6, 9)), true)]);
+        assert!(batch.policy_for(TupleId(4)).allows_attr(1, &rs(&[3])));
+        assert!(!batch.policy_for(TupleId(7)).allows_any_attr(&rs(&[3])));
+    }
+
+    #[test]
+    fn sps_for_another_stream_are_ignored() {
+        let foreign = SecurityPunctuation::grant_all(rs(&[1]), Timestamp(1))
+            .with_ddp(DataDescription::stream("other"));
+        let batch = resolve(&[Arc::new(foreign), sp(&[2], None, false)]);
+        let p = batch.as_uniform().unwrap();
+        assert!(p.allows(&rs(&[2])) && !p.allows(&rs(&[1])));
+    }
+
+    #[test]
+    fn resolving_onto_a_policy_modifies_it() {
+        let schema = Schema::of("s", &[("id", ValueType::Int)]);
+        let previous = Policy::tuple_level(rs(&[1, 2]), Timestamp(0));
+        let batch = BatchPolicy::resolve(
+            &[sp(&[3], None, false), sp(&[1], None, true)],
+            Some(&previous),
+            &RoleCatalog::new(),
+            &schema,
+        );
+        let p = batch.as_uniform().unwrap();
+        assert!(!p.allows(&rs(&[1])) && p.allows(&rs(&[2])) && p.allows(&rs(&[3])));
+        assert_eq!(p.ts, Timestamp(1));
+    }
+
+    #[test]
+    fn mapping_carries_revocations_and_drops_what_empties() {
+        let batch = resolve(&[sp(&[0, 1], None, false), sp(&[0], Some((6, 9)), true)]);
+        let narrowed = batch.map_policies(|p| p.restrict_to(&rs(&[0])));
+        assert!(narrowed.policy_for(TupleId(4)).allows(&rs(&[0])));
+        assert!(narrowed.policy_for(TupleId(7)).is_deny_all());
+        // Narrowed to a role the revocation does not name, it is gone —
+        // and with it the reason not to be uniform.
+        let narrowed = batch.map_policies(|p| p.restrict_to(&rs(&[1])));
+        assert!(narrowed.denials().is_empty() && narrowed.as_uniform().is_some());
+        // With no grant left nothing is kept.
+        let emptied = batch.map_policies(|p| p.restrict_to(&rs(&[9])));
+        assert!(emptied.is_deny_all());
+        assert!(emptied.entries().is_empty() && emptied.denials().is_empty());
+    }
+
+    #[test]
+    fn server_intersection_leaves_revocations_standing() {
+        let batch = resolve(&[sp(&[0, 1], None, false), sp(&[0], Some((6, 9)), true)]);
+        let refined = batch.intersect(&Policy::tuple_level(rs(&[0]), Timestamp(0)));
+        assert!(refined.policy_for(TupleId(4)).allows(&rs(&[0])));
+        assert!(!refined.policy_for(TupleId(4)).allows(&rs(&[1])), "server removed role 1");
+        assert!(refined.policy_for(TupleId(7)).is_deny_all(), "the provider's denial stands");
+    }
+
+    #[test]
+    fn same_authorizations_compares_scope_by_scope() {
+        let a = resolve(&[sp(&[0], None, false), sp(&[0], Some((6, 9)), true)]);
+        assert!(a.same_authorizations(&a.clone()));
+        assert!(!a.same_authorizations(&resolve(&[sp(&[0], None, false)])));
+        assert!(!a
+            .same_authorizations(&resolve(&[sp(&[0], None, false), sp(&[0], Some((6, 8)), true)])));
     }
 }

@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 use sp_pattern::Pattern;
@@ -252,23 +251,18 @@ impl SecurityPunctuation {
         )
     }
 
-    /// Applies this sp to a policy under construction (one step of
-    /// sp-batch combination).
-    pub fn apply_to(&self, policy: &mut Policy, catalog: &RoleCatalog, schema: &Schema) {
+    /// Names this sp's roles in `policy` on the objects it governs — the
+    /// whole tuple or each governed attribute. Whether that is a grant or
+    /// a revocation is the caller's to say:
+    /// [`BatchPolicy::resolve`](crate::policy::BatchPolicy::resolve)
+    /// collects the two sides of a batch apart.
+    pub(crate) fn add_roles_to(&self, policy: &mut Policy, catalog: &RoleCatalog, schema: &Schema) {
         let roles = self.srp.resolve(catalog);
-        policy.immutable |= self.immutable;
-        policy.ts = policy.ts.max(self.ts);
-        match (self.sign, self.governed_attrs(schema)) {
-            (Sign::Positive, None) => policy.grant(&roles),
-            (Sign::Negative, None) => policy.revoke(&roles),
-            (Sign::Positive, Some(attrs)) => {
+        match self.governed_attrs(schema) {
+            None => policy.grant(&roles),
+            Some(attrs) => {
                 for a in attrs {
                     policy.grant_attr(a, &roles);
-                }
-            }
-            (Sign::Negative, Some(attrs)) => {
-                for a in attrs {
-                    policy.revoke_attr(a, &roles);
                 }
             }
         }
@@ -424,32 +418,11 @@ impl fmt::Display for SecurityPunctuation {
     }
 }
 
-/// Combines one **sp-batch** (consecutive sps with equal timestamps,
-/// §III-A) into the single [`Policy`] it denotes, using `union()`
-/// semantics for positive sps and revocation for negative ones.
-#[must_use]
-pub fn combine_batch(
-    batch: &[Arc<SecurityPunctuation>],
-    catalog: &RoleCatalog,
-    schema: &Schema,
-) -> Policy {
-    let ts = batch.first().map_or(Timestamp::ZERO, |sp| sp.ts);
-    debug_assert!(batch.iter().all(|sp| sp.ts == ts), "an sp-batch shares one timestamp");
-    let mut policy = Policy::deny_all(ts);
-    // Positive grants first, then negative revocations: within one policy a
-    // denial wins regardless of the order the sps were listed in.
-    for sp in batch.iter().filter(|sp| sp.sign == Sign::Positive) {
-        sp.apply_to(&mut policy, catalog, schema);
-    }
-    for sp in batch.iter().filter(|sp| sp.sign == Sign::Negative) {
-        sp.apply_to(&mut policy, catalog, schema);
-    }
-    policy
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use std::sync::Arc;
 
     use super::*;
     use crate::ids::{StreamId, TupleId};
@@ -468,6 +441,16 @@ mod tests {
             "HeartRate",
             &[("Patient_id", ValueType::Int), ("Beats_per_min", ValueType::Int)],
         )
+    }
+
+    /// The one policy an unscoped batch resolves to.
+    fn combine_batch(
+        batch: &[Arc<SecurityPunctuation>],
+        catalog: &RoleCatalog,
+        schema: &Schema,
+    ) -> Policy {
+        let resolved = crate::policy::BatchPolicy::resolve(batch, None, catalog, schema);
+        Policy::clone(resolved.as_uniform().unwrap())
     }
 
     fn tuple(tid: u64) -> Tuple {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sp_core::{
-    combine_batch, DataDescription, PatternTable, Policy, RoleCatalog, RoleId, RoleSet, Schema,
+    BatchPolicy, DataDescription, PatternTable, Policy, RoleCatalog, RoleId, RoleSet, Schema,
     SecurityPunctuation, Timestamp, ValueType,
 };
 
@@ -150,9 +150,12 @@ proptest! {
             .collect();
         let mut reversed = batch.clone();
         reversed.reverse();
-        let p1 = combine_batch(&batch, &catalog, &schema);
-        let p2 = combine_batch(&reversed, &catalog, &schema);
-        prop_assert_eq!(&p1, &p2);
+        // `combine_batch` became `BatchPolicy::resolve`; an unscoped batch
+        // resolves to one uniform policy, which is what is compared.
+        let b1 = BatchPolicy::resolve(&batch, None, &catalog, &schema);
+        let b2 = BatchPolicy::resolve(&reversed, None, &catalog, &schema);
+        prop_assert_eq!(&b1, &b2);
+        let p1 = b1.as_uniform().unwrap();
         let probe = to_roleset(&probe);
         let expect = sets.iter().any(|ids| to_roleset(ids).intersects(&probe));
         prop_assert_eq!(p1.allows(&probe), expect);

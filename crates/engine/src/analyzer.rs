@@ -14,11 +14,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sp_core::{
-    combine_batch, Policy, RoleCatalog, Schema, SecurityPunctuation, StreamElement, Timestamp,
-    Tuple,
+    BatchPolicy, Policy, RoleCatalog, Schema, SecurityPunctuation, StreamElement, Timestamp, Tuple,
 };
 
-use crate::element::{Element, PolicyEntry, SegmentPolicy};
+use crate::element::{Element, SegmentPolicy};
 use crate::stats::DegradationStats;
 use crate::telemetry::{AuditEvent, QuarantineReason, Recorders, SpanRecord, NO_TUPLE};
 
@@ -57,8 +56,8 @@ pub struct SpAnalyzer {
     batch: Vec<Arc<SecurityPunctuation>>,
     last_emitted: Option<Arc<SegmentPolicy>>,
     /// Incremental-policy mode (§IX future work): an sp-batch *modifies*
-    /// the previous policy (grants add roles, negative sps revoke them)
-    /// instead of replacing it wholesale. Applies to unscoped
+    /// the previous policy (grants add roles, then negative sps revoke
+    /// them) instead of replacing it wholesale. Applies to unscoped
     /// (whole-segment) batches; scoped batches always replace.
     incremental: bool,
     /// Punctuations dropped because their DDP does not cover this stream.
@@ -286,56 +285,24 @@ impl SpAnalyzer {
             self.rec.audit.record(NO_TUPLE, ts.0, AuditEvent::StaleSpDiscarded);
             return;
         }
-        // Group the batch by tuple scope: sps with identical tuple patterns
-        // combine into one policy entry.
-        let mut groups: Vec<(&str, Vec<Arc<SecurityPunctuation>>)> = Vec::new();
-        for sp in &batch {
-            let scope = sp.ddp.tuple.source();
-            match groups.iter_mut().find(|(s, _)| *s == scope) {
-                Some((_, list)) => list.push(sp.clone()),
-                None => groups.push((scope, vec![sp.clone()])),
+        // Incremental mode: an unscoped batch modifies the previous
+        // uniform policy instead of starting from denial.
+        let onto = match &self.last_emitted {
+            Some(prev)
+                if self.incremental && batch.iter().all(|sp| sp.ddp.tuple.is_match_all()) =>
+            {
+                prev.as_uniform().map(|p| &**p)
             }
-        }
-        // Incremental mode: a single unscoped batch modifies the previous
-        // uniform policy instead of replacing it.
-        let incremental_base = if self.incremental && groups.len() == 1 && groups[0].0 == "*" {
-            self.last_emitted.as_ref().and_then(|seg| seg.as_uniform()).map(|p| (**p).clone())
-        } else {
-            None
+            _ => None,
         };
-        let entries: Vec<PolicyEntry> = groups
-            .into_iter()
-            .map(|(_, sps)| {
-                let scope = sps[0].ddp.tuple.clone();
-                let mut policy = match &incremental_base {
-                    Some(base) => {
-                        let mut p = base.clone();
-                        p.ts = ts;
-                        for sp in &sps {
-                            sp.apply_to(&mut p, &self.catalog, &self.schema);
-                        }
-                        p
-                    }
-                    None => combine_batch(&sps, &self.catalog, &self.schema),
-                };
-                if let Some(server) = &self.server_policy {
-                    // `Policy::intersect` honours the immutable flag.
-                    policy = policy.intersect(server);
-                }
-                PolicyEntry { scope, policy: Arc::new(policy) }
-            })
-            .collect();
-        let seg = Arc::new(SegmentPolicy::new(entries, ts));
+        let mut resolved = BatchPolicy::resolve(&batch, onto, &self.catalog, &self.schema);
+        if let Some(server) = &self.server_policy {
+            resolved = resolved.intersect(server);
+        }
+        let seg = Arc::new(SegmentPolicy::stamped(resolved, ts));
         // Similar-policy combining: skip emission when the authorizations
         // are unchanged (timestamps aside).
-        let merged = self.last_emitted.as_ref().is_some_and(|prev| {
-            prev.entries().len() == seg.entries().len()
-                && prev
-                    .entries()
-                    .iter()
-                    .zip(seg.entries())
-                    .all(|(a, b)| a.scope == b.scope && a.policy.same_authorizations(&b.policy))
-        });
+        let merged = self.last_emitted.as_ref().is_some_and(|prev| prev.same_authorizations(&seg));
         if merged {
             self.sps_merged += 1;
         } else {
@@ -601,7 +568,7 @@ mod tests {
         let mut a = setup();
         a.set_server_policy(Some(Policy::tuple_level(RoleSet::from([1]), Timestamp(0))));
         let out = push_all(&mut a, vec![sp(&[1, 2], 1), tup(1, 2)]);
-        let p = out[0].as_policy().unwrap().policy_for(out[1].as_tuple().unwrap());
+        let p = out[0].as_policy().unwrap().policy_for(out[1].as_tuple().unwrap().tid);
         assert!(p.allows(&RoleSet::from([1])));
         assert!(!p.allows(&RoleSet::from([2])), "server removed role 2");
     }
@@ -614,7 +581,7 @@ mod tests {
             SecurityPunctuation::grant_all(RoleSet::from([1, 2]), Timestamp(1)).immutable(),
         );
         let out = push_all(&mut a, vec![immutable, tup(1, 2)]);
-        let p = out[0].as_policy().unwrap().policy_for(out[1].as_tuple().unwrap());
+        let p = out[0].as_policy().unwrap().policy_for(out[1].as_tuple().unwrap().tid);
         assert!(p.allows(&RoleSet::from([2])), "immutable sp wins");
     }
 
@@ -633,10 +600,25 @@ mod tests {
         );
         let seg = out[0].as_policy().unwrap();
         assert_eq!(seg.entries().len(), 2);
-        let p5 = seg.policy_for(out[1].as_tuple().unwrap());
+        let p5 = seg.policy_for(out[1].as_tuple().unwrap().tid);
         assert!(p5.allows(&RoleSet::from([1])) && !p5.allows(&RoleSet::from([2])));
-        let p25 = seg.policy_for(out[2].as_tuple().unwrap());
+        let p25 = seg.policy_for(out[2].as_tuple().unwrap().tid);
         assert!(p25.allows(&RoleSet::from([2])) && !p25.allows(&RoleSet::from([1])));
+    }
+
+    #[test]
+    fn scoped_revocation_reaches_a_wider_grant() {
+        let mut a = setup();
+        let deny_6_to_9 = StreamElement::punctuation(
+            SecurityPunctuation::grant_all(RoleSet::from([1]), Timestamp(5))
+                .with_ddp(DataDescription::tuple_range(6, 9))
+                .negative(),
+        );
+        let out = push_all(&mut a, vec![sp(&[1], 5), deny_6_to_9, tup(4, 6), tup(7, 7)]);
+        let seg = out[0].as_policy().unwrap();
+        assert!(seg.as_uniform().is_none());
+        assert!(seg.policy_for(TupleId(4)).allows(&RoleSet::from([1])));
+        assert!(seg.policy_for(TupleId(7)).is_deny_all(), "the denial wins for tuple 7");
     }
 
     #[test]

@@ -30,8 +30,8 @@ use bytes::{Buf, BufMut};
 
 use sp_core::wire::crc32;
 use sp_core::{
-    decode_tuple, encode_tuple, PatternTable, Policy, SecurityPunctuation, SharedPolicy,
-    StreamElement, Timestamp, Tuple,
+    decode_tuple, encode_tuple, BatchPolicy, PatternTable, Policy, SecurityPunctuation,
+    SharedPolicy, StreamElement, Timestamp, Tuple,
 };
 use sp_pattern::Pattern;
 
@@ -109,17 +109,44 @@ pub fn decode_shared_policy(buf: &mut impl Buf) -> Result<SharedPolicy, CodecErr
     Policy::decode(buf).map(Arc::new)
 }
 
-/// Encodes a segment policy: `[u64 ts][u16 entry count][(scope, policy)…]`.
+/// Set in a segment policy's entry count when a revocation list follows
+/// the entries; a segment without one encodes as it always did.
+const HAS_DENIALS: u16 = 1 << 15;
+
+fn encode_entries(entries: &[PolicyEntry], buf: &mut impl BufMut) {
+    for entry in entries {
+        put_str(buf, entry.scope.source());
+        encode_policy(&entry.policy, buf);
+    }
+}
+
+fn decode_entries(n: usize, buf: &mut impl Buf) -> Result<Vec<PolicyEntry>, CodecError> {
+    let mut entries = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        let source = get_str(buf)?;
+        let scope =
+            Pattern::compile(&source).map_err(|e| format!("bad scope pattern {source:?}: {e}"))?;
+        let policy = decode_shared_policy(buf)?;
+        entries.push(PolicyEntry { scope, policy });
+    }
+    Ok(entries)
+}
+
+/// Encodes a segment policy: `[u64 ts][u16 entry count][(scope, policy)…]`,
+/// then — only when cross-scope revocations exist, flagged by the count's
+/// top bit — `[u16 count][(scope, revoked)…]`.
 ///
 /// Scopes are serialized as their pattern source text and re-compiled on
 /// decode; the `uniform` fast-path pointer is derived state and is
-/// reconstructed by [`SegmentPolicy::new`].
+/// reconstructed on decode.
 pub fn encode_segment_policy(p: &SegmentPolicy, buf: &mut impl BufMut) {
     buf.put_u64(p.ts.millis());
-    buf.put_u16(p.entries().len() as u16);
-    for entry in p.entries() {
-        put_str(buf, entry.scope.source());
-        encode_policy(&entry.policy, buf);
+    let flag = if p.denials().is_empty() { 0 } else { HAS_DENIALS };
+    buf.put_u16(p.entries().len() as u16 & !HAS_DENIALS | flag);
+    encode_entries(p.entries(), buf);
+    if flag != 0 {
+        buf.put_u16(p.denials().len() as u16);
+        encode_entries(p.denials(), buf);
     }
 }
 
@@ -131,16 +158,16 @@ pub fn encode_segment_policy(p: &SegmentPolicy, buf: &mut impl BufMut) {
 pub fn decode_segment_policy(buf: &mut impl Buf) -> Result<SegmentPolicy, CodecError> {
     need(buf, 8 + 2, "segment policy header")?;
     let ts = Timestamp(buf.get_u64());
-    let n = buf.get_u16() as usize;
-    let mut entries = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let source = get_str(buf)?;
-        let scope =
-            Pattern::compile(&source).map_err(|e| format!("bad scope pattern {source:?}: {e}"))?;
-        let policy = decode_shared_policy(buf)?;
-        entries.push(PolicyEntry { scope, policy });
-    }
-    Ok(SegmentPolicy::new(entries, ts))
+    let count = buf.get_u16();
+    let entries = decode_entries(usize::from(count & !HAS_DENIALS), buf)?;
+    let denials = if count & HAS_DENIALS == 0 {
+        Vec::new()
+    } else {
+        need(buf, 2, "segment policy revocation count")?;
+        let n = usize::from(buf.get_u16());
+        decode_entries(n, buf)?
+    };
+    Ok(SegmentPolicy::stamped(BatchPolicy::from_parts(entries, denials), ts))
 }
 
 /// Encodes an optional segment policy behind a presence byte.
@@ -682,6 +709,22 @@ mod tests {
         encode_segment_policy(&scoped, &mut buf);
         let back = decode_segment_policy(&mut buf.as_slice()).unwrap();
         assert_eq!(back, scoped);
+        // Cross-scope revocations ride behind a flag in the entry count; a
+        // segment without any keeps the bytes it always had.
+        let entries = scoped.entries().to_vec();
+        let revoked = SegmentPolicy::stamped(
+            BatchPolicy::from_parts(entries, scoped.entries()[..1].to_vec()),
+            Timestamp(1),
+        );
+        let plain_len = buf.len();
+        let mut buf = Vec::new();
+        encode_segment_policy(&revoked, &mut buf);
+        assert!(buf.len() > plain_len);
+        let back = decode_segment_policy(&mut buf.as_slice()).unwrap();
+        assert_eq!(back, revoked);
+        assert_eq!(back.denials().len(), 1);
+        assert!(decode_segment_policy(&mut &buf[..buf.len() - 1]).is_err(), "truncated");
+
         let deny = SegmentPolicy::deny(Timestamp(9));
         let mut buf = Vec::new();
         encode_segment_policy(&deny, &mut buf);

@@ -9,110 +9,73 @@
 //! mechanism: one policy element amortizes over every tuple of its segment.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
-use sp_core::{Policy, SharedPolicy, Timestamp, Tuple};
+pub use sp_core::PolicyEntry;
+use sp_core::{BatchPolicy, Policy, SharedPolicy, Timestamp, Tuple, TupleId};
 use sp_pattern::Pattern;
 
-/// One entry of a segment policy: a tuple-id scope and the resolved policy
-/// for tuples in that scope.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyEntry {
-    /// Which tuple ids of the segment this entry governs.
-    pub scope: Pattern,
-    /// The resolved policy for those tuples.
-    pub policy: SharedPolicy,
-}
-
-/// The resolved policy of one s-punctuated segment.
-///
-/// Typically a batch is a single tuple-granularity sp covering the whole
-/// segment — the `uniform` fast path, where `policy_for` is a pointer clone.
-/// Batches mixing several scoped sps fall back to per-tuple combination.
+/// The resolved policy of one s-punctuated segment: what its sp-batch
+/// means ([`BatchPolicy`], which answers `policy_for` a tuple id) plus
+/// the batch timestamp.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentPolicy {
-    entries: Vec<PolicyEntry>,
-    /// Set when a single entry covers every tuple id.
-    uniform: Option<SharedPolicy>,
+    batch: BatchPolicy,
     /// The batch timestamp (all sps of a batch share it).
     pub ts: Timestamp,
 }
 
-/// The shared deny-all policy returned for unmatched tuples.
-fn deny_all() -> &'static SharedPolicy {
-    static DENY: OnceLock<SharedPolicy> = OnceLock::new();
-    DENY.get_or_init(|| Arc::new(Policy::deny_all(Timestamp::ZERO)))
+impl Deref for SegmentPolicy {
+    type Target = BatchPolicy;
+
+    fn deref(&self) -> &BatchPolicy {
+        &self.batch
+    }
 }
 
 impl SegmentPolicy {
+    /// A resolved sp-batch stamped with its timestamp.
+    #[must_use]
+    pub fn stamped(batch: BatchPolicy, ts: Timestamp) -> Self {
+        Self { batch, ts }
+    }
+
     /// A segment policy from resolved entries.
     #[must_use]
     pub fn new(entries: Vec<PolicyEntry>, ts: Timestamp) -> Self {
-        let uniform = match entries.as_slice() {
-            [single] if single.scope.is_match_all() => Some(single.policy.clone()),
-            _ => None,
-        };
-        Self { entries, uniform, ts }
+        Self::stamped(BatchPolicy::from_parts(entries, Vec::new()), ts)
     }
 
     /// A uniform segment policy governing every tuple of the segment.
     #[must_use]
     pub fn uniform(policy: Policy) -> Self {
         let ts = policy.ts;
-        let shared = Arc::new(policy);
-        Self {
-            entries: vec![PolicyEntry { scope: Pattern::match_all(), policy: shared.clone() }],
-            uniform: Some(shared),
-            ts,
-        }
+        Self::new(vec![PolicyEntry { scope: Pattern::match_all(), policy: Arc::new(policy) }], ts)
     }
 
     /// The deny-everything segment policy (denial-by-default).
     #[must_use]
     pub fn deny(ts: Timestamp) -> Self {
-        Self { entries: Vec::new(), uniform: None, ts }
+        Self::new(Vec::new(), ts)
     }
 
-    /// The uniform policy, if the segment has a single all-tuples entry.
+    /// The §V-A override rule, for every operator that buffers the policy
+    /// of its input: an sp-batch at least as new as the buffered one
+    /// replaces it wholesale; an older one is ignored.
     #[must_use]
-    pub fn as_uniform(&self) -> Option<&SharedPolicy> {
-        self.uniform.as_ref()
+    pub fn replaces(&self, buffered: Option<&Arc<SegmentPolicy>>) -> bool {
+        buffered.is_none_or(|cur| self.ts >= cur.ts)
     }
 
-    /// The policy entries.
+    /// The policy the buffered segment policy gives tuple `tid`, owned, for
+    /// operators that keep it beside the tuple; with nothing buffered yet,
+    /// denial by default.
     #[must_use]
-    pub fn entries(&self) -> &[PolicyEntry] {
-        &self.entries
-    }
-
-    /// Resolves the policy governing `tuple`.
-    ///
-    /// Uniform segments return the shared policy by pointer. Scoped
-    /// segments combine (union) every entry matching the tuple id; a tuple
-    /// matched by no entry gets the deny-all policy (§III-A).
-    #[must_use]
-    pub fn policy_for(&self, tuple: &Tuple) -> SharedPolicy {
-        if let Some(p) = &self.uniform {
-            return p.clone();
-        }
-        let tid = tuple.tid.raw();
-        let mut matched: Option<SharedPolicy> = None;
-        let mut combined: Option<Policy> = None;
-        for entry in &self.entries {
-            if !entry.scope.matches_u64(tid) {
-                continue;
-            }
-            match (&matched, &mut combined) {
-                (None, _) => matched = Some(entry.policy.clone()),
-                (Some(first), None) => combined = Some(first.union(&entry.policy)),
-                (_, Some(c)) => *c = c.union(&entry.policy),
-            }
-        }
-        match (matched, combined) {
-            (_, Some(c)) => Arc::new(c),
-            (Some(single), None) => single,
-            (None, None) => deny_all().clone(),
+    pub fn governing(buffered: Option<&Arc<SegmentPolicy>>, tid: TupleId) -> SharedPolicy {
+        match buffered {
+            Some(seg) => seg.policy_for(tid).into_owned(),
+            None => BatchPolicy::default().policy_for(tid).into_owned(),
         }
     }
 
@@ -123,86 +86,14 @@ impl SegmentPolicy {
     /// operators discard punctuations that appear stale (§V-A override).
     #[must_use]
     pub fn with_ts(&self, ts: Timestamp) -> SegmentPolicy {
-        SegmentPolicy { entries: self.entries.clone(), uniform: self.uniform.clone(), ts }
+        Self::stamped(self.batch.clone(), ts)
     }
 
-    /// Borrow-based resolution for the hot path: identifies the policy
-    /// governing `tuple` without touching reference counts.
-    #[must_use]
-    pub fn resolve_ref(&self, tuple: &Tuple) -> Resolved<'_> {
-        if let Some(p) = &self.uniform {
-            return Resolved::One(p);
-        }
-        let tid = tuple.tid.raw();
-        let mut found: Option<&SharedPolicy> = None;
-        for entry in &self.entries {
-            if entry.scope.matches_u64(tid) {
-                if found.is_some() {
-                    return Resolved::Many;
-                }
-                found = Some(&entry.policy);
-            }
-        }
-        match found {
-            Some(p) => Resolved::One(p),
-            None => Resolved::None,
-        }
-    }
-
-    /// Transforms every entry's policy (projection remapping etc.),
-    /// dropping entries whose policies become deny-all.
+    /// [`BatchPolicy::map_policies`] under the same timestamp.
     #[must_use]
     pub fn map_policies(&self, f: impl Fn(&Policy) -> Policy) -> SegmentPolicy {
-        let entries: Vec<PolicyEntry> = self
-            .entries
-            .iter()
-            .filter_map(|e| {
-                let p = f(&e.policy);
-                if p.is_deny_all() {
-                    None
-                } else {
-                    Some(PolicyEntry { scope: e.scope.clone(), policy: Arc::new(p) })
-                }
-            })
-            .collect();
-        SegmentPolicy::new(entries, self.ts)
+        Self::stamped(self.batch.map_policies(f), self.ts)
     }
-
-    /// True if no entry authorizes anyone.
-    #[must_use]
-    pub fn is_deny_all(&self) -> bool {
-        self.entries.iter().all(|e| e.policy.is_deny_all())
-    }
-
-    /// Number of sps this segment policy stands for (cost accounting: each
-    /// entry corresponds to one streamed punctuation).
-    #[must_use]
-    pub fn sp_count(&self) -> usize {
-        self.entries.len().max(1)
-    }
-
-    /// Approximate heap footprint in bytes.
-    #[must_use]
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<SegmentPolicy>()
-            + self
-                .entries
-                .iter()
-                .map(|e| e.scope.source().len() + e.policy.mem_bytes())
-                .sum::<usize>()
-    }
-}
-
-/// Result of [`SegmentPolicy::resolve_ref`].
-#[derive(Debug)]
-pub enum Resolved<'a> {
-    /// No entry governs the tuple: denial-by-default.
-    None,
-    /// Exactly one policy governs the tuple (borrowed, no refcount churn).
-    One(&'a SharedPolicy),
-    /// Several entries overlap; use [`SegmentPolicy::policy_for`] to
-    /// combine them.
-    Many,
 }
 
 /// An element flowing between operators.
@@ -275,7 +166,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use sp_core::{RoleId, RoleSet, StreamId, TupleId, Value};
+    use sp_core::{RoleId, StreamId, Value};
 
     fn tup(tid: u64) -> Tuple {
         Tuple::new(StreamId(0), TupleId(tid), Timestamp(1), vec![Value::Int(0)])
@@ -286,71 +177,28 @@ mod tests {
     }
 
     #[test]
-    fn uniform_fast_path_shares_pointer() {
+    fn uniform_segment_takes_the_policy_timestamp() {
         let seg = SegmentPolicy::uniform(policy(&[1], 5));
-        let a = seg.policy_for(&tup(1));
-        let b = seg.policy_for(&tup(2));
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&*seg.policy_for(TupleId(1)), &*seg.policy_for(TupleId(2))));
         assert!(seg.as_uniform().is_some());
         assert_eq!(seg.ts, Timestamp(5));
-        assert_eq!(seg.sp_count(), 1);
-    }
-
-    #[test]
-    fn scoped_segment_denies_unmatched() {
-        let seg = SegmentPolicy::new(
-            vec![PolicyEntry {
-                scope: Pattern::numeric_range(10, 20),
-                policy: Arc::new(policy(&[1], 1)),
-            }],
-            Timestamp(1),
-        );
-        assert!(seg.as_uniform().is_none());
-        let inside = seg.policy_for(&tup(15));
-        assert!(inside.allows(&RoleSet::from([1])));
-        let outside = seg.policy_for(&tup(25));
-        assert!(outside.is_deny_all());
-    }
-
-    #[test]
-    fn overlapping_scopes_union() {
-        let seg = SegmentPolicy::new(
-            vec![
-                PolicyEntry {
-                    scope: Pattern::numeric_range(0, 50),
-                    policy: Arc::new(policy(&[1], 1)),
-                },
-                PolicyEntry {
-                    scope: Pattern::numeric_range(40, 90),
-                    policy: Arc::new(policy(&[2], 1)),
-                },
-            ],
-            Timestamp(1),
-        );
-        let both = seg.policy_for(&tup(45));
-        assert!(both.allows(&RoleSet::from([1])) && both.allows(&RoleSet::from([2])));
-        let only_first = seg.policy_for(&tup(10));
-        assert!(only_first.allows(&RoleSet::from([1])));
-        assert!(!only_first.allows(&RoleSet::from([2])));
+        assert_eq!(seg.with_ts(Timestamp(9)).ts, Timestamp(9));
     }
 
     #[test]
     fn deny_segment() {
         let seg = SegmentPolicy::deny(Timestamp(3));
         assert!(seg.is_deny_all());
-        assert!(seg.policy_for(&tup(1)).is_deny_all());
+        assert!(seg.policy_for(TupleId(1)).is_deny_all());
     }
 
     #[test]
-    fn map_policies_drops_deny_all() {
-        let seg = SegmentPolicy::uniform(policy(&[1], 1));
-        let emptied = seg.map_policies(|p| {
-            let mut q = p.clone();
-            q.revoke(&RoleSet::from([1]));
-            q
-        });
-        assert!(emptied.is_deny_all());
-        assert!(emptied.entries().is_empty());
+    fn a_batch_at_least_as_new_replaces_the_buffered_one() {
+        let buffered = Arc::new(SegmentPolicy::uniform(policy(&[1], 5)));
+        assert!(SegmentPolicy::deny(Timestamp(1)).replaces(None));
+        assert!(SegmentPolicy::deny(Timestamp(6)).replaces(Some(&buffered)));
+        assert!(SegmentPolicy::deny(Timestamp(5)).replaces(Some(&buffered)));
+        assert!(!SegmentPolicy::deny(Timestamp(4)).replaces(Some(&buffered)));
     }
 
     #[test]

@@ -148,18 +148,14 @@ impl Operator for DupElim {
             match elem {
                 Element::Policy(seg) => {
                     self.stats.sps_in += 1;
-                    let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
-                    if newer {
+                    if seg.replaces(self.current.as_ref()) {
                         self.current = Some(seg);
                     }
                 }
                 Element::Tuple(tuple) => {
                     self.stats.tuples_in += 1;
                     self.expire(tuple.ts);
-                    let p_new: SharedPolicy = match &self.current {
-                        Some(seg) => seg.policy_for(&tuple),
-                        None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
-                    };
+                    let p_new = SegmentPolicy::governing(self.current.as_ref(), tuple.tid);
                     let key = self.key_of(&tuple);
                     // Take the roles first so the policy Arc can move into the
                     // window without an extra refcount round-trip.

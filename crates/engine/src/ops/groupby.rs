@@ -262,18 +262,14 @@ impl Operator for GroupBy {
             match elem {
                 Element::Policy(seg) => {
                     self.stats.sps_in += 1;
-                    let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
-                    if newer {
+                    if seg.replaces(self.current.as_ref()) {
                         self.current = Some(seg);
                     }
                 }
                 Element::Tuple(tuple) => {
                     self.stats.tuples_in += 1;
                     self.expire(tuple.ts, out);
-                    let policy: SharedPolicy = match &self.current {
-                        Some(seg) => seg.policy_for(&tuple),
-                        None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
-                    };
+                    let policy = SegmentPolicy::governing(self.current.as_ref(), tuple.tid);
                     let group = self.group_of(&tuple);
                     let idx = match self.asg_index(&group, policy.tuple_roles()) {
                         Some(i) => i,

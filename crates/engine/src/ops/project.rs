@@ -146,11 +146,7 @@ mod tests {
         let seg = SegmentPolicy::uniform(Policy::tuple_level(RoleSet::from([1]), Timestamp(0)));
         let out = run_unary(&mut proj, vec![Element::policy(seg)]);
         assert_eq!(out.len(), 1);
-        assert!(out[0]
-            .as_policy()
-            .unwrap()
-            .policy_for(&Tuple::new(StreamId(0), TupleId(0), Timestamp(0), vec![]))
-            .allows(&RoleSet::from([1])));
+        assert!(out[0].as_policy().unwrap().policy_for(TupleId(0)).allows(&RoleSet::from([1])));
     }
 
     #[test]
@@ -216,7 +212,7 @@ mod tests {
         let mut proj = Project::new(vec![2, 0]);
         let out = run_unary(&mut proj, vec![Element::policy(SegmentPolicy::uniform(policy))]);
         let seg = out[0].as_policy().unwrap();
-        let p = seg.policy_for(&Tuple::new(StreamId(0), TupleId(0), Timestamp(0), vec![]));
+        let p = seg.policy_for(TupleId(0));
         assert!(p.allows_attr(0, &RoleSet::from([5])));
         assert!(!p.allows_attr(1, &RoleSet::from([5])));
     }

@@ -179,10 +179,7 @@ impl Side {
         // Audited: a segment was pushed just above if none existed.
         #[allow(clippy::expect_used)]
         let seg = self.segments.back_mut().expect("segment exists");
-        let policy = match &seg.policy {
-            Some(p) => p.policy_for(&tuple),
-            None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
-        };
+        let policy = SegmentPolicy::governing(seg.policy.as_ref(), tuple.tid);
         seg.tuples.push_back((tuple, policy));
         self.tuple_count += 1;
     }

@@ -71,8 +71,7 @@ impl Operator for Union {
             match elem {
                 Element::Policy(seg) => {
                     self.stats.sps_in += 1;
-                    let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
-                    if newer {
+                    if seg.replaces(self.current[port].as_ref()) {
                         // Invalidate the announcement if it was this port's.
                         if matches!(&self.announced, Some((p, _)) if *p == port) {
                             self.announced = None;
@@ -245,18 +244,14 @@ impl Operator for SAIntersect {
             match elem {
                 Element::Policy(seg) => {
                     self.stats.sps_in += 1;
-                    let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
-                    if newer {
+                    if seg.replaces(self.current[port].as_ref()) {
                         self.current[port] = Some(seg);
                     }
                 }
                 Element::Tuple(tuple) => {
                     self.stats.tuples_in += 1;
                     self.invalidate(1 - port, tuple.ts);
-                    let policy: SharedPolicy = match &self.current[port] {
-                        Some(seg) => seg.policy_for(&tuple),
-                        None => Arc::new(Policy::deny_all(Timestamp::ZERO)),
-                    };
+                    let policy = SegmentPolicy::governing(self.current[port].as_ref(), tuple.tid);
                     // Probe the opposite window for value-equal partners. The
                     // governing policy of an intersection result is the union
                     // over all partners of the pairwise intersections — "roles

@@ -23,7 +23,7 @@
 //! run the executor only lends (a multi-query edge) a suppressed tuple is
 //! never cloned.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 use sp_core::{RoleSet, SharedPolicy, Tuple};
@@ -267,10 +267,7 @@ impl SecurityShield {
     /// Absorbs one arriving segment policy.
     fn absorb_policy(&mut self, seg: Arc<SegmentPolicy>) {
         self.stats.sps_in += 1;
-        // An sp-batch with a newer timestamp replaces the buffered
-        // policy (§V-A); older ones are ignored.
-        let replace = self.current.as_ref().is_none_or(|cur| seg.ts >= cur.ts);
-        if replace {
+        if seg.replaces(self.current.as_ref()) {
             self.verdict = self.evaluate_segment(&seg);
             self.pending_policy = match self.verdict {
                 Verdict::Fail | Verdict::Deny => None,
@@ -363,21 +360,19 @@ impl SecurityShield {
                     // while a segment is current.
                     #[allow(clippy::expect_used)]
                     let seg = self.current.as_ref().expect("PerTuple implies a segment");
-                    match seg.resolve_ref(tuple) {
-                        crate::element::Resolved::None => Hit::Deny,
-                        crate::element::Resolved::One(policy) => {
-                            // Hot path: consecutive tuples of one
-                            // segment resolve to the same policy
-                            // allocation — a pointer compare
-                            // reuses the previous verdict.
-                            match &self.tuple_cache {
-                                Some((cached, verdict, role)) if Arc::ptr_eq(cached, policy) => {
-                                    Hit::Cached(verdict.clone(), *role)
-                                }
-                                _ => Hit::Evaluate(policy.clone()),
+                    match seg.policy_for(tuple.tid) {
+                        // Hot path: consecutive tuples of one segment
+                        // resolve to the same policy allocation — a
+                        // pointer compare reuses the previous verdict.
+                        Cow::Borrowed(policy) => match &self.tuple_cache {
+                            Some((cached, verdict, role)) if Arc::ptr_eq(cached, policy) => {
+                                Hit::Cached(verdict.clone(), *role)
                             }
-                        }
-                        crate::element::Resolved::Many => Hit::Combined(seg.policy_for(tuple)),
+                            // Denial by default is not worth the cache slot.
+                            _ if policy.is_deny_all() => Hit::Deny,
+                            _ => Hit::Evaluate(policy.clone()),
+                        },
+                        Cow::Owned(policy) => Hit::Combined(policy),
                     }
                 };
                 match hit {

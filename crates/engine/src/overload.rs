@@ -568,7 +568,7 @@ impl Shedder {
             // deny it anyway, so shedding it cannot change the output.
             return false;
         };
-        !seg.policy_for(t).is_deny_all()
+        !seg.policy_for(t.tid).is_deny_all()
     }
 
     fn admit(&mut self, t: &Arc<Tuple>) {

@@ -461,11 +461,13 @@ impl Executor {
     }
 
     /// The latched failure, if any (see [`Executor::push_all`]).
+    #[must_use]
+    pub fn failure(&self) -> Option<&EngineError> {
+        self.failed.as_ref()
+    }
+
     fn alive(&self) -> Result<(), EngineError> {
-        match &self.failed {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
+        self.failure().map_or(Ok(()), |e| Err(e.clone()))
     }
 
     /// Whether runs coalesce on `edge`. Off the run-major path a

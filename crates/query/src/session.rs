@@ -257,11 +257,15 @@ impl RunningDsms {
     /// closed (in-flight elements of the failed push are discarded, never
     /// released), and the error is recorded for [`RunningDsms::errors`].
     /// An operator failure is latched by the executor, so feeding on after
-    /// one only records that same error again — nothing more is released.
+    /// one releases nothing more and returns that same error every time:
+    /// it is recorded once, not once per element fed to a failed session.
     /// Use [`RunningDsms::try_push`] to propagate instead.
     pub fn push(&mut self, stream: StreamId, elem: StreamElement) {
+        let latched = self.executor.failure().is_some();
         if let Err(e) = self.try_push(stream, elem) {
-            self.errors.push(e);
+            if !latched {
+                self.errors.push(e);
+            }
         }
     }
 
@@ -686,6 +690,62 @@ mod tests {
         // The sp arrived after the tuples, so nothing is released — but
         // the policy state advanced, which is what matters here.
         assert_eq!(running.results(q).tuple_count(), 0);
+    }
+
+    /// Forwards everything, failing on the tuple with id 2.
+    struct FailsOnTwo(sp_engine::OperatorStats);
+
+    impl sp_engine::Operator for FailsOnTwo {
+        fn name(&self) -> &str {
+            "fails-on-two"
+        }
+
+        fn process_batch(
+            &mut self,
+            _port: usize,
+            batch: sp_engine::ElementBatch,
+            out: &mut sp_engine::Emitter,
+        ) -> Result<(), sp_engine::EngineError> {
+            for elem in batch {
+                if elem.as_tuple().is_some_and(|t| t.tid.raw() == 2) {
+                    return Err(sp_engine::EngineError::MalformedElement {
+                        operator: "fails-on-two".into(),
+                        reason: "test failure".into(),
+                    });
+                }
+                out.push(elem);
+            }
+            Ok(())
+        }
+
+        fn stats(&self) -> &sp_engine::OperatorStats {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn push_records_a_latched_error_once() {
+        let d = dsms();
+        let mut b = PlanBuilder::new(Arc::new(d.catalog.roles.clone()));
+        let schema = d.catalog.stream("LocationUpdates").unwrap().schema.clone();
+        let src = b.source(StreamId(1), schema);
+        let failing = b.add(FailsOnTwo(sp_engine::OperatorStats::new()), src);
+        let _sink = b.sink(failing);
+        let mut running = RunningDsms {
+            executor: b.build(),
+            sinks: HashMap::new(),
+            errors: Vec::new(),
+            input_pos: 0,
+            admission: None,
+        };
+        running.push(StreamId(1), tup(1, 1, 0.0, 0.0));
+        assert!(running.errors().is_empty());
+        for i in 0..1_000 {
+            running.push(StreamId(1), tup(2 + i, 2 + i, 0.0, 0.0));
+        }
+        assert_eq!(running.errors().len(), 1, "the session's error log is bounded");
+        assert!(matches!(running.errors()[0], sp_engine::EngineError::MalformedElement { .. }));
+        assert_eq!(running.input_pos(), 1_001);
     }
 
     #[test]

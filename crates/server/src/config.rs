@@ -15,6 +15,10 @@ pub struct ChaosPanic {
     pub at_pos: u64,
 }
 
+/// Largest frame body a connection (client or replication) accepts; a
+/// header claiming more is treated as corruption immediately.
+pub(crate) const MAX_FRAME_LEN: usize = 1 << 20;
+
 /// Configuration of the front-door server.
 ///
 /// Per-tenant *engine* behavior (admission control, telemetry, queries)
@@ -34,9 +38,6 @@ pub struct ServerConfig {
     /// A connection silent this long is reaped (idle deadline); so is one
     /// whose peer has not taken a reply for this long (write deadline).
     pub idle_timeout_ms: u64,
-    /// Largest frame body accepted; a header claiming more is treated as
-    /// corruption immediately.
-    pub max_frame_len: usize,
     /// Corrupted frames tolerated per connection before the tenant's
     /// session is quarantined (fail closed): resync absorbs line noise,
     /// but a byte-garbage-spewing client is a security event.
@@ -87,7 +88,6 @@ impl Default for ServerConfig {
             max_conns: 256,
             read_timeout_ms: 25,
             idle_timeout_ms: 2_000,
-            max_frame_len: 1 << 20,
             garbage_quarantine: 64,
             checkpoint_every_frames: 0,
             metrics: false,

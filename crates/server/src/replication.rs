@@ -174,7 +174,7 @@ impl Shipper {
         let Ok(stream) = TcpStream::connect(self.target) else { return false };
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
-        self.conn = Some((stream, StreamDecoder::new(self.cfg.max_frame_len)));
+        self.conn = Some((stream, StreamDecoder::new(crate::config::MAX_FRAME_LEN)));
         self.repl.standby_connected.store(true, Ordering::SeqCst);
         let epoch = self.repl.fencing_epoch.load(Ordering::SeqCst);
         self.write_frame(&Control::ReplHello { fencing_epoch: epoch })

@@ -397,7 +397,7 @@ fn handle_conn(state: &Arc<ServerState>, mut stream: TcpStream) {
     // write error like any other: the connection closes, the tenant and
     // its cursor stay as the last handled frame left them.
     let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.idle_timeout_ms.max(1))));
-    let mut dec = StreamDecoder::new(cfg.max_frame_len);
+    let mut dec = StreamDecoder::new(crate::config::MAX_FRAME_LEN);
     let mut tenant: Option<Arc<TenantHandle>> = None;
     let mut pending_trace: Option<sp_core::TraceContext> = None;
     let mut idle_ms = 0u64;
