@@ -16,8 +16,6 @@ use crate::mechanism::{EnforcementMechanism, GoverningBatch, MechStats};
 
 /// The store-and-probe mechanism.
 pub struct StoreAndProbe {
-    catalog: Arc<RoleCatalog>,
-    schema: Arc<Schema>,
     query_roles: RoleSet,
     /// The central policy table: one row per object scope of the governing
     /// sp-batch, rewritten at every policy change and scanned by every
@@ -38,10 +36,8 @@ impl StoreAndProbe {
         _in_flight: usize,
     ) -> Self {
         Self {
-            catalog,
-            schema,
             query_roles,
-            table: GoverningBatch::default(),
+            table: GoverningBatch::new(catalog, schema),
             stats: MechStats::default(),
         }
     }
@@ -61,7 +57,7 @@ impl EnforcementMechanism for StoreAndProbe {
     fn process(&mut self, elem: StreamElement, out: &mut Vec<Arc<Tuple>>) {
         let start = Instant::now();
         match elem {
-            StreamElement::Punctuation(sp) => self.table.push(sp, &self.catalog, &self.schema),
+            StreamElement::Punctuation(sp) => self.table.push(sp),
             StreamElement::Tuple(tuple) => {
                 if self.table.policy_for(tuple.tid).allows(&self.query_roles) {
                     self.stats.released += 1;

@@ -28,8 +28,6 @@ pub struct EmbeddedTuple {
 
 /// The tuple-embedded mechanism.
 pub struct TupleEmbedded {
-    catalog: Arc<RoleCatalog>,
-    schema: Arc<Schema>,
     query_roles: RoleSet,
     /// Capacity of the in-flight buffer (tuples concurrently inside the
     /// system, each carrying its embedded policy copy).
@@ -52,11 +50,9 @@ impl TupleEmbedded {
         in_flight: usize,
     ) -> Self {
         Self {
-            catalog,
-            schema,
             query_roles,
             in_flight: in_flight.max(1),
-            current: GoverningBatch::default(),
+            current: GoverningBatch::new(catalog, schema),
             window: VecDeque::new(),
             stats: MechStats::default(),
         }
@@ -79,7 +75,7 @@ impl EnforcementMechanism for TupleEmbedded {
         match elem {
             // The data source's policy changes; subsequent tuples are
             // stamped with the new policy.
-            StreamElement::Punctuation(sp) => self.current.push(sp, &self.catalog, &self.schema),
+            StreamElement::Punctuation(sp) => self.current.push(sp),
             StreamElement::Tuple(tuple) => {
                 while self.window.len() >= self.in_flight {
                     self.window.pop_front();

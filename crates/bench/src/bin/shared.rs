@@ -1,154 +1,160 @@
-//! Multi-query optimization ablation (§VI-C, Fig. 5).
+//! Multi-query sharing (§VI-C, Fig. 5): what each added query costs.
 //!
-//! N queries with different roles run the same expensive select over one
-//! stream. Three deployments are compared:
+//! N ∈ {1, 8, 64} queries under different roles read one location stream
+//! with scoped sps every 25 tuples (`policy.heavy`'s shape), each
+//! shield → select → project → sink, fed in 128-element frames through
+//! `Executor::push_all`, as a session feeds them. Three deployments:
 //!
-//! 1. **separate** — each query runs its own copy of the subplan with its
-//!    own Security Shield (no sharing);
-//! 2. **shared** — one subplan instance, per-query shields at the top;
-//! 3. **merged** — one subplan instance with a *merged* shield (the union
-//!    of all predicates, Rule 1) at the bottom and the per-query shields
-//!    splitting at the top — the paper's "merge at the beginning, split at
-//!    the end".
+//! 1. **separate** — one source (and SP Analyzer) per query, no sharing;
+//! 2. **shared** — one source whose edge the N shields consume: the
+//!    executor judges them as one group, resolving each tuple's policy
+//!    once for all of them;
+//! 3. **merged** — one source, a *merged* shield (the union of all
+//!    predicates, Rule 1) below and the N shields splitting above it — the
+//!    paper's "merge at the beginning, split at the end", which
+//!    `Optimizer::shared_shield` decides on.
 //!
-//! All three must release identical per-query results; the harness prints
-//! total engine time for each (median of [`sp_bench::timing::RUNS`] runs,
-//! as `median [low..high]`) and the optimizer's own merge decision.
+//! All three must release identical per-query results. The table gives
+//! engine ns per input tuple (median of [`sp_bench::timing::RUNS`] runs,
+//! as `median [low..high]`) and the slope: what each query added since the
+//! previous N costs per input tuple.
 //!
-//! Usage: `cargo run --release -p sp-bench --bin shared [-- n_queries]`
+//! Usage: `cargo run --release -p sp-bench --bin shared`
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use sp_bench::timing::{median_of_runs, wall};
-use sp_bench::workloads::fig8_workload;
 use sp_bench::{log_rows, print_table, warn_if_debug, Row};
-use sp_core::{RoleId, RoleSet, StreamElement, Value};
-use sp_engine::{CmpOp, Expr, PlanBuilder, SecurityShield, Select, SinkRef};
-use sp_query::{merged_predicate, CostModel, LogicalPlan, Optimizer};
+use sp_core::{RoleId, RoleSet, StreamElement, StreamId, Value};
+use sp_engine::{CmpOp, Expr, PlanBuilder, Project, SecurityShield, Select, SinkRef, Upstream};
+use sp_mog::{location_stream, Workload, WorkloadConfig};
+use sp_query::{CostModel, LogicalPlan, Optimizer};
+
+/// Query counts of the fan-out sweep.
+const FANOUT: [u32; 3] = [1, 8, 64];
+
+/// Elements per `push_all` call (`policy.heavy`'s frame).
+const FRAME: usize = 128;
+
+const VARIANTS: [&str; 3] = ["separate", "shared", "merged"];
 
 fn predicate() -> Expr {
-    // A moderately expensive region predicate over the location stream.
-    Expr::and(
-        Expr::cmp(CmpOp::Ge, Expr::Attr(1), Expr::Const(Value::Float(200.0))),
-        Expr::and(
-            Expr::cmp(CmpOp::Le, Expr::Attr(1), Expr::Const(Value::Float(1300.0))),
-            Expr::cmp(CmpOp::Ge, Expr::Attr(2), Expr::Const(Value::Float(100.0))),
-        ),
-    )
+    Expr::cmp(CmpOp::Ge, Expr::Attr(3), Expr::Const(Value::Float(2.0)))
 }
 
 fn catalog() -> Arc<sp_core::RoleCatalog> {
     let mut c = sp_core::RoleCatalog::new();
-    c.register_synthetic_roles(600);
+    c.register_synthetic_roles(400);
     Arc::new(c)
 }
 
-/// Deploys one of the three variants and runs it once, returning
-/// per-query released counts and the wall time of the run.
-fn run(
-    variant: &str,
-    n_queries: u32,
-    elements: &[StreamElement],
-    schema: &Arc<sp_core::Schema>,
-) -> (Vec<usize>, Duration) {
-    let mut builder = PlanBuilder::new(catalog());
-    let stream = sp_core::StreamId(1);
-    let mut sinks: Vec<SinkRef> = Vec::new();
-    match variant {
-        "separate" => {
-            for q in 0..n_queries {
-                let src = builder.source(stream, schema.clone());
-                let sel = builder.add(Select::new(predicate()), src);
-                let ss = builder.add(SecurityShield::new(RoleSet::single(RoleId(q))), sel);
-                sinks.push(builder.sink(ss));
-            }
-        }
-        "shared" => {
-            let src = builder.source(stream, schema.clone());
-            let sel = builder.add(Select::new(predicate()), src);
-            for q in 0..n_queries {
-                let ss = builder.add(SecurityShield::new(RoleSet::single(RoleId(q))), sel);
-                sinks.push(builder.sink(ss));
-            }
-        }
+/// Deploys one variant for `n` queries and runs the workload through it
+/// once, returning per-query released counts and the wall time.
+fn run(variant: &str, n: u32, w: &Workload) -> (Vec<usize>, Duration) {
+    let mut b = PlanBuilder::new(catalog());
+    let below: Option<Upstream> = match variant {
+        "separate" => None,
+        "shared" => Some(b.source(w.stream, w.schema.clone()).into()),
         _ => {
-            // merged: union shield below the shared subplan, split above.
-            let merged: RoleSet = (0..n_queries).map(RoleId).collect();
-            let src = builder.source(stream, schema.clone());
-            let bottom = builder.add(SecurityShield::new(merged), src);
-            let sel = builder.add(Select::new(predicate()), bottom);
-            for q in 0..n_queries {
-                let ss = builder.add(SecurityShield::new(RoleSet::single(RoleId(q))), sel);
-                sinks.push(builder.sink(ss));
-            }
+            let src = b.source(w.stream, w.schema.clone());
+            Some(b.add(SecurityShield::new((0..n).map(RoleId).collect()), src).into())
         }
-    }
-    let mut exec = builder.build();
+    };
+    let sinks: Vec<SinkRef> = (0..n)
+        .map(|q| {
+            let input = below.unwrap_or_else(|| b.source(w.stream, w.schema.clone()).into());
+            let ss = b.add(SecurityShield::new(RoleSet::single(RoleId(q))), input);
+            let sel = b.add(Select::new(predicate()), ss);
+            let proj = b.add(Project::new(vec![0, 3]), sel);
+            b.sink(proj)
+        })
+        .collect();
+    let mut exec = b.build();
+    let frames: Vec<Vec<(StreamId, StreamElement)>> = w
+        .elements
+        .chunks(FRAME)
+        .map(|frame| frame.iter().map(|e| (w.stream, e.clone())).collect())
+        .collect();
     let ((), elapsed) = wall(|| {
-        for e in elements {
-            exec.push(stream, e.clone()).expect("bench plan failed");
+        for frame in frames {
+            exec.push_all(frame).expect("bench plan failed");
         }
     });
-    let counts = sinks.iter().map(|&s| exec.sink(s).tuple_count()).collect();
-    (counts, elapsed)
+    (sinks.iter().map(|&s| exec.sink(s).tuple_count()).collect(), elapsed)
 }
 
 fn main() {
     warn_if_debug();
-    let n_queries: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-
-    // Workload: whole-segment sps whose roles are drawn from the query
-    // role range, so each query sees a different subset.
-    let workload = fig8_workload(10, 21);
+    let w = location_stream(&WorkloadConfig {
+        objects: 1000,
+        ticks: 20,
+        sp_every: 25,
+        policy_roles: 100,
+        role_universe: 400,
+        grant_selectivity: 0.5,
+        scoped_sps: true,
+        tick_ms: 50,
+        burst: None,
+        seed: 21,
+    });
+    let ns_per_tuple = |d: Duration| d.as_secs_f64() * 1e9 / w.tuples as f64;
 
     let mut table = Vec::new();
     let mut rows = Vec::new();
-    let mut reference: Option<Vec<usize>> = None;
-    for variant in ["separate", "shared", "merged"] {
-        let timed =
-            median_of_runs(|| run(variant, n_queries, &workload.elements, &workload.schema));
-        let counts = &timed.run;
-        match &reference {
-            None => reference = Some(counts.clone()),
-            Some(r) => assert_eq!(counts, r, "{variant} changed per-query results"),
+    let mut released: [Option<Vec<usize>>; FANOUT.len()] = Default::default();
+    for variant in VARIANTS {
+        let mut previous: Option<(u32, f64)> = None;
+        for (n, reference) in FANOUT.into_iter().zip(&mut released) {
+            let timed = median_of_runs(|| run(variant, n, &w));
+            let reference = reference.get_or_insert_with(|| timed.run.clone());
+            assert_eq!(&timed.run, reference, "{variant} changed per-query results at {n} queries");
+            let ns = timed.spread(ns_per_tuple);
+            let slope = previous.map(|(m, prev)| (ns.median - prev) / f64::from(n - m));
+            previous = Some((n, ns.median));
+            table.push(vec![
+                variant.to_owned(),
+                n.to_string(),
+                ns.cell(0),
+                slope.map_or_else(|| "-".to_owned(), |s| format!("{s:.1}")),
+                timed.run.iter().sum::<usize>().to_string(),
+            ]);
+            rows.push(Row {
+                experiment: "shared",
+                param: "queries",
+                value: n.to_string(),
+                series: variant.to_owned(),
+                metric: "ns_per_tuple",
+                measured: ns.median,
+                spread: Some((ns.low, ns.high)),
+            });
         }
-        let total: usize = counts.iter().sum();
-        let ms = timed.spread(|elapsed| elapsed.as_secs_f64() * 1000.0);
-        table.push(vec![variant.to_owned(), ms.cell(1), format!("{total}")]);
-        rows.push(Row {
-            experiment: "shared",
-            param: "variant",
-            value: variant.to_owned(),
-            series: format!("{n_queries}q"),
-            metric: "total_ms",
-            measured: ms.median,
-            spread: Some((ms.low, ms.high)),
-        });
     }
     print_table(
-        &format!("Multi-query sharing ({n_queries} queries over one select)"),
-        &["variant", "engine ms", "released"],
+        &format!(
+            "Multi-query fan-out ({} tuples, scoped sps every 25, {FRAME}-element frames)",
+            w.tuples
+        ),
+        &["variant", "queries", "ns/tuple", "slope ns/query", "released"],
         &table,
     );
     log_rows(&rows);
 
-    // The optimizer's own §VI-C merge decision for this shape.
-    let predicates: Vec<RoleSet> = (0..n_queries).map(|q| RoleSet::single(RoleId(q))).collect();
+    // The optimizer's own §VI-C merge decision for eight of these queries.
+    let predicates: Vec<RoleSet> = (0..8).map(|q| RoleSet::single(RoleId(q))).collect();
     let shared_plan = LogicalPlan::Select {
         predicate: predicate(),
         input: Box::new(LogicalPlan::Scan {
-            stream: sp_core::StreamId(1),
-            schema: workload.schema.clone(),
+            stream: w.stream,
+            schema: w.schema.clone(),
             window_ms: 10_000,
         }),
     };
-    let optimizer = Optimizer::new(CostModel::default());
-    let (merged, worthwhile) = optimizer.shared_shield(&predicates, &shared_plan);
+    let (merged, worthwhile) =
+        Optimizer::new(CostModel::default()).shared_shield(&predicates, &shared_plan);
     println!(
         "\noptimizer decision: merge {} predicates into ψ{merged} below the shared subplan: {}",
         predicates.len(),
         if worthwhile { "YES" } else { "no" }
     );
-    let _ = merged_predicate(&predicates);
 }

@@ -18,8 +18,8 @@
 //!   same timestamp form one policy ("access increases"),
 //! * [`Policy::intersect`] — combining data-provider and server policies
 //!   ("access decreases"; servers may refine, never broaden),
-//! * [`Policy::override_with`] — an sp with a newer timestamp replaces the
-//!   earlier policy on the same objects.
+//! * `override()` — an sp-batch with a newer timestamp replaces the earlier
+//!   one wholesale; the engine's `SegmentPolicy::replaces` is that rule.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -237,17 +237,6 @@ impl Policy {
         }
         out.prune();
         out
-    }
-
-    /// `override()`: replaces this policy if `newer` has a strictly more
-    /// recent timestamp (§III-E); otherwise keeps `self`.
-    #[must_use]
-    pub fn override_with(&self, newer: &Policy) -> Policy {
-        if newer.ts > self.ts {
-            newer.clone()
-        } else {
-            self.clone()
-        }
     }
 
     /// Restricts every authorization to the given role set (least
@@ -710,18 +699,6 @@ mod tests {
         let server = Policy::tuple_level(rs(&[2]), Timestamp(2));
         let c = provider.intersect(&server);
         assert!(c.allows(&rs(&[1])), "immutable provider policy wins");
-    }
-
-    #[test]
-    fn override_respects_timestamps() {
-        let old = Policy::tuple_level(rs(&[1]), Timestamp(1));
-        let new = Policy::tuple_level(rs(&[2]), Timestamp(2));
-        assert!(old.override_with(&new).allows(&rs(&[2])));
-        assert!(!old.override_with(&new).allows(&rs(&[1])));
-        // Same or older timestamp does not override.
-        assert!(new.override_with(&old).allows(&rs(&[2])));
-        let same = Policy::tuple_level(rs(&[3]), Timestamp(2));
-        assert!(new.override_with(&same).allows(&rs(&[2])));
     }
 
     #[test]

@@ -102,18 +102,6 @@ proptest! {
     }
 
     #[test]
-    fn policy_override_picks_newer(a in arb_ids(), b in arb_ids(), ta in 0u64..10, tb in 0u64..10) {
-        let pa = Policy::tuple_level(to_roleset(&a), Timestamp(ta));
-        let pb = Policy::tuple_level(to_roleset(&b), Timestamp(tb));
-        let o = pa.override_with(&pb);
-        if tb > ta {
-            prop_assert_eq!(o, pb);
-        } else {
-            prop_assert_eq!(o, pa);
-        }
-    }
-
-    #[test]
     fn punctuation_wire_round_trip(
         roles in arb_ids(),
         lo in 0u64..1000,

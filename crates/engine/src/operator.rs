@@ -1,5 +1,7 @@
 //! The stream operator abstraction and output collector.
 
+use std::any::Any;
+
 use crate::batch::ElementBatch;
 use crate::element::Element;
 use crate::error::EngineError;
@@ -70,8 +72,10 @@ impl Emitter {
 /// [`Operator::process_run`] — together with the input port they arrived
 /// on (0 for unary operators, 0/1 for joins). A single element is a run of
 /// one ([`OperatorExt::process`]). Operators own their cost counters so
-/// the evaluation harness can read per-operator breakdowns.
-pub trait Operator: Send {
+/// the evaluation harness can read per-operator breakdowns. An operator is
+/// `Any`, so the executor can recognize the Security Shields that consume
+/// one edge and judge them as one group (§VI-C).
+pub trait Operator: Any + Send {
     /// Operator name for plan display ("ss", "select", "sajoin", ...).
     fn name(&self) -> &str;
 

@@ -22,12 +22,17 @@
 //! allocates nothing. One run body serves owned and lent runs alike; of a
 //! run the executor only lends (a multi-query edge) a suppressed tuple is
 //! never cloned.
+//!
+//! Shield groups (§VI-C): which policy governs each tuple of a run is
+//! resolved once for the sibling shields of an edge (`Resolution`); a
+//! shield shown a run on its own is a group of one.
 
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 use sp_core::{RoleSet, SharedPolicy, Tuple};
 
+use crate::batch::ElementBatch;
 use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
@@ -95,6 +100,46 @@ impl Release {
 /// verdict (`None` = suppress), and the authorizing role.
 type TupleVerdictCache = (SharedPolicy, Option<Release>, u32);
 
+/// Consecutive tuples of a run that their segment gives one policy
+/// allocation (a policy combined for one tuple is a sub-run of its own).
+#[derive(Debug)]
+struct SubRun<'s> {
+    len: usize,
+    policy: Cow<'s, SharedPolicy>,
+    /// Arity of the first tuple (attribute masks).
+    arity: usize,
+}
+
+/// The sub-runs of one tuple run, resolved once for the sibling shields
+/// of an edge (§VI-C): the first member to need them records them, the
+/// others replay them while they hold the same segment. One per run.
+#[derive(Debug, Default)]
+pub(crate) struct Resolution {
+    /// The segment the sub-runs were resolved under.
+    seg: Option<Arc<SegmentPolicy>>,
+    subruns: Vec<SubRun<'static>>,
+}
+
+/// A run being judged, which shows what is left of it.
+trait Rest {
+    fn rest(&self) -> &[Element];
+}
+
+impl Rest for std::slice::Iter<'_, Element> {
+    fn rest(&self) -> &[Element] {
+        self.as_slice()
+    }
+}
+
+impl Rest for crate::batch::IntoIter {
+    fn rest(&self) -> &[Element] {
+        match self {
+            Self::One(elem) => elem.as_slice(),
+            Self::Many(run) => run.as_slice(),
+        }
+    }
+}
+
 /// The Security Shield operator.
 #[derive(Debug)]
 pub struct SecurityShield {
@@ -111,8 +156,8 @@ pub struct SecurityShield {
     pending_policy: Option<Arc<SegmentPolicy>>,
     /// `(arity, mask)` cache for attribute-granularity uniform segments.
     mask_cache: Option<(usize, Release)>,
-    /// Per-tuple verdict cache for scoped segments: consecutive tuples of
-    /// one segment resolve to the *same shared policy allocation*, so a
+    /// Per-sub-run verdict cache for scoped segments: consecutive tuples
+    /// of one segment resolve to the *same shared policy allocation*, so a
     /// pointer compare reuses the previous decision ("once an sp has been
     /// processed, the decision applies to all tuples that follow it").
     /// Keeping the `Arc` alive makes the identity check sound. The third
@@ -327,147 +372,185 @@ impl SecurityShield {
         self.rec.audit.enabled() || self.rec.spans.enabled()
     }
 
-    /// The one decision core: judges a tuple under the current verdict
-    /// and does everything a decision entails — counters, recorders, the
-    /// owed policy ahead of a release — except emitting the tuple, which
-    /// the caller moves (it owns the run) or clones (it was lent it).
-    /// `None` suppresses. Inlined into each run body: as a call returning
-    /// its verdict through memory it cost a singleton run ≈ 7 ns.
-    #[inline(always)]
-    fn judge_tuple(&mut self, tuple: &Tuple, out: &mut Emitter) -> Option<Release> {
-        self.stats.tuples_in += 1;
-        let mut audit_role = u32::MAX;
-        let decision = match &self.verdict {
-            Verdict::Deny | Verdict::Fail => None,
-            Verdict::Pass { mask_from } => {
-                audit_role = self.seg_role;
-                match mask_from.clone() {
-                    None => Some(Release::Whole),
-                    Some(policy) => Some(self.cached_mask(&policy, tuple.arity())),
-                }
+    /// How the predicate judges one sub-run's policy — the release
+    /// (`None` suppresses) and the authorizing role — through the verdict
+    /// cache, keyed on the policy allocation; deny-all is not worth a slot.
+    fn decide(&mut self, sub: &SubRun<'_>) -> (Option<Release>, u32) {
+        let policy = &*sub.policy;
+        match &self.tuple_cache {
+            Some((cached, verdict, role)) if Arc::ptr_eq(cached, policy) => {
+                (verdict.clone(), *role)
             }
-            Verdict::PerTuple => {
-                // Resolve with a scoped borrow, deferring any
-                // mutation of the verdict cache.
-                enum Hit {
-                    Deny,
-                    Cached(Option<Release>, u32),
-                    Evaluate(SharedPolicy),
-                    Combined(SharedPolicy),
-                }
-                let hit = {
-                    // Audited: the PerTuple verdict is only produced
-                    // while a segment is current.
-                    #[allow(clippy::expect_used)]
-                    let seg = self.current.as_ref().expect("PerTuple implies a segment");
-                    match seg.policy_for(tuple.tid) {
-                        // Hot path: consecutive tuples of one segment
-                        // resolve to the same policy allocation — a
-                        // pointer compare reuses the previous verdict.
-                        Cow::Borrowed(policy) => match &self.tuple_cache {
-                            Some((cached, verdict, role)) if Arc::ptr_eq(cached, policy) => {
-                                Hit::Cached(verdict.clone(), *role)
-                            }
-                            // Denial by default is not worth the cache slot.
-                            _ if policy.is_deny_all() => Hit::Deny,
-                            _ => Hit::Evaluate(policy.clone()),
-                        },
-                        Cow::Owned(policy) => Hit::Combined(policy),
-                    }
-                };
-                match hit {
-                    Hit::Deny => None,
-                    Hit::Cached(verdict, role) => {
-                        audit_role = role;
-                        verdict
-                    }
-                    Hit::Evaluate(policy) => {
-                        let verdict = self.judge(&policy, tuple.arity());
-                        let role = self.authorizing_role(&policy);
-                        self.tuple_cache = Some((policy, verdict.clone(), role));
-                        audit_role = role;
-                        verdict
-                    }
-                    Hit::Combined(policy) => {
-                        audit_role = self.authorizing_role(&policy);
-                        self.judge(&policy, tuple.arity())
-                    }
-                }
+            _ if policy.is_deny_all() => (None, u32::MAX),
+            _ => {
+                let verdict = self.judge(policy, sub.arity);
+                let role = self.authorizing_role(policy);
+                self.tuple_cache = Some((policy.clone(), verdict.clone(), role));
+                (verdict, role)
             }
-        };
-        if decision.is_some() {
-            self.flush_pending(out);
-            self.stats.tuples_out += 1;
-        } else {
-            self.stats.tuples_shielded += 1;
         }
-        let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-        self.record_decision(decision.is_some(), tuple.tid.raw(), tuple.ts.0, sp_ts, audit_role);
-        decision
     }
 
-    /// One run through the shield, owned or lent: `T` is an `Element`
-    /// the caller gives up (`own` is the identity, released tuples move
-    /// through) or a `&Element` it was shown (`own` clones, and runs only
-    /// for what is released or absorbed).
-    ///
-    /// A tuple-only run is judged under one verdict — no policy can
-    /// arrive inside it — and released whole (uniform pass, tuple
-    /// granularity) or suppressed whole (deny/fail) with O(1) counter
-    /// updates. Attribute-masked and scoped segments, and any run holding
-    /// a policy, go element by element through the decision core, so
-    /// outputs, counters, audit records and snapshots do not depend on
-    /// where a run was cut.
+    /// The one decision body: settles the next `n` tuples of `run` (under
+    /// the segment stamped `sp_ts`) with one decision — counters in bulk,
+    /// the owed policy ahead of a release, a record per tuple only while a
+    /// recorder is armed, a move or clone per *released* tuple only.
+    #[inline(always)]
+    fn settle<T: Borrow<Element>>(
+        &mut self,
+        run: &mut impl Iterator<Item = T>,
+        n: usize,
+        (release, role): (Option<Release>, u32),
+        sp_ts: u64,
+        own: &impl Fn(T) -> Element,
+        out: &mut Emitter,
+    ) {
+        let recording = self.recording();
+        self.stats.tuples_in += n as u64;
+        let Some(release) = release else {
+            self.stats.tuples_shielded += n as u64;
+            if recording {
+                for item in run.by_ref().take(n) {
+                    if let Some(t) = item.borrow().as_tuple() {
+                        self.record_decision(false, t.tid.raw(), t.ts.0, sp_ts, role);
+                    }
+                }
+            } else if n > 0 {
+                run.nth(n - 1);
+            }
+            return;
+        };
+        self.flush_pending(out);
+        self.stats.tuples_out += n as u64;
+        out.reserve(n);
+        for item in run.by_ref().take(n) {
+            if let (true, Some(t)) = (recording, item.borrow().as_tuple()) {
+                self.record_decision(true, t.tid.raw(), t.ts.0, sp_ts, role);
+            }
+            match &release {
+                Release::Whole => out.push(own(item)),
+                Release::Masked(attrs) => {
+                    if let Some(t) = item.borrow().as_tuple() {
+                        out.push(Element::tuple(t.mask(attrs)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Judges a run this shield takes by move, as a member of a group.
+    pub(crate) fn shield_owned(
+        &mut self,
+        batch: ElementBatch,
+        group: &mut Resolution,
+        out: &mut Emitter,
+    ) {
+        self.shield_run(batch.into_iter(), Some(group), |e| e, out);
+    }
+
+    /// [`Self::shield_owned`] for a run this shield is only lent.
+    pub(crate) fn shield_lent(
+        &mut self,
+        run: &[Element],
+        group: &mut Resolution,
+        out: &mut Emitter,
+    ) {
+        self.shield_run(run.iter(), Some(group), Element::clone, out);
+    }
+
+    /// One run through the shield: `T` is an `Element` the caller gives up
+    /// (`own` moves it) or a `&Element` it was shown (`own` clones, only
+    /// what is released or absorbed). A stretch of tuples meets no policy,
+    /// so it is settled whole for a uniform segment, per sub-run for a
+    /// scoped one (the group's, or resolved here), per tuple only where an
+    /// attribute mask depends on the arity — where a run was cut, and who
+    /// shares its resolution, is unobservable. Inlined into each entry
+    /// point: a singleton run cannot afford the call.
+    #[inline(always)]
     fn shield_run<T: Borrow<Element>>(
         &mut self,
-        run: impl ExactSizeIterator<Item = T>,
-        tuples_only: bool,
+        mut run: impl Iterator<Item = T> + Rest,
+        mut group: Option<&mut Resolution>,
         own: impl Fn(T) -> Element,
         out: &mut Emitter,
     ) {
-        let n = run.len();
-        let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
-        match &self.verdict {
-            Verdict::Deny | Verdict::Fail if tuples_only => {
-                self.stats.tuples_in += n as u64;
-                self.stats.tuples_shielded += n as u64;
-                if self.recording() {
-                    for item in run {
-                        if let Some(t) = item.borrow().as_tuple() {
-                            self.record_decision(false, t.tid.raw(), t.ts.0, sp_ts, u32::MAX);
-                        }
+        while let Some(tuple) = run.rest().first().map(Element::is_tuple) {
+            if !tuple {
+                if let Some(Element::Policy(seg)) = run.next().map(&own) {
+                    self.absorb_policy(seg);
+                }
+                continue;
+            }
+            let n = run.rest().iter().take_while(|e| e.is_tuple()).count();
+            let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
+            match &self.verdict {
+                Verdict::Deny | Verdict::Fail => {
+                    self.settle(&mut run, n, (None, u32::MAX), sp_ts, &own, out);
+                }
+                Verdict::Pass { mask_from: None } => {
+                    let decision = (Some(Release::Whole), self.seg_role);
+                    self.settle(&mut run, n, decision, sp_ts, &own, out);
+                }
+                Verdict::Pass { mask_from: Some(policy) } => {
+                    let policy = policy.clone();
+                    for item in run.by_ref().take(n) {
+                        let arity = item.borrow().as_tuple().map_or(0, |t| t.arity());
+                        let decision = (Some(self.cached_mask(&policy, arity)), self.seg_role);
+                        self.settle(&mut std::iter::once(item), 1, decision, sp_ts, &own, out);
                     }
                 }
-            }
-            Verdict::Pass { mask_from: None } if tuples_only => {
-                self.stats.tuples_in += n as u64;
-                self.stats.tuples_out += n as u64;
-                self.flush_pending(out);
-                out.reserve(n);
-                let recording = self.recording();
-                for item in run {
-                    if let (true, Some(t)) = (recording, item.borrow().as_tuple()) {
-                        self.record_decision(true, t.tid.raw(), t.ts.0, sp_ts, self.seg_role);
-                    }
-                    out.push(own(item));
-                }
-            }
-            _ => {
-                for item in run {
-                    match item.borrow() {
-                        Element::Tuple(tuple) => match self.judge_tuple(tuple, out) {
-                            None => {}
-                            Some(Release::Whole) => out.push(own(item)),
-                            Some(Release::Masked(attrs)) => {
-                                out.push(Element::tuple(tuple.mask(&attrs)));
-                            }
-                        },
-                        Element::Policy(_) => {
-                            if let Element::Policy(seg) = own(item) {
-                                self.absorb_policy(seg);
+                Verdict::PerTuple => {
+                    // Borrowed out for the stretch, so resolving costs no
+                    // `Arc` traffic: only `decide` and `settle` run meanwhile.
+                    let seg = self.current.take();
+                    match (group.as_deref_mut(), seg.as_ref()) {
+                        (Some(res), Some(seg))
+                            if res.seg.as_ref().is_some_and(|held| Arc::ptr_eq(held, seg)) =>
+                        {
+                            debug_assert_eq!(res.subruns.iter().map(|s| s.len).sum::<usize>(), n);
+                            for sub in &res.subruns {
+                                let decision = self.decide(sub);
+                                self.settle(&mut run, sub.len, decision, sp_ts, &own, out);
                             }
                         }
+                        (group, Some(seg)) => {
+                            // Resolved here, each tuple once, and recorded
+                            // for the siblings of a group.
+                            let mut record = group.map(|res| {
+                                *res = Resolution { seg: Some(seg.clone()), subruns: Vec::new() };
+                                &mut res.subruns
+                            });
+                            let resolve = |tuple: &Tuple| seg.policy_for(tuple.tid);
+                            let (mut head, mut left) = (None, n);
+                            while left > 0 {
+                                let mut stretch =
+                                    run.rest()[..left].iter().filter_map(Element::as_tuple);
+                                let Some(first) = stretch.next() else { break };
+                                let policy = head.take().unwrap_or_else(|| resolve(first));
+                                let mut sub = SubRun { len: 1, policy, arity: first.arity() };
+                                for tuple in stretch {
+                                    match resolve(tuple) {
+                                        Cow::Borrowed(p) if Arc::ptr_eq(p, &sub.policy) => {
+                                            sub.len += 1;
+                                        }
+                                        other => {
+                                            head = Some(other);
+                                            break;
+                                        }
+                                    }
+                                }
+                                left -= sub.len;
+                                let decision = self.decide(&sub);
+                                self.settle(&mut run, sub.len, decision, sp_ts, &own, out);
+                                if let Some(record) = record.as_mut() {
+                                    let policy = Cow::Owned(SharedPolicy::clone(&sub.policy));
+                                    record.push(SubRun { policy, ..sub });
+                                }
+                            }
+                        }
+                        (_, None) => {}
                     }
+                    self.current = seg;
                 }
             }
         }
@@ -486,8 +569,7 @@ impl Operator for SecurityShield {
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
         unary_port("ss", port)?;
-        let tuples_only = !batch.is_control();
-        self.shield_run(batch.into_iter(), tuples_only, |e| e, out);
+        self.shield_run(batch.into_iter(), None, |e| e, out);
         Ok(())
     }
 
@@ -499,7 +581,7 @@ impl Operator for SecurityShield {
         out: &mut Emitter,
     ) -> Result<(), EngineError> {
         unary_port("ss", port)?;
-        self.shield_run(run.iter(), run.iter().all(Element::is_tuple), Element::clone, out);
+        self.shield_run(run.iter(), None, Element::clone, out);
         Ok(())
     }
 

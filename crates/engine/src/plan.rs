@@ -36,10 +36,16 @@
 //! every input. A session hands each decoded frame to `push_all` whole;
 //! [`Executor::push`] is its one-element case.
 //!
+//! **Shield groups (§VI-C).** On the run-major path the Security Shields
+//! of one edge are one consumer, fed last: the governing policy of each
+//! tuple of a run is resolved once for all of them.
+//!
 //! **One clock.** Operators do not time themselves. The executor reads
-//! the clock around each operator call — one pair per *batch* — and only
-//! while `telemetry.metrics` is on, to feed `sp_operator_latency_ns`.
+//! the clock around each operator call — one pair per *batch* (or shield
+//! group) — and only while `telemetry.metrics` is on, to feed
+//! `sp_operator_latency_ns`.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -52,6 +58,7 @@ use crate::batch::ElementBatch;
 use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
+use crate::ops::shield::{Resolution, SecurityShield};
 use crate::ops::sink::Sink;
 use crate::stats::OperatorStats;
 use crate::telemetry::{
@@ -126,6 +133,33 @@ pub(crate) struct Source {
     pub(crate) stream: StreamId,
     pub(crate) analyzer: SpAnalyzer,
     pub(crate) outputs: Vec<Target>,
+}
+
+/// The Security Shields consuming one edge (member node indices), judged
+/// as one group (§VI-C), and the edge's other consumers.
+struct ShieldGroup {
+    members: Vec<usize>,
+    others: Vec<Target>,
+}
+
+impl ShieldGroup {
+    /// The group among `outputs`, when at least two of them are shields.
+    fn of(nodes: &[Node], outputs: &[Target]) -> Option<Self> {
+        let member = |t: &Target| match *t {
+            Target::Node(n, _) if (nodes[n].op.as_ref() as &dyn Any).is::<SecurityShield>() => {
+                Some(n)
+            }
+            _ => None,
+        };
+        let members: Vec<usize> = outputs.iter().filter_map(member).collect();
+        let others = outputs.iter().filter(|t| member(t).is_none()).copied().collect();
+        (members.len() > 1).then_some(Self { members, others })
+    }
+}
+
+/// A group member's shield (members are shields by construction).
+fn shield(node: &mut Node) -> Option<&mut SecurityShield> {
+    (node.op.as_mut() as &mut dyn Any).downcast_mut()
 }
 
 /// Arms every analyzer's and operator's recorders; a capacity of 0
@@ -296,6 +330,11 @@ impl PlanBuilder {
         let latency = vec![Histogram::new(); self.nodes.len()];
         let staged = self.sources.iter().map(|_| Vec::with_capacity(16)).collect();
         let has_binary = self.nodes.iter().any(|n| n.op.arity() > 1);
+        // Only a binary-free plan routes run-major, where sibling order is free.
+        let groups = (self.sources.iter().map(|s| &s.outputs))
+            .chain(self.nodes.iter().map(|n| &n.outputs))
+            .map(|outputs| ShieldGroup::of(&self.nodes, outputs).filter(|_| !has_binary))
+            .collect();
         Executor {
             nodes: self.nodes,
             sources: self.sources,
@@ -309,6 +348,7 @@ impl PlanBuilder {
             queue_depth: Histogram::new(),
             batching: true,
             has_binary,
+            groups,
             failed: None,
         }
     }
@@ -325,20 +365,31 @@ enum Edge {
 
 /// Queues `elems` on `edge`. With `coalesce`, an element joins the queue's
 /// tail batch when that batch is on the same edge and of the same kind;
-/// otherwise it starts a singleton batch. Merging only ever touches the
-/// *tail*, so the per-edge element order is exactly the order queued here.
+/// otherwise it starts a batch, which the same-kind run behind it joins
+/// whole (one allocation). Merging only ever touches the *tail*, so the
+/// per-edge element order is exactly the order queued here.
 fn enqueue(
     queue: &mut VecDeque<(Edge, ElementBatch)>,
     edge: Edge,
-    elems: impl Iterator<Item = Element>,
+    mut elems: std::vec::Drain<'_, Element>,
     coalesce: bool,
 ) {
-    for elem in elems {
+    while let Some(elem) = elems.next() {
         match queue.back_mut() {
             Some((tail, batch)) if coalesce && *tail == edge && batch.accepts(&elem) => {
                 batch.push(elem);
             }
-            _ => queue.push_back((edge, ElementBatch::single(elem))),
+            _ => {
+                let kind = elem.is_tuple();
+                let same = elems.as_slice().iter().take_while(|e| coalesce && e.is_tuple() == kind);
+                let batch = match same.count() {
+                    0 => ElementBatch::single(elem),
+                    n => ElementBatch::from_run(
+                        std::iter::once(elem).chain(elems.by_ref().take(n)).collect(),
+                    ),
+                };
+                queue.push_back((edge, batch));
+            }
         }
     }
 }
@@ -369,6 +420,8 @@ pub struct Executor {
     /// where each operator's input sequence alone determines every
     /// observable.
     has_binary: bool,
+    /// The shield group consuming each edge: sources' first, then nodes'.
+    groups: Vec<Option<ShieldGroup>>,
     /// The first error an operator reported. The work discarded with it
     /// can hold a revocation bound for another query's shield, so a failed
     /// executor stays failed: every later push returns this error again.
@@ -490,23 +543,41 @@ impl Executor {
 
     fn drain(&mut self) -> Result<(), EngineError> {
         let mut emitter = std::mem::take(&mut self.emitter);
+        let groups = std::mem::take(&mut self.groups);
         let mut result = Ok(());
         while let Some((edge, batch)) = self.queue.pop_front() {
             // Every consumer but the last is lent the run; the last (on a
-            // single-consumer edge, the only one) takes it by move.
-            let Some(last) = self.outputs(edge).len().checked_sub(1) else {
-                continue;
+            // single-consumer edge, the only one) takes it by move. A
+            // shield group is one consumer, and the last.
+            let slot = match edge {
+                Edge::Source(s) => s,
+                Edge::Node(n) => self.sources.len() + n,
+            };
+            let group = groups[slot].as_ref().filter(|_| self.batching);
+            let lent = match (group, self.outputs(edge).len()) {
+                (Some(group), _) => group.others.len(),
+                (None, 0) => continue,
+                (None, n) => n - 1,
             };
             let len = batch.len() as u64;
-            result = (0..last).try_for_each(|i| {
-                self.feed(self.outputs(edge)[i], len, &mut emitter, |op, port, out| {
+            result = (0..lent).try_for_each(|i| {
+                let target = group.map_or_else(|| self.outputs(edge)[i], |g| g.others[i]);
+                self.feed(target, len, &mut emitter, |op, port, out| {
                     op.process_run(port, batch.as_slice(), out)
                 })
             });
             if result.is_ok() {
-                result = self.feed(self.outputs(edge)[last], len, &mut emitter, |op, port, out| {
-                    op.process_batch(port, batch, out)
-                });
+                result = match group {
+                    Some(group) => {
+                        self.feed_group(&group.members, batch, &mut emitter);
+                        Ok(())
+                    }
+                    None => {
+                        self.feed(self.outputs(edge)[lent], len, &mut emitter, |op, port, out| {
+                            op.process_batch(port, batch, out)
+                        })
+                    }
+                };
             }
             if let Err(e) = &result {
                 // Fail closed: everything staged behind the failure —
@@ -518,8 +589,40 @@ impl Executor {
                 break;
             }
         }
+        self.groups = groups;
         self.emitter = emitter;
         result
+    }
+
+    /// Hands a run to a shield group in one call: lent to every member but
+    /// the last, each member's output queued on its own edge. Under
+    /// `telemetry.metrics` the call is timed once and split evenly, each
+    /// member counting the elements it was shown.
+    fn feed_group(&mut self, members: &[usize], batch: ElementBatch, emitter: &mut Emitter) {
+        let Some((&last, lent)) = members.split_last() else {
+            return;
+        };
+        let start = self.telemetry.metrics.then(Instant::now);
+        let len = batch.len() as u64;
+        let mut res = Resolution::default();
+        for &n in lent {
+            if let Some(ss) = shield(&mut self.nodes[n]) {
+                ss.shield_lent(batch.as_slice(), &mut res, emitter);
+            }
+            self.queue_output(n, emitter);
+        }
+        if let Some(ss) = shield(&mut self.nodes[last]) {
+            ss.shield_owned(batch, &mut res, emitter);
+        }
+        self.queue_output(last, emitter);
+        if let Some(start) = start {
+            #[allow(clippy::cast_possible_truncation)] // < 585 years
+            let ns = start.elapsed().as_nanos() as u64;
+            for &n in members {
+                self.latency[n].record_n(ns / (members.len() as u64 * len).max(1), len);
+                self.queue_depth.record(self.queue.len() as u64);
+            }
+        }
     }
 
     /// Runs one operator call on `target` and queues what it emits.
@@ -549,12 +652,17 @@ impl Executor {
                     self.latency[n].record_n(ns / len.max(1), len);
                     self.queue_depth.record(self.queue.len() as u64);
                 }
-                let edge = Edge::Node(n);
-                let coalesce = self.coalesces(edge);
-                enqueue(&mut self.queue, edge, emitter.drain(), coalesce);
+                self.queue_output(n, emitter);
                 Ok(())
             }
         }
+    }
+
+    /// Queues what node `n` emitted on its edge.
+    fn queue_output(&mut self, n: usize, emitter: &mut Emitter) {
+        let edge = Edge::Node(n);
+        let coalesce = self.coalesces(edge);
+        enqueue(&mut self.queue, edge, emitter.drain(), coalesce);
     }
 
     /// The sink's collected results.
@@ -1126,6 +1234,65 @@ mod tests {
         assert_eq!(ck_b.analyzers, ck_r.analyzers);
         assert_eq!(ck_b.nodes, ck_r.nodes);
         assert_eq!(ck_b.sinks, ck_r.sinks);
+    }
+
+    /// Under `telemetry.metrics` a shield group is timed once and split
+    /// over its members: each member's `sp_operator_latency_ns` counts the
+    /// elements it was shown, and its tuple counters are what it counts
+    /// judging alone.
+    #[test]
+    fn grouped_shield_metrics_count_what_each_member_was_shown() {
+        let build = || {
+            let mut b = PlanBuilder::new(catalog());
+            let src = b.source(StreamId(1), schema());
+            let shields: Vec<NodeRef> =
+                (1..=3).map(|r| b.add(SecurityShield::new(RoleSet::from([r])), src)).collect();
+            let sel = b.add(Select::new(Expr::Const(Value::Bool(true))), src);
+            for upstream in shields.iter().chain([&sel]) {
+                b.sink(*upstream);
+            }
+            b.enable_telemetry(TelemetryConfig { metrics: true, ..TelemetryConfig::disabled() });
+            (b.build(), shields)
+        };
+        let scoped = StreamElement::punctuation(
+            SecurityPunctuation::grant_all(RoleSet::from([2, 3]), Timestamp(3))
+                .with_ddp(sp_core::DataDescription::tuple_range(3, 4)),
+        );
+        let input = || {
+            [sp(&[1, 2], 0), tup(1, 1, 0), tup(2, 2, 0), scoped.clone()]
+                .into_iter()
+                .chain((3..7).map(|i| tup(i, i + 1, 0)))
+                .chain([sp(&[3], 9)])
+                .map(|e| (StreamId(1), e))
+        };
+        let (mut grouped, shields) = build();
+        let members = grouped.groups[0].as_ref().map(|g| g.members.clone());
+        assert_eq!(members, Some(shields.iter().map(|n| n.0).collect()), "one group of three");
+        grouped.push_all(input()).unwrap();
+        grouped.finish().unwrap();
+        let (mut alone, _) = build();
+        alone.set_batching(false);
+        for (stream, elem) in input() {
+            alone.push(stream, elem).unwrap();
+        }
+        alone.finish().unwrap();
+
+        let (grouped_metrics, alone_metrics) = (grouped.metrics(), alone.metrics());
+        for ss in &shields {
+            let labels = format!("op=\"ss\",node=\"{}\"", ss.0);
+            let stats = grouped.stats(*ss);
+            let latency = grouped_metrics.histogram("sp_operator_latency_ns", &labels).unwrap();
+            assert_eq!(latency.count(), stats.tuples_in + stats.sps_in, "{labels}");
+            for family in ["sp_tuples_in_total", "sp_tuples_out_total", "sp_tuples_shielded_total"]
+            {
+                let counter = grouped_metrics.counter(family, &labels);
+                assert_eq!(counter, alone_metrics.counter(family, &labels), "{family} {labels}");
+            }
+        }
+        assert!(
+            grouped.stats(shields[1]).tuples_out > 0
+                && grouped.stats(shields[0]).tuples_shielded > 0
+        );
     }
 
     #[test]
