@@ -45,6 +45,10 @@ impl Default for QuarantinePolicy {
     }
 }
 
+/// The sp-batch buffer keeps at most this capacity between batches, so one
+/// oversized batch does not pin its memory for the stream's lifetime.
+const KEPT_BATCH_CAPACITY: usize = 16;
+
 /// Per-stream punctuation analyzer.
 #[derive(Debug)]
 pub struct SpAnalyzer {
@@ -275,12 +279,12 @@ impl SpAnalyzer {
         if self.batch.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.batch);
-        let ts = batch[0].ts;
+        let ts = self.batch[0].ts;
         if self.hardening.is_some() && self.current_ts.is_some_and(|cur| ts < cur) {
             // A batch older than the governing policy must not roll
             // authorizations back — a delayed or replayed grant could widen
             // access retroactively. Fail closed: discard the whole batch.
+            self.clear_batch();
             self.stale_sp_batches += 1;
             self.rec.audit.record(NO_TUPLE, ts.0, AuditEvent::StaleSpDiscarded);
             return;
@@ -289,13 +293,14 @@ impl SpAnalyzer {
         // uniform policy instead of starting from denial.
         let onto = match &self.last_emitted {
             Some(prev)
-                if self.incremental && batch.iter().all(|sp| sp.ddp.tuple.is_match_all()) =>
+                if self.incremental && self.batch.iter().all(|sp| sp.ddp.tuple.is_match_all()) =>
             {
                 prev.as_uniform().map(|p| &**p)
             }
             _ => None,
         };
-        let mut resolved = BatchPolicy::resolve(&batch, onto, &self.catalog, &self.schema);
+        let mut resolved = BatchPolicy::resolve(&self.batch, onto, &self.catalog, &self.schema);
+        self.clear_batch();
         if let Some(server) = &self.server_policy {
             resolved = resolved.intersect(server);
         }
@@ -348,6 +353,13 @@ impl SpAnalyzer {
                 }
             }
         }
+    }
+
+    /// Empties the sp-batch buffer for reuse by the next batch, releasing
+    /// any capacity beyond [`KEPT_BATCH_CAPACITY`].
+    fn clear_batch(&mut self) {
+        self.batch.clear();
+        self.batch.shrink_to(KEPT_BATCH_CAPACITY);
     }
 
     /// Canonical encoding of the analyzer's **policy table** alone — the

@@ -2,31 +2,29 @@
 //!
 //! The paper's algebra operates on *s-punctuated segments* — runs of
 //! tuples governed by one sp-batch. The executor exploits that shape: it
-//! moves [`ElementBatch`]es (contiguous runs of same-kind elements, cut at
-//! sp-batch / punctuation / epoch boundaries) instead of single
-//! [`Element`]s, amortizing queue traffic, dispatch, timing, and telemetry
-//! sampling over whole runs.
+//! moves [`ElementBatch`]es instead of single [`Element`]s, amortizing
+//! queue traffic, dispatch, timing, and telemetry sampling over whole
+//! runs.
 //!
-//! Batches are **kind-homogeneous** by construction: a batch holds only
-//! tuples or only segment policies, never both. The cutters
-//! ([`ElementBatch::accepts`]-guarded coalescing in the executor and the
-//! parallel feeder) start a new batch at every policy boundary, so one
-//! batch never spans two segments' punctuations. Homogeneity is what lets
-//! the parallel runner class a whole batch as control (policies) or data
-//! (tuples) on its bounded channels, and what lets the Security Shield
-//! release or suppress an entire run under one cached verdict.
+//! Every operator is cut-invariant (see [`ElementBatch`]), so the
+//! executor's batches hold tuples and segment policies alike: on the
+//! run-major path (a binary-free plan with batching on — every session) a
+//! batch is all one edge carries between drains, a whole frame's worth of
+//! segments. Batches are kind-homogeneous only where a consumer observes
+//! the kinds of a batch: the parallel runner ([`coalesce_runs`]) classes
+//! a whole batch as control (policies) or data (tuples) on its bounded
+//! channels.
 //!
 //! The representation is a two-variant inline/heap enum rather than an
 //! external small-vector type (the workspace vendors no `smallvec`): a
-//! batch of one — every policy batch, and every batch of the
-//! tuple-at-a-time reference mode and of plans with a binary node, whose
-//! multi-consumer edges carry singletons — stores its element inline with
-//! no heap allocation; the tuple runs of the production path (a frame's
-//! segment, whole, on every edge of a binary-free plan) spill to a `Vec`.
+//! batch of one — a lone policy, and every batch of the tuple-at-a-time
+//! reference mode and of a binary plan's multi-consumer edges — stores
+//! its element inline with no heap allocation; the runs of the
+//! production path spill to a `Vec`.
 
 use crate::element::Element;
 
-/// A contiguous run of same-kind elements travelling an edge together.
+/// A contiguous run of elements travelling an edge together.
 ///
 /// Cut invariance: where a run is cut into batches is not observable —
 /// any partition of an input sequence fed through
@@ -62,19 +60,15 @@ impl ElementBatch {
     ///
     /// # Panics
     ///
-    /// Debug-asserts the run is kind-homogeneous and non-empty.
+    /// Debug-asserts the run is non-empty.
     #[must_use]
     pub fn from_run(run: Vec<Element>) -> Self {
         debug_assert!(!run.is_empty(), "empty batches are never routed");
-        debug_assert!(
-            run.windows(2).all(|w| w[0].is_tuple() == w[1].is_tuple()),
-            "batches are kind-homogeneous"
-        );
         Self { inner: Inner::Many(run) }
     }
 
-    /// True when `elem` may join this batch without breaking the
-    /// homogeneity invariant (same kind as the elements already held).
+    /// True when `elem` is of the same kind as the batch's last element:
+    /// the cut rule of [`coalesce_runs`].
     #[must_use]
     pub fn accepts(&self, elem: &Element) -> bool {
         match &self.inner {
@@ -83,12 +77,8 @@ impl ElementBatch {
         }
     }
 
-    /// Appends an element, spilling an inline singleton to the heap.
-    ///
-    /// Callers routing batches must guard with [`ElementBatch::accepts`];
-    /// `push` itself does not enforce homogeneity (the differential tests
-    /// deliberately build mixed batches to prove `process_batch` stays
-    /// correct on them).
+    /// Appends an element of either kind, spilling an inline singleton to
+    /// the heap.
     pub fn push(&mut self, elem: Element) {
         match &mut self.inner {
             Inner::Many(v) => v.push(elem),
@@ -138,18 +128,10 @@ impl ElementBatch {
         self.as_slice().iter()
     }
 
-    /// True when the batch holds only tuples (data class). A policy batch
-    /// is control traffic; see
-    /// [`ElementBatch::is_control`].
-    #[must_use]
-    pub fn is_tuples(&self) -> bool {
-        self.as_slice().first().is_some_and(Element::is_tuple)
-    }
-
     /// True when the batch carries control traffic (segment policies).
     /// Classed channels admit control batches unconditionally; a mixed
-    /// batch (never produced by the routers) classes as control if any
-    /// element is a policy, so sps can never be stalled by a data bound.
+    /// batch (never produced by [`coalesce_runs`]) classes as control if
+    /// any element is a policy, so sps can never be stalled by a data bound.
     #[must_use]
     pub fn is_control(&self) -> bool {
         self.iter().any(|e| !e.is_tuple())
@@ -211,8 +193,9 @@ impl ExactSizeIterator for IntoIter {}
 
 /// Cuts a drained element sequence into kind-homogeneous run batches,
 /// invoking `sink` for each completed batch in order. This is the batch
-/// cutter used by the parallel workers: a run breaks wherever the element
-/// kind flips (tuple↔policy), which is exactly an sp-batch boundary.
+/// cutter of the parallel runtime, whose classed channels need a batch to
+/// be all control or all data: a run breaks wherever the element kind
+/// flips (tuple↔policy), which is exactly an sp-batch boundary.
 pub fn coalesce_runs<E>(
     elems: impl Iterator<Item = Element>,
     mut sink: impl FnMut(ElementBatch) -> Result<(), E>,
@@ -259,7 +242,6 @@ mod tests {
         let mut b = ElementBatch::single(tup(1));
         assert_eq!(b.len(), 1);
         assert!(!b.is_empty());
-        assert!(b.is_tuples());
         assert!(!b.is_control());
         b.push(tup(2));
         b.push(tup(3));
@@ -279,7 +261,6 @@ mod tests {
         assert!(p.accepts(&pol(2)));
         assert!(!p.accepts(&tup(1)));
         assert!(p.is_control());
-        assert!(!p.is_tuples());
     }
 
     #[test]
@@ -294,7 +275,7 @@ mod tests {
         assert_eq!(batches.len(), 4);
         assert_eq!(batches.iter().map(ElementBatch::len).collect::<Vec<_>>(), vec![1, 3, 1, 1]);
         assert!(batches[0].is_control());
-        assert!(batches[1].is_tuples());
+        assert!(!batches[1].is_control());
         // Order survives the cut.
         let flat: Vec<Element> = batches.into_iter().flat_map(IntoIterator::into_iter).collect();
         assert_eq!(flat.len(), 6);

@@ -9,10 +9,10 @@
 //!   segment policies;
 //! * [`analyzer`] — the SP Analyzer: sp-batch resolution, server-policy
 //!   combination, similar-policy merging;
-//! * [`batch`] — segment-run batches ([`batch::ElementBatch`]): the
-//!   executor and parallel runner move kind-homogeneous runs of elements
-//!   cut at sp-batch / punctuation / epoch boundaries, amortizing
-//!   dispatch, queueing, and telemetry over whole runs;
+//! * [`batch`] — run batches ([`batch::ElementBatch`]): the executor
+//!   moves a frame across each edge as one batch (the parallel runner
+//!   cuts kind-homogeneous runs), amortizing dispatch, queueing, and
+//!   telemetry over whole runs;
 //! * [`expr`] — scalar expressions for predicates and join conditions;
 //! * [`operator`] / [`stats`] — the pipelined operator abstraction with
 //!   per-cause cost accounting;

@@ -95,8 +95,9 @@ pub trait Operator: Any + Send {
     ///
     /// **Cut invariance**: where a run is cut must not be observable.
     /// Any partition of an input sequence into batches — singletons, the
-    /// routers' kind-homogeneous runs, or the arbitrary mixed-kind cuts
-    /// the differential tests drive — gives the same emitted elements in
+    /// kind-homogeneous runs of the parallel runner, the mixed-kind
+    /// runs of the sequential executor, or the arbitrary cuts the
+    /// differential tests drive — gives the same emitted elements in
     /// the same order, the same logical counters, the same audit records
     /// and the same snapshot bytes. A fast path taken for one run shape
     /// (the Security Shield releasing or suppressing a whole tuple run

@@ -24,8 +24,8 @@
 //! never cloned.
 //!
 //! Shield groups (§VI-C): which policy governs each tuple of a run is
-//! resolved once for the sibling shields of an edge (`Resolution`); a
-//! shield shown a run on its own is a group of one.
+//! resolved once for the sibling shields of an edge (`Resolution`, per
+//! tuple stretch); a shield shown a run on its own is a group of one.
 
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
@@ -110,14 +110,29 @@ struct SubRun<'s> {
     arity: usize,
 }
 
-/// The sub-runs of one tuple run, resolved once for the sibling shields
-/// of an edge (§VI-C): the first member to need them records them, the
-/// others replay them while they hold the same segment. One per run.
+/// The sub-runs of one tuple stretch and the segment they were resolved
+/// under.
 #[derive(Debug, Default)]
-pub(crate) struct Resolution {
-    /// The segment the sub-runs were resolved under.
+struct Stretch {
     seg: Option<Arc<SegmentPolicy>>,
     subruns: Vec<SubRun<'static>>,
+}
+
+/// The sub-runs of every tuple stretch of one run (by stretch ordinal),
+/// resolved once for the sibling shields of an edge (§VI-C): the first
+/// member to need a stretch's sub-runs records them, the others replay
+/// them while they hold the same segment. One per run.
+#[derive(Debug, Default)]
+pub(crate) struct Resolution {
+    stretches: Vec<Stretch>,
+}
+
+impl Resolution {
+    /// The record of stretch `k`, empty until a member resolves it.
+    fn stretch(&mut self, k: usize) -> &mut Stretch {
+        self.stretches.resize_with(self.stretches.len().max(k + 1), Stretch::default);
+        &mut self.stretches[k]
+    }
 }
 
 /// A run being judged, which shows what is left of it.
@@ -474,6 +489,7 @@ impl SecurityShield {
         own: impl Fn(T) -> Element,
         out: &mut Emitter,
     ) {
+        let mut ordinal = 0;
         while let Some(tuple) = run.rest().first().map(Element::is_tuple) {
             if !tuple {
                 if let Some(Element::Policy(seg)) = run.next().map(&own) {
@@ -503,22 +519,23 @@ impl SecurityShield {
                     // Borrowed out for the stretch, so resolving costs no
                     // `Arc` traffic: only `decide` and `settle` run meanwhile.
                     let seg = self.current.take();
-                    match (group.as_deref_mut(), seg.as_ref()) {
-                        (Some(res), Some(seg))
-                            if res.seg.as_ref().is_some_and(|held| Arc::ptr_eq(held, seg)) =>
+                    let held = group.as_deref_mut().map(|res| res.stretch(ordinal));
+                    match (held, seg.as_ref()) {
+                        (Some(held), Some(seg))
+                            if held.seg.as_ref().is_some_and(|s| Arc::ptr_eq(s, seg)) =>
                         {
-                            debug_assert_eq!(res.subruns.iter().map(|s| s.len).sum::<usize>(), n);
-                            for sub in &res.subruns {
+                            debug_assert_eq!(held.subruns.iter().map(|s| s.len).sum::<usize>(), n);
+                            for sub in &held.subruns {
                                 let decision = self.decide(sub);
                                 self.settle(&mut run, sub.len, decision, sp_ts, &own, out);
                             }
                         }
-                        (group, Some(seg)) => {
+                        (held, Some(seg)) => {
                             // Resolved here, each tuple once, and recorded
                             // for the siblings of a group.
-                            let mut record = group.map(|res| {
-                                *res = Resolution { seg: Some(seg.clone()), subruns: Vec::new() };
-                                &mut res.subruns
+                            let mut record = held.map(|held| {
+                                *held = Stretch { seg: Some(seg.clone()), subruns: Vec::new() };
+                                &mut held.subruns
                             });
                             let resolve = |tuple: &Tuple| seg.policy_for(tuple.tid);
                             let (mut head, mut left) = (None, n);
@@ -553,6 +570,7 @@ impl SecurityShield {
                     self.current = seg;
                 }
             }
+            ordinal += 1;
         }
     }
 }

@@ -9,15 +9,17 @@
 //! then drains a FIFO work queue of `(edge, batch)` items.
 //!
 //! **Batch execution.** The queue moves [`ElementBatch`]es — contiguous
-//! kind-homogeneous runs of elements — one entry per *edge* (everything
-//! one upstream emits, before it fans out). Runs are formed by
-//! coalescing: an emitted element joins the queue's tail batch when the
-//! tail sits on the same edge and holds the same element kind, and
-//! otherwise starts a new batch. Coalescing only ever merges *adjacent*
-//! queue entries, which preserves the tuple-at-a-time engine's
-//! per-operator input order exactly — so released tuples, final policy
-//! tables, snapshots, and audit trails are byte-identical to per-element
-//! execution.
+//! runs of elements — one entry per *edge* (everything one upstream
+//! emits, before it fans out). Runs are formed by coalescing: an emitted
+//! element joins the queue's tail batch when the tail sits on the same
+//! edge, whatever its kind, and otherwise starts a new batch; on the
+//! run-major path (below) a frame crosses each edge as one batch of
+//! tuples and policies alike. Coalescing only ever merges *adjacent* queue
+//! entries, which
+//! preserves the tuple-at-a-time engine's per-operator input order
+//! exactly, and every operator is cut-invariant — so released tuples,
+//! final policy tables, snapshots, and audit trails are byte-identical to
+//! per-element execution.
 //!
 //! **Fan-out is by run, not by element.** A dequeued batch is shown to
 //! every consumer of its edge in turn: all but the last are *lent* it
@@ -38,7 +40,7 @@
 //!
 //! **Shield groups (§VI-C).** On the run-major path the Security Shields
 //! of one edge are one consumer, fed last: the governing policy of each
-//! tuple of a run is resolved once for all of them.
+//! tuple of a run is resolved once for all of them, per tuple stretch.
 //!
 //! **One clock.** Operators do not time themselves. The executor reads
 //! the clock around each operator call — one pair per *batch* (or shield
@@ -364,10 +366,11 @@ enum Edge {
 }
 
 /// Queues `elems` on `edge`. With `coalesce`, an element joins the queue's
-/// tail batch when that batch is on the same edge and of the same kind;
-/// otherwise it starts a batch, which the same-kind run behind it joins
-/// whole (one allocation). Merging only ever touches the *tail*, so the
-/// per-edge element order is exactly the order queued here.
+/// tail batch when that batch is on the same edge, whatever the kinds;
+/// otherwise it starts a batch, which the rest of `elems` joins whole (one
+/// allocation). Without it, every element is its own batch. Merging only
+/// ever touches the *tail*, so the per-edge element order is exactly the
+/// order queued here.
 fn enqueue(
     queue: &mut VecDeque<(Edge, ElementBatch)>,
     edge: Edge,
@@ -376,17 +379,12 @@ fn enqueue(
 ) {
     while let Some(elem) = elems.next() {
         match queue.back_mut() {
-            Some((tail, batch)) if coalesce && *tail == edge && batch.accepts(&elem) => {
-                batch.push(elem);
-            }
+            Some((tail, batch)) if coalesce && *tail == edge => batch.push(elem),
             _ => {
-                let kind = elem.is_tuple();
-                let same = elems.as_slice().iter().take_while(|e| coalesce && e.is_tuple() == kind);
-                let batch = match same.count() {
-                    0 => ElementBatch::single(elem),
-                    n => ElementBatch::from_run(
-                        std::iter::once(elem).chain(elems.by_ref().take(n)).collect(),
-                    ),
+                let batch = if coalesce && elems.len() > 0 {
+                    ElementBatch::from_run(std::iter::once(elem).chain(elems.by_ref()).collect())
+                } else {
+                    ElementBatch::single(elem)
                 };
                 queue.push_back((edge, batch));
             }
@@ -523,10 +521,11 @@ impl Executor {
         self.failure().map_or(Ok(()), |e| Err(e.clone()))
     }
 
-    /// Whether runs coalesce on `edge`. Off the run-major path a
-    /// multi-consumer edge never coalesces, so each element visits every
-    /// consumer before the next one does — the tuple-at-a-time order a
-    /// binary merge needs.
+    /// Whether runs coalesce on `edge`. Every operator is cut-invariant, so
+    /// where a run is cut is never observable; off the run-major path a
+    /// multi-consumer edge still never coalesces, so each element visits
+    /// every consumer before the next one does — the tuple-at-a-time order
+    /// a binary merge needs.
     fn coalesces(&self, edge: Edge) -> bool {
         self.run_major() || (self.batching && self.outputs(edge).len() < 2)
     }
@@ -1293,6 +1292,65 @@ mod tests {
             grouped.stats(shields[1]).tuples_out > 0
                 && grouped.stats(shields[0]).tuples_shielded > 0
         );
+    }
+
+    /// A policy-switch-heavy frame (the paper's worst ratio, one sp per
+    /// tuple) crosses each edge of a binary-free plan as one batch: one
+    /// timed call per node, not one per kind flip, and the same sinks and
+    /// checkpoint bytes as the tuple-at-a-time executor.
+    #[test]
+    fn churn_frame_costs_one_call_per_node() {
+        use crate::ops::project::Project;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let build = || {
+            let mut b = PlanBuilder::new(catalog());
+            let src = b.source(StreamId(1), schema());
+            let ss = b.add(SecurityShield::new(RoleSet::from([1, 2])), src);
+            let sel = b.add(
+                Select::new(Expr::cmp(CmpOp::Gt, Expr::Attr(1), Expr::Const(Value::Int(0)))),
+                ss,
+            );
+            let proj = b.add(Project::new(vec![1]), sel);
+            let sink = b.sink(proj);
+            b.enable_telemetry(TelemetryConfig { metrics: true, ..TelemetryConfig::disabled() });
+            (b.build(), [ss, sel, proj], sink)
+        };
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(23);
+        let mut roles: Vec<u32> = (0..8).collect();
+        let frame: Vec<(StreamId, StreamElement)> = (0..64u64)
+            .flat_map(|i| {
+                roles.shuffle(&mut rng);
+                [sp(&roles[..3], 2 * i), tup(i + 1, 2 * i + 1, (i % 4) as i64)]
+            })
+            .map(|e| (StreamId(1), e))
+            .collect();
+        assert_eq!(frame.len(), 128);
+
+        let (mut batched, nodes, sink) = build();
+        assert!(batched.run_major());
+        batched.push_all(frame.clone()).unwrap();
+        let (mut reference, _, _) = build();
+        reference.set_batching(false);
+        for (stream, elem) in frame {
+            reference.push(stream, elem).unwrap();
+        }
+
+        let metrics = batched.metrics();
+        let calls = metrics.histogram("sp_queue_depth", "").unwrap().count();
+        assert!(calls <= nodes.len() as u64, "{calls} timed operator calls for one frame");
+        for n in nodes {
+            let labels = format!("op=\"{}\",node=\"{}\"", batched.nodes[n.0].op.name(), n.0);
+            let shown = batched.stats(n).tuples_in + batched.stats(n).sps_in;
+            let latency = metrics.histogram("sp_operator_latency_ns", &labels).unwrap();
+            assert_eq!(latency.count(), shown, "{labels}");
+        }
+        assert!(batched.sink(sink).tuple_count() > 0, "something is released");
+        assert_eq!(batched.sink(sink).elements(), reference.sink(sink).elements());
+        let (ck_b, ck_r) = (batched.checkpoint(0, 0), reference.checkpoint(0, 0));
+        assert_eq!(ck_b.analyzers, ck_r.analyzers);
+        assert_eq!(ck_b.nodes, ck_r.nodes);
+        assert_eq!(ck_b.sinks, ck_r.sinks);
     }
 
     #[test]

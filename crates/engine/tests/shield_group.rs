@@ -354,3 +354,48 @@ fn restored_members_hold_equal_copies() {
     assert!(grouped.sinks.iter().any(|s| s.iter().any(Element::is_tuple)), "something is released");
     assert_eq!(grouped.checkpoints[1], parts(uninterrupted.checkpoint(2, input.len() as u64)));
 }
+
+/// A run-major batch is everything an edge carries between drains, so one
+/// `push_all` shows the group one run of several tuple stretches, each
+/// resolved once for the group under its own segment. Cut in the middle
+/// of the first of three scoped segments and restored (every member then
+/// holds a distinct but equal copy of that segment, so each resolves its
+/// first stretch for itself), the rest of the stream arrives as one frame,
+/// with a stale sp splitting the second segment into two stretches under
+/// the same segment. Sinks, checkpoint, audit and span bytes, and
+/// counters must equal each shield judged alone.
+#[test]
+fn mixed_run_with_three_scoped_segments() {
+    // Two overlapping grants (the second on `v` only) and a denial
+    // reaching across them; tuple `base + 6` is in no scope.
+    let scoped = |base: u64| {
+        Item::Batch(vec![
+            (Some((base + 1, base + 4)), vec![0, 1], false, false),
+            (Some((base + 3, base + 5)), vec![2, 3], true, false),
+            (Some((base + 2, base + 2)), vec![1], false, true),
+        ])
+    };
+    let mut items = Vec::new();
+    for base in [0, 7, 14] {
+        items.push(scoped(base));
+        items.extend((0..6).map(|i| Item::Tup(i % 3, 5 * i)));
+    }
+    let mut input = raw_stream(&items);
+    // After the second segment's third tuple: older than its segment, so
+    // it replaces nothing in the shields.
+    let stale = SecurityPunctuation::grant_all(roles(&[0, 1, 2]), Timestamp(2));
+    input.insert(3 + 6 + 3 + 3, StreamElement::punctuation(stale));
+    let members = [
+        Member { roles: vec![0], attribute: false, scan: false, armed: true },
+        Member { roles: vec![1], attribute: false, scan: true, armed: false },
+        Member { roles: vec![2], attribute: true, scan: false, armed: true },
+    ];
+    let cut = 3 + 3; // the first batch's three sps and three tuples
+    let grouped = run_restored(&members, &input, (cut, cut), None, input.len(), true);
+    let alone = run_restored(&members, &input, (cut, cut), None, input.len(), false);
+    assert_eq!(grouped, alone);
+    // Sinks: the first member's projection, the select, then members 2, 3.
+    for sink in [0, 2, 3] {
+        assert!(grouped.sinks[sink].iter().any(Element::is_tuple), "member sink {sink} releases");
+    }
+}

@@ -290,8 +290,8 @@ impl RunningDsms {
     /// Feeds one decoded frame as one batch: every element is admitted in
     /// order (sps bypass admission; a refused tuple is dropped and
     /// counted, and the frame goes on), and the admitted elements reach
-    /// the executor in one [`Executor::push_all`], so whole
-    /// policy-homogeneous runs coalesce between punctuation cuts.
+    /// the executor in one [`Executor::push_all`], so the frame crosses
+    /// each edge of the plan as one batch, sps and tuples alike.
     ///
     /// # Errors
     ///
