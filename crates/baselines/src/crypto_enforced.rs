@@ -11,7 +11,7 @@
 //!   [`sp_core::crypto::KeyCapsule`] per role the governing policy
 //!   grants — the policy table *is* the key schedule;
 //! * an [`UntrustedRelay`] (or the chaos harness's hostile
-//!   `CipherFaultInjector`) forwards the encoded frames;
+//!   `FaultInjector::forward`) forwards the encoded frames;
 //! * a [`CryptoClient`] holds keys only for the query's roles. A tuple
 //!   is released **iff** a role-held key opens a capsule and the frame
 //!   and segment digest authenticate — release is a cryptographic fact,
@@ -383,8 +383,8 @@ impl CryptoProvider {
 /// The honest-but-curious server: forwards encoded frames verbatim and
 /// can count them, but holds no key material whatsoever — everything it
 /// sees besides segment shape is ciphertext. The chaos harness swaps
-/// this for `sp_engine::fault::CipherFaultInjector`, the malicious
-/// version.
+/// this for `sp_engine::fault::FaultInjector::forward` under a
+/// `FaultSchedule::cipher` schedule, the malicious version.
 #[derive(Debug, Default)]
 pub struct UntrustedRelay {
     /// Frames forwarded.

@@ -32,7 +32,7 @@ use sp_bench::{log_rows, print_table, us_per, warn_if_debug, Row};
 use sp_core::wire::{Message, StreamDecoder, WireFrame};
 use sp_core::{RoleSet, StreamId};
 use sp_engine::{
-    run_supervised, DegradationStats, FaultInjector, FaultPlan, MemStore, PlanBuilder,
+    run_supervised, DegradationStats, Fault, FaultInjector, FaultSchedule, MemStore, PlanBuilder,
     QuarantinePolicy, ReorderBuffer, SecurityShield, SupervisorConfig,
 };
 
@@ -93,20 +93,16 @@ fn degradation_report() {
     // Element-level faults: drop/duplicate/delay/reorder sps and tuples.
     // Moderate rates — a lossy network, not a bit-flood — so the report
     // shows partial degradation rather than total loss.
-    let plan = FaultPlan {
-        drop_sp: 0.10,
-        drop_tuple: 0.02,
-        dup_sp: 0.05,
-        dup_tuple: 0.02,
+    let plan = FaultSchedule::none(0xF167)
+        .with(Fault::DropSp, 0.10, 0)
+        .with(Fault::DropTuple, 0.02, 0)
+        .with(Fault::DupSp, 0.05, 0)
+        .with(Fault::DupTuple, 0.02, 0)
         // Delays long enough to push an sp a whole tick (200 elements)
         // or more behind its segment — past the reorder buffer's slack.
-        delay_sp: 0.15,
-        delay_slots: 450,
-        reorder: 0.05,
-        reorder_window: 4,
-        corrupt_byte: 0.000_02,
-        ..FaultPlan::none(0xF167)
-    };
+        .with(Fault::DelaySp, 0.15, 450)
+        .with(Fault::Reorder, 0.05, 4)
+        .with(Fault::Corrupt, 0.000_02, 0);
     let mut injector = FaultInjector::new(plan);
     let faulty = injector.apply(&input);
 
@@ -165,7 +161,7 @@ fn degradation_report() {
     deg.corrupted_frames = decoder.corrupted_frames + u64::from(truncated > 0);
 
     println!("\nFig 7r: fail-closed degradation under a hostile replay");
-    println!("  faults injected     {}", injector.stats().total());
+    println!("  faults injected     {}", injector.total());
     println!("  wire bytes skipped  {}", decoder.skipped_bytes + truncated as u64);
     println!("  engine errors       {engine_errors}");
     println!("  {deg}");

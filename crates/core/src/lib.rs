@@ -20,6 +20,8 @@
 //!   same message as the data (§I-B);
 //! * [`trace`] — deterministic causal trace/span identifiers (sp-trace),
 //!   derived from element identity so independent processes agree;
+//! * [`rng`] — the seeded splitmix64 generator behind fault placement,
+//!   load shedding and backoff jitter;
 //! * [`crypto`] — reproduction-grade ChaCha20-Poly1305 / SHA-256 and the
 //!   ciphertext framing for enforcement on an untrusted server.
 //!
@@ -33,6 +35,7 @@ pub mod ids;
 pub mod policy;
 pub mod punctuation;
 pub mod rbac;
+pub mod rng;
 pub mod roleset;
 pub mod schema;
 pub mod trace;
@@ -49,6 +52,7 @@ pub use punctuation::{
     MAX_WIRE_ROLE_ID,
 };
 pub use rbac::{AccessModel, RbacError, Right, RoleCatalog, Subject};
+pub use rng::SplitMix64;
 pub use roleset::RoleSet;
 pub use schema::{Field, Schema};
 pub use trace::TraceContext;

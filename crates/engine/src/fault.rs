@@ -4,464 +4,225 @@
 //! misbehaves: security punctuations can be lost, duplicated, delayed or
 //! reordered relative to the tuples they govern, and frames can arrive
 //! corrupted. This module provides the tooling the robustness tests use to
-//! exercise those conditions **reproducibly**:
+//! exercise those conditions **reproducibly**, at four boundaries:
 //!
-//! * [`FaultPlan`] — a seeded description of which faults to inject at
-//!   what rates, with sps and tuples controlled independently (losing an
-//!   sp is the security-relevant event; losing a tuple is merely lossy).
-//! * [`FaultInjector`] — applies a plan to a recorded input, producing a
-//!   perturbed input plus [`FaultStats`] describing exactly what was done.
-//!   The same seed always yields the same perturbation.
-//! * [`run_chaos`] — the harness: runs a plan-under-test across many
-//!   seeded fault scenarios and checks the engine's two degradation
-//!   invariants — it must never panic, and it must **fail closed**: the
-//!   set of tuples released under faults must be a subset of the tuples
-//!   released on the clean input. A lost or late sp may suppress output;
-//!   it must never reveal extra output.
+//! * the **element stream** ([`FaultInjector::apply`], plus
+//!   [`FaultInjector::corrupt`] for the encoded bytes) — sps and tuples
+//!   perturbed independently (losing an sp is the security-relevant
+//!   event; losing a tuple is merely lossy);
+//! * the **socket** ([`FaultInjector::deliver`]) — how a hostile network
+//!   delivers a client's bytes, as a script of [`SocketEvent`]s;
+//! * the **replication link** ([`FaultInjector::offer`] /
+//!   [`FaultInjector::drain`]) — how a flaky WAN delivers whole frames;
+//! * the **cipher forwarder** ([`FaultInjector::forward`]) — what a
+//!   malicious relay does to the ciphertext frames it should pass on.
 //!
-//! Randomness is a private splitmix64 generator so the engine crate takes
-//! no dependency for it and scenario derivation is stable across runs.
+//! One [`FaultSchedule`] holds a rate per [`Fault`] kind and a seed; one
+//! [`FaultInjector`] applies it and counts, per kind, the faults it
+//! actually injected. The same seed always yields the same perturbation.
+//! [`run_chaos`] is the harness: it runs a plan-under-test across many
+//! seeded element-stream scenarios and checks the engine's two
+//! degradation invariants — it must never panic, and it must **fail
+//! closed**: the set of tuples released under faults must be a subset of
+//! the tuples released on the clean input. A lost or late sp may suppress
+//! output; it must never reveal extra output.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use sp_core::{StreamElement, StreamId};
+use sp_core::crypto::CipherFrame;
+use sp_core::{SplitMix64, StreamElement, StreamId};
 
 use crate::ops::sink::Sink;
 use crate::plan::{PlanBuilder, SinkRef};
 
-/// Minimal deterministic RNG (splitmix64): one `u64` of state, full
-/// 64-bit output, good enough for fault placement. Shared with the
-/// overload module (shedding-decision randomness) so the engine crate
-/// still takes no RNG dependency.
-#[derive(Debug, Clone)]
-pub(crate) struct SplitMix64 {
-    pub(crate) state: u64,
+/// A kind of fault, at one of the four boundaries. Each kind has a rate
+/// `p` in a [`FaultSchedule`] and, where the fault has a length, a `max`;
+/// the injector keeps one counter per kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Stream: an sp is silently dropped. Counts sps.
+    DropSp,
+    /// Stream: a tuple is silently dropped. Counts tuples.
+    DropTuple,
+    /// Stream: an sp is duplicated; the copy arrives adjacent. Counts sps.
+    DupSp,
+    /// Stream: a tuple is duplicated; the copy arrives adjacent.
+    DupTuple,
+    /// Stream: an sp is displaced later in arrival order by up to `max`
+    /// elements. Counts sps moved.
+    DelaySp,
+    /// Stream: any element is displaced later by up to `max` elements.
+    /// Counts elements moved.
+    Reorder,
+    /// Stream and socket: each byte is XORed with a random non-zero mask
+    /// with probability `p`. Counts bytes.
+    Corrupt,
+    /// Stream: at a tuple, the tuples among the next up to `max` elements
+    /// are replayed adjacently, as a retrying upstream floods. Counts bursts.
+    Burst,
+    /// Stream: a block of up to `max` elements is delivered after the ones
+    /// that followed it. Socket: delivery pauses up to `max` ms.
+    Stall,
+    /// Socket: every write is torn into chunks of `1..=max` bytes
+    /// (`max = 0` delivers it whole; `p` is unused). Counts chunks cut
+    /// short of the rest of the write.
+    Tear,
+    /// Socket: a chunk boundary injects up to `max` garbage bytes.
+    /// Counts bytes.
+    Garbage,
+    /// Socket: the connection dies mid-delivery and the rest of the write
+    /// is lost; the client must reconnect and replay.
+    Disconnect,
+    /// Link: a partition begins, swallowing this frame and the next
+    /// `max - 1` in both directions. Counts frames swallowed.
+    Partition,
+    /// Link: a frame is held back and delivered after up to `max` later
+    /// frames (reordered delivery). Counts frames held.
+    Lag,
+    /// Link: a delivered frame is delivered twice. Counts extra copies.
+    Duplicate,
+    /// Link: from frame `max` (counted from 0) onward the link is dead —
+    /// a primary dying mid-ship — and held frames die with it (`max = 0`
+    /// never; `p` is unused). Counts frames swallowed.
+    Dark,
+    /// Cipher: a DATA frame gets one ciphertext byte flipped (CRC
+    /// recomputed, so only the AEAD tag can catch it).
+    FlipCt,
+    /// Cipher: a DATA frame's sealed payload is truncated.
+    Truncate,
+    /// Cipher: any frame is silently dropped.
+    DropFrame,
+    /// Cipher: a DIGEST frame is dropped, forcing the client to decide
+    /// the segment without it.
+    DropDigest,
+    /// Cipher: a completed segment's whole frame run is re-delivered
+    /// after its terminator.
+    ReplaySegment,
+    /// Cipher: the `idx` fields of two adjacent DATA frames are swapped
+    /// (a nonce-confusion / reordering attack).
+    SwapNonce,
+    /// Cipher: a HEADER claims an older (or, at zero, a fabricated newer)
+    /// key epoch than its capsules were sealed under.
+    StaleEpoch,
 }
 
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
+const KINDS: usize = Fault::StaleEpoch as usize + 1;
 
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    pub(crate) fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.next_f64() < p
-    }
-
-    /// Uniform in `[1, n]` (n >= 1).
-    pub(crate) fn up_to(&mut self, n: usize) -> usize {
-        1 + (self.next_u64() as usize) % n.max(1)
-    }
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Rate {
+    p: f64,
+    max: usize,
 }
 
-/// A seeded description of the faults to inject into a recorded stream.
-///
-/// All `*_prob` fields are per-element probabilities in `[0, 1]`.
-/// Punctuations and tuples are perturbed independently — the interesting
-/// degradation cases are exactly the asymmetric ones (sp lost, tuples
-/// intact).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
+/// A seeded description of the faults to inject at one boundary: a rate
+/// per [`Fault`] kind. The four scenario constructors enable every kind
+/// of their boundary at a seed-dependent rate; [`FaultSchedule::none`]
+/// plus [`FaultSchedule::with`] builds a schedule by hand.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FaultSchedule {
     /// Seed for all fault placement decisions.
     pub seed: u64,
-    /// Probability an sp is silently dropped.
-    pub drop_sp: f64,
-    /// Probability a tuple is silently dropped.
-    pub drop_tuple: f64,
-    /// Probability an sp is duplicated (duplicate arrives adjacent).
-    pub dup_sp: f64,
-    /// Probability a tuple is duplicated (duplicate arrives adjacent).
-    pub dup_tuple: f64,
-    /// Probability an sp is delayed — displaced later in arrival order.
-    pub delay_sp: f64,
-    /// Maximum displacement (in elements) of a delayed sp.
-    pub delay_slots: usize,
-    /// Probability any element is displaced later in arrival order.
-    pub reorder: f64,
-    /// Maximum displacement (in elements) of a reordered element.
-    pub reorder_window: usize,
-    /// Per-byte corruption probability for [`FaultInjector::corrupt`]
-    /// (wire-level tests).
-    pub corrupt_byte: f64,
-    /// Probability an arrival **burst** starts at a tuple: the window of
-    /// up to `burst_len` following tuples is replayed adjacently (a flood
-    /// of duplicates in one arrival instant — what a retrying upstream or
-    /// a drained network buffer produces). Overload tests drive shedders
-    /// with this.
-    pub burst: f64,
-    /// Maximum burst window (in elements).
-    pub burst_len: usize,
-    /// Probability a **stall** starts at an element: a block of up to
-    /// `stall_len` elements is held back and delivered en bloc after the
-    /// elements that followed it (a paused-then-flushed connection).
-    /// Relative order inside the block is preserved.
-    pub stall: f64,
-    /// Maximum stalled-block length (in elements).
-    pub stall_len: usize,
+    rates: [Rate; KINDS],
 }
 
-impl FaultPlan {
-    /// A plan that injects nothing (identity perturbation).
+impl FaultSchedule {
+    /// A schedule that injects nothing (identity perturbation).
     #[must_use]
     pub fn none(seed: u64) -> Self {
-        Self {
+        Self { seed, ..Self::default() }
+    }
+
+    /// This schedule with `fault` at probability `p` and length `max`.
+    #[must_use]
+    pub fn with(mut self, fault: Fault, p: f64, max: usize) -> Self {
+        self.rates[fault as usize] = Rate { p, max };
+        self
+    }
+
+    /// A scenario from a table of `(kind, rate ceiling, length ceiling,
+    /// length floor)` rows: row by row, `p` is drawn uniformly below its
+    /// ceiling and `max` as `floor + [1, ceiling]` (each when its ceiling
+    /// is non-zero).
+    fn scenario(seed: u64, salt: u64, table: &[(Fault, f64, usize, usize)]) -> Self {
+        let mut rng = SplitMix64::new(seed ^ salt);
+        table.iter().fold(Self::none(seed), |s, &(fault, p_ceil, max_ceil, floor)| {
+            let p = if p_ceil > 0.0 { rng.next_f64() * p_ceil } else { 0.0 };
+            let max = if max_ceil > 0 { floor + rng.up_to(max_ceil) } else { 0 };
+            s.with(fault, p, max)
+        })
+    }
+
+    /// A lossy, reordering element stream: drops, duplicates, delays,
+    /// reorders, corruption, bursts and stalls, all seed-dependent.
+    #[must_use]
+    pub fn stream(seed: u64) -> Self {
+        Self::scenario(
             seed,
-            drop_sp: 0.0,
-            drop_tuple: 0.0,
-            dup_sp: 0.0,
-            dup_tuple: 0.0,
-            delay_sp: 0.0,
-            delay_slots: 0,
-            reorder: 0.0,
-            reorder_window: 0,
-            corrupt_byte: 0.0,
-            burst: 0.0,
-            burst_len: 0,
-            stall: 0.0,
-            stall_len: 0,
-        }
+            0xC0FF_EE00_5EED_5EED,
+            &[
+                (Fault::DropSp, 0.35, 0, 0),
+                (Fault::DropTuple, 0.25, 0, 0),
+                (Fault::DupSp, 0.25, 0, 0),
+                (Fault::DupTuple, 0.25, 0, 0),
+                (Fault::DelaySp, 0.35, 6, 0),
+                (Fault::Reorder, 0.3, 4, 0),
+                (Fault::Corrupt, 0.02, 0, 0),
+                (Fault::Burst, 0.05, 8, 0),
+                (Fault::Stall, 0.05, 6, 0),
+            ],
+        )
     }
 
-    /// Derives a randomized-but-deterministic scenario from a seed: every
-    /// fault kind enabled at a seed-dependent rate. Two calls with the
-    /// same seed produce the same plan.
+    /// A hostile socket: small torn chunks, occasional garbage, rare
+    /// corruption, stalls and disconnects.
     #[must_use]
-    pub fn scenario(seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed ^ 0xC0FF_EE00_5EED_5EED);
-        Self {
+    pub fn socket(seed: u64) -> Self {
+        Self::scenario(
             seed,
-            drop_sp: rng.next_f64() * 0.35,
-            drop_tuple: rng.next_f64() * 0.25,
-            dup_sp: rng.next_f64() * 0.25,
-            dup_tuple: rng.next_f64() * 0.25,
-            delay_sp: rng.next_f64() * 0.35,
-            delay_slots: rng.up_to(6),
-            reorder: rng.next_f64() * 0.3,
-            reorder_window: rng.up_to(4),
-            corrupt_byte: rng.next_f64() * 0.02,
-            burst: rng.next_f64() * 0.05,
-            burst_len: rng.up_to(8),
-            stall: rng.next_f64() * 0.05,
-            stall_len: rng.up_to(6),
-        }
+            0x50C6_E7FA_017B_17E5,
+            &[
+                (Fault::Tear, 0.0, 96, 0),
+                (Fault::Garbage, 0.10, 24, 0),
+                (Fault::Corrupt, 0.002, 0, 0),
+                (Fault::Stall, 0.05, 5, 0),
+                (Fault::Disconnect, 0.01, 0, 0),
+            ],
+        )
     }
-}
 
-/// Counts of the faults an injector actually applied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Punctuations removed from the stream.
-    pub dropped_sps: u64,
-    /// Tuples removed from the stream.
-    pub dropped_tuples: u64,
-    /// Punctuations duplicated.
-    pub duplicated_sps: u64,
-    /// Tuples duplicated.
-    pub duplicated_tuples: u64,
-    /// Punctuations displaced later by the delay fault.
-    pub delayed_sps: u64,
-    /// Elements displaced by the reorder fault.
-    pub reordered: u64,
-    /// Bytes corrupted by [`FaultInjector::corrupt`].
-    pub corrupted_bytes: u64,
-    /// Arrival bursts injected.
-    pub bursts: u64,
-    /// Extra tuple arrivals the bursts produced.
-    pub burst_tuples: u64,
-    /// Stalled-and-flushed blocks injected.
-    pub stalls: u64,
-}
-
-impl FaultStats {
-    /// Total number of injected faults.
+    /// A flaky replication link: occasional short partitions, moderate
+    /// lag, rare duplicates.
     #[must_use]
-    pub fn total(&self) -> u64 {
-        self.dropped_sps
-            + self.dropped_tuples
-            + self.duplicated_sps
-            + self.duplicated_tuples
-            + self.delayed_sps
-            + self.reordered
-            + self.corrupted_bytes
-            + self.bursts
-            + self.stalls
-    }
-
-    /// Accumulates another stats block into this one.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.dropped_sps += other.dropped_sps;
-        self.dropped_tuples += other.dropped_tuples;
-        self.duplicated_sps += other.duplicated_sps;
-        self.duplicated_tuples += other.duplicated_tuples;
-        self.delayed_sps += other.delayed_sps;
-        self.reordered += other.reordered;
-        self.corrupted_bytes += other.corrupted_bytes;
-        self.bursts += other.bursts;
-        self.burst_tuples += other.burst_tuples;
-        self.stalls += other.stalls;
-    }
-}
-
-/// Applies a [`FaultPlan`] to recorded input, deterministically.
-#[derive(Debug)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    rng: SplitMix64,
-    stats: FaultStats,
-}
-
-impl FaultInjector {
-    /// An injector for the given plan.
-    #[must_use]
-    pub fn new(plan: FaultPlan) -> Self {
-        Self { rng: SplitMix64::new(plan.seed), plan, stats: FaultStats::default() }
-    }
-
-    /// What this injector has done so far.
-    #[must_use]
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
-    /// Produces the perturbed copy of `input`.
-    ///
-    /// Drops and duplicates are applied per element (duplicates arrive
-    /// adjacent, as network-level duplicates do); then sps are delayed;
-    /// then the generic reorder displacement runs over everything.
-    #[must_use]
-    pub fn apply(&mut self, input: &[(StreamId, StreamElement)]) -> Vec<(StreamId, StreamElement)> {
-        let mut out: Vec<(StreamId, StreamElement)> = Vec::with_capacity(input.len());
-        for (sid, elem) in input {
-            let is_sp = matches!(elem, StreamElement::Punctuation(_));
-            let (p_drop, p_dup) = if is_sp {
-                (self.plan.drop_sp, self.plan.dup_sp)
-            } else {
-                (self.plan.drop_tuple, self.plan.dup_tuple)
-            };
-            if self.rng.chance(p_drop) {
-                if is_sp {
-                    self.stats.dropped_sps += 1;
-                } else {
-                    self.stats.dropped_tuples += 1;
-                }
-                continue;
-            }
-            out.push((*sid, elem.clone()));
-            if self.rng.chance(p_dup) {
-                if is_sp {
-                    self.stats.duplicated_sps += 1;
-                } else {
-                    self.stats.duplicated_tuples += 1;
-                }
-                out.push((*sid, elem.clone()));
-            }
-        }
-        let delayed = self.displace(&mut out, self.plan.delay_sp, self.plan.delay_slots, true);
-        self.stats.delayed_sps += delayed;
-        let reordered = self.displace(&mut out, self.plan.reorder, self.plan.reorder_window, false);
-        self.stats.reordered += reordered;
-        self.inject_bursts(&mut out);
-        self.inject_stalls(&mut out);
-        out
-    }
-
-    /// Injects arrival bursts: with probability `burst` at each tuple, the
-    /// tuples of the following window are replayed adjacently after it —
-    /// the arrival-rate spike a retrying upstream produces. Only tuples
-    /// are replayed (replaying an sp would merely duplicate policy state;
-    /// the flood that matters for overload is data).
-    fn inject_bursts(&mut self, out: &mut Vec<(StreamId, StreamElement)>) {
-        if self.plan.burst <= 0.0 || self.plan.burst_len == 0 {
-            return;
-        }
-        let mut i = 0;
-        while i < out.len() {
-            let is_tuple = matches!(out[i].1, StreamElement::Tuple(_));
-            if is_tuple && self.rng.chance(self.plan.burst) {
-                let w = self.rng.up_to(self.plan.burst_len);
-                let end = (i + w).min(out.len());
-                let copies: Vec<(StreamId, StreamElement)> = out[i..end]
-                    .iter()
-                    .filter(|(_, e)| matches!(e, StreamElement::Tuple(_)))
-                    .cloned()
-                    .collect();
-                self.stats.bursts += 1;
-                self.stats.burst_tuples += copies.len() as u64;
-                let inserted = copies.len();
-                out.splice(end..end, copies);
-                // Skip past the inserted copies so one trigger cannot
-                // cascade into an unbounded avalanche.
-                i = end + inserted;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Injects stalls: with probability `stall` at each element, a block
-    /// of up to `stall_len` elements is held back and delivered after the
-    /// elements that followed it (order inside the block preserved) — a
-    /// paused connection flushing its buffer late.
-    fn inject_stalls(&mut self, out: &mut [(StreamId, StreamElement)]) {
-        if self.plan.stall <= 0.0 || self.plan.stall_len == 0 {
-            return;
-        }
-        let mut i = 0;
-        while i + 1 < out.len() {
-            if self.rng.chance(self.plan.stall) {
-                let w = self.rng.up_to(self.plan.stall_len);
-                let end = (i + w).min(out.len());
-                let shift = w.min(out.len() - end);
-                if shift > 0 && end > i {
-                    out[i..end + shift].rotate_left(end - i);
-                    self.stats.stalls += 1;
-                }
-                i = end + shift;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Displaces elements later in arrival order by up to `window` slots.
-    fn displace(
-        &mut self,
-        out: &mut Vec<(StreamId, StreamElement)>,
-        prob: f64,
-        window: usize,
-        sp_only: bool,
-    ) -> u64 {
-        if prob <= 0.0 || window == 0 || out.len() < 2 {
-            return 0;
-        }
-        let mut moved = 0;
-        let mut i = 0;
-        while i < out.len() {
-            let applies = !sp_only || matches!(out[i].1, StreamElement::Punctuation(_));
-            if applies && self.rng.chance(prob) {
-                let j = (i + self.rng.up_to(window)).min(out.len() - 1);
-                if j > i {
-                    let e = out.remove(i);
-                    out.insert(j, e);
-                    moved += 1;
-                }
-            }
-            i += 1;
-        }
-        moved
-    }
-
-    /// Corrupts `bytes` in place: each byte is XORed with a random
-    /// non-zero mask with probability `corrupt_byte`. For exercising the
-    /// wire layer's CRC and resync paths.
-    pub fn corrupt(&mut self, bytes: &mut [u8]) {
-        for b in bytes.iter_mut() {
-            if self.rng.chance(self.plan.corrupt_byte) {
-                let mask = (self.rng.next_u64() as u8) | 1;
-                *b ^= mask;
-                self.stats.corrupted_bytes += 1;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Socket-layer faults
-// ---------------------------------------------------------------------------
-
-/// A seeded description of transport-level faults for a framed byte
-/// stream: how a hostile or merely unlucky network *delivers* the bytes a
-/// client sent. Where [`FaultPlan`] perturbs the element sequence,
-/// `SocketFaultPlan` perturbs the delivery of the encoded frames — torn
-/// into arbitrary chunks (partial writes), interleaved with garbage,
-/// bit-corrupted, stalled, or cut mid-frame by a disconnect.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SocketFaultPlan {
-    /// Seed for all delivery decisions.
-    pub seed: u64,
-    /// Maximum delivery chunk in bytes; every write is torn into chunks
-    /// of `1..=chunk_max` bytes (0 = deliver in one piece).
-    pub chunk_max: usize,
-    /// Probability a chunk boundary also injects garbage bytes.
-    pub garbage: f64,
-    /// Maximum garbage run length in bytes.
-    pub garbage_max: usize,
-    /// Per-byte corruption probability on delivered payload bytes.
-    pub corrupt_byte: f64,
-    /// Probability a chunk boundary inserts a delivery stall.
-    pub stall: f64,
-    /// Maximum stall length in (simulated) milliseconds.
-    pub stall_ms_max: u64,
-    /// Probability, per chunk, that the connection dies mid-delivery:
-    /// the remaining bytes of this `deliver` call are dropped on the
-    /// floor and the client must reconnect and replay from its
-    /// acknowledged position.
-    pub disconnect: f64,
-}
-
-impl SocketFaultPlan {
-    /// A plan that delivers every byte verbatim in one chunk.
-    #[must_use]
-    pub fn none(seed: u64) -> Self {
-        Self {
+    pub fn link(seed: u64) -> Self {
+        Self::scenario(
             seed,
-            chunk_max: 0,
-            garbage: 0.0,
-            garbage_max: 0,
-            corrupt_byte: 0.0,
-            stall: 0.0,
-            stall_ms_max: 0,
-            disconnect: 0.0,
-        }
+            0x11BE_FA17_5EED_C0DE,
+            &[
+                (Fault::Partition, 0.08, 4, 1),
+                (Fault::Lag, 0.25, 6, 1),
+                (Fault::Duplicate, 0.15, 0, 0),
+            ],
+        )
     }
 
-    /// Derives a randomized-but-deterministic delivery scenario from a
-    /// seed: small torn chunks, occasional garbage, rare corruption and
-    /// disconnects. Two calls with the same seed produce the same plan.
+    /// A malicious cipher forwarder: every attack enabled.
     #[must_use]
-    pub fn scenario(seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed ^ 0x50C6_E7FA_017B_17E5);
-        Self {
+    pub fn cipher(seed: u64) -> Self {
+        Self::scenario(
             seed,
-            chunk_max: rng.up_to(96),
-            garbage: rng.next_f64() * 0.10,
-            garbage_max: rng.up_to(24),
-            corrupt_byte: rng.next_f64() * 0.002,
-            stall: rng.next_f64() * 0.05,
-            stall_ms_max: rng.up_to(5) as u64,
-            disconnect: rng.next_f64() * 0.01,
-        }
+            0xC1F4_E12F_AD57_0CE5,
+            &[
+                (Fault::FlipCt, 0.15, 0, 0),
+                (Fault::Truncate, 0.10, 0, 0),
+                (Fault::DropFrame, 0.08, 0, 0),
+                (Fault::DropDigest, 0.25, 0, 0),
+                (Fault::ReplaySegment, 0.20, 0, 0),
+                (Fault::SwapNonce, 0.10, 0, 0),
+                (Fault::StaleEpoch, 0.15, 0, 0),
+            ],
+        )
     }
-}
-
-/// Counters of the socket faults an injector actually applied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SocketFaultStats {
-    /// Delivery chunks produced (tears).
-    pub chunks: u64,
-    /// Garbage bytes injected between chunks.
-    pub garbage_bytes: u64,
-    /// Payload bytes bit-corrupted in flight.
-    pub corrupted_bytes: u64,
-    /// Stalls inserted.
-    pub stalls: u64,
-    /// Mid-delivery disconnects.
-    pub disconnects: u64,
-    /// Payload bytes dropped by disconnects (never delivered).
-    pub dropped_bytes: u64,
 }
 
 /// One step of a scripted hostile delivery.
@@ -477,444 +238,350 @@ pub enum SocketEvent {
     Disconnect,
 }
 
-/// Turns an outgoing byte payload into a hostile delivery script,
-/// deterministically per seed. The injector holds the RNG and counters
-/// across calls, so one injector scripts a whole connection (or several,
-/// across reconnects).
-#[derive(Debug)]
-pub struct SocketFaultInjector {
-    plan: SocketFaultPlan,
+/// The RNG salt of each boundary's perturbation: each boundary draws from
+/// its own stream of the schedule's seed.
+const STREAM: u64 = 0;
+const SOCKET: u64 = 0x7EA2_B0B5;
+const LINK: u64 = 0x4FA1_1BAC;
+const CIPHER: u64 = 0x5EA1_ED0F_F3A2;
+
+/// Applies a [`FaultSchedule`], deterministically, and counts what it
+/// injected. It keeps its RNG, counters and held link frames across
+/// calls, so one injector scripts a whole stream, connection or link. It
+/// serves one boundary: the first perturbation seeds the RNG, salted by
+/// that boundary.
+#[derive(Debug, Default)]
+pub struct FaultInjector {
+    schedule: FaultSchedule,
     rng: SplitMix64,
-    stats: SocketFaultStats,
-}
-
-impl SocketFaultInjector {
-    /// An injector for the given plan.
-    #[must_use]
-    pub fn new(plan: SocketFaultPlan) -> Self {
-        Self {
-            rng: SplitMix64::new(plan.seed ^ 0x7EA2_B0B5),
-            plan,
-            stats: SocketFaultStats::default(),
-        }
-    }
-
-    /// What this injector has done so far.
-    #[must_use]
-    pub fn stats(&self) -> &SocketFaultStats {
-        &self.stats
-    }
-
-    /// Scripts the delivery of `bytes`: a sequence of chunk writes with
-    /// optional garbage, corruption and stalls, possibly cut short by a
-    /// disconnect (in which case the remaining bytes are dropped and the
-    /// script ends with [`SocketEvent::Disconnect`]).
-    pub fn deliver(&mut self, bytes: &[u8]) -> Vec<SocketEvent> {
-        let mut events = Vec::new();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            if self.rng.chance(self.plan.disconnect) {
-                self.stats.disconnects += 1;
-                self.stats.dropped_bytes += (bytes.len() - pos) as u64;
-                events.push(SocketEvent::Disconnect);
-                return events;
-            }
-            if self.rng.chance(self.plan.stall) && self.plan.stall_ms_max > 0 {
-                self.stats.stalls += 1;
-                events.push(SocketEvent::StallMs(
-                    self.rng.up_to(self.plan.stall_ms_max as usize) as u64
-                ));
-            }
-            if self.rng.chance(self.plan.garbage) && self.plan.garbage_max > 0 {
-                let n = self.rng.up_to(self.plan.garbage_max);
-                let garbage: Vec<u8> = (0..n).map(|_| self.rng.next_u64() as u8).collect();
-                self.stats.garbage_bytes += garbage.len() as u64;
-                events.push(SocketEvent::Deliver(garbage));
-            }
-            let chunk = if self.plan.chunk_max == 0 {
-                bytes.len() - pos
-            } else {
-                self.rng.up_to(self.plan.chunk_max).min(bytes.len() - pos)
-            };
-            let mut payload = bytes[pos..pos + chunk].to_vec();
-            for b in payload.iter_mut() {
-                if self.rng.chance(self.plan.corrupt_byte) {
-                    *b ^= (self.rng.next_u64() as u8) | 1;
-                    self.stats.corrupted_bytes += 1;
-                }
-            }
-            self.stats.chunks += 1;
-            events.push(SocketEvent::Deliver(payload));
-            pos += chunk;
-        }
-        events
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Replication-link faults
-// ---------------------------------------------------------------------------
-
-/// A seeded description of faults on a *replication link*: the
-/// checkpoint-shipping channel between a primary and its standby. Where
-/// [`SocketFaultPlan`] perturbs byte delivery, `LinkFaultPlan` perturbs
-/// whole-frame delivery the way a flaky WAN does — partitions that
-/// swallow a span of frames in both directions, lag that holds a frame
-/// back past its successors (reordered delivery), and duplicate
-/// delivery of frames that were already received.
-///
-/// The replication protocol must converge under all of these: a
-/// partition only grows replication lag (commits resync on reconnect),
-/// a lagged or duplicated `CheckpointCommit` must be applied at most
-/// once, and an old epoch arriving after a newer one must be refused
-/// rather than rolling the standby's policy state backwards.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFaultPlan {
-    /// Seed for all delivery decisions.
-    pub seed: u64,
-    /// Probability, per frame, that a partition begins: this frame and
-    /// the next `partition_len - 1` frames are dropped entirely.
-    pub partition: f64,
-    /// Frames swallowed per partition (minimum 1 when a partition fires).
-    pub partition_len: usize,
-    /// Probability a frame lags: it is held back and delivered after up
-    /// to `lag_max` later frames (reordered delivery).
-    pub lag: f64,
-    /// Maximum frames a lagged frame is held behind.
-    pub lag_max: usize,
-    /// Probability a delivered frame is delivered twice.
-    pub duplicate: f64,
-}
-
-impl LinkFaultPlan {
-    /// A link that delivers every frame exactly once, in order.
-    #[must_use]
-    pub fn none(seed: u64) -> Self {
-        Self { seed, partition: 0.0, partition_len: 0, lag: 0.0, lag_max: 0, duplicate: 0.0 }
-    }
-
-    /// Derives a randomized-but-deterministic hostile link from a seed:
-    /// occasional short partitions, moderate lag, rare duplicates. Two
-    /// calls with the same seed produce the same plan.
-    #[must_use]
-    pub fn scenario(seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed ^ 0x11BE_FA17_5EED_C0DE);
-        Self {
-            seed,
-            partition: rng.next_f64() * 0.08,
-            partition_len: 1 + rng.up_to(4),
-            lag: rng.next_f64() * 0.25,
-            lag_max: 1 + rng.up_to(6),
-            duplicate: rng.next_f64() * 0.15,
-        }
-    }
-}
-
-/// Counters of the link faults an injector actually applied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkFaultStats {
-    /// Frames offered to the link.
-    pub offered: u64,
-    /// Frame deliveries produced (duplicates counted).
-    pub delivered: u64,
-    /// Frames swallowed by partitions.
-    pub partitioned: u64,
-    /// Frames delivered out of order (held back past a successor).
-    pub lagged: u64,
-    /// Extra deliveries of already-delivered frames.
-    pub duplicated: u64,
-}
-
-/// Applies a [`LinkFaultPlan`] to a sequence of frames, producing the
-/// perturbed delivery order. The injector holds its RNG and counters
-/// across calls, so one injector scripts a whole link lifetime (the
-/// same seed always produces the same script).
-#[derive(Debug)]
-pub struct LinkFaultInjector {
-    plan: LinkFaultPlan,
-    rng: SplitMix64,
-    stats: LinkFaultStats,
-    /// Frames held back by lag: `(deliver_after_countdown, frame)`.
+    seeded: bool,
+    counts: [u64; KINDS],
+    /// Link frames held back by lag: `(deliver_after_countdown, frame)`.
     held: Vec<(usize, Vec<u8>)>,
-    /// Remaining frames to swallow in the current partition.
+    /// Remaining link frames to swallow in the current partition.
     partition_left: usize,
+    /// Link frames offered so far.
+    offered: u64,
 }
 
-impl LinkFaultInjector {
-    /// An injector for the given plan.
+impl FaultInjector {
+    /// An injector for the given schedule.
     #[must_use]
-    pub fn new(plan: LinkFaultPlan) -> Self {
-        Self {
-            rng: SplitMix64::new(plan.seed ^ 0x4FA1_1BAC),
-            plan,
-            stats: LinkFaultStats::default(),
-            held: Vec::new(),
-            partition_left: 0,
+    pub fn new(schedule: FaultSchedule) -> Self {
+        Self { schedule, ..Self::default() }
+    }
+
+    /// How many `fault`s this injector has injected so far.
+    #[must_use]
+    pub fn count(&self, fault: Fault) -> u64 {
+        self.counts[fault as usize]
+    }
+
+    /// Total number of injected faults, all kinds.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Adds another injector's counters to this one's.
+    pub fn absorb(&mut self, other: &FaultInjector) {
+        for (c, o) in self.counts.iter_mut().zip(other.counts) {
+            *c += o;
         }
     }
 
-    /// What this injector has done so far.
-    #[must_use]
-    pub fn stats(&self) -> &LinkFaultStats {
-        &self.stats
+    fn seed(&mut self, salt: u64) {
+        if !self.seeded {
+            self.rng = SplitMix64::new(self.schedule.seed ^ salt);
+            self.seeded = true;
+        }
     }
 
-    fn release_due(&mut self, out: &mut Vec<Vec<u8>>) {
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].0 == 0 {
-                let (_, frame) = self.held.remove(i);
-                self.stats.delivered += 1;
-                out.push(frame);
+    fn rate(&self, fault: Fault) -> Rate {
+        self.schedule.rates[fault as usize]
+    }
+
+    /// Draws `fault`'s chance without counting it.
+    fn chance(&mut self, fault: Fault) -> bool {
+        self.rng.chance(self.rate(fault).p)
+    }
+
+    /// Draws `fault`'s chance and counts it when it fires.
+    fn hit(&mut self, fault: Fault) -> bool {
+        let fired = self.chance(fault);
+        self.counts[fault as usize] += u64::from(fired);
+        fired
+    }
+
+    /// Produces the perturbed copy of an element stream.
+    ///
+    /// Drops and duplicates are applied per element (duplicates arrive
+    /// adjacent, as network-level duplicates do); then sps are delayed;
+    /// then the generic reorder displacement runs over everything; then
+    /// bursts and stalls.
+    #[must_use]
+    pub fn apply(&mut self, input: &[(StreamId, StreamElement)]) -> Vec<(StreamId, StreamElement)> {
+        self.seed(STREAM);
+        let mut out: Vec<(StreamId, StreamElement)> = Vec::with_capacity(input.len());
+        for (sid, elem) in input {
+            let (drop, dup) = if matches!(elem, StreamElement::Punctuation(_)) {
+                (Fault::DropSp, Fault::DupSp)
             } else {
-                self.held[i].0 -= 1;
+                (Fault::DropTuple, Fault::DupTuple)
+            };
+            if self.hit(drop) {
+                continue;
+            }
+            out.push((*sid, elem.clone()));
+            if self.hit(dup) {
+                out.push((*sid, elem.clone()));
+            }
+        }
+        self.displace(&mut out, Fault::DelaySp);
+        self.displace(&mut out, Fault::Reorder);
+        self.inject_bursts(&mut out);
+        self.inject_stalls(&mut out);
+        out
+    }
+
+    /// Replays the tuples of a window after a triggering tuple. Only
+    /// tuples are replayed (replaying an sp would merely duplicate policy
+    /// state; the flood that matters for overload is data).
+    fn inject_bursts(&mut self, out: &mut Vec<(StreamId, StreamElement)>) {
+        let Rate { p, max } = self.rate(Fault::Burst);
+        if p <= 0.0 || max == 0 {
+            return;
+        }
+        let mut i = 0;
+        while i < out.len() {
+            if matches!(out[i].1, StreamElement::Tuple(_)) && self.hit(Fault::Burst) {
+                let end = (i + self.rng.up_to(max)).min(out.len());
+                let copies: Vec<(StreamId, StreamElement)> = out[i..end]
+                    .iter()
+                    .filter(|(_, e)| matches!(e, StreamElement::Tuple(_)))
+                    .cloned()
+                    .collect();
+                let inserted = copies.len();
+                out.splice(end..end, copies);
+                // Skip past the inserted copies so one trigger cannot
+                // cascade into an unbounded avalanche.
+                i = end + inserted;
+            } else {
                 i += 1;
             }
         }
     }
 
-    /// Offers one frame to the link; returns the frames that come out
-    /// the far end *now* (possibly none — partitioned or lagged;
-    /// possibly several — releases of earlier lagged frames, or
+    /// Holds a block back behind the elements that followed it — a
+    /// paused connection flushing its buffer late.
+    fn inject_stalls(&mut self, out: &mut [(StreamId, StreamElement)]) {
+        let Rate { p, max } = self.rate(Fault::Stall);
+        if p <= 0.0 || max == 0 {
+            return;
+        }
+        let mut i = 0;
+        while i + 1 < out.len() {
+            if self.chance(Fault::Stall) {
+                let w = self.rng.up_to(max);
+                let end = (i + w).min(out.len());
+                let shift = w.min(out.len() - end);
+                if shift > 0 && end > i {
+                    out[i..end + shift].rotate_left(end - i);
+                    self.counts[Fault::Stall as usize] += 1;
+                }
+                i = end + shift;
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Displaces elements (sps only for [`Fault::DelaySp`]) later in
+    /// arrival order: each element is considered once and, when the fault
+    /// fires, lands just behind the element that was up to `max` slots
+    /// after it. Every element ends within `max` slots of where it began.
+    fn displace(&mut self, out: &mut Vec<(StreamId, StreamElement)>, fault: Fault) {
+        let Rate { p, max: window } = self.rate(fault);
+        if p <= 0.0 || window == 0 || out.len() < 2 {
+            return;
+        }
+        let sp_only = fault == Fault::DelaySp;
+        let last = out.len() - 1;
+        let mut targeted = Vec::with_capacity(out.len());
+        for (i, e) in out.drain(..).enumerate() {
+            let applies = !sp_only || matches!(e.1, StreamElement::Punctuation(_));
+            let mut to = i;
+            if applies && self.chance(fault) {
+                to = (i + self.rng.up_to(window)).min(last);
+            }
+            self.counts[fault as usize] += u64::from(to > i);
+            targeted.push((to, to > i, e));
+        }
+        // Stable: a moved element sorts after the one that stayed at its
+        // target slot, and equal targets keep arrival order.
+        targeted.sort_by_key(|&(to, moved, _)| (to, moved));
+        out.extend(targeted.into_iter().map(|(_, _, e)| e));
+    }
+
+    /// Corrupts `bytes` in place ([`Fault::Corrupt`]), for exercising the
+    /// wire layer's CRC and resync paths.
+    pub fn corrupt(&mut self, bytes: &mut [u8]) {
+        self.seed(STREAM);
+        self.flip(bytes);
+    }
+
+    fn flip(&mut self, bytes: &mut [u8]) {
+        for b in bytes.iter_mut() {
+            if self.hit(Fault::Corrupt) {
+                *b ^= (self.rng.next_u64() as u8) | 1;
+            }
+        }
+    }
+
+    /// Scripts the delivery of `bytes` over a hostile socket: chunk writes
+    /// with optional garbage, corruption and stalls, possibly cut short by
+    /// a disconnect (the rest is dropped; the script ends with
+    /// [`SocketEvent::Disconnect`]).
+    pub fn deliver(&mut self, bytes: &[u8]) -> Vec<SocketEvent> {
+        self.seed(SOCKET);
+        let mut events = Vec::new();
+        let mut pos = 0;
+        while pos < bytes.len() {
+            if self.hit(Fault::Disconnect) {
+                events.push(SocketEvent::Disconnect);
+                return events;
+            }
+            let stall_ms = self.rate(Fault::Stall).max;
+            if self.chance(Fault::Stall) && stall_ms > 0 {
+                self.counts[Fault::Stall as usize] += 1;
+                events.push(SocketEvent::StallMs(self.rng.up_to(stall_ms) as u64));
+            }
+            let garbage_max = self.rate(Fault::Garbage).max;
+            if self.chance(Fault::Garbage) && garbage_max > 0 {
+                let n = self.rng.up_to(garbage_max);
+                let garbage: Vec<u8> = (0..n).map(|_| self.rng.next_u64() as u8).collect();
+                self.counts[Fault::Garbage as usize] += n as u64;
+                events.push(SocketEvent::Deliver(garbage));
+            }
+            let rest = bytes.len() - pos;
+            let chunk = match self.rate(Fault::Tear).max {
+                0 => rest,
+                max => self.rng.up_to(max).min(rest),
+            };
+            self.counts[Fault::Tear as usize] += u64::from(chunk < rest);
+            let mut payload = bytes[pos..pos + chunk].to_vec();
+            self.flip(&mut payload);
+            events.push(SocketEvent::Deliver(payload));
+            pos += chunk;
+        }
+        events
+    }
+
+    /// True once the link has gone [`Fault::Dark`]: the next offered frame
+    /// is swallowed, as is everything after it.
+    #[must_use]
+    pub fn dark(&self) -> bool {
+        let from = self.rate(Fault::Dark).max;
+        from > 0 && self.offered >= from as u64
+    }
+
+    fn release_due(&mut self, out: &mut Vec<Vec<u8>>) {
+        for (countdown, frame) in std::mem::take(&mut self.held) {
+            match countdown {
+                0 => out.push(frame),
+                n => self.held.push((n - 1, frame)),
+            }
+        }
+    }
+
+    /// Offers one frame to the replication link; returns the frames that
+    /// come out the far end *now* (possibly none — partitioned, lagged or
+    /// dark; possibly several — releases of earlier lagged frames, or
     /// duplicates).
     pub fn offer(&mut self, frame: &[u8]) -> Vec<Vec<u8>> {
-        self.stats.offered += 1;
+        self.seed(LINK);
+        let dark = self.dark();
+        self.offered += 1;
         let mut out = Vec::new();
+        if dark {
+            self.counts[Fault::Dark as usize] += 1;
+            return out;
+        }
         if self.partition_left > 0 {
             // Both directions are dark: the frame is gone, and lagged
             // frames stay held (nothing traverses the link).
             self.partition_left -= 1;
-            self.stats.partitioned += 1;
+            self.counts[Fault::Partition as usize] += 1;
             return out;
         }
-        if self.rng.chance(self.plan.partition) && self.plan.partition_len > 0 {
-            self.partition_left = self.plan.partition_len - 1;
-            self.stats.partitioned += 1;
+        let partition_len = self.rate(Fault::Partition).max;
+        if self.chance(Fault::Partition) && partition_len > 0 {
+            self.partition_left = partition_len - 1;
+            self.counts[Fault::Partition as usize] += 1;
             return out;
         }
         self.release_due(&mut out);
-        if self.rng.chance(self.plan.lag) && self.plan.lag_max > 0 {
-            let hold = 1 + self.rng.up_to(self.plan.lag_max);
-            self.stats.lagged += 1;
+        let lag_max = self.rate(Fault::Lag).max;
+        if self.chance(Fault::Lag) && lag_max > 0 {
+            let hold = 1 + self.rng.up_to(lag_max);
+            self.counts[Fault::Lag as usize] += 1;
             self.held.push((hold, frame.to_vec()));
         } else {
-            self.stats.delivered += 1;
             out.push(frame.to_vec());
-            if self.rng.chance(self.plan.duplicate) {
-                self.stats.delivered += 1;
-                self.stats.duplicated += 1;
+            if self.hit(Fault::Duplicate) {
                 out.push(frame.to_vec());
             }
         }
         out
     }
 
-    /// Flushes every still-held frame (the link going quiet long enough
-    /// for all lag to drain). Call at end of script so held frames are
-    /// not silently lost.
+    /// Flushes every still-held link frame (the link going quiet long
+    /// enough for all lag to drain) — none if the link went dark. Call at
+    /// end of script so held frames are not silently lost.
     pub fn drain(&mut self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for (_, frame) in self.held.drain(..) {
-            self.stats.delivered += 1;
-            out.push(frame);
-        }
-        out
+        let dark = self.dark();
+        self.held.drain(..).filter(|_| !dark).map(|(_, frame)| frame).collect()
     }
-}
 
-// ---------------------------------------------------------------------------
-// Ciphertext faults (malicious-server simulation)
-// ---------------------------------------------------------------------------
-
-/// A seeded description of *ciphertext* faults: what a malicious or
-/// broken server can do to the encoded
-/// [`sp_core::crypto::CipherFrame`] sequence it is supposed to forward
-/// verbatim. Where [`SocketFaultPlan`] models a hostile network,
-/// `CipherFaultPlan` models a hostile **forwarder**: it can decode the
-/// framing (it is not secret), mutate fields, and re-encode with a
-/// fresh CRC — the envelope checksum is transport hygiene, not a
-/// security boundary. The AEAD tags inside the bodies are what the
-/// client's fail-closed state machine must lean on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CipherFaultPlan {
-    /// Seed for all mutation decisions.
-    pub seed: u64,
-    /// Probability a DATA frame gets one ciphertext byte flipped
-    /// (CRC recomputed, so only the AEAD tag can catch it).
-    pub flip_ct: f64,
-    /// Probability a DATA frame's sealed payload is truncated.
-    pub truncate: f64,
-    /// Probability any frame is silently dropped.
-    pub drop_frame: f64,
-    /// Probability a DIGEST frame specifically is dropped (forcing the
-    /// client to decide the segment without its digest).
-    pub drop_digest: f64,
-    /// Probability a completed segment is replayed — its entire frame
-    /// run re-delivered after its terminator.
-    pub replay_segment: f64,
-    /// Probability the `idx` fields of two adjacent DATA frames are
-    /// swapped (a nonce-confusion / reordering attack).
-    pub swap_nonce: f64,
-    /// Probability a HEADER's key epoch is perturbed (stale or
-    /// fabricated key-epoch claim).
-    pub stale_epoch: f64,
-}
-
-impl CipherFaultPlan {
-    /// A plan that forwards every frame verbatim.
+    /// Produces a malicious forwarder's delivery of encoded cipher frames.
+    /// Mutations go through decode → perturb → re-encode, so every
+    /// delivered frame carries a *valid envelope checksum* — the CRC is
+    /// transport hygiene, not a security boundary; the AEAD tags inside
+    /// are what the client must lean on. Frames that fail to decode (not
+    /// cipher frames at all) are forwarded untouched.
     #[must_use]
-    pub fn none(seed: u64) -> Self {
-        Self {
-            seed,
-            flip_ct: 0.0,
-            truncate: 0.0,
-            drop_frame: 0.0,
-            drop_digest: 0.0,
-            replay_segment: 0.0,
-            swap_nonce: 0.0,
-            stale_epoch: 0.0,
-        }
-    }
-
-    /// Derives a randomized-but-deterministic hostile forwarder from a
-    /// seed: every attack enabled at a seed-dependent rate. Two calls
-    /// with the same seed produce the same plan.
-    #[must_use]
-    pub fn scenario(seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed ^ 0xC1F4_E12F_AD57_0CE5);
-        Self {
-            seed,
-            flip_ct: rng.next_f64() * 0.15,
-            truncate: rng.next_f64() * 0.10,
-            drop_frame: rng.next_f64() * 0.08,
-            drop_digest: rng.next_f64() * 0.25,
-            replay_segment: rng.next_f64() * 0.20,
-            swap_nonce: rng.next_f64() * 0.10,
-            stale_epoch: rng.next_f64() * 0.15,
-        }
-    }
-}
-
-/// Counters of the ciphertext faults an injector actually applied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CipherFaultStats {
-    /// Frames offered to the hostile forwarder.
-    pub offered: u64,
-    /// DATA frames with a flipped ciphertext byte.
-    pub flipped: u64,
-    /// DATA frames with a truncated sealed payload.
-    pub truncated: u64,
-    /// Frames dropped entirely.
-    pub dropped_frames: u64,
-    /// DIGEST frames dropped.
-    pub dropped_digests: u64,
-    /// Segments replayed whole after their terminator.
-    pub replayed_segments: u64,
-    /// Adjacent DATA index (nonce) swaps.
-    pub swapped_nonces: u64,
-    /// HEADER key epochs perturbed.
-    pub stale_epochs: u64,
-}
-
-impl CipherFaultStats {
-    /// Total number of injected faults.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.flipped
-            + self.truncated
-            + self.dropped_frames
-            + self.dropped_digests
-            + self.replayed_segments
-            + self.swapped_nonces
-            + self.stale_epochs
-    }
-
-    /// Accumulates another stats block into this one.
-    pub fn absorb(&mut self, other: &CipherFaultStats) {
-        self.offered += other.offered;
-        self.flipped += other.flipped;
-        self.truncated += other.truncated;
-        self.dropped_frames += other.dropped_frames;
-        self.dropped_digests += other.dropped_digests;
-        self.replayed_segments += other.replayed_segments;
-        self.swapped_nonces += other.swapped_nonces;
-        self.stale_epochs += other.stale_epochs;
-    }
-}
-
-/// Applies a [`CipherFaultPlan`] to a sequence of encoded cipher
-/// frames, deterministically per seed. Mutations go through
-/// decode → perturb → re-encode, so every delivered frame carries a
-/// *valid envelope checksum* — exactly what a malicious forwarder
-/// produces. Frames that fail to decode (not cipher frames at all) are
-/// forwarded untouched.
-#[derive(Debug)]
-pub struct CipherFaultInjector {
-    plan: CipherFaultPlan,
-    rng: SplitMix64,
-    stats: CipherFaultStats,
-}
-
-impl CipherFaultInjector {
-    /// An injector for the given plan.
-    #[must_use]
-    pub fn new(plan: CipherFaultPlan) -> Self {
-        Self {
-            rng: SplitMix64::new(plan.seed ^ 0x5EA1_ED0F_F3A2),
-            plan,
-            stats: CipherFaultStats::default(),
-        }
-    }
-
-    /// What this injector has done so far.
-    #[must_use]
-    pub fn stats(&self) -> &CipherFaultStats {
-        &self.stats
-    }
-
-    /// Produces the hostile forwarder's delivery of `frames`.
-    #[must_use]
-    pub fn apply(&mut self, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        use sp_core::crypto::CipherFrame;
-
+    pub fn forward(&mut self, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        self.seed(CIPHER);
         let mut out: Vec<Vec<u8>> = Vec::with_capacity(frames.len());
         // Frames of the segment currently in flight, for replay.
         let mut segment_run: Vec<Vec<u8>> = Vec::new();
         for bytes in frames {
-            self.stats.offered += 1;
             let Ok(frame) = CipherFrame::decode_frame(bytes) else {
                 out.push(bytes.clone());
                 continue;
             };
-            if self.rng.chance(self.plan.drop_frame) {
-                self.stats.dropped_frames += 1;
+            if self.hit(Fault::DropFrame) {
                 continue;
             }
             let mutated = match frame {
                 CipherFrame::Data { stream, seg, idx, mut sealed } => {
-                    if self.rng.chance(self.plan.flip_ct) && !sealed.is_empty() {
+                    if self.chance(Fault::FlipCt) && !sealed.is_empty() {
                         let at = self.rng.up_to(sealed.len()) - 1;
                         sealed[at] ^= (self.rng.next_u64() as u8) | 1;
-                        self.stats.flipped += 1;
+                        self.counts[Fault::FlipCt as usize] += 1;
                     }
-                    if self.rng.chance(self.plan.truncate) && !sealed.is_empty() {
+                    if self.chance(Fault::Truncate) && !sealed.is_empty() {
                         let keep = self.rng.up_to(sealed.len()) - 1;
                         sealed.truncate(keep);
-                        self.stats.truncated += 1;
+                        self.counts[Fault::Truncate as usize] += 1;
                     }
                     CipherFrame::Data { stream, seg, idx, sealed }
                 }
-                CipherFrame::Digest { .. } if self.rng.chance(self.plan.drop_digest) => {
-                    self.stats.dropped_digests += 1;
-                    continue;
-                }
+                CipherFrame::Digest { .. } if self.hit(Fault::DropDigest) => continue,
                 CipherFrame::Header { stream, seg, key_epoch, sp_ts, capsules }
-                    if self.rng.chance(self.plan.stale_epoch) =>
+                    if self.hit(Fault::StaleEpoch) =>
                 {
-                    // Claim an older (or, when at zero, a fabricated
-                    // newer) epoch than the capsules were sealed under.
                     let bogus = if key_epoch > 0 { key_epoch - 1 } else { key_epoch + 1 };
-                    self.stats.stale_epochs += 1;
                     CipherFrame::Header { stream, seg, key_epoch: bogus, sp_ts, capsules }
                 }
                 other => other,
@@ -924,8 +591,7 @@ impl CipherFaultInjector {
             segment_run.push(delivered.clone());
             out.push(delivered);
             if is_terminator {
-                if self.rng.chance(self.plan.replay_segment) {
-                    self.stats.replayed_segments += 1;
+                if self.hit(Fault::ReplaySegment) {
                     out.extend(segment_run.iter().cloned());
                 }
                 segment_run.clear();
@@ -935,13 +601,11 @@ impl CipherFaultInjector {
         out
     }
 
-    /// Swaps the `idx` fields of adjacent DATA-frame pairs with
-    /// probability `swap_nonce` per pair — the frames still carry valid
-    /// envelopes, but each now claims the other's nonce position.
+    /// Swaps the `idx` fields of adjacent DATA-frame pairs — the frames
+    /// still carry valid envelopes, but each now claims the other's nonce
+    /// position.
     fn swap_adjacent_nonces(&mut self, out: &mut [Vec<u8>]) {
-        use sp_core::crypto::CipherFrame;
-
-        if self.plan.swap_nonce <= 0.0 {
+        if self.rate(Fault::SwapNonce).p <= 0.0 {
             return;
         }
         let mut i = 0;
@@ -952,12 +616,11 @@ impl CipherFaultInjector {
                 Ok(CipherFrame::Data { stream: s2, seg: g2, idx: i2, sealed: b2 }),
             ) = pair
             {
-                if self.rng.chance(self.plan.swap_nonce) {
+                if self.hit(Fault::SwapNonce) {
                     out[i] = CipherFrame::Data { stream: s1, seg: g1, idx: i2, sealed: b1 }
                         .encode_to_vec();
                     out[i + 1] = CipherFrame::Data { stream: s2, seg: g2, idx: i1, sealed: b2 }
                         .encode_to_vec();
-                    self.stats.swapped_nonces += 1;
                     i += 2;
                     continue;
                 }
@@ -979,8 +642,9 @@ pub struct ChaosReport {
     pub panics: u64,
     /// Human-readable invariant violations (panics, leaked tuples).
     pub violations: Vec<String>,
-    /// Aggregate faults injected across all scenarios.
-    pub faults: FaultStats,
+    /// Every scenario's injector absorbed: the faults injected across the
+    /// campaign.
+    pub faults: FaultInjector,
 }
 
 impl ChaosReport {
@@ -1013,8 +677,8 @@ fn released_keys(sink: &Sink) -> HashSet<String> {
 ///
 /// `build` must return a fresh builder (and the sinks to audit) each call
 /// — operators hold state, so every scenario needs its own plan instance.
-/// Scenario `s` uses [`FaultPlan::scenario`] derived from `base_seed` and
-/// `s`; the whole campaign is reproducible from `base_seed`.
+/// Scenario `s` uses [`FaultSchedule::stream`] derived from `base_seed`
+/// and `s`; the whole campaign is reproducible from `base_seed`.
 ///
 /// Invariants checked per scenario:
 ///
@@ -1044,10 +708,10 @@ where
         sink_refs.iter().map(|r| released_keys(exec.sink(*r))).collect();
 
     for s in 0..scenarios {
-        let plan = FaultPlan::scenario(base_seed ^ (s.wrapping_mul(0x0123_4567_89AB_CDEF) | s));
+        let plan = FaultSchedule::stream(base_seed ^ (s.wrapping_mul(0x0123_4567_89AB_CDEF) | s));
         let mut injector = FaultInjector::new(plan);
         let faulty = injector.apply(input);
-        report.faults.absorb(injector.stats());
+        report.faults.absorb(&injector);
 
         let (builder, sink_refs) = build();
         let outcome = catch_unwind(AssertUnwindSafe(move || {
@@ -1128,16 +792,16 @@ mod tests {
     #[test]
     fn identity_plan_is_identity() {
         let input = recorded(5);
-        let mut inj = FaultInjector::new(FaultPlan::none(7));
+        let mut inj = FaultInjector::new(FaultSchedule::none(7));
         let out = inj.apply(&input);
         assert_eq!(out.len(), input.len());
-        assert_eq!(inj.stats().total(), 0);
+        assert_eq!(inj.total(), 0);
     }
 
     #[test]
     fn same_seed_same_perturbation() {
         let input = recorded(10);
-        let plan = FaultPlan::scenario(42);
+        let plan = FaultSchedule::stream(42);
         let a = FaultInjector::new(plan).apply(&input);
         let mut second = FaultInjector::new(plan);
         let b = second.apply(&input);
@@ -1152,12 +816,12 @@ mod tests {
                 _ => panic!("same seed diverged"),
             }
         }
-        assert!(second.stats().total() > 0, "scenario plans inject faults");
+        assert!(second.total() > 0, "scenario plans inject faults");
     }
 
     #[test]
     fn different_seeds_differ() {
-        assert_ne!(FaultPlan::scenario(1), FaultPlan::scenario(2));
+        assert_ne!(FaultSchedule::stream(1), FaultSchedule::stream(2));
     }
 
     #[test]
@@ -1165,27 +829,25 @@ mod tests {
         let input = recorded(6);
         let sps =
             input.iter().filter(|(_, e)| matches!(e, StreamElement::Punctuation(_))).count() as u64;
-        let mut plan = FaultPlan::none(3);
-        plan.drop_sp = 1.0;
+        let plan = FaultSchedule::none(3).with(Fault::DropSp, 1.0, 0);
         let mut inj = FaultInjector::new(plan);
         let out = inj.apply(&input);
-        assert_eq!(inj.stats().dropped_sps, sps);
-        assert_eq!(inj.stats().dropped_tuples, 0);
+        assert_eq!(inj.count(Fault::DropSp), sps);
+        assert_eq!(inj.count(Fault::DropTuple), 0);
         assert!(out.iter().all(|(_, e)| matches!(e, StreamElement::Tuple(_))));
     }
 
     #[test]
     fn duplicates_arrive_adjacent() {
         let input = recorded(4);
-        let mut plan = FaultPlan::none(9);
-        plan.dup_tuple = 1.0;
+        let plan = FaultSchedule::none(9).with(Fault::DupTuple, 1.0, 0);
         let mut inj = FaultInjector::new(plan);
         let out = inj.apply(&input);
         let sp_count =
             input.iter().filter(|(_, e)| matches!(e, StreamElement::Punctuation(_))).count();
         let tuples = input.len() - sp_count;
         assert_eq!(out.len(), input.len() + tuples);
-        assert_eq!(inj.stats().duplicated_tuples as usize, tuples);
+        assert_eq!(inj.count(Fault::DupTuple) as usize, tuples);
         // Every tuple is immediately followed by its duplicate.
         let mut i = 0;
         while i < out.len() {
@@ -1204,13 +866,11 @@ mod tests {
     #[test]
     fn reorder_displacement_is_bounded() {
         let input = recorded(8);
-        let mut plan = FaultPlan::none(17);
-        plan.reorder = 0.5;
-        plan.reorder_window = 3;
+        let plan = FaultSchedule::none(17).with(Fault::Reorder, 0.5, 3);
         let mut inj = FaultInjector::new(plan);
         let out = inj.apply(&input);
         assert_eq!(out.len(), input.len());
-        assert!(inj.stats().reordered > 0);
+        assert!(inj.count(Fault::Reorder) > 0);
         // Conservation: same multiset of timestamps.
         let ts_of = |e: &StreamElement| match e {
             StreamElement::Tuple(t) => t.ts.0,
@@ -1224,15 +884,42 @@ mod tests {
     }
 
     #[test]
+    fn delay_and_reorder_move_each_element_at_most_window() {
+        let input = recorded(8);
+        let ts_of = |e: &StreamElement| match e {
+            StreamElement::Tuple(t) => t.ts.0,
+            StreamElement::Punctuation(p) => p.ts.0,
+        };
+        for fault in [Fault::DelaySp, Fault::Reorder] {
+            for seed in 0..200 {
+                let plan = FaultSchedule::none(seed).with(fault, 0.5, 3);
+                let out = FaultInjector::new(plan).apply(&input);
+                assert_eq!(out.len(), input.len());
+                for (at, (_, e)) in out.iter().enumerate() {
+                    let from = input.iter().position(|(_, o)| ts_of(o) == ts_of(e)).unwrap();
+                    assert!(
+                        at.abs_diff(from) <= 3,
+                        "{fault:?} seed {seed}: element {from} ended at {at}, window 3"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bursts_replay_tuples_only_and_count() {
         let input = recorded(6);
-        let mut plan = FaultPlan::none(11);
-        plan.burst = 1.0;
-        plan.burst_len = 3;
+        let plan = FaultSchedule::none(11).with(Fault::Burst, 1.0, 3);
         let mut inj = FaultInjector::new(plan);
         let out = inj.apply(&input);
-        assert!(inj.stats().bursts > 0);
-        assert_eq!(out.len(), input.len() + inj.stats().burst_tuples as usize);
+        assert!(inj.count(Fault::Burst) > 0);
+        // Every input tuple id is distinct, so each repeat is a replay.
+        let mut seen = std::collections::HashSet::new();
+        let burst_tuples = out
+            .iter()
+            .filter(|(_, e)| matches!(e, StreamElement::Tuple(t) if !seen.insert(t.tid.raw())))
+            .count();
+        assert_eq!(out.len(), input.len() + burst_tuples);
         // Bursts only replay existing tuples: the set of distinct tuple
         // ids and the sp count are unchanged.
         let ids = |v: &[(StreamId, StreamElement)]| {
@@ -1253,13 +940,11 @@ mod tests {
     #[test]
     fn stalls_displace_blocks_conserving_the_multiset() {
         let input = recorded(8);
-        let mut plan = FaultPlan::none(13);
-        plan.stall = 0.4;
-        plan.stall_len = 4;
+        let plan = FaultSchedule::none(13).with(Fault::Stall, 0.4, 4);
         let mut inj = FaultInjector::new(plan);
         let out = inj.apply(&input);
         assert_eq!(out.len(), input.len());
-        assert!(inj.stats().stalls > 0);
+        assert!(inj.count(Fault::Stall) > 0);
         let ts_of = |e: &StreamElement| match e {
             StreamElement::Tuple(t) => t.ts.0,
             StreamElement::Punctuation(p) => p.ts.0,
@@ -1276,98 +961,84 @@ mod tests {
         );
     }
 
-    #[test]
-    fn socket_none_plan_delivers_verbatim() {
-        let bytes: Vec<u8> = (0..=255u8).collect();
-        let mut inj = SocketFaultInjector::new(SocketFaultPlan::none(5));
-        let events = inj.deliver(&bytes);
-        assert_eq!(events, vec![SocketEvent::Deliver(bytes)]);
-        assert_eq!(inj.stats().chunks, 1);
-        assert_eq!(inj.stats().disconnects, 0);
-    }
-
-    #[test]
-    fn socket_scenario_is_deterministic() {
-        let bytes: Vec<u8> = (0..512u16).map(|b| b as u8).collect();
-        let plan = SocketFaultPlan::scenario(77);
-        let a = SocketFaultInjector::new(plan).deliver(&bytes);
-        let b = SocketFaultInjector::new(plan).deliver(&bytes);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn socket_tearing_conserves_payload_bytes() {
-        let bytes: Vec<u8> = (0..2048u16).map(|b| b as u8).collect();
-        let mut plan = SocketFaultPlan::none(13);
-        plan.chunk_max = 7;
-        plan.stall = 0.1;
-        plan.stall_ms_max = 3;
-        let mut inj = SocketFaultInjector::new(plan);
-        let events = inj.deliver(&bytes);
-        let delivered: Vec<u8> = events
+    fn delivered(events: &[SocketEvent]) -> Vec<u8> {
+        events
             .iter()
             .filter_map(|e| match e {
                 SocketEvent::Deliver(c) => Some(c.clone()),
                 _ => None,
             })
             .flatten()
-            .collect();
-        assert_eq!(delivered, bytes, "tearing must not lose or reorder payload");
-        assert!(inj.stats().chunks > 100);
-        assert!(inj.stats().stalls > 0);
+            .collect()
+    }
+
+    #[test]
+    fn socket_none_plan_delivers_verbatim() {
+        let bytes: Vec<u8> = (0..=255u8).collect();
+        let mut inj = FaultInjector::new(FaultSchedule::none(5));
+        let events = inj.deliver(&bytes);
+        assert_eq!(events, vec![SocketEvent::Deliver(bytes)]);
+        assert_eq!(inj.count(Fault::Tear), 0);
+        assert_eq!(inj.count(Fault::Disconnect), 0);
+    }
+
+    #[test]
+    fn socket_scenario_is_deterministic() {
+        let bytes: Vec<u8> = (0..512u16).map(|b| b as u8).collect();
+        let plan = FaultSchedule::socket(77);
+        let a = FaultInjector::new(plan).deliver(&bytes);
+        let b = FaultInjector::new(plan).deliver(&bytes);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn socket_tearing_conserves_payload_bytes() {
+        let bytes: Vec<u8> = (0..2048u16).map(|b| b as u8).collect();
+        let plan = FaultSchedule::none(13).with(Fault::Tear, 0.0, 7).with(Fault::Stall, 0.1, 3);
+        let mut inj = FaultInjector::new(plan);
+        let events = inj.deliver(&bytes);
+        assert_eq!(delivered(&events), bytes, "tearing must not lose or reorder payload");
+        let chunks = events.iter().filter(|e| matches!(e, SocketEvent::Deliver(_))).count();
+        assert!(chunks > 100);
+        assert_eq!(inj.count(Fault::Tear), chunks as u64 - 1, "every chunk but the last tears");
+        assert!(inj.count(Fault::Stall) > 0);
     }
 
     #[test]
     fn socket_disconnect_drops_the_tail_and_counts_it() {
         let bytes = vec![0xABu8; 4096];
-        let mut plan = SocketFaultPlan::none(21);
-        plan.chunk_max = 16;
-        plan.disconnect = 0.05;
-        let mut inj = SocketFaultInjector::new(plan);
+        let plan =
+            FaultSchedule::none(21).with(Fault::Tear, 0.0, 16).with(Fault::Disconnect, 0.05, 0);
+        let mut inj = FaultInjector::new(plan);
         let events = inj.deliver(&bytes);
         assert_eq!(events.last(), Some(&SocketEvent::Disconnect));
-        let delivered: usize = events
-            .iter()
-            .filter_map(|e| match e {
-                SocketEvent::Deliver(c) => Some(c.len()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(delivered as u64 + inj.stats().dropped_bytes, 4096);
-        assert_eq!(inj.stats().disconnects, 1);
+        let got = delivered(&events);
+        assert!(got.len() < bytes.len(), "the disconnect dropped the tail");
+        assert_eq!(got, bytes[..got.len()], "what arrived is a prefix");
+        assert_eq!(inj.count(Fault::Disconnect), 1);
     }
 
     #[test]
     fn socket_garbage_rides_between_chunks() {
         let bytes = vec![0x11u8; 256];
-        let mut plan = SocketFaultPlan::none(31);
-        plan.chunk_max = 8;
-        plan.garbage = 0.5;
-        plan.garbage_max = 4;
-        let mut inj = SocketFaultInjector::new(plan);
+        let plan = FaultSchedule::none(31).with(Fault::Tear, 0.0, 8).with(Fault::Garbage, 0.5, 4);
+        let mut inj = FaultInjector::new(plan);
         let events = inj.deliver(&bytes);
-        let total: usize = events
-            .iter()
-            .filter_map(|e| match e {
-                SocketEvent::Deliver(c) => Some(c.len()),
-                _ => None,
-            })
-            .sum();
-        assert!(inj.stats().garbage_bytes > 0);
-        assert_eq!(total as u64, 256 + inj.stats().garbage_bytes);
+        let total = delivered(&events).len();
+        assert!(inj.count(Fault::Garbage) > 0);
+        assert_eq!(total as u64, 256 + inj.count(Fault::Garbage));
     }
 
     #[test]
     fn corruption_flips_counted_bytes() {
-        let mut plan = FaultPlan::none(23);
-        plan.corrupt_byte = 0.5;
+        let plan = FaultSchedule::none(23).with(Fault::Corrupt, 0.5, 0);
         let mut inj = FaultInjector::new(plan);
         let clean: Vec<u8> = (0..200u16).map(|b| b as u8).collect();
         let mut bytes = clean.clone();
         inj.corrupt(&mut bytes);
         let flipped = clean.iter().zip(&bytes).filter(|(a, b)| a != b).count() as u64;
         assert!(flipped > 0);
-        assert_eq!(flipped, inj.stats().corrupted_bytes);
+        assert_eq!(flipped, inj.count(Fault::Corrupt));
     }
 
     // -- replication-link faults --------------------------------------
@@ -1376,69 +1047,79 @@ mod tests {
         (0..n).map(|i| i.to_be_bytes().to_vec()).collect()
     }
 
-    fn run_link(plan: LinkFaultPlan, frames: &[Vec<u8>]) -> (Vec<Vec<u8>>, LinkFaultStats) {
-        let mut inj = LinkFaultInjector::new(plan);
+    fn run_link(plan: FaultSchedule, frames: &[Vec<u8>]) -> (Vec<Vec<u8>>, FaultInjector) {
+        let mut inj = FaultInjector::new(plan);
         let mut out = Vec::new();
         for f in frames {
             out.extend(inj.offer(f));
         }
         out.extend(inj.drain());
-        (out, *inj.stats())
+        (out, inj)
     }
 
     #[test]
     fn quiet_link_delivers_exactly_once_in_order() {
         let frames = link_frames(64);
-        let (out, stats) = run_link(LinkFaultPlan::none(7), &frames);
+        let (out, inj) = run_link(FaultSchedule::none(7), &frames);
         assert_eq!(out, frames);
-        assert_eq!(stats.offered, 64);
-        assert_eq!(stats.delivered, 64);
-        assert_eq!(stats.partitioned + stats.lagged + stats.duplicated, 0);
+        assert_eq!(inj.total(), 0);
     }
 
     #[test]
     fn link_script_is_deterministic_per_seed() {
         let frames = link_frames(256);
-        let plan = LinkFaultPlan::scenario(42);
-        assert_eq!(plan, LinkFaultPlan::scenario(42));
+        let plan = FaultSchedule::link(42);
+        assert_eq!(plan, FaultSchedule::link(42));
         let (a, sa) = run_link(plan, &frames);
         let (b, sb) = run_link(plan, &frames);
         assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        let (c, _) = run_link(LinkFaultPlan::scenario(43), &frames);
+        assert_eq!(sa.counts, sb.counts);
+        let (c, _) = run_link(FaultSchedule::link(43), &frames);
         assert_ne!(a, c, "different seeds must script different links");
     }
 
     #[test]
     fn hostile_link_accounts_for_every_frame() {
         let frames = link_frames(512);
-        let plan = LinkFaultPlan {
-            seed: 9,
-            partition: 0.05,
-            partition_len: 3,
-            lag: 0.2,
-            lag_max: 4,
-            duplicate: 0.1,
-        };
-        let (out, stats) = run_link(plan, &frames);
-        assert_eq!(stats.offered, 512);
-        assert!(stats.partitioned > 0, "partitions must fire at 5%/512");
-        assert!(stats.lagged > 0);
-        assert!(stats.duplicated > 0);
+        let plan = FaultSchedule::none(9)
+            .with(Fault::Partition, 0.05, 3)
+            .with(Fault::Lag, 0.2, 4)
+            .with(Fault::Duplicate, 0.1, 0);
+        let (out, inj) = run_link(plan, &frames);
+        let partitioned = inj.count(Fault::Partition);
+        let duplicated = inj.count(Fault::Duplicate);
+        assert!(partitioned > 0, "partitions must fire at 5%/512");
+        assert!(inj.count(Fault::Lag) > 0);
+        assert!(duplicated > 0);
         // Conservation: every offered frame is either delivered (at
         // least once) or swallowed by a partition; drain leaves nothing.
-        assert_eq!(stats.delivered, stats.offered - stats.partitioned + stats.duplicated);
-        assert_eq!(out.len() as u64, stats.delivered);
+        assert_eq!(out.len() as u64, 512 - partitioned + duplicated);
         // Nothing is fabricated: every delivery is a frame we offered.
         for f in &out {
             assert!(frames.contains(f));
         }
     }
 
+    #[test]
+    fn dark_link_swallows_from_its_frame_on_with_held_frames() {
+        let frames = link_frames(64);
+        let plan = FaultSchedule::none(5).with(Fault::Lag, 1.0, 3).with(Fault::Dark, 0.0, 10);
+        let mut inj = FaultInjector::new(plan);
+        let mut out = Vec::new();
+        for (i, f) in frames.iter().enumerate() {
+            assert_eq!(inj.dark(), i >= 10);
+            out.extend(inj.offer(f));
+        }
+        out.extend(inj.drain());
+        assert_eq!(inj.count(Fault::Dark), 54);
+        assert!(out.len() < 10, "lagged frames still held at frame 10 die with the link");
+        assert!(out.iter().all(|f| frames[..10].contains(f)));
+    }
+
     // -- ciphertext faults --------------------------------------------
 
     fn cipher_frames(segments: u64, per_seg: u32) -> Vec<Vec<u8>> {
-        use sp_core::crypto::{CipherFrame, KeyCapsule};
+        use sp_core::crypto::KeyCapsule;
         let mut frames = Vec::new();
         for seg in 0..segments {
             frames.push(
@@ -1474,62 +1155,55 @@ mod tests {
     #[test]
     fn cipher_none_plan_is_identity() {
         let frames = cipher_frames(4, 3);
-        let mut inj = CipherFaultInjector::new(CipherFaultPlan::none(7));
-        let out = inj.apply(&frames);
+        let mut inj = FaultInjector::new(FaultSchedule::none(7));
+        let out = inj.forward(&frames);
         assert_eq!(out, frames);
-        assert_eq!(inj.stats().total(), 0);
-        assert_eq!(inj.stats().offered, frames.len() as u64);
+        assert_eq!(inj.total(), 0);
     }
 
     #[test]
     fn cipher_scenario_is_deterministic_and_injects() {
         let frames = cipher_frames(16, 4);
-        let plan = CipherFaultPlan::scenario(42);
-        assert_eq!(plan, CipherFaultPlan::scenario(42));
-        let mut a = CipherFaultInjector::new(plan);
-        let mut b = CipherFaultInjector::new(plan);
-        assert_eq!(a.apply(&frames), b.apply(&frames));
-        assert_eq!(a.stats(), b.stats());
-        assert!(a.stats().total() > 0, "scenario plans attack something");
-        let mut c = CipherFaultInjector::new(CipherFaultPlan::scenario(43));
-        assert_ne!(a.apply(&frames), c.apply(&frames));
+        let plan = FaultSchedule::cipher(42);
+        assert_eq!(plan, FaultSchedule::cipher(42));
+        let mut a = FaultInjector::new(plan);
+        let mut b = FaultInjector::new(plan);
+        assert_eq!(a.forward(&frames), b.forward(&frames));
+        assert_eq!(a.counts, b.counts);
+        assert!(a.total() > 0, "scenario plans attack something");
+        let mut c = FaultInjector::new(FaultSchedule::cipher(43));
+        assert_ne!(a.forward(&frames), c.forward(&frames));
     }
 
     #[test]
     fn cipher_mutations_keep_valid_envelopes() {
-        use sp_core::crypto::CipherFrame;
         // A malicious forwarder recomputes the CRC: every delivered
         // frame must still decode at the envelope level.
         let frames = cipher_frames(12, 4);
-        let plan = CipherFaultPlan {
-            seed: 5,
-            flip_ct: 0.5,
-            truncate: 0.3,
-            drop_frame: 0.0,
-            drop_digest: 0.0,
-            replay_segment: 0.5,
-            swap_nonce: 0.5,
-            stale_epoch: 0.5,
-        };
-        let mut inj = CipherFaultInjector::new(plan);
-        let out = inj.apply(&frames);
+        let plan = FaultSchedule::none(5)
+            .with(Fault::FlipCt, 0.5, 0)
+            .with(Fault::Truncate, 0.3, 0)
+            .with(Fault::ReplaySegment, 0.5, 0)
+            .with(Fault::SwapNonce, 0.5, 0)
+            .with(Fault::StaleEpoch, 0.5, 0);
+        let mut inj = FaultInjector::new(plan);
+        let out = inj.forward(&frames);
         for f in &out {
             CipherFrame::decode_frame(f).expect("mutated frame still framed correctly");
         }
-        assert!(inj.stats().flipped > 0);
-        assert!(inj.stats().replayed_segments > 0);
-        assert!(inj.stats().swapped_nonces > 0);
-        assert!(inj.stats().stale_epochs > 0);
+        assert!(inj.count(Fault::FlipCt) > 0);
+        assert!(inj.count(Fault::ReplaySegment) > 0);
+        assert!(inj.count(Fault::SwapNonce) > 0);
+        assert!(inj.count(Fault::StaleEpoch) > 0);
     }
 
     #[test]
     fn cipher_digest_drops_target_digests_only() {
-        use sp_core::crypto::CipherFrame;
         let frames = cipher_frames(10, 3);
-        let plan = CipherFaultPlan { drop_digest: 1.0, ..CipherFaultPlan::none(3) };
-        let mut inj = CipherFaultInjector::new(plan);
-        let out = inj.apply(&frames);
-        assert_eq!(inj.stats().dropped_digests, 10);
+        let plan = FaultSchedule::none(3).with(Fault::DropDigest, 1.0, 0);
+        let mut inj = FaultInjector::new(plan);
+        let out = inj.forward(&frames);
+        assert_eq!(inj.count(Fault::DropDigest), 10);
         assert_eq!(out.len(), frames.len() - 10);
         for f in &out {
             assert!(!matches!(CipherFrame::decode_frame(f), Ok(CipherFrame::Digest { .. })));
@@ -1539,13 +1213,224 @@ mod tests {
     #[test]
     fn lagged_frames_are_reordered_not_lost() {
         let frames = link_frames(128);
-        let plan = LinkFaultPlan { lag: 1.0, lag_max: 3, ..LinkFaultPlan::none(5) };
-        let (out, stats) = run_link(plan, &frames);
-        assert_eq!(stats.delivered, 128, "lag reorders, never drops");
-        assert_eq!(stats.lagged, 128);
+        let plan = FaultSchedule::none(5).with(Fault::Lag, 1.0, 3);
+        let (out, inj) = run_link(plan, &frames);
+        assert_eq!(out.len(), 128, "lag reorders, never drops");
+        assert_eq!(inj.count(Fault::Lag), 128);
         let mut sorted = out.clone();
         sorted.sort();
         assert_eq!(sorted, frames);
         assert_ne!(out, frames, "all-lagged delivery must reorder something");
+    }
+
+    // -- pinned perturbations ------------------------------------------
+
+    /// A perturbation's output bytes and its fault counters.
+    type Pinned = (Vec<u8>, Vec<u64>);
+
+    fn counts(inj: &FaultInjector, kinds: &[Fault]) -> Vec<u64> {
+        kinds.iter().map(|&f| inj.count(f)).collect()
+    }
+
+    fn digest_counts(counts: &[u64]) -> u32 {
+        sp_core::wire::crc32(&counts.iter().flat_map(|c| c.to_be_bytes()).collect::<Vec<u8>>())
+    }
+
+    /// Output bytes and fault counters of one element-stream schedule:
+    /// `apply` over `input`, then `corrupt` over a fixed buffer.
+    fn pin_stream(plan: FaultSchedule, input: &[(StreamId, StreamElement)]) -> Pinned {
+        let mut inj = FaultInjector::new(plan);
+        let mut bytes = Vec::new();
+        for (sid, e) in inj.apply(input) {
+            bytes.extend(sid.0.to_be_bytes());
+            match e {
+                StreamElement::Tuple(t) => {
+                    bytes.push(0);
+                    bytes.extend(t.tid.raw().to_be_bytes());
+                }
+                StreamElement::Punctuation(p) => {
+                    bytes.push(1);
+                    bytes.extend(p.ts.0.to_be_bytes());
+                }
+            }
+        }
+        let mut buf: Vec<u8> = (0..200u16).map(|b| b as u8).collect();
+        inj.corrupt(&mut buf);
+        bytes.extend(buf);
+        let kinds = [
+            Fault::DropSp,
+            Fault::DropTuple,
+            Fault::DupSp,
+            Fault::DupTuple,
+            Fault::DelaySp,
+            Fault::Reorder,
+            Fault::Corrupt,
+            Fault::Burst,
+            Fault::Stall,
+        ];
+        (bytes, counts(&inj, &kinds))
+    }
+
+    /// Delivery script of one socket schedule over three payloads on one
+    /// injector (a connection across reconnects).
+    fn pin_socket(plan: FaultSchedule, payload: &[u8]) -> Pinned {
+        let mut inj = FaultInjector::new(plan);
+        let mut bytes = Vec::new();
+        for _ in 0..3 {
+            for ev in inj.deliver(payload) {
+                match ev {
+                    SocketEvent::Deliver(c) => {
+                        bytes.push(0);
+                        bytes.extend((c.len() as u64).to_be_bytes());
+                        bytes.extend(c);
+                    }
+                    SocketEvent::StallMs(ms) => {
+                        bytes.push(1);
+                        bytes.extend(ms.to_be_bytes());
+                    }
+                    SocketEvent::Disconnect => bytes.push(2),
+                }
+            }
+        }
+        let kinds = [Fault::Garbage, Fault::Corrupt, Fault::Stall, Fault::Disconnect];
+        (bytes, counts(&inj, &kinds))
+    }
+
+    /// What comes out of one link schedule, offer by offer, then drained.
+    fn pin_link(plan: FaultSchedule, frames: &[Vec<u8>]) -> Pinned {
+        let mut inj = FaultInjector::new(plan);
+        let mut bytes = Vec::new();
+        for f in frames {
+            let out = inj.offer(f);
+            bytes.extend((out.len() as u64).to_be_bytes());
+            out.into_iter().for_each(|o| bytes.extend(o));
+        }
+        inj.drain().into_iter().for_each(|o| bytes.extend(o));
+        (bytes, counts(&inj, &[Fault::Partition, Fault::Lag, Fault::Duplicate]))
+    }
+
+    /// What one hostile forwarder schedule delivers.
+    fn pin_cipher(plan: FaultSchedule, frames: &[Vec<u8>]) -> Pinned {
+        let mut inj = FaultInjector::new(plan);
+        let mut bytes = Vec::new();
+        for f in inj.forward(frames) {
+            bytes.extend((f.len() as u64).to_be_bytes());
+            bytes.extend(f);
+        }
+        let kinds = [
+            Fault::FlipCt,
+            Fault::Truncate,
+            Fault::DropFrame,
+            Fault::DropDigest,
+            Fault::ReplaySegment,
+            Fault::SwapNonce,
+            Fault::StaleEpoch,
+        ];
+        (bytes, counts(&inj, &kinds))
+    }
+
+    /// Every perturbation this module makes, digested: each boundary's
+    /// scenarios for seeds 0..32 (folded into one digest per boundary)
+    /// and every hand-built schedule of the tests above. A change that
+    /// moves one byte of any delivery, or one counter, fails here.
+    #[test]
+    fn perturbations_are_pinned() {
+        let bytes: Vec<u8> = (0..2048u16).map(|b| b as u8).collect();
+        let mut cases: Vec<(&str, Pinned)> = Vec::new();
+        let fold = |runs: Vec<Pinned>| {
+            runs.into_iter().fold((Vec::new(), Vec::new()), |(mut b, mut c), (rb, rc)| {
+                b.extend(rb);
+                c.extend(rc);
+                (b, c)
+            })
+        };
+        let stream_seeds = (0..32).map(|s| pin_stream(FaultSchedule::stream(s), &recorded(10)));
+        cases.push(("stream/scenario", fold(stream_seeds.collect())));
+        cases.push(("stream/scenario42", pin_stream(FaultSchedule::stream(42), &recorded(10))));
+        cases.push(("stream/none", pin_stream(FaultSchedule::none(7), &recorded(5))));
+        let drop_sp = FaultSchedule::none(3).with(Fault::DropSp, 1.0, 0);
+        cases.push(("stream/drop_sp", pin_stream(drop_sp, &recorded(6))));
+        let dup_tuple = FaultSchedule::none(9).with(Fault::DupTuple, 1.0, 0);
+        cases.push(("stream/dup_tuple", pin_stream(dup_tuple, &recorded(4))));
+        let reorder = FaultSchedule::none(17).with(Fault::Reorder, 0.5, 3);
+        cases.push(("stream/reorder", pin_stream(reorder, &recorded(8))));
+        let burst = FaultSchedule::none(11).with(Fault::Burst, 1.0, 3);
+        cases.push(("stream/burst", pin_stream(burst, &recorded(6))));
+        let stall = FaultSchedule::none(13).with(Fault::Stall, 0.4, 4);
+        cases.push(("stream/stall", pin_stream(stall, &recorded(8))));
+        let corrupt = FaultSchedule::none(23).with(Fault::Corrupt, 0.5, 0);
+        cases.push(("stream/corrupt", pin_stream(corrupt, &recorded(2))));
+
+        let socket_seeds = (0..32).map(|s| pin_socket(FaultSchedule::socket(s), &bytes));
+        cases.push(("socket/scenario", fold(socket_seeds.collect())));
+        cases.push(("socket/scenario77", pin_socket(FaultSchedule::socket(77), &bytes[..512])));
+        cases.push(("socket/none", pin_socket(FaultSchedule::none(5), &bytes[..256])));
+        let tear = FaultSchedule::none(13).with(Fault::Tear, 0.0, 7).with(Fault::Stall, 0.1, 3);
+        cases.push(("socket/tear_stall", pin_socket(tear, &bytes)));
+        let cut =
+            FaultSchedule::none(21).with(Fault::Tear, 0.0, 16).with(Fault::Disconnect, 0.05, 0);
+        cases.push(("socket/disconnect", pin_socket(cut, &[0xAB; 4096])));
+        let garbage =
+            FaultSchedule::none(31).with(Fault::Tear, 0.0, 8).with(Fault::Garbage, 0.5, 4);
+        cases.push(("socket/garbage", pin_socket(garbage, &[0x11; 256])));
+
+        let link_seeds = (0..32).map(|s| pin_link(FaultSchedule::link(s), &link_frames(256)));
+        cases.push(("link/scenario", fold(link_seeds.collect())));
+        cases.push(("link/none", pin_link(FaultSchedule::none(7), &link_frames(64))));
+        let hostile = FaultSchedule::none(9)
+            .with(Fault::Partition, 0.05, 3)
+            .with(Fault::Lag, 0.2, 4)
+            .with(Fault::Duplicate, 0.1, 0);
+        cases.push(("link/hostile", pin_link(hostile, &link_frames(512))));
+        let lag = FaultSchedule::none(5).with(Fault::Lag, 1.0, 3);
+        cases.push(("link/lag", pin_link(lag, &link_frames(128))));
+
+        let frames = cipher_frames(16, 4);
+        let cipher_seeds = (0..32).map(|s| pin_cipher(FaultSchedule::cipher(s), &frames));
+        cases.push(("cipher/scenario", fold(cipher_seeds.collect())));
+        cases.push(("cipher/none", pin_cipher(FaultSchedule::none(7), &cipher_frames(4, 3))));
+        let mutations = FaultSchedule::none(5)
+            .with(Fault::FlipCt, 0.5, 0)
+            .with(Fault::Truncate, 0.3, 0)
+            .with(Fault::ReplaySegment, 0.5, 0)
+            .with(Fault::SwapNonce, 0.5, 0)
+            .with(Fault::StaleEpoch, 0.5, 0);
+        cases.push(("cipher/mutations", pin_cipher(mutations, &cipher_frames(12, 4))));
+        let digests = FaultSchedule::none(3).with(Fault::DropDigest, 1.0, 0);
+        cases.push(("cipher/drop_digest", pin_cipher(digests, &cipher_frames(10, 3))));
+
+        let got: Vec<(&str, u32, u32, u64)> = cases
+            .iter()
+            .map(|(name, (b, c))| {
+                (*name, sp_core::wire::crc32(b), digest_counts(c), c.iter().sum())
+            })
+            .collect();
+        // (case, output digest, counter digest, counter total)
+        let want: &[(&str, u32, u32, u64)] = &[
+            ("stream/scenario", 2007963293, 1862114871, 808),
+            ("stream/scenario42", 881898528, 676600024, 29),
+            ("stream/none", 1592159459, 264420178, 0),
+            ("stream/drop_sp", 3666765297, 3143457156, 6),
+            ("stream/dup_tuple", 908865189, 1429439306, 16),
+            ("stream/reorder", 1704980243, 3954715094, 26),
+            ("stream/burst", 639357050, 3925231686, 12),
+            ("stream/stall", 3135556479, 3869318759, 6),
+            ("stream/corrupt", 2672352636, 496068737, 105),
+            ("socket/scenario", 318828118, 1711928152, 2831),
+            ("socket/scenario77", 11768297, 2673906953, 11),
+            ("socket/none", 2162364676, 420107693, 0),
+            ("socket/tear_stall", 3183943602, 1749529995, 152),
+            ("socket/disconnect", 1377886367, 2147681303, 3),
+            ("socket/garbage", 894387398, 2257452126, 201),
+            ("link/scenario", 2819982165, 390926362, 2298),
+            ("link/none", 1925740533, 2747386400, 0),
+            ("link/hostile", 1127099104, 951033754, 188),
+            ("link/lag", 816831357, 3314862703, 128),
+            ("cipher/scenario", 232463018, 311016022, 609),
+            ("cipher/none", 912311774, 3553142089, 0),
+            ("cipher/mutations", 2541794135, 1507462819, 64),
+            ("cipher/drop_digest", 1869875284, 1873088675, 10),
+        ];
+        assert_eq!(got, want, "perturbation digests moved");
     }
 }

@@ -29,8 +29,9 @@
 //!   count;
 //! * [`error`] — typed runtime errors: hostile input fails a query, not
 //!   the process;
-//! * [`fault`] — deterministic seeded fault injection (drop / duplicate /
-//!   reorder / delay / corrupt) and the chaos harness over whole plans;
+//! * [`fault`] — deterministic seeded fault injection at four boundaries
+//!   (element stream, socket, replication link, cipher forwarder) from one
+//!   fault schedule, and the chaos harness over whole plans;
 //! * [`reorder`] — a K-slack buffer restoring timestamp order for
 //!   out-of-order arrivals (the substrate §II-B defers to prior work);
 //! * [`slack`] — the shared lateness bound ([`slack::Slack`]) used by both
@@ -78,11 +79,7 @@ pub use checkpoint::{Checkpoint, CheckpointStore, FileStore, MemStore};
 pub use element::{Element, PolicyEntry, SegmentPolicy};
 pub use error::EngineError;
 pub use expr::{ArithOp, CmpOp, Expr};
-pub use fault::{
-    ChaosReport, CipherFaultInjector, CipherFaultPlan, CipherFaultStats, FaultInjector, FaultPlan,
-    FaultStats, LinkFaultInjector, LinkFaultPlan, LinkFaultStats, SocketEvent, SocketFaultInjector,
-    SocketFaultPlan, SocketFaultStats,
-};
+pub use fault::{ChaosReport, Fault, FaultInjector, FaultSchedule, SocketEvent};
 pub use operator::{run_unary, Emitter, Operator, OperatorExt};
 pub use ops::{
     AggFunc, DupElim, Granularity, GroupBy, JoinVariant, MatchMode, Project, SAIntersect, SAJoin,

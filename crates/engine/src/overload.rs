@@ -39,12 +39,11 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Buf;
-use sp_core::{StreamId, Timestamp, Tuple};
+use sp_core::{SplitMix64, StreamId, Timestamp, Tuple};
 
 use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
-use crate::fault::SplitMix64;
 use crate::operator::{Emitter, Operator};
 use crate::slack::Slack;
 use crate::stats::{DegradationStats, OperatorStats};

@@ -2,7 +2,7 @@
 
 use std::net::SocketAddr;
 
-use sp_engine::LinkFaultPlan;
+use sp_engine::FaultSchedule;
 
 /// Deliberate panic injection for chaos tests: the named tenant's session
 /// panics mid-frame when it reaches the given input position. Exercises
@@ -62,13 +62,12 @@ pub struct ServerConfig {
     pub fencing_epoch: u64,
     /// Checkpoint bytes per `CheckpointSegment` frame.
     pub repl_chunk_bytes: usize,
-    /// Chaos-test knob: deterministic partition / lag / duplicate faults
-    /// injected into the replication link (see
-    /// [`sp_engine::LinkFaultPlan`]).
-    pub repl_faults: Option<LinkFaultPlan>,
-    /// Chaos-test knob: the replication shipper goes silent after this
-    /// many frames (0 = never) — a primary dying mid-checkpoint-ship.
-    pub chaos_repl_stop_after_frames: u64,
+    /// Chaos-test knob: deterministic faults injected into the
+    /// replication link — partition / lag / duplicate, and
+    /// [`sp_engine::Fault::Dark`], the link going silent from a given
+    /// frame on (a primary dying mid-checkpoint-ship). See
+    /// [`sp_engine::FaultSchedule::link`].
+    pub repl_faults: Option<FaultSchedule>,
     /// Chaos-test knob: a tenant observes a deposing fencing epoch just
     /// before consuming its Nth frame (0 = never) — a fence racing a
     /// frame already in flight past the connection-level check.
@@ -96,7 +95,6 @@ impl Default for ServerConfig {
             fencing_epoch: 1,
             repl_chunk_bytes: 4096,
             repl_faults: None,
-            chaos_repl_stop_after_frames: 0,
             chaos_fence_at_frame: 0,
             trace_capacity: 1024,
         }

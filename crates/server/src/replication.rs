@@ -40,7 +40,7 @@ use sp_core::trace::{site, trace_id_for_checkpoint};
 use sp_core::wire::{crc32, Control, StreamDecoder, WireFrame};
 use sp_engine::telemetry::NO_TUPLE;
 use sp_engine::{
-    AuditOp, Checkpoint, CheckpointStore, LinkFaultInjector, MemStore, SpanRecord, SpanRecorder,
+    AuditOp, Checkpoint, CheckpointStore, FaultInjector, MemStore, SpanRecord, SpanRecorder,
     SpanSheet,
 };
 
@@ -127,33 +127,24 @@ struct Shipper {
     repl: Arc<ReplState>,
     stores: StoreMap,
     conn: Option<(TcpStream, StreamDecoder)>,
-    faults: Option<LinkFaultInjector>,
-    frames_sent: u64,
+    faults: Option<FaultInjector>,
 }
 
 impl Shipper {
-    /// True once the chaos knob silenced the link: the primary "died"
-    /// mid-ship as far as the standby can tell.
-    fn chaos_silenced(&self) -> bool {
-        self.cfg.chaos_repl_stop_after_frames > 0
-            && self.frames_sent >= self.cfg.chaos_repl_stop_after_frames
-    }
-
     /// Writes one control frame through the fault injector (if any).
     /// Returns false when the connection died.
     fn write_frame(&mut self, ctrl: &Control) -> bool {
-        if self.chaos_silenced() {
-            // The link is "dead" but the count still advances so stats
-            // show what would have shipped.
-            self.frames_sent += 1;
-            return true;
-        }
-        self.frames_sent += 1;
+        // A dark link swallows the frame: the primary "died" mid-ship as
+        // far as the standby can tell, while it believes it shipped.
+        let dark = self.faults.as_ref().is_some_and(FaultInjector::dark);
         let bytes = ctrl.encode_to_vec();
         let deliveries = match self.faults.as_mut() {
             Some(inj) => inj.offer(&bytes),
             None => vec![bytes],
         };
+        if dark {
+            return true;
+        }
         let Some((stream, _)) = self.conn.as_mut() else { return false };
         for frame in deliveries {
             if stream.write_all(&frame).is_err() {
@@ -290,15 +281,13 @@ impl Shipper {
                     // Every tenant is gone (drain or kill): flush frames
                     // the fault injector still holds, collect final
                     // acks, and exit.
-                    if let Some(held) = self.faults.as_mut().map(LinkFaultInjector::drain) {
-                        if !self.chaos_silenced() {
-                            if let Some((stream, _)) = self.conn.as_mut() {
-                                for frame in held {
-                                    if stream.write_all(&frame).is_err() {
-                                        break;
-                                    }
-                                    self.repl.frames_shipped.fetch_add(1, Ordering::SeqCst);
+                    if let Some(held) = self.faults.as_mut().map(FaultInjector::drain) {
+                        if let Some((stream, _)) = self.conn.as_mut() {
+                            for frame in held {
+                                if stream.write_all(&frame).is_err() {
+                                    break;
                                 }
+                                self.repl.frames_shipped.fetch_add(1, Ordering::SeqCst);
                             }
                         }
                     }
@@ -329,8 +318,7 @@ pub(crate) fn spawn_shipper(
         repl,
         stores,
         conn: None,
-        faults: cfg.repl_faults.map(LinkFaultInjector::new),
-        frames_sent: 0,
+        faults: cfg.repl_faults.map(FaultInjector::new),
     };
     let join =
         std::thread::Builder::new().name("sp-repl-ship".into()).spawn(move || shipper.run(&rx))?;

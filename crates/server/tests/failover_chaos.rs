@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sp_core::{StreamElement, StreamId};
-use sp_engine::{Checkpoint, CheckpointStore, LinkFaultPlan, MemStore, TelemetryConfig};
+use sp_engine::{Checkpoint, CheckpointStore, Fault, FaultSchedule, MemStore, TelemetryConfig};
 use sp_mog::{location_stream, MovingObjectSim, WorkloadConfig};
 use sp_query::Dsms;
 use sp_server::{
@@ -328,7 +328,8 @@ fn kill_primary_mid_checkpoint_ship() {
     // standby stands on the last fully-committed one.
     for stop_after in [3u64, 7, 13] {
         failover_round("mid-ship", 23, |cfg| {
-            cfg.chaos_repl_stop_after_frames = stop_after;
+            cfg.repl_faults =
+                Some(FaultSchedule::none(0).with(Fault::Dark, 0.0, stop_after as usize));
             cfg.repl_chunk_bytes = 512; // many segments per checkpoint
         });
     }
@@ -338,7 +339,7 @@ fn kill_primary_mid_checkpoint_ship() {
 fn partitioned_lagging_duplicating_link_still_fails_over_safely() {
     for seed in [1u64, 2, 3, 4, 5] {
         failover_round("hostile-link", 24, |cfg| {
-            cfg.repl_faults = Some(LinkFaultPlan::scenario(seed));
+            cfg.repl_faults = Some(FaultSchedule::link(seed));
             cfg.repl_chunk_bytes = 1024;
         });
     }
@@ -356,14 +357,11 @@ fn duplicate_and_reordered_delivery_never_rolls_state_backwards() {
         checkpoint_every_frames: 2,
         replicate_to: Some(standby.repl_addr),
         repl_chunk_bytes: 64 * 1024, // one segment per checkpoint: lag reorders whole commits
-        repl_faults: Some(LinkFaultPlan {
-            seed: 99,
-            partition: 0.0,
-            partition_len: 0,
-            lag: 0.5,
-            lag_max: 6,
-            duplicate: 0.8,
-        }),
+        repl_faults: Some(FaultSchedule::none(99).with(Fault::Lag, 0.5, 6).with(
+            Fault::Duplicate,
+            0.8,
+            0,
+        )),
         ..default_cfg()
     };
     let primary = Server::start(cfg, Arc::clone(&f), StoreMap::new()).unwrap();

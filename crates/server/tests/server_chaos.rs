@@ -25,9 +25,7 @@ use std::time::Duration;
 
 use sp_core::wire::Message;
 use sp_core::{QuarantineCode, StreamElement, StreamId};
-use sp_engine::{
-    AdmissionConfig, SocketEvent, SocketFaultInjector, SocketFaultPlan, TelemetryConfig,
-};
+use sp_engine::{AdmissionConfig, FaultInjector, FaultSchedule, SocketEvent, TelemetryConfig};
 use sp_mog::{location_stream, MovingObjectSim, WorkloadConfig};
 use sp_query::Dsms;
 use sp_server::{
@@ -184,7 +182,7 @@ fn raw_faulty_client(addr: std::net::SocketAddr, tenant: u32, payload: &[u8], se
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
     stream.write_all(&sp_core::Control::Hello { tenant, acked: 0 }.encode_to_vec()).unwrap();
-    let mut injector = SocketFaultInjector::new(SocketFaultPlan::scenario(seed));
+    let mut injector = FaultInjector::new(FaultSchedule::socket(seed));
     let mut sink = [0u8; 4096];
     for event in injector.deliver(payload) {
         match event {

@@ -21,7 +21,7 @@ use sp_core::{
     DataDescription, RoleCatalog, RoleId, RoleSet, Schema, SecurityPunctuation, StreamElement,
     StreamId, Timestamp, Tuple, TupleId, Value, ValueType,
 };
-use sp_engine::fault::{run_chaos, FaultInjector, FaultPlan};
+use sp_engine::fault::{run_chaos, FaultInjector, FaultSchedule};
 use sp_engine::{
     CmpOp, Expr, PlanBuilder, QuarantinePolicy, SecurityShield, Select, ShedPolicy, Shedder,
     ShedderConfig, WatermarkConfig,
@@ -131,7 +131,7 @@ fn batched_execution_matches_tuple_mode_under_faults() {
 
     let mut clean_scenarios = 0u64;
     for s in 0..30u64 {
-        let plan = FaultPlan::scenario(0xBA7C_4ED0 ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let plan = FaultSchedule::stream(0xBA7C_4ED0 ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut injector = FaultInjector::new(plan);
         let faulty = injector.apply(&input);
 
@@ -208,7 +208,7 @@ fn mechanism_chaos(make: &dyn Fn() -> Box<dyn EnforcementMechanism>) {
     assert!(m.denied() > 0, "clean run must deny something");
 
     for s in 0..50u64 {
-        let plan = FaultPlan::scenario(0xBA5E ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let plan = FaultSchedule::stream(0xBA5E ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut injector = FaultInjector::new(plan);
         let faulty = injector.apply(&input);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -617,10 +617,10 @@ fn shedded_plan_fails_closed_under_bursts_and_faults() {
 
     let mut total_faults = 0u64;
     for s in 0..30u64 {
-        let plan = FaultPlan::scenario(0x05ED_10AD ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let plan = FaultSchedule::stream(0x05ED_10AD ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut injector = FaultInjector::new(plan);
         let faulty = injector.apply(&input);
-        total_faults += injector.stats().total();
+        total_faults += injector.total();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (b, sk) = bursty_builder(&schema, Some(burst_shed_cfg()));
             let mut exec = b.build();
@@ -720,7 +720,7 @@ fn mid_burst_kill_recovers_with_identical_shed_decisions() {
 // ---------------------------------------------------------------------------
 // Ciphertext-corruption campaign: the crypto-enforced mechanism against a
 // *malicious* forwarder. The untrusted relay is replaced by a seeded
-// `CipherFaultInjector` that flips ciphertext bytes, truncates frames,
+// `FaultInjector::forward` that flips ciphertext bytes, truncates frames,
 // drops digests, replays whole segments, swaps nonces, and perturbs key
 // epochs. Under every schedule:
 //
@@ -737,7 +737,6 @@ fn mid_burst_kill_recovers_with_identical_shed_decisions() {
 // ---------------------------------------------------------------------------
 
 use sp_baselines::{CryptoClient, CryptoEnforced, CryptoProvider, KeyAuthority};
-use sp_engine::fault::{CipherFaultInjector, CipherFaultPlan};
 use sp_engine::telemetry::AuditEvent;
 
 const CRYPTO_MASTER: [u8; 32] = [0xA7; 32];
@@ -799,10 +798,10 @@ fn ciphertext_corruption_campaign_fails_closed() {
     let mut scenarios_with_injection = 0u32;
     let mut scenarios_with_suppression = 0u32;
     for s in 0..40u64 {
-        let plan = CipherFaultPlan::scenario(0xC1F4 ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut injector = CipherFaultInjector::new(plan);
-        let delivered = injector.apply(&frames);
-        if injector.stats().total() > 0 {
+        let plan = FaultSchedule::cipher(0xC1F4 ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut injector = FaultInjector::new(plan);
+        let delivered = injector.forward(&frames);
+        if injector.total() > 0 {
             scenarios_with_injection += 1;
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| crypto_deliver(&delivered, &authority)));
@@ -858,9 +857,9 @@ fn broken_tag_check_client_is_caught_by_the_campaign() {
     let (frames, authority) = crypto_frames();
     let mut caught = false;
     for s in 0..10u64 {
-        let plan = CipherFaultPlan::scenario(0xBAD ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut injector = CipherFaultInjector::new(plan);
-        let delivered = injector.apply(&frames);
+        let plan = FaultSchedule::cipher(0xBAD ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut injector = FaultInjector::new(plan);
+        let delivered = injector.forward(&frames);
         let mut client =
             CryptoClient::new(authority.clone(), &RoleSet::from([0]), CRYPTO_IN_FLIGHT)
                 .with_broken_tag_check();
