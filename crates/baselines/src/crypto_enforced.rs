@@ -1065,11 +1065,12 @@ impl CryptoClient {
                         Some((count, digest))
                     }
                 };
-                let n = u32_at(b)? as usize;
+                // A staged entry is at least its tag and a length.
+                let n = sp_engine::checkpoint::get_count(b, 1 + 4, "staged frames").ok()?;
                 if n > self.in_flight {
                     return None;
                 }
-                let mut staged = Vec::with_capacity(n);
+                let mut staged = Vec::new();
                 let mut staged_bytes = 0;
                 for _ in 0..n {
                     let entry = match take(b, 1)?[0] {
@@ -1656,6 +1657,30 @@ mod tests {
             assert!(twin.restore(&snap[..cut]).is_none(), "cut {cut} must be refused");
         }
         assert!(twin.restore(&snap).is_some());
+    }
+
+    #[test]
+    fn oversized_counts_are_refused_not_allocated() {
+        // No in-flight cap to hide behind: only the bytes left bound the
+        // staged-frame count, so patching any four bytes of a mid-journal
+        // snapshot to u32::MAX must fail closed instead of aborting.
+        let (mut p, mut c, authority) = parts(&[1], usize::MAX);
+        let mut frames = Vec::new();
+        for e in [sp(&[1], 0), tup(1, 1), tup(2, 2)] {
+            p.push(e, &mut frames);
+        }
+        for f in &frames[..frames.len() - 1] {
+            c.feed(f, &mut Vec::new());
+        }
+        assert!(c.cipher_buffer_bytes() > 0, "snapshot taken mid-journal");
+        let mut snap = Vec::new();
+        c.snapshot(&mut snap);
+        let roles = RoleSet::single(RoleId(1));
+        for at in 0..snap.len() - 3 {
+            let mut bytes = snap.clone();
+            bytes[at..at + 4].fill(0xFF);
+            let _ = CryptoClient::new(authority.clone(), &roles, usize::MAX).restore(&bytes);
+        }
     }
 
     #[test]

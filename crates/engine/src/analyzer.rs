@@ -377,31 +377,12 @@ impl SpAnalyzer {
     /// analyzer legitimately changes the clock and quarantine.
     #[must_use]
     pub fn policy_table_bytes(&self) -> Vec<u8> {
-        use bytes::BufMut;
         let mut buf = Vec::new();
-        buf.put_u32(self.batch.len() as u32);
-        for sp in &self.batch {
-            sp.encode(&mut buf);
-        }
-        crate::checkpoint::encode_opt_segment(self.last_emitted.as_ref(), &mut buf);
-        match self.current_ts {
-            Some(ts) => {
-                buf.put_u8(1);
-                buf.put_u64(ts.0);
-            }
-            None => buf.put_u8(0),
-        }
+        self.encode_policy_table(&mut buf);
         buf
     }
 
-    /// Serializes the analyzer's dynamic state: the pending sp-batch, the
-    /// last emitted segment policy (the similar-policy-combining cache and
-    /// incremental-mode base), the governing policy timestamp, the stream
-    /// clock, the quarantine queue, and the degradation counters.
-    /// Configuration — schema, catalog, server policy, incremental flag,
-    /// hardening parameters — is not serialized; it is rebuilt from the
-    /// plan on recovery.
-    pub fn snapshot(&self, buf: &mut Vec<u8>) {
+    fn encode_policy_table(&self, buf: &mut Vec<u8>) {
         use bytes::BufMut;
         buf.put_u32(self.batch.len() as u32);
         for sp in &self.batch {
@@ -415,6 +396,18 @@ impl SpAnalyzer {
             }
             None => buf.put_u8(0),
         }
+    }
+
+    /// Serializes the analyzer's dynamic state: the pending sp-batch, the
+    /// last emitted segment policy (the similar-policy-combining cache and
+    /// incremental-mode base), the governing policy timestamp, the stream
+    /// clock, the quarantine queue, and the degradation counters.
+    /// Configuration — schema, catalog, server policy, incremental flag,
+    /// hardening parameters — is not serialized; it is rebuilt from the
+    /// plan on recovery.
+    pub fn snapshot(&self, buf: &mut Vec<u8>) {
+        use bytes::BufMut;
+        self.encode_policy_table(buf);
         buf.put_u64(self.clock);
         buf.put_u32(self.quarantine.len() as u32);
         for t in &self.quarantine {
@@ -442,12 +435,9 @@ impl SpAnalyzer {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::EngineError> {
         use crate::checkpoint as ckpt;
         use bytes::Buf;
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
-            ckpt::need(buf, 4, "analyzer batch length")?;
-            let n = buf.get_u32() as usize;
-            let mut batch = Vec::with_capacity(n);
+        ckpt::restore("analyzer", bytes, |buf| {
+            let n = ckpt::get_count(buf, ckpt::SP_MIN_LEN, "analyzer batch length")?;
+            let mut batch = Vec::new();
             let mut patterns = sp_core::PatternTable::new();
             for _ in 0..n {
                 batch.push(Arc::new(SecurityPunctuation::decode(buf, &mut patterns)?));
@@ -465,9 +455,8 @@ impl SpAnalyzer {
             };
             ckpt::need(buf, 8, "analyzer clock")?;
             self.clock = buf.get_u64();
-            ckpt::need(buf, 4, "analyzer quarantine length")?;
-            let n = buf.get_u32() as usize;
-            let mut quarantine = VecDeque::with_capacity(n);
+            let n = ckpt::get_count(buf, ckpt::TUPLE_MIN_LEN, "analyzer quarantine length")?;
+            let mut quarantine = VecDeque::new();
             for _ in 0..n {
                 quarantine.push_back(Arc::new(
                     sp_core::wire::decode_tuple(buf).map_err(|e| e.to_string())?,
@@ -481,9 +470,8 @@ impl SpAnalyzer {
             self.quarantined = buf.get_u64();
             self.quarantine_released = buf.get_u64();
             self.quarantine_dropped = buf.get_u64();
-            ckpt::done(buf)
-        };
-        apply().map_err(|e| ckpt::corrupt("analyzer", e))?;
+            Ok(())
+        })?;
         // Audit/span state is not checkpointed; replay repopulates the rings.
         self.rec.clear();
         Ok(())

@@ -31,7 +31,7 @@ use bytes::{Buf, BufMut};
 use sp_core::wire::crc32;
 use sp_core::{
     decode_tuple, encode_tuple, BatchPolicy, PatternTable, Policy, SecurityPunctuation,
-    SharedPolicy, StreamElement, Timestamp, Tuple,
+    StreamElement, Timestamp,
 };
 use sp_pattern::Pattern;
 
@@ -53,6 +53,47 @@ pub fn need(buf: &impl Buf, n: usize, what: &str) -> Result<(), CodecError> {
     } else {
         Ok(())
     }
+}
+
+/// Smallest encoding of a tuple: `sid`, `tid`, `ts`, arity, no values.
+pub const TUPLE_MIN_LEN: usize = 4 + 8 + 8 + 2;
+/// Smallest encoding of a policy: `ts`, flags, two empty role lists.
+pub const POLICY_MIN_LEN: usize = 8 + 1 + 2 + 2;
+/// Smallest encoding of a `(tuple, policy)` window entry.
+pub const TUPLE_POLICY_MIN_LEN: usize = TUPLE_MIN_LEN + POLICY_MIN_LEN;
+/// Smallest encoding of an sp: `ts`, flags, model, three empty pattern
+/// sources, an empty explicit role list.
+pub const SP_MIN_LEN: usize = 8 + 1 + 1 + 3 * 2 + 1 + 2;
+
+/// Reads a `u32` element count and refuses it unless that many elements
+/// of at least `min_len` bytes could still follow: a tampered count is an
+/// error, never an allocation (the CRC proves a frame intact, not honest).
+///
+/// # Errors
+///
+/// Fails on truncation or a count the remaining bytes cannot hold.
+pub fn get_count(buf: &mut impl Buf, min_len: usize, what: &str) -> Result<usize, CodecError> {
+    need(buf, 4, what)?;
+    let n = buf.get_u32() as usize;
+    if n.saturating_mul(min_len.max(1)) > buf.remaining() {
+        return Err(format!("{what} {n} exceeds the {} byte(s) left", buf.remaining()));
+    }
+    Ok(n)
+}
+
+/// Restores one component: `apply` decodes `bytes` into it and must
+/// consume them exactly; any failure is the fail-closed
+/// [`EngineError::CheckpointCorrupt`] for `stage`.
+///
+/// # Errors
+///
+/// Fails when `apply` fails or leaves trailing bytes.
+pub fn restore(
+    stage: &str,
+    mut bytes: &[u8],
+    apply: impl FnOnce(&mut &[u8]) -> Result<(), CodecError>,
+) -> Result<(), EngineError> {
+    apply(&mut bytes).and_then(|()| done(&bytes)).map_err(|e| EngineError::corrupt(stage, e))
 }
 
 /// Writes a `u16`-length-prefixed UTF-8 string.
@@ -95,20 +136,6 @@ pub fn get_section(buf: &mut impl Buf) -> Result<Vec<u8>, CodecError> {
     Ok(bytes)
 }
 
-/// Encodes a resolved shared policy.
-pub fn encode_policy(p: &Policy, buf: &mut impl BufMut) {
-    p.encode(buf);
-}
-
-/// Decodes a resolved policy into a fresh `Arc`.
-///
-/// # Errors
-///
-/// Fails on truncation or malformed bytes.
-pub fn decode_shared_policy(buf: &mut impl Buf) -> Result<SharedPolicy, CodecError> {
-    Policy::decode(buf).map(Arc::new)
-}
-
 /// Set in a segment policy's entry count when a revocation list follows
 /// the entries; a segment without one encodes as it always did.
 const HAS_DENIALS: u16 = 1 << 15;
@@ -116,7 +143,7 @@ const HAS_DENIALS: u16 = 1 << 15;
 fn encode_entries(entries: &[PolicyEntry], buf: &mut impl BufMut) {
     for entry in entries {
         put_str(buf, entry.scope.source());
-        encode_policy(&entry.policy, buf);
+        entry.policy.encode(buf);
     }
 }
 
@@ -126,7 +153,7 @@ fn decode_entries(n: usize, buf: &mut impl Buf) -> Result<Vec<PolicyEntry>, Code
         let source = get_str(buf)?;
         let scope =
             Pattern::compile(&source).map_err(|e| format!("bad scope pattern {source:?}: {e}"))?;
-        let policy = decode_shared_policy(buf)?;
+        let policy = Arc::new(Policy::decode(buf)?);
         entries.push(PolicyEntry { scope, policy });
     }
     Ok(entries)
@@ -201,7 +228,7 @@ pub fn encode_opt_policy(p: Option<&Policy>, buf: &mut impl BufMut) {
         None => buf.put_u8(0),
         Some(policy) => {
             buf.put_u8(1);
-            encode_policy(policy, buf);
+            policy.encode(buf);
         }
     }
 }
@@ -279,24 +306,6 @@ pub fn decode_stream_element(buf: &mut impl Buf) -> Result<StreamElement, CodecE
     }
 }
 
-/// Encodes a `(tuple, resolved policy)` pair — the unit of windowed
-/// operator state (join sides, group-by buffers, duplicate elimination).
-pub fn encode_tuple_policy(t: &Arc<Tuple>, p: &SharedPolicy, buf: &mut impl BufMut) {
-    encode_tuple(t, buf);
-    encode_policy(p, buf);
-}
-
-/// Decodes a pair written by [`encode_tuple_policy`].
-///
-/// # Errors
-///
-/// Fails on truncation or malformed bytes.
-pub fn decode_tuple_policy(buf: &mut impl Buf) -> Result<(Arc<Tuple>, SharedPolicy), CodecError> {
-    let t = decode_tuple(buf).map_err(|e| e.to_string())?;
-    let p = decode_shared_policy(buf)?;
-    Ok((Arc::new(t), p))
-}
-
 /// Asserts a snapshot was consumed exactly.
 ///
 /// # Errors
@@ -308,12 +317,6 @@ pub fn done(buf: &impl Buf) -> Result<(), CodecError> {
     } else {
         Err(format!("{} trailing byte(s) in snapshot", buf.remaining()))
     }
-}
-
-/// Converts a codec failure into the fail-closed engine error for `stage`.
-#[must_use]
-pub fn corrupt(stage: &str, e: CodecError) -> EngineError {
-    EngineError::corrupt(stage, e)
 }
 
 /// Merges the state suffixes of a delayed-sp-propagation operator's shard
@@ -347,11 +350,11 @@ pub(crate) fn merge_delayed_suffix(
     for part in parts {
         let mut slice = *part;
         for _ in 0..replicated_segments {
-            decode_opt_segment(&mut slice).map_err(|e| corrupt(stage, e))?;
+            decode_opt_segment(&mut slice).map_err(|e| EngineError::corrupt(stage, e))?;
         }
         let split = part.len() - slice.len();
-        let pending = decode_opt_segment(&mut slice).map_err(|e| corrupt(stage, e))?;
-        done(&slice).map_err(|e| corrupt(stage, e))?;
+        let pending = decode_opt_segment(&mut slice).map_err(|e| EngineError::corrupt(stage, e))?;
+        done(&slice).map_err(|e| EngineError::corrupt(stage, e))?;
         decoded.push((split, pending.is_some()));
     }
     let first_split = decoded[0].0;
@@ -662,7 +665,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use sp_core::{RoleSet, StreamId, TupleId, Value};
+    use sp_core::{RoleSet, StreamId, Tuple, TupleId, Value};
 
     fn seg(roles: &[u32], ts: u64) -> SegmentPolicy {
         SegmentPolicy::uniform(Policy::tuple_level(

@@ -71,7 +71,6 @@ pub mod slack;
 pub mod stats;
 pub mod supervisor;
 pub mod telemetry;
-pub mod window;
 
 pub use analyzer::{QuarantinePolicy, SpAnalyzer};
 pub use batch::ElementBatch;
@@ -104,4 +103,3 @@ pub use telemetry::{
     LagTracker, MetricsRegistry, QuarantineReason, Record, Recorders, Ring, Sections, SpanRecord,
     SpanRecorder, SpanSheet, TelemetryConfig,
 };
-pub use window::WindowSpec;

@@ -20,19 +20,22 @@
 //! form is what makes the Table II shield/δ commute rule sound. All three
 //! cases then coincide with the unified rule: release `P_new − P_seen`
 //! when non-empty, then `P_seen ← P_seen ∪ P_new`.)
+//!
+//! The input window, the governing segment and the output announcements
+//! are the shared [`state`](super::state) types; this module keeps the
+//! per-value audience and support count.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use sp_core::{Policy, RoleSet, SharedPolicy, Timestamp, Tuple, Value};
+use sp_core::{Policy, RoleSet, Timestamp, Tuple, Value};
 
+use super::state::{Announcer, Governing, Window};
 use crate::checkpoint as ckpt;
-use crate::element::{Element, SegmentPolicy};
+use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::stats::OperatorStats;
-use crate::window::WindowSpec;
 
 /// Output-state entry for one distinct value.
 #[derive(Debug)]
@@ -48,12 +51,11 @@ struct OutEntry {
 pub struct DupElim {
     /// Attributes forming the distinctness key (empty = all attributes).
     key_attrs: Vec<usize>,
-    window: WindowSpec,
     /// Input window contents, for support counting and expiry.
-    buffer: VecDeque<(Arc<Tuple>, SharedPolicy)>,
+    window: Window,
     output: HashMap<Vec<Value>, OutEntry>,
-    current: Option<Arc<SegmentPolicy>>,
-    last_policy: Option<Policy>,
+    input: Governing,
+    announcer: Announcer,
     stats: OperatorStats,
 }
 
@@ -64,20 +66,12 @@ impl DupElim {
     pub fn new(key_attrs: Vec<usize>, window_ms: u64) -> Self {
         Self {
             key_attrs,
-            window: WindowSpec::Time(window_ms),
-            buffer: VecDeque::new(),
+            window: Window::new(window_ms),
             output: HashMap::new(),
-            current: None,
-            last_policy: None,
+            input: Governing::default(),
+            announcer: Announcer::default(),
             stats: OperatorStats::new(),
         }
-    }
-
-    /// Replaces the window specification (e.g. a `ROWS n` count window).
-    #[must_use]
-    pub fn with_window(mut self, window: WindowSpec) -> Self {
-        self.window = window;
-        self
     }
 
     fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
@@ -88,45 +82,17 @@ impl DupElim {
         }
     }
 
+    /// Evicts expired window tuples, dropping their support.
     fn expire(&mut self, now: Timestamp) {
-        let Some(horizon) = self.window.horizon(now) else { return };
-        while self.buffer.front().is_some_and(|(t, _)| t.ts <= horizon) {
-            self.evict_front();
-        }
-    }
-
-    fn trim_rows(&mut self) {
-        if let Some(capacity) = self.window.capacity() {
-            while self.buffer.len() > capacity {
-                self.evict_front();
+        while let Some((t, _)) = self.window.pop_expired(now) {
+            let key = self.key_of(&t);
+            if let Entry::Occupied(mut e) = self.output.entry(key) {
+                e.get_mut().support -= 1;
+                if e.get().support == 0 {
+                    e.remove();
+                }
             }
         }
-    }
-
-    fn evict_front(&mut self) {
-        let Some((t, _)) = self.buffer.pop_front() else { return };
-        let key = self.key_of(&t);
-        if let Entry::Occupied(mut e) = self.output.entry(key) {
-            e.get_mut().support -= 1;
-            if e.get().support == 0 {
-                e.remove();
-            }
-        }
-    }
-
-    fn emit(&mut self, out: &mut Emitter, tuple: Arc<Tuple>, roles: RoleSet, ts: Timestamp) {
-        // Output policies carry the released tuple's timestamp (keeping
-        // output sps ordered) and repeat only when authorizations change.
-        let policy = Policy::tuple_level(roles, ts);
-        let repeated =
-            self.last_policy.as_ref().is_some_and(|prev| prev.same_authorizations(&policy));
-        if !repeated {
-            self.stats.sps_out += 1;
-            out.push(Element::policy(SegmentPolicy::uniform(policy.clone())));
-        }
-        self.last_policy = Some(policy);
-        self.stats.tuples_out += 1;
-        out.push(Element::Tuple(tuple));
     }
 }
 
@@ -147,58 +113,43 @@ impl Operator for DupElim {
         for elem in batch {
             match elem {
                 Element::Policy(seg) => {
-                    self.stats.sps_in += 1;
-                    if seg.replaces(self.current.as_ref()) {
-                        self.current = Some(seg);
-                    }
+                    self.input.observe(seg, &mut self.stats);
                 }
                 Element::Tuple(tuple) => {
                     self.stats.tuples_in += 1;
                     self.expire(tuple.ts);
-                    let p_new = SegmentPolicy::governing(self.current.as_ref(), tuple.tid);
+                    let p_new = self.input.policy_for(tuple.tid);
                     let key = self.key_of(&tuple);
                     // Take the roles first so the policy Arc can move into the
                     // window without an extra refcount round-trip.
                     let new_roles = p_new.tuple_roles().clone();
-                    self.buffer.push_back((tuple.clone(), p_new));
-                    self.trim_rows();
-                    let action = match self.output.get_mut(&key) {
-                        None => {
-                            self.output
-                                .insert(key, OutEntry { roles: new_roles.clone(), support: 1 });
-                            Some(new_roles)
-                        }
-                        Some(entry) => {
-                            entry.support += 1;
-                            let common = entry.roles.intersect(&new_roles);
-                            if common.is_empty() {
-                                // Case 1: previous output was invisible to this
-                                // audience — re-release under P_new; the stored
-                                // audience accumulates.
-                                entry.roles.union_with(&new_roles);
-                                if new_roles.is_empty() {
-                                    None // deny-all tuples are never released
-                                } else {
-                                    Some(new_roles)
-                                }
-                            } else if common == new_roles {
-                                // Case 2: already visible to everyone in P_new.
-                                None
-                            } else {
-                                // Case 3: release only the newly-covered roles.
-                                let delta = new_roles.minus(&common);
-                                entry.roles.union_with(&new_roles);
-                                Some(delta)
+                    self.window.push(tuple.clone(), p_new);
+                    // Release the roles not yet shown the value (cases 1–3
+                    // above); the first copy of a value under deny-all is
+                    // shielded.
+                    let released = match self.output.entry(key) {
+                        Entry::Vacant(slot) => {
+                            if new_roles.is_empty() {
+                                self.stats.tuples_shielded += 1;
                             }
+                            slot.insert(OutEntry { roles: new_roles.clone(), support: 1 });
+                            new_roles
+                        }
+                        Entry::Occupied(mut slot) => {
+                            let entry = slot.get_mut();
+                            entry.support += 1;
+                            let delta = new_roles.minus(&entry.roles);
+                            if !delta.is_empty() {
+                                entry.roles.union_with(&new_roles);
+                            }
+                            delta
                         }
                     };
-                    if let Some(roles) = action {
-                        if !roles.is_empty() {
-                            let ts = tuple.ts;
-                            self.emit(out, tuple, roles, ts);
-                        } else {
-                            self.stats.tuples_shielded += 1;
-                        }
+                    if !released.is_empty() {
+                        // The output policy carries the released tuple's
+                        // timestamp, keeping output sps ordered.
+                        let policy = Policy::tuple_level(released, tuple.ts);
+                        self.announcer.emit(policy, tuple, &mut self.stats, out);
                     }
                 }
             }
@@ -211,11 +162,7 @@ impl Operator for DupElim {
     }
 
     fn state_mem_bytes(&self) -> usize {
-        let window: usize = self
-            .buffer
-            .iter()
-            .map(|(t, _)| t.mem_bytes() + std::mem::size_of::<SharedPolicy>())
-            .sum();
+        let window = self.window.mem_bytes();
         let output: usize = self
             .output
             .values()
@@ -231,10 +178,7 @@ impl Operator for DupElim {
     fn snapshot(&self, buf: &mut Vec<u8>) {
         use bytes::BufMut;
         self.stats.encode_counters(buf);
-        buf.put_u32(self.buffer.len() as u32);
-        for (t, p) in &self.buffer {
-            ckpt::encode_tuple_policy(t, p, buf);
-        }
+        self.window.encode(buf);
         let mut entries: Vec<Vec<u8>> = self
             .output
             .iter()
@@ -254,33 +198,23 @@ impl Operator for DupElim {
         for e in entries {
             buf.extend_from_slice(&e);
         }
-        ckpt::encode_opt_segment(self.current.as_ref(), buf);
-        ckpt::encode_opt_policy(self.last_policy.as_ref(), buf);
+        self.input.encode(buf);
+        self.announcer.encode(buf);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
         use bytes::Buf;
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
+        ckpt::restore("dupelim", bytes, |buf| {
             self.stats.decode_counters(buf)?;
-            ckpt::need(buf, 4, "dupelim buffer length")?;
-            let n = buf.get_u32() as usize;
-            let mut buffer = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                buffer.push_back(ckpt::decode_tuple_policy(buf)?);
-            }
-            self.buffer = buffer;
-            ckpt::need(buf, 4, "dupelim output length")?;
-            let n = buf.get_u32() as usize;
-            let mut output = HashMap::with_capacity(n);
+            self.window.decode(buf, "dupelim buffer length")?;
+            // A value entry is at least its key arity, role set and count.
+            let n = ckpt::get_count(buf, 2 + 2 + 8, "dupelim output length")?;
+            let mut output = HashMap::new();
             for _ in 0..n {
                 ckpt::need(buf, 2, "dupelim key arity")?;
-                let arity = buf.get_u16() as usize;
-                let mut key = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    key.push(sp_core::wire::decode_value(buf).map_err(|e| e.to_string())?);
-                }
+                let key = (0..buf.get_u16())
+                    .map(|_| sp_core::wire::decode_value(buf).map_err(|e| e.to_string()))
+                    .collect::<Result<Vec<_>, _>>()?;
                 let roles = RoleSet::decode(buf)?;
                 ckpt::need(buf, 8, "dupelim support count")?;
                 let support = buf.get_u64() as usize;
@@ -289,11 +223,10 @@ impl Operator for DupElim {
                 }
             }
             self.output = output;
-            self.current = ckpt::decode_opt_segment(buf)?;
-            self.last_policy = ckpt::decode_opt_policy(buf)?;
-            ckpt::done(buf)
-        };
-        apply().map_err(|e| EngineError::corrupt("dupelim", e))
+            self.input = Governing::decode(buf)?;
+            self.announcer = Announcer::decode(buf)?;
+            Ok(())
+        })
     }
 }
 
@@ -302,6 +235,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::element::SegmentPolicy;
     use crate::operator::run_unary;
     use sp_core::{RoleId, StreamId, TupleId};
 
@@ -402,15 +336,6 @@ mod tests {
         // And a later authorized duplicate IS released.
         let out = run_unary(&mut de, vec![pol(&[4], 2), tup(2, 3, 5)]);
         assert_eq!(released(&out), vec![(5, vec![4])]);
-    }
-
-    #[test]
-    fn row_window_forgets_by_count() {
-        use crate::window::WindowSpec;
-        let mut de = DupElim::new(vec![0], 0).with_window(WindowSpec::Rows(1));
-        let out = run_unary(&mut de, vec![pol(&[1], 0), tup(1, 1, 5), tup(2, 2, 6), tup(3, 3, 5)]);
-        // Value 5 was evicted by value 6, so its reappearance re-releases.
-        assert_eq!(released(&out), vec![(5, vec![1]), (6, vec![1]), (5, vec![1])]);
     }
 
     #[test]

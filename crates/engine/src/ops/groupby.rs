@@ -6,19 +6,23 @@
 //! ASG and every update is emitted preceded by the subgroup's policy, so a
 //! subject only ever sees aggregates over tuples it was authorized to read.
 //! Aggregation without grouping is a group-by with a single group.
+//!
+//! The input window, the governing segment and the output announcements
+//! are the shared [`state`](super::state) types; an expired tuple comes
+//! back from the window to be retracted from its ASG, whose updated
+//! aggregate is re-emitted.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sp_core::{Policy, RoleSet, SharedPolicy, Timestamp, Tuple, Value};
+use sp_core::{Policy, RoleSet, Timestamp, Tuple, Value};
 
+use super::state::{Announcer, Governing, Window};
 use crate::checkpoint as ckpt;
-use crate::element::{Element, SegmentPolicy};
+use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::stats::OperatorStats;
-use crate::window::WindowSpec;
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,11 +135,10 @@ pub struct GroupBy {
     agg: AggFunc,
     /// Aggregated attribute (ignored by COUNT).
     agg_attr: usize,
-    window: WindowSpec,
-    buffer: VecDeque<(Arc<Tuple>, SharedPolicy)>,
+    window: Window,
     asgs: Vec<Asg>,
-    current: Option<Arc<SegmentPolicy>>,
-    last_policy: Option<Policy>,
+    input: Governing,
+    announcer: Announcer,
     stats: OperatorStats,
 }
 
@@ -147,20 +150,12 @@ impl GroupBy {
             group_attr,
             agg,
             agg_attr,
-            window: WindowSpec::Time(window_ms),
-            buffer: VecDeque::new(),
+            window: Window::new(window_ms),
             asgs: Vec::new(),
-            current: None,
-            last_policy: None,
+            input: Governing::default(),
+            announcer: Announcer::default(),
             stats: OperatorStats::new(),
         }
-    }
-
-    /// Replaces the window specification (e.g. a `ROWS n` count window).
-    #[must_use]
-    pub fn with_window(mut self, window: WindowSpec) -> Self {
-        self.window = window;
-        self
     }
 
     fn group_of(&self, t: &Tuple) -> Value {
@@ -200,36 +195,14 @@ impl GroupBy {
             ts,
             vec![asg.group.clone(), asg.state.result(self.agg)],
         );
-        let repeated =
-            self.last_policy.as_ref().is_some_and(|prev| prev.same_authorizations(&policy));
-        if !repeated {
-            self.stats.sps_out += 1;
-            out.push(Element::policy(SegmentPolicy::uniform(policy.clone())));
-        }
-        self.last_policy = Some(policy);
-        self.stats.tuples_out += 1;
-        out.push(Element::tuple(result));
+        self.announcer.emit(policy, Arc::new(result), &mut self.stats, out);
     }
 
+    /// Retracts expired window tuples from their ASGs.
     fn expire(&mut self, now: Timestamp, out: &mut Emitter) {
-        let Some(horizon) = self.window.horizon(now) else { return };
-        while self.buffer.front().is_some_and(|(t, _)| t.ts <= horizon) {
-            self.evict_front(now, out);
-        }
-    }
-
-    fn trim_rows(&mut self, now: Timestamp, out: &mut Emitter) {
-        if let Some(capacity) = self.window.capacity() {
-            while self.buffer.len() > capacity {
-                self.evict_front(now, out);
-            }
-        }
-    }
-
-    fn evict_front(&mut self, now: Timestamp, out: &mut Emitter) {
-        let Some((t, p)) = self.buffer.pop_front() else { return };
-        let group = self.group_of(&t);
-        if let Some(idx) = self.asg_index(&group, p.tuple_roles()) {
+        while let Some((t, p)) = self.window.pop_expired(now) {
+            let group = self.group_of(&t);
+            let Some(idx) = self.asg_index(&group, p.tuple_roles()) else { continue };
             let null = Value::Null;
             let v = t.value(self.agg_attr).unwrap_or(&null);
             self.asgs[idx].state.retract(v);
@@ -261,15 +234,12 @@ impl Operator for GroupBy {
         for elem in batch {
             match elem {
                 Element::Policy(seg) => {
-                    self.stats.sps_in += 1;
-                    if seg.replaces(self.current.as_ref()) {
-                        self.current = Some(seg);
-                    }
+                    self.input.observe(seg, &mut self.stats);
                 }
                 Element::Tuple(tuple) => {
                     self.stats.tuples_in += 1;
                     self.expire(tuple.ts, out);
-                    let policy = SegmentPolicy::governing(self.current.as_ref(), tuple.tid);
+                    let policy = self.input.policy_for(tuple.tid);
                     let group = self.group_of(&tuple);
                     let idx = match self.asg_index(&group, policy.tuple_roles()) {
                         Some(i) => i,
@@ -286,8 +256,7 @@ impl Operator for GroupBy {
                     let null = Value::Null;
                     self.asgs[idx].state.add(tuple.value(self.agg_attr).unwrap_or(&null));
                     let ts = tuple.ts;
-                    self.buffer.push_back((tuple, policy));
-                    self.trim_rows(ts, out);
+                    self.window.push(tuple, policy);
                     self.emit_asg(idx, ts, out);
                 }
             }
@@ -300,11 +269,7 @@ impl Operator for GroupBy {
     }
 
     fn state_mem_bytes(&self) -> usize {
-        let window: usize = self
-            .buffer
-            .iter()
-            .map(|(t, _)| t.mem_bytes() + std::mem::size_of::<SharedPolicy>())
-            .sum();
+        let window = self.window.mem_bytes();
         let asgs: usize =
             self.asgs.iter().map(|a| std::mem::size_of::<Asg>() + a.roles.mem_bytes()).sum();
         window + asgs
@@ -319,10 +284,7 @@ impl Operator for GroupBy {
     fn snapshot(&self, buf: &mut Vec<u8>) {
         use bytes::BufMut;
         self.stats.encode_counters(buf);
-        buf.put_u32(self.buffer.len() as u32);
-        for (t, p) in &self.buffer {
-            ckpt::encode_tuple_policy(t, p, buf);
-        }
+        self.window.encode(buf);
         buf.put_u32(self.asgs.len() as u32);
         for asg in &self.asgs {
             sp_core::wire::encode_value(&asg.group, buf);
@@ -335,33 +297,26 @@ impl Operator for GroupBy {
                 buf.put_u64(*n as u64);
             }
         }
-        ckpt::encode_opt_segment(self.current.as_ref(), buf);
-        ckpt::encode_opt_policy(self.last_policy.as_ref(), buf);
+        self.input.encode(buf);
+        self.announcer.encode(buf);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
         use bytes::Buf;
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
+        ckpt::restore("groupby", bytes, |buf| {
             self.stats.decode_counters(buf)?;
-            ckpt::need(buf, 4, "groupby buffer length")?;
-            let n = buf.get_u32() as usize;
-            let mut buffer = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                buffer.push_back(ckpt::decode_tuple_policy(buf)?);
-            }
-            self.buffer = buffer;
-            ckpt::need(buf, 4, "groupby asg count")?;
-            let n = buf.get_u32() as usize;
-            let mut asgs = Vec::with_capacity(n);
+            self.window.decode(buf, "groupby buffer length")?;
+            // An ASG is at least its group value, role set, count, sum and
+            // multiset length.
+            let n = ckpt::get_count(buf, 1 + 2 + 8 + 8 + 4, "groupby asg count")?;
+            let mut asgs = Vec::new();
             for _ in 0..n {
                 let group = sp_core::wire::decode_value(buf).map_err(|e| e.to_string())?;
                 let roles = RoleSet::decode(buf)?;
-                ckpt::need(buf, 8 + 8 + 4, "groupby aggregate state")?;
+                ckpt::need(buf, 8 + 8, "groupby aggregate state")?;
                 let count = buf.get_u64();
                 let sum = f64::from_bits(buf.get_u64());
-                let m = buf.get_u32() as usize;
+                let m = ckpt::get_count(buf, 1 + 8, "groupby multiset length")?;
                 let mut values = BTreeMap::new();
                 for _ in 0..m {
                     let v = sp_core::wire::decode_value(buf).map_err(|e| e.to_string())?;
@@ -377,11 +332,10 @@ impl Operator for GroupBy {
                 asgs.push(Asg { group, roles, state: AggState { count, sum, values } });
             }
             self.asgs = asgs;
-            self.current = ckpt::decode_opt_segment(buf)?;
-            self.last_policy = ckpt::decode_opt_policy(buf)?;
-            ckpt::done(buf)
-        };
-        apply().map_err(|e| EngineError::corrupt("groupby", e))
+            self.input = Governing::decode(buf)?;
+            self.announcer = Announcer::decode(buf)?;
+            Ok(())
+        })
     }
 }
 
@@ -390,6 +344,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::element::SegmentPolicy;
     use crate::operator::run_unary;
     use sp_core::{RoleId, StreamId, TupleId};
 
@@ -519,18 +474,6 @@ mod tests {
         assert_eq!(gb.stats().tuples_shielded, 1);
         assert_eq!(gb.name(), "groupby");
         assert!(gb.state_mem_bytes() > 0);
-    }
-
-    #[test]
-    fn row_window_aggregates_last_n() {
-        use crate::window::WindowSpec;
-        let mut gb = GroupBy::new(None, AggFunc::Sum, 1, 0).with_window(WindowSpec::Rows(2));
-        let out =
-            run_unary(&mut gb, vec![pol(&[1], 0), tup(1, 0, 10), tup(2, 0, 20), tup(3, 0, 30)]);
-        let r = results(&out);
-        // Sums: 10, 30, then insertion of 30 evicts 10 first → 20+30=50.
-        let sums: Vec<&Value> = r.iter().map(|(_, v, _)| v).collect();
-        assert_eq!(sums.last().unwrap(), &&Value::Float(50.0));
     }
 
     #[test]

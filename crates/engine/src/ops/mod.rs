@@ -8,6 +8,7 @@ pub mod select;
 pub mod setops;
 pub mod shield;
 pub mod sink;
+mod state;
 
 pub use dupelim::DupElim;
 pub use groupby::{AggFunc, GroupBy};

@@ -109,12 +109,7 @@ impl Operator for Project {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        let mut slice = bytes;
-        let buf = &mut slice;
-        self.stats
-            .decode_counters(buf)
-            .and_then(|()| crate::checkpoint::done(buf))
-            .map_err(|e| EngineError::corrupt("project", e))
+        crate::checkpoint::restore("project", bytes, |buf| self.stats.decode_counters(buf))
     }
 }
 

@@ -21,18 +21,22 @@
 //! Cost accounting matches the paper's breakdown: join time, sp
 //! maintenance (index/segment bookkeeping), tuple maintenance (window
 //! insertion + invalidation).
+//!
+//! The window stays segment-structured (it is what the SPIndex points
+//! into); its tuple entries, their expiry rule and the output
+//! announcements are the shared [`state`](super::state) ones.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sp_core::{Policy, RoleId, SharedPolicy, Timestamp, Tuple};
 
+use super::state::{self, Announcer, Entries};
 use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::stats::{CostKind, OperatorStats};
-use crate::window::WindowSpec;
 
 /// Physical SAJoin variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,7 +58,7 @@ struct Segment {
     id: u64,
     policy: Option<Arc<SegmentPolicy>>,
     /// `(tuple, resolved policy)` — uniform segments share one `Arc`.
-    tuples: VecDeque<(Arc<Tuple>, SharedPolicy)>,
+    tuples: Entries,
 }
 
 impl Segment {
@@ -74,26 +78,32 @@ struct SpIndex {
     r_nodes: Vec<VecDeque<u64>>,
 }
 
+/// Every role of every entry of `segment`'s policy, entry by entry.
+fn segment_roles(segment: &Segment) -> impl Iterator<Item = RoleId> + '_ {
+    segment.policy.iter().flat_map(|p| p.entries()).flat_map(|e| e.policy.tuple_roles().iter())
+}
+
 impl SpIndex {
-    fn insert(&mut self, segment_id: u64, roles: impl Iterator<Item = RoleId>) {
-        for role in roles {
+    /// Appends `segment` at the r-tail of each of its roles.
+    fn insert(&mut self, segment: &Segment) {
+        for role in segment_roles(segment) {
             let idx = role.raw() as usize;
             if idx >= self.r_nodes.len() {
                 self.r_nodes.resize_with(idx + 1, VecDeque::new);
             }
-            self.r_nodes[idx].push_back(segment_id);
+            self.r_nodes[idx].push_back(segment.id);
         }
     }
 
-    fn remove(&mut self, segment_id: u64, roles: impl Iterator<Item = RoleId>) {
-        for role in roles {
+    fn remove(&mut self, segment: &Segment) {
+        for role in segment_roles(segment) {
             if let Some(list) = self.r_nodes.get_mut(role.raw() as usize) {
                 // The expired segment is always the globally oldest, so it
                 // sits at the r-head of every list that contains it.
-                if list.front() == Some(&segment_id) {
+                if list.front() == Some(&segment.id) {
                     list.pop_front();
                 } else {
-                    list.retain(|&id| id != segment_id);
+                    list.retain(|&id| id != segment.id);
                 }
             }
         }
@@ -146,42 +156,35 @@ impl Side {
         if self.segments.back().is_some_and(|last| last.tuples.is_empty()) {
             if let Some(last) = self.segments.pop_back() {
                 if use_index {
-                    self.remove_index_entries(&last);
+                    self.index.remove(&last);
                 }
             }
         }
         let id = self.next_segment_id;
         self.next_segment_id += 1;
+        let segment = Segment { id, policy: Some(policy), tuples: Entries::new() };
         if use_index {
-            for entry in policy.entries() {
-                self.index.insert(id, entry.policy.tuple_roles().iter());
-            }
+            self.index.insert(&segment);
         }
-        self.segments.push_back(Segment { id, policy: Some(policy), tuples: VecDeque::new() });
+        self.segments.push_back(segment);
     }
 
-    fn remove_index_entries(&mut self, segment: &Segment) {
-        if let Some(policy) = &segment.policy {
-            for entry in policy.entries() {
-                self.index.remove(segment.id, entry.policy.tuple_roles().iter());
-            }
-        }
-    }
-
-    /// Appends a tuple under the current (last) segment.
-    fn insert_tuple(&mut self, tuple: Arc<Tuple>) {
+    /// Appends a tuple under the current (last) segment; returns the
+    /// policy that governs it there.
+    fn insert_tuple(&mut self, tuple: Arc<Tuple>) -> SharedPolicy {
         if self.segments.is_empty() {
             // Tuples before any punctuation: denial-by-default segment.
             let id = self.next_segment_id;
             self.next_segment_id += 1;
-            self.segments.push_back(Segment { id, policy: None, tuples: VecDeque::new() });
+            self.segments.push_back(Segment { id, policy: None, tuples: Entries::new() });
         }
         // Audited: a segment was pushed just above if none existed.
         #[allow(clippy::expect_used)]
         let seg = self.segments.back_mut().expect("segment exists");
         let policy = SegmentPolicy::governing(seg.policy.as_ref(), tuple.tid);
-        seg.tuples.push_back((tuple, policy));
+        seg.tuples.push_back((tuple, policy.clone()));
         self.tuple_count += 1;
+        policy
     }
 
     fn mem_bytes(&self) -> usize {
@@ -203,12 +206,11 @@ impl Side {
 #[derive(Debug)]
 pub struct SAJoin {
     variant: JoinVariant,
-    window: WindowSpec,
+    window_ms: u64,
     left: Side,
     right: Side,
     left_arity: usize,
-    /// Last emitted output policy, for punctuation sharing on the output.
-    last_policy: Option<Policy>,
+    announcer: Announcer,
     /// Scratch: segment ids probed during the current index probe.
     probed: Vec<u64>,
     stats: OperatorStats,
@@ -228,11 +230,11 @@ impl SAJoin {
     ) -> Self {
         Self {
             variant,
-            window: WindowSpec::Time(window_ms),
+            window_ms,
             left: Side::new(left_key),
             right: Side::new(right_key),
             left_arity,
-            last_policy: None,
+            announcer: Announcer::default(),
             probed: Vec::new(),
             stats: OperatorStats::new(),
         }
@@ -242,13 +244,6 @@ impl SAJoin {
     #[must_use]
     pub fn variant(&self) -> JoinVariant {
         self.variant
-    }
-
-    /// Replaces the window specification (e.g. a `ROWS n` count window).
-    #[must_use]
-    pub fn with_window(mut self, window: WindowSpec) -> Self {
-        self.window = window;
-        self
     }
 
     /// Current window tuple counts `(left, right)`.
@@ -271,38 +266,16 @@ impl SAJoin {
         out
     }
 
-    /// Emits one join result, preceded by its policy punctuation when the
-    /// authorizations differ from the previously emitted ones (punctuation
-    /// sharing on the output stream). The output punctuation is stamped
-    /// with the *result tuple's* timestamp so the output stream's sps stay
-    /// timestamp-ordered — base policies of window tuples can be older
-    /// than policies already emitted, and downstream operators rightly
-    /// ignore punctuations that appear stale (§V-A).
-    fn emit(&mut self, out: &mut Emitter, joined: Tuple, mut policy: Policy) {
-        policy.ts = joined.ts;
-        let repeated =
-            self.last_policy.as_ref().is_some_and(|prev| prev.same_authorizations(&policy));
-        if !repeated {
-            self.stats.sps_out += 1;
-            out.push(Element::policy(SegmentPolicy::uniform(policy.clone())));
-        }
-        self.last_policy = Some(policy);
-        self.stats.tuples_out += 1;
-        out.push(Element::tuple(joined));
-    }
-
     /// Invalidation (§V-B.1 step 2): expire tuples older than `now - W`
     /// from the head of the given side; purge fully-expired segments and
     /// their punctuations (and index entries).
     fn invalidate(&mut self, from_left: bool, now: Timestamp) {
-        let Some(horizon) = self.window.horizon(now) else {
-            return; // row windows expire by count on insertion
-        };
+        let window_ms = self.window_ms;
         let use_index = self.variant == JoinVariant::Index;
         let side = if from_left { &mut self.left } else { &mut self.right };
         while let Some(front) = side.segments.front_mut() {
             let tuple_start = std::time::Instant::now();
-            while front.tuples.front().is_some_and(|(t, _)| t.ts <= horizon) {
+            while front.tuples.front().is_some_and(|(t, _)| state::expired(t, now, window_ms)) {
                 front.tuples.pop_front();
                 side.tuple_count -= 1;
             }
@@ -315,47 +288,13 @@ impl SAJoin {
                 #[allow(clippy::expect_used)]
                 let seg = side.segments.pop_front().expect("front exists");
                 if use_index {
-                    if let Some(policy) = &seg.policy {
-                        for entry in policy.entries() {
-                            side.index.remove(seg.id, entry.policy.tuple_roles().iter());
-                        }
-                    }
+                    side.index.remove(&seg);
                 }
                 self.stats.charge(CostKind::SpMaintenance, sp_start.elapsed());
             } else {
                 break;
             }
         }
-    }
-
-    /// Count-window eviction: trims a side to the row capacity, purging
-    /// emptied segments (and their index entries).
-    fn trim_rows(&mut self, from_left: bool) {
-        let Some(capacity) = self.window.capacity() else { return };
-        let use_index = self.variant == JoinVariant::Index;
-        let side = if from_left { &mut self.left } else { &mut self.right };
-        let start = std::time::Instant::now();
-        while side.tuple_count > capacity {
-            // Audited: tuple_count > 0 implies at least one segment.
-            #[allow(clippy::expect_used)]
-            let front = side.segments.front_mut().expect("non-empty when over capacity");
-            if front.tuples.pop_front().is_some() {
-                side.tuple_count -= 1;
-            }
-            if front.tuples.is_empty() && side.segments.len() > 1 {
-                // Audited: len > 1 was just checked.
-                #[allow(clippy::expect_used)]
-                let seg = side.segments.pop_front().expect("front exists");
-                if use_index {
-                    if let Some(policy) = &seg.policy {
-                        for entry in policy.entries() {
-                            side.index.remove(seg.id, entry.policy.tuple_roles().iter());
-                        }
-                    }
-                }
-            }
-        }
-        self.stats.charge(CostKind::TupleMaintenance, start.elapsed());
     }
 
     /// Join step: probe the opposite window with the new tuple.
@@ -381,6 +320,16 @@ impl SAJoin {
         // Collect matches first to keep the borrow checker happy; the
         // emission cost is still charged to the join bucket.
         let mut matches: Vec<(Arc<Tuple>, SharedPolicy)> = Vec::new();
+        // Policy test, then value test, tuple by tuple.
+        let filter_probe = |seg: &Segment, matches: &mut Vec<_>| {
+            for (u, up) in &seg.tuples {
+                if policy.tuple_roles().intersects(up.tuple_roles())
+                    && u.value(opp_key).is_some_and(|v| v.sql_eq(&key_value))
+                {
+                    matches.push((u.clone(), up.clone()));
+                }
+            }
+        };
         {
             let opposite = if from_left { &self.right } else { &self.left };
             match self.variant {
@@ -406,13 +355,7 @@ impl SAJoin {
                                 continue;
                             }
                         }
-                        for (u, up) in &seg.tuples {
-                            if policy.tuple_roles().intersects(up.tuple_roles())
-                                && u.value(opp_key).is_some_and(|v| v.sql_eq(&key_value))
-                            {
-                                matches.push((u.clone(), up.clone()));
-                            }
-                        }
+                        filter_probe(seg, &mut matches);
                     }
                 }
                 JoinVariant::Index => {
@@ -429,13 +372,7 @@ impl SAJoin {
                                     continue;
                                 }
                                 self.probed.push(seg_id);
-                                for (u, upol) in &seg.tuples {
-                                    if policy.tuple_roles().intersects(upol.tuple_roles())
-                                        && u.value(opp_key).is_some_and(|v| v.sql_eq(&key_value))
-                                    {
-                                        matches.push((u.clone(), upol.clone()));
-                                    }
-                                }
+                                filter_probe(seg, &mut matches);
                                 continue;
                             };
                             // Skipping rule (Lemma 5.1), refined to stay
@@ -459,7 +396,7 @@ impl SAJoin {
         }
 
         for (u, up) in matches {
-            let (joined, out_policy) = if from_left {
+            let (joined, mut out_policy) = if from_left {
                 (tuple.join(&u), self.join_policies(policy, &up))
             } else {
                 (u.join(tuple), self.join_policies(&up, policy))
@@ -467,7 +404,12 @@ impl SAJoin {
             if out_policy.tuple_roles().is_empty() && out_policy.attr_grants().is_empty() {
                 continue; // incompatible base policies
             }
-            self.emit(out, joined, out_policy);
+            // Stamped with the *result's* timestamp so the output stream's
+            // sps stay ordered: base policies of window tuples can be older
+            // than policies already emitted, and downstream operators
+            // rightly ignore punctuations that appear stale (§V-A).
+            out_policy.ts = joined.ts;
+            self.announcer.emit(out_policy, Arc::new(joined), &mut self.stats, out);
         }
         self.stats.charge(CostKind::Join, start.elapsed());
     }
@@ -492,17 +434,8 @@ impl SAJoin {
                 // Insert into own window.
                 let insert_start = std::time::Instant::now();
                 let side = if from_left { &mut self.left } else { &mut self.right };
-                side.insert_tuple(tuple.clone());
-                // Audited: insert_tuple just appended to the back segment.
-                #[allow(clippy::expect_used)]
-                let policy = side
-                    .segments
-                    .back()
-                    .and_then(|s| s.tuples.back())
-                    .map(|(_, p)| p.clone())
-                    .expect("tuple was just inserted");
+                let policy = side.insert_tuple(tuple.clone());
                 self.stats.charge(CostKind::TupleMaintenance, insert_start.elapsed());
-                self.trim_rows(from_left);
                 // Step 3: probe the opposite window.
                 self.probe(from_left, &tuple, &policy, out);
             }
@@ -549,7 +482,7 @@ impl Operator for SAJoin {
 
     /// Snapshot: counters, both sides' s-punctuated segment lists (segment
     /// id, governing policy, tuples with resolved policies) and segment-id
-    /// allocators, and the last emitted output policy. The SPIndex and the
+    /// allocators, and the last announced output policy. The SPIndex and the
     /// per-side tuple counts are *derived* state, rebuilt on restore rather
     /// than serialized; `probed` is per-probe scratch.
     fn snapshot(&self, buf: &mut Vec<u8>) {
@@ -561,27 +494,25 @@ impl Operator for SAJoin {
             for seg in &side.segments {
                 buf.put_u64(seg.id);
                 ckpt::encode_opt_segment(seg.policy.as_ref(), buf);
-                buf.put_u32(seg.tuples.len() as u32);
-                for (t, p) in &seg.tuples {
-                    ckpt::encode_tuple_policy(t, p, buf);
-                }
+                state::encode_entries(&seg.tuples, buf);
             }
         }
-        ckpt::encode_opt_policy(self.last_policy.as_ref(), buf);
+        self.announcer.encode(buf);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
         use bytes::Buf;
         let use_index = self.variant == JoinVariant::Index;
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
+        self.probed.clear();
+        ckpt::restore("sajoin", bytes, |buf| {
             self.stats.decode_counters(buf)?;
             for side in [&mut self.left, &mut self.right] {
-                ckpt::need(buf, 8 + 4, "sajoin side header")?;
+                ckpt::need(buf, 8, "sajoin side header")?;
                 let next_segment_id = buf.get_u64();
-                let n = buf.get_u32() as usize;
-                let mut segments = VecDeque::with_capacity(n);
+                // A segment is at least its id, policy presence byte and
+                // tuple count.
+                let n = ckpt::get_count(buf, 8 + 1 + 4, "sajoin segment count")?;
+                let mut segments = VecDeque::new();
                 let mut tuple_count = 0usize;
                 let mut index = SpIndex::default();
                 let mut prev_id = None;
@@ -598,32 +529,22 @@ impl Operator for SAJoin {
                     }
                     prev_id = Some(id);
                     let policy = ckpt::decode_opt_segment(buf)?;
-                    ckpt::need(buf, 4, "sajoin segment tuple count")?;
-                    let m = buf.get_u32() as usize;
-                    let mut tuples = VecDeque::with_capacity(m);
-                    for _ in 0..m {
-                        tuples.push_back(ckpt::decode_tuple_policy(buf)?);
-                    }
+                    let tuples = state::decode_entries(buf, "sajoin segment tuple count")?;
                     tuple_count += tuples.len();
+                    let segment = Segment { id, policy, tuples };
                     if use_index {
-                        if let Some(policy) = &policy {
-                            for entry in policy.entries() {
-                                index.insert(id, entry.policy.tuple_roles().iter());
-                            }
-                        }
+                        index.insert(&segment);
                     }
-                    segments.push_back(Segment { id, policy, tuples });
+                    segments.push_back(segment);
                 }
                 side.segments = segments;
                 side.index = index;
                 side.next_segment_id = next_segment_id;
                 side.tuple_count = tuple_count;
             }
-            self.last_policy = ckpt::decode_opt_policy(buf)?;
-            ckpt::done(buf)
-        };
-        self.probed.clear();
-        apply().map_err(|e| EngineError::corrupt("sajoin", e))
+            self.announcer = Announcer::decode(buf)?;
+            Ok(())
+        })
     }
 }
 
@@ -958,28 +879,6 @@ mod tests {
                 joined_pairs(&out).is_empty(),
                 "{variant:?}: deny-all window tuples never join"
             );
-        }
-    }
-
-    #[test]
-    fn row_windows_keep_the_last_n_tuples() {
-        use crate::window::WindowSpec;
-        for variant in all_variants() {
-            let mut j = SAJoin::new(variant, 0, 0, 0, 2).with_window(WindowSpec::Rows(2));
-            let out = run(
-                &mut j,
-                vec![
-                    (0, pol(&[1], 0)),
-                    (0, tup(1, 10, 1, 41)),
-                    (0, tup(1, 11, 2, 42)),
-                    (0, tup(1, 12, 3, 43)), // evicts the key-41 tuple
-                    (1, pol(&[1], 0)),
-                    (1, tup(2, 20, 4, 41)), // partner evicted: no join
-                    (1, tup(2, 21, 5, 43)), // joins
-                ],
-            );
-            assert_eq!(joined_pairs(&out), vec![(12, 21)], "{variant:?}");
-            assert!(j.window_sizes().0 <= 2, "{variant:?}");
         }
     }
 

@@ -182,14 +182,11 @@ impl Operator for Select {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), crate::checkpoint::CodecError> {
+        crate::checkpoint::restore("select", bytes, |buf| {
             self.stats.decode_counters(buf)?;
             self.pending_policy = crate::checkpoint::decode_opt_segment(buf)?;
-            crate::checkpoint::done(buf)
-        };
-        apply().map_err(|e| EngineError::corrupt("select", e))
+            Ok(())
+        })
     }
 }
 

@@ -13,23 +13,26 @@
 //!   with a compatible policy (`P_t ∩ P_u ≠ ∅`) exists in the opposite
 //!   window; the result carries the intersection of the two policies, the
 //!   same combination rule as the join.
+//!
+//! Both keep one shared [`Governing`] segment per port; the intersection's
+//! windows and output announcements are the shared [`state`](super::state)
+//! types too.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sp_core::{Policy, SharedPolicy, Timestamp, Tuple};
+use sp_core::{Policy, Timestamp};
 
+use super::state::{Announcer, Governing, Window};
 use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::stats::OperatorStats;
-use crate::window::WindowSpec;
 
 /// Security-aware bag union.
 #[derive(Debug, Default)]
 pub struct Union {
-    current: [Option<Arc<SegmentPolicy>>; 2],
+    inputs: [Governing; 2],
     /// Which port's policy was last announced downstream (and which
     /// segment policy it was).
     announced: Option<(usize, Arc<SegmentPolicy>)>,
@@ -70,18 +73,16 @@ impl Operator for Union {
         for elem in batch {
             match elem {
                 Element::Policy(seg) => {
-                    self.stats.sps_in += 1;
-                    if seg.replaces(self.current[port].as_ref()) {
-                        // Invalidate the announcement if it was this port's.
-                        if matches!(&self.announced, Some((p, _)) if *p == port) {
-                            self.announced = None;
-                        }
-                        self.current[port] = Some(seg);
+                    // Invalidate the announcement if it was this port's.
+                    if self.inputs[port].observe(seg, &mut self.stats)
+                        && matches!(&self.announced, Some((p, _)) if *p == port)
+                    {
+                        self.announced = None;
                     }
                 }
                 Element::Tuple(tuple) => {
                     self.stats.tuples_in += 1;
-                    let needs_announce = match (&self.announced, &self.current[port]) {
+                    let needs_announce = match (&self.announced, self.inputs[port].current()) {
                         (Some((p, seg)), Some(cur)) => *p != port || !Arc::ptr_eq(seg, cur),
                         (None, Some(_)) => true,
                         // No policy on this port yet: forward the tuple bare;
@@ -91,8 +92,9 @@ impl Operator for Union {
                         (_, None) => !matches!(&self.announced, Some((p, _)) if *p == port),
                     };
                     if needs_announce {
-                        let seg = self.current[port]
-                            .clone()
+                        let seg = self.inputs[port]
+                            .current()
+                            .cloned()
                             .unwrap_or_else(|| Arc::new(SegmentPolicy::deny(tuple.ts)));
                         // Keep the merged output's punctuations ordered: a
                         // re-announced policy may carry an older timestamp
@@ -121,7 +123,7 @@ impl Operator for Union {
     }
 
     fn state_mem_bytes(&self) -> usize {
-        self.current.iter().flatten().map(|p| p.mem_bytes()).sum()
+        self.inputs.iter().map(Governing::mem_bytes).sum()
     }
 
     /// Snapshot: counters, per-port current policies, the last downstream
@@ -129,8 +131,9 @@ impl Operator for Union {
     fn snapshot(&self, buf: &mut Vec<u8>) {
         use bytes::BufMut;
         self.stats.encode_counters(buf);
-        ckpt::encode_opt_segment(self.current[0].as_ref(), buf);
-        ckpt::encode_opt_segment(self.current[1].as_ref(), buf);
+        for input in &self.inputs {
+            input.encode(buf);
+        }
         match &self.announced {
             Some((port, seg)) => {
                 buf.put_u8(1);
@@ -144,12 +147,11 @@ impl Operator for Union {
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
         use bytes::Buf;
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
+        ckpt::restore("union", bytes, |buf| {
             self.stats.decode_counters(buf)?;
-            self.current[0] = ckpt::decode_opt_segment(buf)?;
-            self.current[1] = ckpt::decode_opt_segment(buf)?;
+            for input in &mut self.inputs {
+                *input = Governing::decode(buf)?;
+            }
             ckpt::need(buf, 1, "union announced flag")?;
             self.announced = match buf.get_u8() {
                 0 => None,
@@ -166,15 +168,14 @@ impl Operator for Union {
             };
             ckpt::need(buf, 8, "union announcement timestamp")?;
             self.last_announced_ts = Timestamp(buf.get_u64());
-            ckpt::done(buf)
-        };
-        apply().map_err(|e| EngineError::corrupt("union", e))?;
+            Ok(())
+        })?;
         // The announcement-validity check in `process_batch` compares by pointer;
         // re-share the current policy's Arc when the decoded announcement
         // matches it by value so recovery does not force a spurious
         // re-announcement.
         if let Some((port, seg)) = &mut self.announced {
-            if let Some(cur) = &self.current[*port] {
+            if let Some(cur) = self.inputs[*port].current() {
                 if **cur == **seg {
                     *seg = Arc::clone(cur);
                 }
@@ -187,10 +188,9 @@ impl Operator for Union {
 /// Security-aware windowed intersection (value-equality semi-match).
 #[derive(Debug)]
 pub struct SAIntersect {
-    window: WindowSpec,
-    windows: [VecDeque<(Arc<Tuple>, SharedPolicy)>; 2],
-    current: [Option<Arc<SegmentPolicy>>; 2],
-    last_policy: Option<Policy>,
+    windows: [Window; 2],
+    inputs: [Governing; 2],
+    announcer: Announcer,
     stats: OperatorStats,
 }
 
@@ -199,25 +199,10 @@ impl SAIntersect {
     #[must_use]
     pub fn new(window_ms: u64) -> Self {
         Self {
-            window: WindowSpec::Time(window_ms),
-            windows: [VecDeque::new(), VecDeque::new()],
-            current: [None, None],
-            last_policy: None,
+            windows: [Window::new(window_ms), Window::new(window_ms)],
+            inputs: [Governing::default(), Governing::default()],
+            announcer: Announcer::default(),
             stats: OperatorStats::new(),
-        }
-    }
-
-    /// Replaces the window specification (e.g. a `ROWS n` count window).
-    #[must_use]
-    pub fn with_window(mut self, window: WindowSpec) -> Self {
-        self.window = window;
-        self
-    }
-
-    fn invalidate(&mut self, side: usize, now: Timestamp) {
-        let Some(horizon) = self.window.horizon(now) else { return };
-        while self.windows[side].front().is_some_and(|(t, _)| t.ts <= horizon) {
-            self.windows[side].pop_front();
         }
     }
 }
@@ -243,15 +228,12 @@ impl Operator for SAIntersect {
         for elem in batch {
             match elem {
                 Element::Policy(seg) => {
-                    self.stats.sps_in += 1;
-                    if seg.replaces(self.current[port].as_ref()) {
-                        self.current[port] = Some(seg);
-                    }
+                    self.inputs[port].observe(seg, &mut self.stats);
                 }
                 Element::Tuple(tuple) => {
                     self.stats.tuples_in += 1;
-                    self.invalidate(1 - port, tuple.ts);
-                    let policy = SegmentPolicy::governing(self.current[port].as_ref(), tuple.tid);
+                    while self.windows[1 - port].pop_expired(tuple.ts).is_some() {}
+                    let policy = self.inputs[port].policy_for(tuple.tid);
                     // Probe the opposite window for value-equal partners. The
                     // governing policy of an intersection result is the union
                     // over all partners of the pairwise intersections — "roles
@@ -263,33 +245,17 @@ impl Operator for SAIntersect {
                     // its own window — and lets the policy Arc move into the
                     // window instead of being cloned.
                     let mut combined = sp_core::RoleSet::new();
-                    for (u, up) in &self.windows[1 - port] {
+                    for (u, up) in self.windows[1 - port].iter() {
                         if u.values() == tuple.values() {
                             let mut pair = policy.tuple_roles().clone();
                             pair.intersect_with(up.tuple_roles());
                             combined.union_with(&pair);
                         }
                     }
-                    // Insert into own window (count windows trim here).
-                    self.windows[port].push_back((tuple.clone(), policy));
-                    if let Some(capacity) = self.window.capacity() {
-                        while self.windows[port].len() > capacity {
-                            self.windows[port].pop_front();
-                        }
-                    }
+                    self.windows[port].push(tuple.clone(), policy);
                     if !combined.is_empty() {
                         let out_policy = Policy::tuple_level(combined, tuple.ts);
-                        let repeated = self
-                            .last_policy
-                            .as_ref()
-                            .is_some_and(|prev| prev.same_authorizations(&out_policy));
-                        if !repeated {
-                            self.stats.sps_out += 1;
-                            out.push(Element::policy(SegmentPolicy::uniform(out_policy.clone())));
-                        }
-                        self.last_policy = Some(out_policy);
-                        self.stats.tuples_out += 1;
-                        out.push(Element::Tuple(tuple));
+                        self.announcer.emit(out_policy, tuple, &mut self.stats, out);
                     } else {
                         self.stats.tuples_shielded += 1;
                     }
@@ -304,50 +270,34 @@ impl Operator for SAIntersect {
     }
 
     fn state_mem_bytes(&self) -> usize {
-        self.windows
-            .iter()
-            .flatten()
-            .map(|(t, _)| t.mem_bytes() + std::mem::size_of::<SharedPolicy>())
-            .sum()
+        self.windows.iter().map(Window::mem_bytes).sum()
     }
 
     /// Snapshot: counters, both windows (tuple + governing policy each),
     /// per-port current policies, and the last emitted result policy.
     fn snapshot(&self, buf: &mut Vec<u8>) {
-        use bytes::BufMut;
         self.stats.encode_counters(buf);
         for side in &self.windows {
-            buf.put_u32(side.len() as u32);
-            for (t, p) in side {
-                ckpt::encode_tuple_policy(t, p, buf);
-            }
+            side.encode(buf);
         }
-        ckpt::encode_opt_segment(self.current[0].as_ref(), buf);
-        ckpt::encode_opt_segment(self.current[1].as_ref(), buf);
-        ckpt::encode_opt_policy(self.last_policy.as_ref(), buf);
+        for input in &self.inputs {
+            input.encode(buf);
+        }
+        self.announcer.encode(buf);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        use bytes::Buf;
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
+        ckpt::restore("intersect", bytes, |buf| {
             self.stats.decode_counters(buf)?;
             for side in &mut self.windows {
-                ckpt::need(buf, 4, "intersect window length")?;
-                let n = buf.get_u32() as usize;
-                let mut w = VecDeque::with_capacity(n);
-                for _ in 0..n {
-                    w.push_back(ckpt::decode_tuple_policy(buf)?);
-                }
-                *side = w;
+                side.decode(buf, "intersect window length")?;
             }
-            self.current[0] = ckpt::decode_opt_segment(buf)?;
-            self.current[1] = ckpt::decode_opt_segment(buf)?;
-            self.last_policy = ckpt::decode_opt_policy(buf)?;
-            ckpt::done(buf)
-        };
-        apply().map_err(|e| EngineError::corrupt("intersect", e))
+            for input in &mut self.inputs {
+                *input = Governing::decode(buf)?;
+            }
+            self.announcer = Announcer::decode(buf)?;
+            Ok(())
+        })
     }
 }
 
@@ -357,7 +307,7 @@ mod tests {
 
     use super::*;
     use crate::operator::OperatorExt;
-    use sp_core::{RoleId, StreamId, TupleId, Value};
+    use sp_core::{RoleId, StreamId, Tuple, TupleId, Value};
 
     fn tup(sid: u32, tid: u64, ts: u64, v: i64) -> Element {
         Element::tuple(Tuple::new(StreamId(sid), TupleId(tid), Timestamp(ts), vec![Value::Int(v)]))
@@ -502,24 +452,6 @@ mod tests {
             ],
         );
         assert!(governed(&out).is_empty());
-    }
-
-    #[test]
-    fn intersect_row_window() {
-        use crate::window::WindowSpec;
-        let mut i = SAIntersect::new(0).with_window(WindowSpec::Rows(1));
-        let out = run(
-            &mut i,
-            vec![
-                (0, pol(&[1], 1)),
-                (0, tup(1, 1, 2, 42)),
-                (0, tup(1, 2, 3, 99)), // evicts 42 from the left window
-                (1, pol(&[1], 4)),
-                (1, tup(2, 1, 5, 42)), // partner evicted: no result
-                (1, tup(2, 2, 6, 99)), // matches
-            ],
-        );
-        assert_eq!(governed(&out), vec![(99, vec![1])]);
     }
 
     #[test]

@@ -660,15 +660,12 @@ impl Operator for SecurityShield {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
+        ckpt::restore("ss", bytes, |buf| {
             self.stats.decode_counters(buf)?;
             self.current = ckpt::decode_opt_segment(buf)?;
             self.pending_policy = ckpt::decode_opt_segment(buf)?;
-            ckpt::done(buf)
-        };
-        apply().map_err(|e| EngineError::corrupt("ss", e))?;
+            Ok(())
+        })?;
         // Audit/span/lag state is not checkpointed; replay repopulates.
         self.rec.clear();
         self.verdict = match self.current.clone() {

@@ -111,12 +111,7 @@ impl Operator for Sink {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        let mut slice = bytes;
-        let buf = &mut slice;
-        self.stats
-            .decode_counters(buf)
-            .and_then(|()| crate::checkpoint::done(buf))
-            .map_err(|e| EngineError::corrupt("sink", e))?;
+        crate::checkpoint::restore("sink", bytes, |buf| self.stats.decode_counters(buf))?;
         self.elements.clear();
         Ok(())
     }

@@ -650,28 +650,24 @@ impl Operator for Shedder {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        let mut buf = bytes;
-        let buf = &mut buf;
-        let fail = |e| ckpt::corrupt("shed", e);
-        ckpt::need(buf, 5 * 8, "shedder header").map_err(fail)?;
-        self.qlen = buf.get_u64();
-        self.clock = Timestamp(buf.get_u64());
-        self.rng.state = buf.get_u64();
-        self.shed_tuples = buf.get_u64();
-        self.shed_critical = buf.get_u64();
-        self.ladder.restore(buf).map_err(fail)?;
-        ckpt::need(buf, 4, "fair map length").map_err(fail)?;
-        let n = buf.get_u32() as usize;
-        self.fair.clear();
-        for _ in 0..n {
-            ckpt::need(buf, 4 + 8, "fair map entry").map_err(fail)?;
-            let sid = buf.get_u32();
-            let count = buf.get_u64();
-            self.fair.insert(sid, count);
-        }
-        self.current = ckpt::decode_opt_segment(buf).map_err(fail)?;
-        self.stats.decode_counters(buf).map_err(fail)?;
-        ckpt::done(buf).map_err(fail)?;
+        ckpt::restore("shed", bytes, |buf| {
+            ckpt::need(buf, 5 * 8, "shedder header")?;
+            self.qlen = buf.get_u64();
+            self.clock = Timestamp(buf.get_u64());
+            self.rng.state = buf.get_u64();
+            self.shed_tuples = buf.get_u64();
+            self.shed_critical = buf.get_u64();
+            self.ladder.restore(buf)?;
+            let n = ckpt::get_count(buf, 4 + 8, "fair map length")?;
+            self.fair.clear();
+            for _ in 0..n {
+                let sid = buf.get_u32();
+                let count = buf.get_u64();
+                self.fair.insert(sid, count);
+            }
+            self.current = ckpt::decode_opt_segment(buf)?;
+            self.stats.decode_counters(buf)
+        })?;
         // Audit state is not checkpointed: clear the ring and skip the
         // restored (pre-crash) ladder transitions so replay records only
         // transitions it actually re-observes.

@@ -151,11 +151,10 @@ impl ReorderBuffer {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::EngineError> {
         use crate::checkpoint as ckpt;
         use bytes::Buf;
-        let mut slice = bytes;
-        let buf = &mut slice;
-        let mut apply = || -> Result<(), ckpt::CodecError> {
-            ckpt::need(buf, 4, "reorder pending length")?;
-            let n = buf.get_u32() as usize;
+        ckpt::restore("reorder", bytes, |buf| {
+            // A pending entry is its key, a tag and an sp or a tuple.
+            let min = 8 + 1 + 8 + 1 + ckpt::SP_MIN_LEN.min(ckpt::TUPLE_MIN_LEN);
+            let n = ckpt::get_count(buf, min, "reorder pending length")?;
             let mut pending = BTreeMap::new();
             for _ in 0..n {
                 ckpt::need(buf, 8 + 1 + 8, "reorder pending key")?;
@@ -179,9 +178,8 @@ impl ReorderBuffer {
             };
             ckpt::need(buf, 8, "reorder dropped counter")?;
             self.dropped = buf.get_u64();
-            ckpt::done(buf)
-        };
-        apply().map_err(|e| ckpt::corrupt("reorder", e))
+            Ok(())
+        })
     }
 
     fn release_up_to(&mut self, watermark: Timestamp, out: &mut Vec<StreamElement>) {

@@ -12,6 +12,10 @@
 //! 2. **behavioral continuation** — the restored instance processes the
 //!    rest of the workload exactly like the original: same emissions, same
 //!    final snapshot. This is the property recovery actually relies on.
+//!
+//! And one at the trust boundary: restoring any strict prefix or any
+//! single-byte flip of a real mid-stream snapshot returns `Ok` or `Err` —
+//! a prefix always `Err` — and never panics or aborts.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -358,4 +362,109 @@ fn analyzer_restores_non_empty_quarantine() {
         a.degradation().quarantine_released + a.degradation().quarantine_dropped > 0,
         "settlement must consume the quarantine"
     );
+}
+
+/// Restores every strict prefix and every single-byte flip (all bits, and
+/// the low bit) of `snap` into a fresh instance via `restore`: each must
+/// return rather than panic or abort, and no prefix may restore.
+fn check_tampering(name: &str, snap: &[u8], mut restore: impl FnMut(&[u8]) -> bool) {
+    assert!(restore(snap), "{name}: the untampered snapshot restores");
+    for cut in 0..snap.len() {
+        assert!(!restore(&snap[..cut]), "{name}: a {cut}-byte prefix restored");
+    }
+    let mut bytes = snap.to_vec();
+    for at in 0..snap.len() {
+        for mask in [0xFF, 0x01] {
+            bytes[at] ^= mask;
+            restore(&bytes);
+            bytes[at] ^= mask;
+        }
+    }
+}
+
+/// A seeded mixed workload: grants (some deny-all) and tuples.
+fn seeded_items(seed: u64) -> Vec<Item> {
+    let mut rng = sp_core::SplitMix64::new(seed);
+    (0..48)
+        .map(|_| {
+            let mut draw = |n: u64| rng.next_u64() % n;
+            if draw(3) == 0 {
+                Item::Sp((0..draw(3)).map(|_| draw(6) as u32).collect())
+            } else {
+                Item::Tup(draw(6) as i64, draw(50) as i64)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn tampered_snapshots_fail_closed() {
+    type Fresh = Box<dyn Fn() -> Box<dyn Operator>>;
+    let mut operators: Vec<Fresh> = vec![
+        Box::new(select_op),
+        Box::new(|| Box::new(Project::new(vec![0]))),
+        Box::new(|| Box::new(SecurityShield::new(RoleSet::from([1, 3])))),
+        Box::new(|| Box::new(DupElim::new(vec![0], 10))),
+        Box::new(|| Box::new(Sink::new())),
+        Box::new(|| Box::new(Union::new())),
+        Box::new(|| Box::new(SAIntersect::new(10))),
+    ];
+    for agg in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+        operators.push(Box::new(move || Box::new(GroupBy::new(Some(0), agg, 1, 10))));
+    }
+    for variant in [JoinVariant::Index, JoinVariant::NestedLoopPF, JoinVariant::NestedLoopFP] {
+        operators.push(Box::new(move || Box::new(SAJoin::new(variant, 10, 0, 0, 2))));
+    }
+    for seed in 0..3 {
+        let items = seeded_items(seed);
+        let elems = engine_elements(&items);
+        for fresh in &operators {
+            let mut op = fresh();
+            let arity = op.arity();
+            feed(op.as_mut(), &elems[..elems.len() * 2 / 3], arity);
+            let snap = snapshot_of(op.as_ref());
+            check_tampering(op.name(), &snap, |bytes| fresh().restore(bytes).is_ok());
+        }
+
+        let qp = QuarantinePolicy { ttl_ms: 100, slack_ms: 2_000, capacity: 64 };
+        let hardened = || {
+            let mut a = SpAnalyzer::new(schema(), catalog());
+            a.harden(qp);
+            a
+        };
+        let mut analyzer = hardened();
+        let mut raw = raw_stream(&items);
+        for (i, e) in raw.iter_mut().enumerate() {
+            if let StreamElement::Tuple(t) = e {
+                // Every third tuple jumps past the policy TTL (quarantine);
+                // every fifth arrives late (reorder pending set).
+                let ts = match i % 15 {
+                    0 | 3 | 6 | 9 | 12 => t.ts.0 + 1_000,
+                    5 | 10 => t.ts.0.saturating_sub(3),
+                    _ => t.ts.0,
+                };
+                *e = StreamElement::tuple(Tuple::new(
+                    t.sid,
+                    t.tid,
+                    Timestamp(ts),
+                    t.values().to_vec(),
+                ));
+            }
+        }
+        let mut staged = Vec::new();
+        for e in &raw[..raw.len() * 2 / 3] {
+            analyzer.push(e.clone(), &mut staged);
+        }
+        let mut snap = Vec::new();
+        analyzer.snapshot(&mut snap);
+        check_tampering("analyzer", &snap, |bytes| hardened().restore(bytes).is_ok());
+
+        let mut reorder = ReorderBuffer::new(4);
+        for e in &raw[..raw.len() * 2 / 3] {
+            reorder.push(e.clone(), &mut Vec::new());
+        }
+        let mut snap = Vec::new();
+        reorder.snapshot(&mut snap);
+        check_tampering("reorder", &snap, |bytes| ReorderBuffer::new(4).restore(bytes).is_ok());
+    }
 }
