@@ -410,22 +410,88 @@ pub struct BatchPolicy {
     /// One entry per distinct tuple scope, in order of first appearance:
     /// what the scope's positive sps grant less what its negative sps
     /// revoke.
-    entries: Vec<PolicyEntry>,
+    entries: Entries,
     /// What the negative sps of a scope revoke, kept when the batch has
     /// several scopes: there a revocation also reaches what the other
     /// scopes grant on the tuples it matches.
-    denials: Vec<PolicyEntry>,
-    /// Set when a single entry covers every tuple id.
-    uniform: Option<SharedPolicy>,
+    denials: Entries,
 }
 
-/// The policy `list` holds for `scope`, opened as `start` on first use.
-fn slot<'a>(list: &'a mut Vec<PolicyEntry>, scope: &Pattern, start: &Policy) -> &'a mut Policy {
-    let at = list.iter().position(|e| e.scope == *scope).unwrap_or_else(|| {
-        list.push(PolicyEntry { scope: scope.clone(), policy: Arc::new(start.clone()) });
-        list.len() - 1
-    });
-    Arc::make_mut(&mut list[at].policy)
+/// A list of [`PolicyEntry`]s that holds a lone entry inline: a batch is
+/// almost always one scope with no revocation reaching across scopes, and
+/// then resolving or narrowing it allocates no list.
+#[derive(Debug, Clone)]
+enum Entries {
+    One(PolicyEntry),
+    Many(Vec<PolicyEntry>),
+}
+
+impl Default for Entries {
+    fn default() -> Self {
+        Entries::Many(Vec::new())
+    }
+}
+
+impl PartialEq for Entries {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Entries {
+    fn as_slice(&self) -> &[PolicyEntry] {
+        match self {
+            Entries::One(e) => std::slice::from_ref(e),
+            Entries::Many(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [PolicyEntry] {
+        match self {
+            Entries::One(e) => std::slice::from_mut(e),
+            Entries::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, entry: PolicyEntry) {
+        *self = match std::mem::take(self) {
+            Entries::Many(v) if v.is_empty() => Entries::One(entry),
+            Entries::Many(mut v) => {
+                v.push(entry);
+                Entries::Many(v)
+            }
+            Entries::One(first) => Entries::Many(vec![first, entry]),
+        };
+    }
+
+    /// The policy held for `scope`, opened as `start` on first use.
+    fn slot(&mut self, scope: &Pattern, start: &Policy) -> &mut Policy {
+        let at = self.as_slice().iter().position(|e| e.scope == *scope).unwrap_or_else(|| {
+            self.push(PolicyEntry { scope: scope.clone(), policy: Arc::new(start.clone()) });
+            self.as_slice().len() - 1
+        });
+        Arc::make_mut(&mut self.as_mut_slice()[at].policy)
+    }
+}
+
+impl From<Vec<PolicyEntry>> for Entries {
+    fn from(list: Vec<PolicyEntry>) -> Self {
+        if list.len() == 1 {
+            list.into_iter().collect()
+        } else {
+            Entries::Many(list)
+        }
+    }
+}
+
+impl FromIterator<PolicyEntry> for Entries {
+    fn from_iter<I: IntoIterator<Item = PolicyEntry>>(iter: I) -> Self {
+        let mut list = Entries::default();
+        for entry in iter {
+            list.push(entry);
+        }
+        list
+    }
 }
 
 impl BatchPolicy {
@@ -445,57 +511,56 @@ impl BatchPolicy {
         let ts = batch.first().map_or(Timestamp::ZERO, |sp| sp.ts);
         debug_assert!(batch.iter().all(|sp| sp.ts == ts), "an sp-batch shares one timestamp");
         let start = Policy { ts, ..onto.cloned().unwrap_or_default() };
-        let mut entries = Vec::new();
-        let mut denials = Vec::new();
+        let mut entries = Entries::default();
+        let mut denials = Entries::default();
         for sp in batch.iter().filter(|sp| sp.matches_stream(schema.name())) {
             let scope = &sp.ddp.tuple;
-            let grants = slot(&mut entries, scope, &start);
+            let grants = entries.slot(scope, &start);
             grants.immutable |= sp.immutable;
             let side = match sp.sign {
                 Sign::Positive => grants,
-                Sign::Negative => slot(&mut denials, scope, &Policy::deny_all(ts)),
+                Sign::Negative => denials.slot(scope, &Policy::deny_all(ts)),
             };
             sp.add_roles_to(side, catalog, schema);
         }
         // Every grant of a scope is in before its revocations apply.
-        for denied in &denials {
-            slot(&mut entries, &denied.scope, &start).revoke_all(&denied.policy);
+        for denied in denials.as_slice() {
+            entries.slot(&denied.scope, &start).revoke_all(&denied.policy);
         }
-        if entries.len() < 2 {
-            denials.clear();
+        if entries.as_slice().len() < 2 {
+            denials = Entries::default();
         }
-        Self::from_parts(entries, denials)
+        Self { entries, denials }
     }
 
     /// A batch policy from already-resolved entries and the revocations
     /// that reach across them (checkpoint decode, tests).
     #[must_use]
     pub fn from_parts(entries: Vec<PolicyEntry>, denials: Vec<PolicyEntry>) -> Self {
-        let uniform = match entries.as_slice() {
-            [single] if single.scope.is_match_all() && denials.is_empty() => {
-                Some(single.policy.clone())
-            }
-            _ => None,
-        };
-        Self { entries, denials, uniform }
+        Self { entries: entries.into(), denials: denials.into() }
     }
 
     /// The uniform policy, if a single entry governs every tuple id.
     #[must_use]
     pub fn as_uniform(&self) -> Option<&SharedPolicy> {
-        self.uniform.as_ref()
+        match self.entries() {
+            [single] if single.scope.is_match_all() && self.denials().is_empty() => {
+                Some(&single.policy)
+            }
+            _ => None,
+        }
     }
 
     /// The per-scope entries.
     #[must_use]
     pub fn entries(&self) -> &[PolicyEntry] {
-        &self.entries
+        self.entries.as_slice()
     }
 
     /// The per-scope revocations that reach across entries.
     #[must_use]
     pub fn denials(&self) -> &[PolicyEntry] {
-        &self.denials
+        self.denials.as_slice()
     }
 
     /// The policy governing tuple `tid`, borrowed wherever one exists
@@ -505,11 +570,11 @@ impl BatchPolicy {
     /// revocation matching it.
     #[must_use]
     pub fn policy_for(&self, tid: TupleId) -> Cow<'_, SharedPolicy> {
-        if let Some(p) = &self.uniform {
+        if let Some(p) = self.as_uniform() {
             return Cow::Borrowed(p);
         }
         let tid = tid.raw();
-        let mut claiming = self.entries.iter().filter(|e| e.scope.matches_u64(tid));
+        let mut claiming = self.entries().iter().filter(|e| e.scope.matches_u64(tid));
         let Some(first) = claiming.next() else {
             return Cow::Borrowed(deny_all());
         };
@@ -517,7 +582,7 @@ impl BatchPolicy {
         for entry in claiming {
             combined = Some(combined.as_ref().unwrap_or(&first.policy).union(&entry.policy));
         }
-        for denied in self.denials.iter().filter(|d| d.scope.matches_u64(tid)) {
+        for denied in self.denials().iter().filter(|d| d.scope.matches_u64(tid)) {
             // A lone entry already has its own scope's revocations applied.
             if combined.is_some() || denied.scope != first.scope {
                 combined
@@ -536,13 +601,11 @@ impl BatchPolicy {
     /// entry opts out, §III-B). Revocations stand as they are.
     #[must_use]
     pub fn intersect(mut self, server: &Policy) -> Self {
-        // Release the second handle so the entries are rewritten in place.
-        self.uniform = None;
-        for entry in &mut self.entries {
+        for entry in self.entries.as_mut_slice() {
             let policy = Arc::make_mut(&mut entry.policy);
             *policy = policy.intersect(server);
         }
-        Self::from_parts(self.entries, self.denials)
+        self
     }
 
     /// Transforms every entry and revocation (narrowing to a predicate,
@@ -550,7 +613,7 @@ impl BatchPolicy {
     /// those that become deny-all.
     #[must_use]
     pub fn map_policies(&self, f: impl Fn(&Policy) -> Policy) -> BatchPolicy {
-        let map = |list: &[PolicyEntry]| -> Vec<PolicyEntry> {
+        let map = |list: &[PolicyEntry]| -> Entries {
             list.iter()
                 .filter_map(|e| {
                     let policy = f(&e.policy);
@@ -559,10 +622,11 @@ impl BatchPolicy {
                 })
                 .collect()
         };
-        let entries = map(&self.entries);
+        let entries = map(self.entries());
         // With no grant left there is nothing to revoke.
-        let denials = if entries.is_empty() { Vec::new() } else { map(&self.denials) };
-        Self::from_parts(entries, denials)
+        let denials =
+            if entries.as_slice().is_empty() { Entries::default() } else { map(self.denials()) };
+        Self { entries, denials }
     }
 
     /// True if both batches authorize exactly the same access, scope by
@@ -575,13 +639,13 @@ impl BatchPolicy {
                     .zip(b)
                     .all(|(a, b)| a.scope == b.scope && a.policy.same_authorizations(&b.policy))
         };
-        same(&self.entries, &other.entries) && same(&self.denials, &other.denials)
+        same(self.entries(), other.entries()) && same(self.denials(), other.denials())
     }
 
     /// True if no entry authorizes anyone.
     #[must_use]
     pub fn is_deny_all(&self) -> bool {
-        self.entries.iter().all(|e| e.policy.is_deny_all())
+        self.entries().iter().all(|e| e.policy.is_deny_all())
     }
 
     /// Approximate heap footprint in bytes.
@@ -589,9 +653,9 @@ impl BatchPolicy {
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<BatchPolicy>()
             + self
-                .entries
+                .entries()
                 .iter()
-                .chain(&self.denials)
+                .chain(self.denials())
                 .map(|e| e.scope.source().len() + e.policy.mem_bytes())
                 .sum::<usize>()
     }

@@ -150,8 +150,12 @@ impl PatternTable {
         Self::default()
     }
 
-    /// The pattern whose source is `src`, compiled on a miss.
+    /// The pattern whose source is `src`, compiled on a miss. `*`, the
+    /// common case, is answered without a lookup and never kept.
     fn pattern(&mut self, src: &[u8]) -> Result<Pattern, String> {
+        if src == b"*" {
+            return Ok(Pattern::match_all());
+        }
         if let Some(p) = self.compiled.get(src) {
             return Ok(p.clone());
         }
@@ -654,6 +658,8 @@ mod tests {
             assert!(table.pattern(&[0xFF, 0xFE]).is_err());
         }
         assert_eq!(table.compiled.len(), held);
+        assert_eq!(table.pattern(b"*").unwrap(), Pattern::match_all());
+        assert_eq!(table.compiled.len(), held, "`*` never reaches the table");
     }
 
     #[test]

@@ -5,24 +5,44 @@
 //! [`RoleSet`] is that bitmap: a growable `u64`-word bitset over
 //! [`RoleId`]s with word-at-a-time set algebra. All policy operations of the
 //! security-aware algebra (Table I) reduce to these operations.
+//!
+//! The first [`INLINE_WORDS`] words (roles 0–127) live inside the value, so
+//! the role sets of a typical deployment — and every clone, union and
+//! narrowing of them on the per-sp path — never touch the heap; a set
+//! naming a larger role spills to a heap bitmap.
 
 use std::fmt;
 
 use crate::ids::RoleId;
 
+/// Bitmap words a [`RoleSet`] holds without allocating.
+const INLINE_WORDS: usize = 2;
+
+/// A bitmap's words: inline up to [`INLINE_WORDS`], on the heap beyond.
+/// Which one a set uses is invisible: equality, hashing and encoding all
+/// look at the words up to the last non-zero one.
+#[derive(Clone)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
+}
+
 /// A set of roles, stored as a bitmap.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct RoleSet {
-    words: Vec<u64>,
+    words: Words,
+}
+
+impl Default for RoleSet {
+    fn default() -> Self {
+        Self { words: Words::Inline([0; INLINE_WORDS]) }
+    }
 }
 
 impl PartialEq for RoleSet {
     fn eq(&self, other: &Self) -> bool {
         // Semantic equality: trailing zero words are irrelevant.
-        let n = self.words.len().max(other.words.len());
-        (0..n).all(|i| {
-            self.words.get(i).copied().unwrap_or(0) == other.words.get(i).copied().unwrap_or(0)
-        })
+        self.trimmed() == other.trimmed()
     }
 }
 
@@ -31,8 +51,7 @@ impl Eq for RoleSet {}
 impl std::hash::Hash for RoleSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Consistent with semantic equality: skip trailing zero words.
-        let end = self.words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
-        self.words[..end].hash(state);
+        self.trimmed().hash(state);
     }
 }
 
@@ -47,7 +66,9 @@ impl RoleSet {
     /// and including `max`, so inserting those never reallocates.
     #[must_use]
     pub fn with_room_for(max: RoleId) -> Self {
-        Self { words: vec![0; max.0 as usize / 64 + 1] }
+        let mut s = Self::new();
+        s.grow(max.0 as usize / 64 + 1);
+        s
     }
 
     /// A set containing the single role `r`.
@@ -68,25 +89,60 @@ impl RoleSet {
         s
     }
 
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    /// The words up to and including the last non-zero one.
+    fn trimmed(&self) -> &[u64] {
+        let words = self.words();
+        let end = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        &words[..end]
+    }
+
+    /// The words, with at least `n` of them (zero-filled, spilling to the
+    /// heap past [`INLINE_WORDS`]).
+    fn grow(&mut self, n: usize) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) if n > INLINE_WORDS => {
+                let mut heap = Vec::with_capacity(n);
+                heap.extend_from_slice(w);
+                heap.resize(n, 0);
+                self.words = Words::Heap(heap);
+            }
+            Words::Heap(w) if n > w.len() => w.resize(n, 0),
+            _ => {}
+        }
+        self.words_mut()
+    }
+
     /// Inserts a role; returns true if it was newly added.
     pub fn insert(&mut self, r: RoleId) -> bool {
         let (w, b) = (r.0 as usize / 64, r.0 as usize % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
+        let word = &mut self.grow(w + 1)[w];
+        let had = *word & (1 << b) != 0;
+        *word |= 1 << b;
         !had
     }
 
     /// Removes a role; returns true if it was present.
     pub fn remove(&mut self, r: RoleId) -> bool {
         let (w, b) = (r.0 as usize / 64, r.0 as usize % 64);
-        if w >= self.words.len() {
+        let Some(word) = self.words_mut().get_mut(w) else {
             return false;
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
+        };
+        let had = *word & (1 << b) != 0;
+        *word &= !(1 << b);
         had
     }
 
@@ -94,19 +150,19 @@ impl RoleSet {
     #[must_use]
     pub fn contains(&self, r: RoleId) -> bool {
         let (w, b) = (r.0 as usize / 64, r.0 as usize % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+        self.words().get(w).is_some_and(|word| word & (1 << b) != 0)
     }
 
     /// True if no role is present.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// Number of roles present.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if the two sets share at least one role — the policy
@@ -114,38 +170,35 @@ impl RoleSet {
     /// and SAJoin operators. Early-exits on the first overlapping word.
     #[must_use]
     pub fn intersects(&self, other: &RoleSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+        self.words().iter().zip(other.words()).any(|(a, b)| a & b != 0)
     }
 
     /// True if every role of `self` is in `other`.
     #[must_use]
     pub fn is_subset(&self, other: &RoleSet) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+        let theirs = other.words();
+        self.words().iter().enumerate().all(|(i, &w)| w & !theirs.get(i).copied().unwrap_or(0) == 0)
     }
 
     /// In-place union (`union()` of the paper's policy operations).
     pub fn union_with(&mut self, other: &RoleSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        let theirs = other.trimmed();
+        for (a, b) in self.grow(theirs.len()).iter_mut().zip(theirs) {
             *a |= b;
         }
     }
 
     /// In-place intersection (`intersect()` of the paper's policy operations).
     pub fn intersect_with(&mut self, other: &RoleSet) {
-        for (i, a) in self.words.iter_mut().enumerate() {
-            *a &= other.words.get(i).copied().unwrap_or(0);
+        let theirs = other.words();
+        for (i, a) in self.words_mut().iter_mut().enumerate() {
+            *a &= theirs.get(i).copied().unwrap_or(0);
         }
     }
 
     /// In-place difference: removes every role of `other`.
     pub fn minus_with(&mut self, other: &RoleSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !b;
         }
     }
@@ -177,7 +230,7 @@ impl RoleSet {
 
     /// Iterates the roles in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = RoleId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+        self.words().iter().enumerate().flat_map(|(wi, &word)| {
             let mut w = word;
             std::iter::from_fn(move || {
                 if w == 0 {
@@ -202,7 +255,7 @@ impl RoleSet {
     /// the hot operation of the (refined) SPIndex skipping rule.
     #[must_use]
     pub fn first_common(&self, other: &RoleSet) -> Option<RoleId> {
-        for (i, (a, b)) in self.words.iter().zip(&other.words).enumerate() {
+        for (i, (a, b)) in self.words().iter().zip(other.words()).enumerate() {
             let both = a & b;
             if both != 0 {
                 return Some(RoleId((i as u32) * 64 + both.trailing_zeros()));
@@ -211,20 +264,27 @@ impl RoleSet {
         None
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate footprint in bytes: the set itself (its inline words
+    /// included) plus the capacity of a spilled heap bitmap, so a set of
+    /// roles below 128 counts `size_of::<RoleSet>()` alone.
     #[must_use]
     pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<RoleSet>() + self.words.capacity() * 8
+        let heap = match &self.words {
+            Words::Inline(_) => 0,
+            Words::Heap(w) => w.capacity() * 8,
+        };
+        std::mem::size_of::<RoleSet>() + heap
     }
 
     /// Serializes the bitmap as `[u16 word count][u64 words…]`, big-endian.
     ///
     /// Trailing zero words are trimmed, so semantically equal sets always
-    /// produce identical bytes — required for byte-comparable snapshots.
+    /// produce identical bytes — required for byte-comparable snapshots —
+    /// whether they are held inline or spilled.
     pub fn encode(&self, buf: &mut impl bytes::BufMut) {
-        let end = self.words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
-        buf.put_u16(end as u16);
-        for &w in &self.words[..end] {
+        let words = self.trimmed();
+        buf.put_u16(words.len() as u16);
+        for &w in words {
             buf.put_u64(w);
         }
     }
@@ -242,16 +302,27 @@ impl RoleSet {
         if buf.remaining() < n * 8 {
             return Err("truncated role set words".into());
         }
-        let words = (0..n).map(|_| buf.get_u64()).collect();
-        Ok(Self { words })
+        let mut s = Self::new();
+        for w in &mut s.grow(n)[..n] {
+            *w = buf.get_u64();
+        }
+        Ok(s)
     }
 
-    /// Drops trailing zero words (keeps footprint proportional to content).
+    /// Drops trailing zero words (keeps footprint proportional to content),
+    /// moving a spilled set whose roles all fit back inline.
     pub fn shrink(&mut self) {
-        while self.words.last() == Some(&0) {
-            self.words.pop();
+        let n = self.trimmed().len();
+        if let Words::Heap(w) = &mut self.words {
+            if n <= INLINE_WORDS {
+                let mut inline = [0; INLINE_WORDS];
+                inline[..n].copy_from_slice(&w[..n]);
+                self.words = Words::Inline(inline);
+            } else {
+                w.truncate(n);
+                w.shrink_to_fit();
+            }
         }
-        self.words.shrink_to_fit();
     }
 }
 
@@ -374,6 +445,20 @@ mod tests {
         s.remove(RoleId(500));
         s.shrink();
         assert_eq!(s.mem_bytes(), std::mem::size_of::<RoleSet>());
+    }
+
+    #[test]
+    fn roles_below_128_stay_inline() {
+        assert!(std::mem::size_of::<RoleSet>() <= 32);
+        let inline = RoleSet::from([0, 63, 64, 127]);
+        assert_eq!(inline.mem_bytes(), std::mem::size_of::<RoleSet>());
+        assert_eq!(RoleSet::with_room_for(RoleId(127)).mem_bytes(), inline.mem_bytes());
+        let mut spilled = inline.union(&RoleSet::from([128]));
+        assert!(spilled.mem_bytes() > inline.mem_bytes());
+        spilled.remove(RoleId(128));
+        assert_eq!(spilled, inline, "trailing zero heap words are irrelevant");
+        spilled.shrink();
+        assert_eq!(spilled.mem_bytes(), inline.mem_bytes(), "shrink moves it back inline");
     }
 
     #[test]

@@ -179,9 +179,21 @@ pub fn decode_value(buf: &mut impl Buf) -> Result<Value, WireError> {
             if buf.remaining() < len {
                 return Err(err("truncated text body"));
             }
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            String::from_utf8(bytes).map(Value::text).map_err(|_| err("invalid UTF-8 text"))
+            // Validated where the bytes lie and copied once, into the
+            // value; only a `Buf` whose body is not contiguous is gathered
+            // into a scratch buffer first.
+            let text = match buf.chunk().get(..len) {
+                Some(bytes) => std::str::from_utf8(bytes).map(Value::text),
+                None => {
+                    let mut bytes = vec![0u8; len];
+                    buf.copy_to_slice(&mut bytes);
+                    return String::from_utf8(bytes)
+                        .map(Value::text)
+                        .map_err(|_| err("invalid UTF-8 text"));
+                }
+            };
+            buf.advance(len);
+            text.map_err(|_| err("invalid UTF-8 text"))
         }
         4 => {
             if buf.remaining() < 1 {
@@ -865,6 +877,58 @@ mod tests {
         encode_tuple(&t, &mut buf);
         let decoded = decode_tuple(&mut buf.as_slice()).unwrap();
         assert_eq!(decoded, t);
+    }
+
+    /// A reader that shows one byte at a time, as a `Buf` over scattered
+    /// chunks does: no text body is ever contiguous in it.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Buf for Trickle<'_> {
+        fn remaining(&self) -> usize {
+            self.0.len()
+        }
+
+        fn chunk(&self) -> &[u8] {
+            &self.0[..self.0.len().min(1)]
+        }
+
+        fn advance(&mut self, cnt: usize) {
+            self.0 = &self.0[cnt..];
+        }
+
+        fn copy_to_slice(&mut self, dst: &mut [u8]) {
+            dst.copy_from_slice(&self.0[..dst.len()]);
+            self.advance(dst.len());
+        }
+    }
+
+    #[test]
+    fn text_values_decode_multibyte_and_refuse_invalid_utf8() {
+        let value = Value::text("précis · 東京 · 🦀");
+        let mut bytes = Vec::new();
+        encode_value(&value, &mut bytes);
+        bytes.push(0xEE); // the next field's first byte stays unread
+        let mut slice = bytes.as_slice();
+        assert_eq!(decode_value(&mut slice), Ok(value.clone()));
+        assert_eq!(slice, [0xEE]);
+        let mut trickle = Trickle(&bytes);
+        assert_eq!(decode_value(&mut trickle), Ok(value));
+        assert_eq!(trickle.0, [0xEE]);
+
+        // A lone continuation byte, then a truncated two-byte sequence.
+        for body in [&[b'a', 0x80, b'b'][..], &[b'a', 0xC3][..]] {
+            let mut bytes = vec![3];
+            bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(body);
+            let invalid = Err(err("invalid UTF-8 text"));
+            assert_eq!(decode_value(&mut bytes.as_slice()), invalid);
+            assert_eq!(decode_value(&mut Trickle(&bytes)), invalid);
+            bytes.pop();
+            bytes[4] += 1; // claims one byte more than is there
+            let truncated = Err(err("truncated text body"));
+            assert_eq!(decode_value(&mut bytes.as_slice()), truncated);
+            assert_eq!(decode_value(&mut Trickle(&bytes)), truncated);
+        }
     }
 
     #[test]

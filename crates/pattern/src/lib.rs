@@ -76,28 +76,31 @@ enum Matcher {
 ///
 /// Cloning shares the compiled program via [`Arc`], so patterns can be
 /// embedded in punctuations that flow through multi-operator plans without
-/// recompilation or deep copies.
+/// recompilation or deep copies. The match-all pattern `*` — every
+/// unscoped data description carries three — holds nothing shared: making,
+/// cloning and dropping it never touches the heap or an atomic counter.
 #[derive(Clone)]
 pub struct Pattern {
-    source: Arc<str>,
+    /// The source text; `None` is `*`.
+    source: Option<Arc<str>>,
     matcher: Matcher,
 }
 
 impl fmt::Debug for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Pattern").field(&self.source).finish()
+        f.debug_tuple("Pattern").field(&self.source()).finish()
     }
 }
 
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.source)
+        f.write_str(self.source())
     }
 }
 
 impl PartialEq for Pattern {
     fn eq(&self, other: &Self) -> bool {
-        self.source == other.source
+        self.source() == other.source()
     }
 }
 
@@ -105,7 +108,7 @@ impl Eq for Pattern {}
 
 impl std::hash::Hash for Pattern {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.source.hash(state);
+        self.source().hash(state);
     }
 }
 
@@ -116,15 +119,18 @@ impl Pattern {
     ///
     /// Returns a [`PatternError`] if the expression is syntactically invalid.
     pub fn compile(src: &str) -> Result<Self, PatternError> {
+        if src == "*" {
+            return Ok(Self::match_all());
+        }
         let ast = parser::parse(src)?;
         let matcher = select_matcher(&ast);
-        Ok(Self { source: Arc::from(src), matcher })
+        Ok(Self { source: Some(Arc::from(src)), matcher })
     }
 
     /// A pattern that matches every name (`*`).
     #[must_use]
     pub fn match_all() -> Self {
-        Self { source: Arc::from("*"), matcher: Matcher::All }
+        Self { source: None, matcher: Matcher::All }
     }
 
     /// A pattern matching exactly the given name, with all metacharacters
@@ -138,7 +144,10 @@ impl Pattern {
             }
             escaped.push(c);
         }
-        Self { source: Arc::from(escaped.as_str()), matcher: Matcher::Literal(Arc::from(name)) }
+        Self {
+            source: Some(Arc::from(escaped.as_str())),
+            matcher: Matcher::Literal(Arc::from(name)),
+        }
     }
 
     /// A pattern matching any decimal integer in `lo..=hi`. Never fails.
@@ -149,13 +158,16 @@ impl Pattern {
     #[must_use]
     pub fn numeric_range(lo: u64, hi: u64) -> Self {
         assert!(lo <= hi, "numeric range bounds out of order");
-        Self { source: Arc::from(format!("<{lo}-{hi}>").as_str()), matcher: Matcher::Range(lo, hi) }
+        Self {
+            source: Some(Arc::from(format!("<{lo}-{hi}>").as_str())),
+            matcher: Matcher::Range(lo, hi),
+        }
     }
 
     /// The original pattern source text.
     #[must_use]
     pub fn source(&self) -> &str {
-        &self.source
+        self.source.as_deref().unwrap_or("*")
     }
 
     /// Tests whether `input` is matched (full-string, anchored).
@@ -341,6 +353,18 @@ mod tests {
         let p = Pattern::compile("s[12]").unwrap();
         let names = ["s1", "s2", "s3"];
         assert_eq!(p.eval(names), vec!["s1", "s2"]);
+    }
+
+    #[test]
+    fn star_holds_no_source_text() {
+        for star in [Pattern::match_all(), Pattern::compile("*").unwrap()] {
+            assert!(star.source.is_none());
+            assert_eq!(format!("{star:?}"), r#"Pattern("*")"#);
+        }
+        // Other spellings that match everything keep their own source.
+        let spelled = Pattern::compile(".*").unwrap();
+        assert!(spelled.is_match_all());
+        assert_ne!(spelled, Pattern::match_all());
     }
 
     #[test]
