@@ -28,6 +28,7 @@
 //! Everything here is engine-agnostic; the operators live in `sp-engine`.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod crypto;
 pub mod element;

@@ -51,7 +51,8 @@ const TAG_SP: u8 = 1;
 /// built at compile time — hand-rolled so the wire layer stays
 /// dependency-free. `CRC_TABLES[0]` is the classic byte-at-a-time table;
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
-/// which lets [`crc32`] fold eight input bytes per step (slicing-by-8).
+/// which lets [`crc32_update`] fold eight input bytes per step
+/// (slicing-by-8).
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -78,17 +79,38 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// One byte-at-a-time CRC step: the tail of [`crc32`] and, under test,
-/// the oracle the sliced loop is compared against.
+/// One byte-at-a-time CRC step: the tail of the sliced loop and, under
+/// test, the oracle every path is compared against.
 fn crc32_step(c: u32, b: u8) -> u32 {
     CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
 }
 
-/// CRC-32 (IEEE 802.3) of `bytes`, eight bytes per step.
+/// CRC-32 (IEEE 802.3) of `bytes`.
+///
+/// A buffer of at least 64 bytes goes through the carry-less-multiply
+/// kernel when the CPU has it (x86-64 with PCLMULQDQ and SSE4.1, detected
+/// at run time); every other buffer, CPU and architecture through the
+/// slicing-by-8 tables. Both compute the same value.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN {
+        if let Some(crc) = crc32_clmul(bytes) {
+            return crc;
+        }
+    }
+    crc32_sliced(bytes)
+}
+
+/// CRC-32 of `bytes` by the slicing-by-8 tables: the path for short
+/// buffers and for CPUs without the kernel's features.
+fn crc32_sliced(bytes: &[u8]) -> u32 {
+    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// Folds `bytes` into the CRC register `c`, eight bytes per step.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -105,7 +127,117 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = crc32_step(c, b);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 of `bytes` by the carry-less-multiply kernel, or `None` on a CPU
+/// without PCLMULQDQ and SSE4.1.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn crc32_clmul(bytes: &[u8]) -> Option<u32> {
+    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    // SAFETY: `clmul::crc32` is compiled for PCLMULQDQ and SSE4.1, and
+    // `is_x86_feature_detected!` has just confirmed at run time that this
+    // CPU has both. The kernel reads `bytes` through safe slices only.
+    Some(unsafe { clmul::crc32(bytes) })
+}
+
+/// CRC-32 by carry-less multiplication (PCLMULQDQ), after Intel's "Fast
+/// CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// in its bit-reflected form, with the constants Linux and `crc32fast`
+/// use for the polynomial `0xEDB88320`: fold four 128-bit lanes across
+/// each 64-byte block, fold them into one, fold in the remaining 16-byte
+/// blocks, reduce 128 → 64 bits, Barrett-reduce 64 → 32 bits, and finish
+/// the last 0–15 bytes on the tables.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_extract_epi32, _mm_set_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// The shortest buffer the kernel folds: four 16-byte lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// Fold a lane 512 bits forward (low half by K1, high half by K2).
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// Fold a lane 128 bits forward (low half by K3, high half by K4).
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    /// Reduce 96 bits to 64.
+    const K5: i64 = 0x1_63CD_6124;
+    /// P(x), bit-reflected with its x^32 term.
+    const P_X: i64 = 0x1_DB71_0641;
+    /// μ = ⌊x^64 / P(x)⌋, bit-reflected: the Barrett constant.
+    const MU: i64 = 0x1_F701_1641;
+
+    /// CRC-32 of `bytes`; a buffer shorter than [`MIN_LEN`] goes to the
+    /// tables.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let [b0, b1, b2, b3, rest @ ..] = blocks else {
+            return super::crc32_sliced(bytes);
+        };
+        // The register starts at all ones: fold that into the first lane.
+        let mut x = [lane(u128::from_le_bytes(*b0) ^ 0xFFFF_FFFF), load(b1), load(b2), load(b3)];
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut quads = rest.chunks_exact(4);
+        for quad in &mut quads {
+            for (x, b) in x.iter_mut().zip(quad) {
+                *x = fold(*x, load(b), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [x0, x1, x2, x3] = x;
+        let mut acc = fold(fold(fold(x0, x1, k3k4), x2, k3k4), x3, k3k4);
+        for b in quads.remainder() {
+            acc = fold(acc, load(b), k3k4);
+        }
+
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        // 128 → 96 bits: the low half times K4, plus the high half.
+        let acc = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(acc, k3k4), _mm_srli_si128::<8>(acc));
+        // 96 → 64 bits: the low word times K5, plus the rest.
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(acc),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P, C = (R ⊕ T2) / x^32.
+        let pmu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        let c = _mm_extract_epi32::<1>(_mm_xor_si128(acc, t2)) as u32;
+        super::crc32_update(c, tail) ^ 0xFFFF_FFFF
+    }
+
+    /// One 16-byte block as a lane, its first byte lowest.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    #[inline]
+    fn load(block: &[u8; 16]) -> __m128i {
+        lane(u128::from_le_bytes(*block))
+    }
+
+    /// `v` as a lane, its low 64 bits in the low half.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    #[inline]
+    fn lane(v: u128) -> __m128i {
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    /// Folds lane `x` forward across the distance `k` encodes and adds
+    /// lane `next`: `next ⊕ x.lo·k.lo ⊕ x.hi·k.hi`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    #[inline]
+    fn fold(x: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_xor_si128(next, _mm_clmulepi64_si128::<0x00>(x, k)),
+            _mm_clmulepi64_si128::<0x11>(x, k),
+        )
+    }
 }
 
 /// A decode failure.
@@ -241,6 +373,26 @@ pub fn decode_tuple(buf: &mut impl Buf) -> Result<Tuple, WireError> {
     Ok(Tuple::new(sid, tid, ts, values))
 }
 
+/// Frame header size: magic + length + CRC.
+const FRAME_HEADER: usize = 1 + 4 + 4;
+
+/// Appends the header of a frame with magic `magic` to `buf`, its length
+/// and CRC left zero for [`seal_frame`], and returns where the frame
+/// starts. The body is then encoded straight into `buf`.
+fn open_frame(buf: &mut Vec<u8>, magic: u8) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[magic, 0, 0, 0, 0, 0, 0, 0, 0]);
+    start
+}
+
+/// Writes the body length and CRC-32 into the header of the frame that
+/// [`open_frame`] opened at `start`, now that its body ends `buf`.
+fn seal_frame(buf: &mut [u8], start: usize) {
+    let (header, body) = buf[start..].split_at_mut(FRAME_HEADER);
+    header[1..5].copy_from_slice(&(body.len() as u32).to_be_bytes());
+    header[5..].copy_from_slice(&crc32(body).to_be_bytes());
+}
+
 /// A network message: a batch of stream elements for one stream, framed
 /// together — punctuations riding with the data tuples they govern.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,28 +410,25 @@ impl Message {
         Self { stream, elements }
     }
 
-    /// Serializes the message as one checksummed frame:
+    /// Appends the message to `buf` as one checksummed frame:
     /// `[MAGIC][u32 body length][u32 CRC-32][body]`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        let mut body = Vec::with_capacity(8 + self.elements.len() * 48);
-        body.put_u32(self.stream.raw());
-        body.put_u32(self.elements.len() as u32);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        let start = open_frame(buf, MAGIC);
+        buf.put_u32(self.stream.raw());
+        buf.put_u32(self.elements.len() as u32);
         for elem in &self.elements {
             match elem {
                 StreamElement::Tuple(t) => {
-                    body.put_u8(TAG_TUPLE);
-                    encode_tuple(t, &mut body);
+                    buf.put_u8(TAG_TUPLE);
+                    encode_tuple(t, buf);
                 }
                 StreamElement::Punctuation(sp) => {
-                    body.put_u8(TAG_SP);
-                    sp.encode(&mut body);
+                    buf.put_u8(TAG_SP);
+                    sp.encode(buf);
                 }
             }
         }
-        buf.put_u8(MAGIC);
-        buf.put_u32(body.len() as u32);
-        buf.put_u32(crc32(&body));
-        buf.put_slice(&body);
+        seal_frame(buf, start);
     }
 
     /// Serializes into a fresh byte vector.
@@ -542,79 +691,77 @@ pub enum Control {
 }
 
 impl Control {
-    /// Serializes the control frame:
+    /// Appends the control frame to `buf`:
     /// `[MAGIC_CTRL][u32 body length][u32 CRC-32][body]`.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        let mut body: Vec<u8> = Vec::with_capacity(16);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        let start = open_frame(buf, MAGIC_CTRL);
         match self {
             Self::Hello { tenant, acked } => {
-                body.put_u8(CTRL_HELLO);
-                body.put_u32(*tenant);
-                body.put_u64(*acked);
+                buf.put_u8(CTRL_HELLO);
+                buf.put_u32(*tenant);
+                buf.put_u64(*acked);
             }
             Self::HelloAck { resume_from } => {
-                body.put_u8(CTRL_HELLO_ACK);
-                body.put_u64(*resume_from);
+                buf.put_u8(CTRL_HELLO_ACK);
+                buf.put_u64(*resume_from);
             }
             Self::Ack { pos } => {
-                body.put_u8(CTRL_ACK);
-                body.put_u64(*pos);
+                buf.put_u8(CTRL_ACK);
+                buf.put_u64(*pos);
             }
             Self::Overloaded { retry_after_ms, pos } => {
-                body.put_u8(CTRL_OVERLOADED);
-                body.put_u64(*retry_after_ms);
-                body.put_u64(*pos);
+                buf.put_u8(CTRL_OVERLOADED);
+                buf.put_u64(*retry_after_ms);
+                buf.put_u64(*pos);
             }
             Self::Quarantined { code } => {
-                body.put_u8(CTRL_QUARANTINED);
-                body.put_u8(code.as_u8());
+                buf.put_u8(CTRL_QUARANTINED);
+                buf.put_u8(code.as_u8());
             }
             Self::Draining { pos } => {
-                body.put_u8(CTRL_DRAINING);
-                body.put_u64(*pos);
+                buf.put_u8(CTRL_DRAINING);
+                buf.put_u64(*pos);
             }
             Self::ReplHello { fencing_epoch } => {
-                body.put_u8(CTRL_REPL_HELLO);
-                body.put_u64(*fencing_epoch);
+                buf.put_u8(CTRL_REPL_HELLO);
+                buf.put_u64(*fencing_epoch);
             }
             Self::CheckpointSegment { tenant, epoch, fencing_epoch, seq, total, bytes } => {
-                body.put_u8(CTRL_CKPT_SEGMENT);
-                body.put_u32(*tenant);
-                body.put_u64(*epoch);
-                body.put_u64(*fencing_epoch);
-                body.put_u32(*seq);
-                body.put_u32(*total);
-                body.put_u32(bytes.len() as u32);
-                body.put_slice(bytes);
+                buf.put_u8(CTRL_CKPT_SEGMENT);
+                buf.put_u32(*tenant);
+                buf.put_u64(*epoch);
+                buf.put_u64(*fencing_epoch);
+                buf.put_u32(*seq);
+                buf.put_u32(*total);
+                buf.put_u32(bytes.len() as u32);
+                buf.put_slice(bytes);
             }
             Self::CheckpointCommit { tenant, epoch, fencing_epoch, len, crc } => {
-                body.put_u8(CTRL_CKPT_COMMIT);
-                body.put_u32(*tenant);
-                body.put_u64(*epoch);
-                body.put_u64(*fencing_epoch);
-                body.put_u32(*len);
-                body.put_u32(*crc);
+                buf.put_u8(CTRL_CKPT_COMMIT);
+                buf.put_u32(*tenant);
+                buf.put_u64(*epoch);
+                buf.put_u64(*fencing_epoch);
+                buf.put_u32(*len);
+                buf.put_u32(*crc);
             }
             Self::Fence { fencing_epoch } => {
-                body.put_u8(CTRL_FENCE);
-                body.put_u64(*fencing_epoch);
+                buf.put_u8(CTRL_FENCE);
+                buf.put_u64(*fencing_epoch);
             }
             Self::Trace { trace_id, parent_span } => {
-                body.put_u8(CTRL_TRACE);
-                body.put_u64(*trace_id);
-                body.put_u64(*parent_span);
+                buf.put_u8(CTRL_TRACE);
+                buf.put_u64(*trace_id);
+                buf.put_u64(*parent_span);
             }
         }
-        buf.put_u8(MAGIC_CTRL);
-        buf.put_u32(body.len() as u32);
-        buf.put_u32(crc32(&body));
-        buf.put_slice(&body);
+        seal_frame(buf, start);
     }
 
     /// Serializes into a fresh byte vector.
     #[must_use]
     pub fn encode_to_vec(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(24);
+        // Every frame but a checkpoint segment fits (a commit is 38 bytes).
+        let mut buf = Vec::with_capacity(40);
         self.encode(&mut buf);
         buf
     }
@@ -740,9 +887,6 @@ pub struct StreamDecoder {
     /// Bytes discarded while scanning for a frame boundary.
     pub skipped_bytes: u64,
 }
-
-/// Frame header size: magic + length + CRC.
-const FRAME_HEADER: usize = 1 + 4 + 4;
 
 impl StreamDecoder {
     /// A decoder refusing frames whose body claims more than
@@ -987,10 +1131,20 @@ mod tests {
 
     #[test]
     fn crc32_matches_reference_vectors() {
-        // Standard IEEE 802.3 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        // Standard IEEE 802.3 check values, then zlib's `crc32` of three
+        // buffers long enough for the kernel.
+        let ramp: Vec<u8> = (0..=255u8).cycle().take(1024).collect();
+        let vectors: [(&[u8], u32); 6] = [
+            (b"", 0),
+            (b"123456789", 0xCBF4_3926),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+            (&[0x00; 1024], 0xEFB5_AF2E),
+            (&ramp, 0xB70B_4C26),
+            (&[0xFF; 4096], 0xF154_670A),
+        ];
+        for (bytes, want) in vectors {
+            assert_eq!(crc32_every_path(bytes), want, "{} bytes", bytes.len());
+        }
     }
 
     /// The byte-at-a-time loop the sliced [`crc32`] replaced: the oracle.
@@ -998,17 +1152,56 @@ mod tests {
         bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
     }
 
+    /// The oracle's CRC of `bytes`, after asserting that the dispatching
+    /// [`crc32`], the table path and (on a CPU that has it) the kernel all
+    /// give the same value.
+    fn crc32_every_path(bytes: &[u8]) -> u32 {
+        let want = crc32_bytewise(bytes);
+        let len = bytes.len();
+        assert_eq!(crc32(bytes), want, "crc32, {len} bytes");
+        assert_eq!(crc32_sliced(bytes), want, "tables, {len} bytes");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(got) = crc32_clmul(bytes) {
+            assert_eq!(got, want, "kernel, {len} bytes");
+        }
+        want
+    }
+
+    /// `len` bytes of a non-repeating pattern, so a misplaced table index
+    /// or lane cannot cancel out.
+    fn crc_pattern(len: u32) -> Vec<u8> {
+        (0..len).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect()
+    }
+
     #[test]
     fn sliced_crc32_equals_bytewise_at_every_length_and_alignment() {
-        // 8 alignments + 256 bytes, with a non-repeating pattern so a
-        // misplaced table index cannot cancel out.
-        let data: Vec<u8> =
-            (0..8 + 256u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=256 {
-                let window = &data[start..start + len];
-                assert_eq!(crc32(window), crc32_bytewise(window), "start {start} len {len}");
+        // Every length across the kernel's 64-byte threshold, its 16-byte
+        // blocks and its 64-byte folds, at 16 start alignments.
+        let data = crc_pattern(16 + 1024);
+        for start in 0..16 {
+            for len in 0..=1024 {
+                crc32_every_path(&data[start..start + len]);
             }
+        }
+    }
+
+    #[test]
+    fn crc32_paths_agree_on_a_max_size_frame() {
+        // The server's `MAX_FRAME_LEN`: the longest body a CRC covers.
+        crc32_every_path(&crc_pattern(1 << 20));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn kernel_crc32_changes_on_every_single_bit_flip() {
+        let mut body = crc_pattern(1024);
+        let Some(clean) = crc32_clmul(&body) else {
+            return; // no PCLMULQDQ on this CPU: the table path is checked above
+        };
+        for bit in 0..body.len() * 8 {
+            body[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crc32_clmul(&body), Some(clean), "flip of bit {bit}");
+            body[bit / 8] ^= 1 << (bit % 8);
         }
     }
 
@@ -1017,11 +1210,51 @@ mod tests {
 
         #[test]
         fn sliced_crc32_equals_bytewise_on_random_buffers(
-            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
-            start in 0usize..8,
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64 * 1024),
+            start in 0usize..16,
         ) {
-            let window = bytes.get(start..).unwrap_or(&[]);
-            proptest::prop_assert_eq!(crc32(window), crc32_bytewise(window));
+            crc32_every_path(bytes.get(start..).unwrap_or(&[]));
+        }
+    }
+
+    /// A deterministic data frame of over 8 KiB: tuples interleaved with
+    /// grants (roles past the inline 128 included) and immutable denials.
+    fn pinned_message() -> Message {
+        let elements = (0..200u64)
+            .map(|i| match i % 5 {
+                0 => StreamElement::punctuation(
+                    SecurityPunctuation::grant_all(
+                        RoleSet::from([i as u32 % 7, 64 + i as u32]),
+                        Timestamp(i),
+                    )
+                    .with_ddp(DataDescription::tuple_range(i, i + 20)),
+                ),
+                3 if i % 4 == 3 => StreamElement::punctuation(sp(i).negative().immutable()),
+                _ => StreamElement::tuple(tuple(i)),
+            })
+            .collect();
+        Message::new(StreamId(7), elements)
+    }
+
+    #[test]
+    fn encoded_frames_are_pinned() {
+        // Length and oracle CRC-32 of each frame's full bytes, recorded
+        // from the encoder that built the body in a separate buffer: a
+        // change here is a change to the bytes on the wire.
+        let commit = Control::CheckpointCommit {
+            tenant: 9,
+            epoch: 4,
+            fencing_epoch: 2,
+            len: 1 << 20,
+            crc: 0xDEAD_BEEF,
+        };
+        let frames = [
+            ("message", pinned_message().encode_to_vec(), 10_349, 0x138A_4250),
+            ("ack", Control::Ack { pos: 0x0123_4567_89AB_CDEF }.encode_to_vec(), 18, 0xC170_C803),
+            ("commit", commit.encode_to_vec(), 38, 0xB816_339A),
+        ];
+        for (name, bytes, len, crc) in frames {
+            assert_eq!((bytes.len(), crc32_bytewise(&bytes)), (len, crc), "{name}");
         }
     }
 
