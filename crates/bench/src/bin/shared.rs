@@ -3,7 +3,8 @@
 //! N ∈ {1, 8, 64} queries under different roles read one location stream
 //! with scoped sps every 25 tuples (`policy.heavy`'s shape), each
 //! shield → select → project → sink, fed in 128-element frames through
-//! `Executor::push_all`, as a session feeds them. Three deployments:
+//! `Executor::push_all`, as a session feeds them: every run gets its own
+//! copy of each tuple, as a session decodes its own. Four deployments:
 //!
 //! 1. **separate** — one source (and SP Analyzer) per query, no sharing;
 //! 2. **shared** — one source whose edge the N shields consume: the
@@ -12,9 +13,12 @@
 //! 3. **merged** — one source, a *merged* shield (the union of all
 //!    predicates, Rule 1) below and the N shields splitting above it — the
 //!    paper's "merge at the beginning, split at the end", which
-//!    `Optimizer::shared_shield` decides on.
+//!    `Optimizer::shared_shield` decides on;
+//! 4. **projected** — one source and one projection on its edge, then the
+//!    N shields and selections: the plan a session runs, with π at the
+//!    scan, compacting each tuple in place once for all N queries.
 //!
-//! All three must release identical per-query results. The table gives
+//! All four must release identical per-query results. The table gives
 //! engine ns per input tuple (median of [`sp_bench::timing::RUNS`] runs,
 //! as `median [low..high]`) and the slope: what each query added since the
 //! previous N costs per input tuple.
@@ -26,7 +30,7 @@ use std::time::Duration;
 
 use sp_bench::timing::{median_of_runs, wall};
 use sp_bench::{log_rows, print_table, warn_if_debug, Row};
-use sp_core::{RoleId, RoleSet, StreamElement, StreamId, Value};
+use sp_core::{RoleId, RoleSet, StreamElement, StreamId, Tuple, Value};
 use sp_engine::{CmpOp, Expr, PlanBuilder, Project, SecurityShield, Select, SinkRef, Upstream};
 use sp_mog::{location_stream, Workload, WorkloadConfig};
 use sp_query::{CostModel, LogicalPlan, Optimizer};
@@ -37,16 +41,29 @@ const FANOUT: [u32; 3] = [1, 8, 64];
 /// Elements per `push_all` call (`policy.heavy`'s frame).
 const FRAME: usize = 128;
 
-const VARIANTS: [&str; 3] = ["separate", "shared", "merged"];
+const VARIANTS: [&str; 4] = ["separate", "shared", "merged", "projected"];
 
-fn predicate() -> Expr {
-    Expr::cmp(CmpOp::Ge, Expr::Attr(3), Expr::Const(Value::Float(2.0)))
+/// The kept columns: `obj_id`, `speed`.
+const KEPT: [usize; 2] = [0, 3];
+
+/// `speed >= 2.0` over the stream's columns (`attr` 3), or over the
+/// projected ones (`attr` 1).
+fn predicate_on(attr: usize) -> Expr {
+    Expr::cmp(CmpOp::Ge, Expr::Attr(attr), Expr::Const(Value::Float(2.0)))
 }
 
 fn catalog() -> Arc<sp_core::RoleCatalog> {
     let mut c = sp_core::RoleCatalog::new();
     c.register_synthetic_roles(400);
     Arc::new(c)
+}
+
+/// A copy of `e` whose tuple no one else holds, as a decoded one.
+fn fresh(e: &StreamElement) -> StreamElement {
+    match e {
+        StreamElement::Tuple(t) => StreamElement::tuple(Tuple::clone(t)),
+        sp => sp.clone(),
+    }
 }
 
 /// Deploys one variant for `n` queries and runs the workload through it
@@ -56,6 +73,10 @@ fn run(variant: &str, n: u32, w: &Workload) -> (Vec<usize>, Duration) {
     let below: Option<Upstream> = match variant {
         "separate" => None,
         "shared" => Some(b.source(w.stream, w.schema.clone()).into()),
+        "projected" => {
+            let src = b.source(w.stream, w.schema.clone());
+            Some(b.add(Project::new(KEPT.to_vec()), src).into())
+        }
         _ => {
             let src = b.source(w.stream, w.schema.clone());
             Some(b.add(SecurityShield::new((0..n).map(RoleId).collect()), src).into())
@@ -65,16 +86,20 @@ fn run(variant: &str, n: u32, w: &Workload) -> (Vec<usize>, Duration) {
         .map(|q| {
             let input = below.unwrap_or_else(|| b.source(w.stream, w.schema.clone()).into());
             let ss = b.add(SecurityShield::new(RoleSet::single(RoleId(q))), input);
-            let sel = b.add(Select::new(predicate()), ss);
-            let proj = b.add(Project::new(vec![0, 3]), sel);
-            b.sink(proj)
+            let top = if variant == "projected" {
+                b.add(Select::new(predicate_on(1)), ss)
+            } else {
+                let sel = b.add(Select::new(predicate_on(3)), ss);
+                b.add(Project::new(KEPT.to_vec()), sel)
+            };
+            b.sink(top)
         })
         .collect();
     let mut exec = b.build();
     let frames: Vec<Vec<(StreamId, StreamElement)>> = w
         .elements
         .chunks(FRAME)
-        .map(|frame| frame.iter().map(|e| (w.stream, e.clone())).collect())
+        .map(|frame| frame.iter().map(|e| (w.stream, fresh(e))).collect())
         .collect();
     let ((), elapsed) = wall(|| {
         for frame in frames {
@@ -143,7 +168,7 @@ fn main() {
     // The optimizer's own §VI-C merge decision for eight of these queries.
     let predicates: Vec<RoleSet> = (0..8).map(|q| RoleSet::single(RoleId(q))).collect();
     let shared_plan = LogicalPlan::Select {
-        predicate: predicate(),
+        predicate: predicate_on(3),
         input: Box::new(LogicalPlan::Scan {
             stream: w.stream,
             schema: w.schema.clone(),

@@ -1,6 +1,7 @@
 //! Scalar expressions over tuples — selection predicates, projection inputs
 //! and join conditions are built from these.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -178,10 +179,35 @@ impl Expr {
         }
     }
 
-    /// Evaluates as a predicate (`Null`/non-boolean → false).
+    /// Evaluates as a predicate (`Null`/non-boolean → false), exactly as
+    /// `eval(tuple).as_bool().unwrap_or(false)` but without cloning: a
+    /// comparison reads its attribute and constant operands in place, and
+    /// `AND`/`OR`/`NOT` recurse. Only an arithmetic operand is evaluated.
     #[must_use]
     pub fn test(&self, tuple: &Tuple) -> bool {
-        self.eval(tuple).as_bool().unwrap_or(false)
+        match self {
+            Expr::Cmp(op, l, r) => {
+                l.operand(tuple).compare(&r.operand(tuple)).is_some_and(|ord| op.test(ord))
+            }
+            Expr::And(l, r) => l.test(tuple) && r.test(tuple),
+            Expr::Or(l, r) => l.test(tuple) || r.test(tuple),
+            Expr::Not(inner) => !inner.test(tuple),
+            Expr::Attr(_) | Expr::Const(_) | Expr::Arith(..) => {
+                self.operand(tuple).as_bool().unwrap_or(false)
+            }
+        }
+    }
+
+    /// The value of this expression as an operand: borrowed from the
+    /// tuple or the constant where it can be, evaluated otherwise.
+    fn operand<'a>(&'a self, tuple: &'a Tuple) -> Cow<'a, Value> {
+        /// What a missing attribute reads as.
+        static NULL: Value = Value::Null;
+        match self {
+            Expr::Attr(i) => Cow::Borrowed(tuple.value(*i).unwrap_or(&NULL)),
+            Expr::Const(v) => Cow::Borrowed(v),
+            other => Cow::Owned(other.eval(tuple)),
+        }
     }
 
     /// Every attribute index referenced by this expression.
@@ -307,6 +333,65 @@ mod tests {
         let mut attrs2 = Vec::new();
         remapped.referenced_attrs(&mut attrs2);
         assert_eq!(attrs2, vec![12, 10]);
+    }
+
+    /// `test` reads operands in place; whatever the expression and the
+    /// values — `Null`, `NaN`, text, booleans, missing attributes,
+    /// arithmetic operands — it answers what `eval` does.
+    #[test]
+    fn test_agrees_with_eval_on_random_expressions() {
+        use proptest::prelude::*;
+        let value = || {
+            prop_oneof![
+                Just(Value::Null),
+                (-3i64..4).prop_map(Value::Int),
+                prop_oneof![
+                    Just(f64::NAN),
+                    Just(-0.0),
+                    Just(2.5),
+                    (-3i64..4).prop_map(|i| i as f64)
+                ]
+                .prop_map(Value::Float),
+                prop_oneof![Just("a"), Just("b"), Just("")].prop_map(Value::text),
+                proptest::bool::ANY.prop_map(Value::Bool),
+            ]
+        };
+        let op = || {
+            prop_oneof![
+                Just(CmpOp::Eq),
+                Just(CmpOp::Ne),
+                Just(CmpOp::Lt),
+                Just(CmpOp::Le),
+                Just(CmpOp::Gt),
+                Just(CmpOp::Ge),
+            ]
+        };
+        let arith = || {
+            prop_oneof![
+                Just(ArithOp::Add),
+                Just(ArithOp::Sub),
+                Just(ArithOp::Mul),
+                Just(ArithOp::Div),
+            ]
+        };
+        // Attribute 4 is past the tuple's end: it reads as `Null`.
+        let leaf = prop_oneof![(0usize..5).prop_map(Expr::Attr), value().prop_map(Expr::Const)];
+        let expr = leaf.prop_recursive(4, 32, 2, move |inner| {
+            prop_oneof![
+                (op(), inner.clone(), inner.clone()).prop_map(|(o, l, r)| Expr::cmp(o, l, r)),
+                (arith(), inner.clone(), inner.clone()).prop_map(|(o, l, r)| Expr::arith(o, l, r)),
+                (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::and(l, r)),
+                (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::or(l, r)),
+                inner.prop_map(Expr::not),
+            ]
+        });
+        proptest!(ProptestConfig::with_cases(2048), |(
+            e in expr,
+            vals in proptest::collection::vec(value(), 4..5),
+        )| {
+            let t = tup(vals);
+            prop_assert_eq!(e.test(&t), e.eval(&t).as_bool().unwrap_or(false), "{:?}", e);
+        });
     }
 
     #[test]

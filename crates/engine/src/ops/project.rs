@@ -8,6 +8,13 @@
 //! override semantics a new segment's policy must replace the previous
 //! one, and silently dropping it would leave a stale grant governing the
 //! segment's tuples downstream.
+//!
+//! A tuple the operator owns outright — the only `Arc` on it is the one
+//! it was handed — is compacted in place and forwarded in that same
+//! `Arc`; a tuple someone else still holds is projected into a fresh tuple
+//! and left untouched. A lent run takes the default
+//! [`Operator::process_run`]: its clones share every tuple with the run the
+//! executor still holds, so none of them is compacted.
 
 use std::sync::Arc;
 
@@ -76,10 +83,16 @@ impl Operator for Project {
         for elem in batch {
             match elem {
                 Element::Policy(seg) => self.remap_policy(seg, out),
-                Element::Tuple(tuple) => {
+                Element::Tuple(mut tuple) => {
                     self.stats.tuples_in += 1;
                     self.stats.tuples_out += 1;
-                    out.push(Element::tuple(tuple.project(&self.indices)));
+                    out.push(match Arc::get_mut(&mut tuple) {
+                        Some(owned) => {
+                            owned.project_in_place(&self.indices);
+                            Element::Tuple(tuple)
+                        }
+                        None => Element::tuple(tuple.project(&self.indices)),
+                    });
                 }
             }
         }
@@ -133,6 +146,47 @@ mod tests {
         let t = out[0].as_tuple().unwrap();
         assert_eq!(t.values(), &[Value::Int(3), Value::Int(1)]);
         assert_eq!(proj.indices(), &[2, 0]);
+    }
+
+    #[test]
+    fn owned_tuple_is_compacted_in_its_own_arc() {
+        let tuple = Arc::new(Tuple::new(
+            StreamId(0),
+            TupleId(4),
+            Timestamp(2),
+            vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+        ));
+        let addr = Arc::as_ptr(&tuple);
+        let mut proj = Project::new(vec![0, 2]);
+        let out = run_unary(&mut proj, vec![Element::Tuple(tuple)]);
+        let t = out[0].as_tuple().unwrap();
+        assert_eq!(Arc::as_ptr(t), addr, "forwarded in the Arc it came in");
+        assert_eq!(t.values(), &[Value::Int(1), Value::Int(3)]);
+    }
+
+    #[test]
+    fn shared_tuple_is_left_untouched() {
+        let held = Arc::new(Tuple::new(
+            StreamId(0),
+            TupleId(4),
+            Timestamp(2),
+            vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+        ));
+        let before = (*held).clone();
+        // Owned run holding a shared Arc, then a lent run: both leave the
+        // other holder's tuple as it was and emit a fresh projection.
+        let mut proj = Project::new(vec![2]);
+        let owned = run_unary(&mut proj, vec![Element::Tuple(held.clone())]);
+        let mut out = Emitter::new();
+        proj.process_run(0, &[Element::Tuple(held.clone())], &mut out).unwrap();
+        let lent = out.take();
+        for got in [&owned[0], &lent[0]] {
+            let t = got.as_tuple().unwrap();
+            assert!(!Arc::ptr_eq(t, &held));
+            assert_eq!(t.values(), &[Value::Int(3)]);
+        }
+        assert_eq!(*held, before);
+        assert_eq!(proj.stats().tuples_out, 2);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`logical`] — security-aware logical plans (Table I algebra);
 //! * [`rules`] — the Table II equivalence rules as executable rewrites;
 //! * [`cost`] — the §VI-A per-unit-time cost model;
-//! * [`optimizer`] — cost-guided SS placement and multi-query sharing;
+//! * [`optimizer`] — cost-guided SS placement, projection at the scan
+//!   and multi-query sharing;
 //! * [`physical`] — instantiation into `sp-engine` operator DAGs;
 //! * [`session`] — the [`Dsms`] facade tying it all together.
 

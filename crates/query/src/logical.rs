@@ -226,6 +226,20 @@ impl LogicalPlan {
         }
     }
 
+    /// Whether this plan is a chain of π, σ and ψ nodes over one scan
+    /// (a bare scan included): the shape whose projection may move to
+    /// the scan and whose prefixes a session shares between queries.
+    #[must_use]
+    pub fn is_scan_chain(&self) -> bool {
+        match self {
+            LogicalPlan::Scan { .. } => true,
+            LogicalPlan::Shield { input, .. }
+            | LogicalPlan::Select { input, .. }
+            | LogicalPlan::Project { input, .. } => input.is_scan_chain(),
+            _ => false,
+        }
+    }
+
     /// Number of operators in the plan.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -407,5 +421,30 @@ mod tests {
         assert!(text.contains("\n  scan"));
         assert_eq!(plan.op_name(), "select");
         assert_eq!(plan.shield_count(), 0);
+    }
+
+    #[test]
+    fn scan_chains_are_unary_pi_sigma_psi_over_a_scan() {
+        let chain = LogicalPlan::Project {
+            indices: vec![0],
+            input: Box::new(LogicalPlan::Shield { input: Box::new(scan()), roles: RoleSet::new() }),
+        };
+        assert!(scan().is_scan_chain());
+        assert!(chain.is_scan_chain());
+        let distinct =
+            LogicalPlan::DupElim { input: Box::new(chain.clone()), keys: vec![], window_ms: 5 };
+        assert!(!distinct.is_scan_chain());
+        let over_join = LogicalPlan::Shield {
+            roles: RoleSet::new(),
+            input: Box::new(LogicalPlan::Join {
+                left: Box::new(scan()),
+                right: Box::new(chain),
+                left_key: 0,
+                right_key: 0,
+                window_ms: 5,
+                variant: JoinVariant::Index,
+            }),
+        };
+        assert!(!over_join.is_scan_chain());
     }
 }

@@ -52,25 +52,11 @@ pub fn instantiate_with(
                 *sources.entry(*stream).or_insert_with(|| builder.source(*stream, schema.clone()));
             Upstream::Source(source)
         }
-        LogicalPlan::Shield { input, roles } => {
+        LogicalPlan::Shield { input, .. }
+        | LogicalPlan::Select { input, .. }
+        | LogicalPlan::Project { input, .. } => {
             let upstream = instantiate_with(input, builder, sources, opts);
-            Upstream::Node(builder.add(
-                SecurityShield::new(roles.clone()).with_granularity(opts.granularity),
-                upstream,
-            ))
-        }
-        LogicalPlan::Select { input, predicate } => {
-            let upstream = instantiate_with(input, builder, sources, opts);
-            let select = if opts.eager_selects {
-                Select::eager(predicate.clone())
-            } else {
-                Select::new(predicate.clone())
-            };
-            Upstream::Node(builder.add(select, upstream))
-        }
-        LogicalPlan::Project { input, indices } => {
-            let upstream = instantiate_with(input, builder, sources, opts);
-            Upstream::Node(builder.add(Project::new(indices.clone()), upstream))
+            add_chain_node(plan, builder, upstream, opts)
         }
         LogicalPlan::Join { left, right, left_key, right_key, window_ms, variant } => {
             let left_arity = left.schema().arity();
@@ -101,6 +87,59 @@ pub fn instantiate_with(
             Upstream::Node(builder.add(GroupBy::new(*group, *agg, *agg_attr, *window_ms), upstream))
         }
     }
+}
+
+/// Adds the operator of one π, σ or ψ node on `upstream`.
+fn add_chain_node(
+    node: &LogicalPlan,
+    builder: &mut PlanBuilder,
+    upstream: Upstream,
+    opts: InstantiateOptions,
+) -> Upstream {
+    Upstream::Node(match node {
+        LogicalPlan::Shield { roles, .. } => builder
+            .add(SecurityShield::new(roles.clone()).with_granularity(opts.granularity), upstream),
+        LogicalPlan::Select { predicate, .. } if opts.eager_selects => {
+            builder.add(Select::eager(predicate.clone()), upstream)
+        }
+        LogicalPlan::Select { predicate, .. } => {
+            builder.add(Select::new(predicate.clone()), upstream)
+        }
+        LogicalPlan::Project { indices, .. } => {
+            builder.add(Project::new(indices.clone()), upstream)
+        }
+        other => unreachable!("{} is not a chain node", other.op_name()),
+    })
+}
+
+/// [`instantiate_with`] for one query of a session: a query that is a
+/// scan chain ([`LogicalPlan::is_scan_chain`]) reuses every prefix an
+/// earlier query of the session left in `chains` and records its own, so
+/// each distinct chain of π, σ and ψ runs once (§VI-C). The sibling
+/// shields on a shared edge then form one shield group. Any other plan is
+/// instantiated as it is.
+pub(crate) fn instantiate_shared(
+    plan: &LogicalPlan,
+    builder: &mut PlanBuilder,
+    sources: &mut HashMap<StreamId, SourceRef>,
+    chains: &mut Vec<(LogicalPlan, Upstream)>,
+    opts: InstantiateOptions,
+) -> Upstream {
+    if !plan.is_scan_chain() {
+        return instantiate_with(plan, builder, sources, opts);
+    }
+    if let Some((_, upstream)) = chains.iter().find(|(chain, _)| chain == plan) {
+        return *upstream;
+    }
+    let upstream = match plan.children().first() {
+        Some(input) => {
+            let below = instantiate_shared(input, builder, sources, chains, opts);
+            add_chain_node(plan, builder, below, opts)
+        }
+        None => instantiate_with(plan, builder, sources, opts),
+    };
+    chains.push((plan.clone(), upstream));
+    upstream
 }
 
 #[cfg(test)]

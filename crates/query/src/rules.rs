@@ -41,6 +41,12 @@ pub enum Rule {
     PushShieldBelowProject,
     /// Rule 2 (reverse): π(ψ(T)) → ψ(π(T)).
     PullShieldAboveProject,
+    /// π_a(σ_c(T)) → σ_c'(π_a(T)) when `c` reads only kept attributes
+    /// (`c'` is `c` over the output positions). Not in [`ALL_RULES`]: the
+    /// cost search never moves π down (the §VI-A model charges π per input
+    /// tuple); the projection-at-scan normalization
+    /// ([`crate::optimizer::project_at_scan`]) applies it.
+    PushProjectBelowSelect,
     /// Rule 2: ψ(δ(T)) → ψ(δ(ψ(T))) (sound residual form — see below).
     PushShieldBelowDupElim,
     /// Rule 2: ψ(G(T)) → G(ψ(T)).
@@ -77,7 +83,7 @@ pub enum Rule {
     AssociateJoin,
 }
 
-/// Every rule, for exhaustive search.
+/// Every rule of the cost search's neighbourhood.
 pub const ALL_RULES: [Rule; 15] = [
     Rule::PushShieldBelowSelect,
     Rule::PullShieldAboveSelect,
@@ -144,6 +150,25 @@ pub fn apply(rule: Rule, plan: &LogicalPlan) -> Option<LogicalPlan> {
                     indices: indices.clone(),
                 }),
                 roles: roles.clone(),
+            })
+        }
+        Rule::PushProjectBelowSelect => {
+            let LogicalPlan::Project { input, indices } = plan else { return None };
+            let LogicalPlan::Select { input: inner, predicate } = &**input else {
+                return None;
+            };
+            let mut read = Vec::new();
+            predicate.referenced_attrs(&mut read);
+            if !read.iter().all(|a| indices.contains(a)) {
+                return None;
+            }
+            let to_output = |old| indices.iter().position(|&i| i == old).unwrap_or(old);
+            Some(LogicalPlan::Select {
+                input: Box::new(LogicalPlan::Project {
+                    input: inner.clone(),
+                    indices: indices.clone(),
+                }),
+                predicate: predicate.remap_attrs(&to_output),
             })
         }
         Rule::PushShieldBelowDupElim => {
@@ -495,6 +520,27 @@ mod tests {
         assert_eq!(pulled, original);
         // Schemas unchanged by the rewrite.
         assert_eq!(original.schema(), pushed.schema());
+    }
+
+    #[test]
+    fn project_pushes_below_a_select_over_kept_columns() {
+        let over = |read: usize| LogicalPlan::Project {
+            input: Box::new(LogicalPlan::Select {
+                input: Box::new(scan("s")),
+                predicate: Expr::cmp(CmpOp::Gt, Expr::Attr(read), Expr::Const(Value::Int(0))),
+            }),
+            indices: vec![1, 1, 0],
+        };
+        let pushed = apply(Rule::PushProjectBelowSelect, &over(1)).unwrap();
+        let LogicalPlan::Select { input, predicate } = &pushed else { panic!("{pushed}") };
+        assert_eq!(input.op_name(), "project");
+        // x is output columns 0 and 1; the predicate reads the first.
+        assert_eq!(*predicate, Expr::cmp(CmpOp::Gt, Expr::Attr(0), Expr::Const(Value::Int(0))));
+        assert_eq!(pushed.schema(), over(1).schema());
+        // A predicate over a column the projection drops keeps π above σ.
+        let narrow = LogicalPlan::Project { input: Box::new(select(scan("s"))), indices: vec![0] };
+        assert!(apply(Rule::PushProjectBelowSelect, &narrow).is_none());
+        assert!(!ALL_RULES.contains(&Rule::PushProjectBelowSelect));
     }
 
     #[test]

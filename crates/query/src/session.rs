@@ -33,7 +33,7 @@ use crate::lexer::QueryError;
 use crate::logical::LogicalPlan;
 use crate::optimizer::{Optimizer, OptimizerReport};
 use crate::parser::parse;
-use crate::physical::{instantiate_with, InstantiateOptions};
+use crate::physical::{instantiate_shared, InstantiateOptions};
 use crate::planner::{plan_insert_sp, plan_select};
 
 /// A registered continuous query awaiting execution.
@@ -58,11 +58,9 @@ pub struct Dsms {
     pub cost_model: CostModel,
     /// Disable optimization (plans run exactly as written).
     pub optimize: bool,
-    /// Enforcement granularity for every query's shields (§III-A): `Tuple`
-    /// (default) drops unauthorized tuples; `Attribute` masks unauthorized
-    /// attributes instead, releasing tuples visible through
-    /// attribute-scoped grants.
-    pub granularity: sp_engine::Granularity,
+    /// Enforcement granularity for every query's shields; fixed once a
+    /// query is registered ([`Dsms::set_granularity`]).
+    granularity: sp_engine::Granularity,
     /// Optional ingestion admission control: when set, each started
     /// session rate-limits data tuples per stream with a token bucket
     /// (burst allowance + deadline-based debt) and refuses the excess
@@ -84,6 +82,37 @@ impl Dsms {
     #[must_use]
     pub fn new() -> Self {
         Self { optimize: true, ..Self::default() }
+    }
+
+    /// Sets the enforcement granularity of every query's shields
+    /// (§III-A): `Tuple` (default) drops unauthorized tuples; `Attribute`
+    /// masks unauthorized attributes instead, releasing tuples visible
+    /// through attribute-scoped grants.
+    ///
+    /// # Errors
+    ///
+    /// Fails once a query is registered: `submit` optimized its plan for
+    /// the granularity then in force, and a projection it moved to the
+    /// scan at `Tuple` granularity ([`crate::optimizer::project_at_scan`])
+    /// would turn a masked release into a suppression at `Attribute`.
+    pub fn set_granularity(
+        &mut self,
+        granularity: sp_engine::Granularity,
+    ) -> Result<(), QueryError> {
+        if !self.queries.is_empty() && granularity != self.granularity {
+            return Err(QueryError::new(
+                "the enforcement granularity is fixed once a query is registered",
+                0,
+            ));
+        }
+        self.granularity = granularity;
+        Ok(())
+    }
+
+    /// The enforcement granularity of every query's shields.
+    #[must_use]
+    pub fn granularity(&self) -> sp_engine::Granularity {
+        self.granularity
     }
 
     /// Registers a stream.
@@ -133,7 +162,7 @@ impl Dsms {
         let (id, roles) = self.catalog.register_query(subject)?;
         let plan = plan_select(&self.catalog, &stmt, &roles)?;
         let (plan, report) = if self.optimize {
-            Optimizer::new(self.cost_model.clone()).optimize(&plan)
+            Optimizer::new(self.cost_model.clone()).optimize_for(&plan, self.granularity)
         } else {
             (plan, OptimizerReport::default())
         };
@@ -176,16 +205,20 @@ impl Dsms {
         true
     }
 
-    /// Builds the shared physical plan and starts the engine.
+    /// Builds the shared physical plan and starts the engine. Queries
+    /// share their streams' sources, and the queries that are scan chains
+    /// share every prefix they have in common: N queries projecting the
+    /// same columns run one π, their shields one shield group on its edge.
     #[must_use]
     pub fn start(&self) -> RunningDsms {
         let mut builder = PlanBuilder::new(Arc::new(self.catalog.roles.clone()));
         let mut sources = HashMap::new();
+        let mut chains = Vec::new();
         let mut sinks = HashMap::new();
         let opts =
             InstantiateOptions { granularity: self.granularity, ..InstantiateOptions::default() };
         for q in &self.queries {
-            let root = instantiate_with(&q.plan, &mut builder, &mut sources, opts);
+            let root = instantiate_shared(&q.plan, &mut builder, &mut sources, &mut chains, opts);
             sinks.insert(q.id, builder.sink(root));
         }
         if let Some(cfg) = self.telemetry {
@@ -605,6 +638,68 @@ mod tests {
         let bob = d.register_subject("bob", &["store"]).unwrap();
         let _q2 = d.submit("SELECT x FROM LocationUpdates", bob).unwrap();
         assert!(d.resume(&store).is_err());
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_of_the_plan_before_projection_moved() {
+        // A build that ran π at the top of the chain checkpointed as many
+        // nodes as this one does, in another order (ψ, σ, π against
+        // π, ψ, σ): the count matches, and restore fails closed because
+        // the first node's bytes are a shield's, which π does not decode.
+        let mut d = dsms();
+        let alice = d.register_subject("alice", &["family"]).unwrap();
+        let sql = "SELECT obj_id, speed FROM LocationUpdates WHERE speed > 1";
+        let _q = d.submit(sql, alice).unwrap();
+        let Statement::Select(stmt) = parse(sql).unwrap() else { unreachable!() };
+        let unmoved = plan_select(&d.catalog, &stmt, &d.queries()[0].roles).unwrap();
+        let (unmoved, _) = Optimizer::new(d.cost_model.clone()).optimize(&unmoved);
+        assert_eq!(unmoved.op_name(), "project");
+        assert_ne!(unmoved, d.queries()[0].plan);
+
+        let mut builder = PlanBuilder::new(Arc::new(d.catalog.roles.clone()));
+        let root = crate::physical::instantiate_with(
+            &unmoved,
+            &mut builder,
+            &mut HashMap::new(),
+            InstantiateOptions::default(),
+        );
+        let _sink = builder.sink(root);
+        let mut old = builder.build();
+        let (sid, sp) = d
+            .insert_sp(
+                "INSERT SP INTO STREAM LocationUpdates LET DDP = ('*', '*', '*'), SRP = 'family'",
+                Timestamp(0),
+            )
+            .unwrap();
+        old.push(sid, StreamElement::punctuation(sp)).unwrap();
+        old.push(StreamId(1), tup(1, 1, 5.0, 2.0)).unwrap();
+        let ckpt = old.checkpoint(1, 2);
+        assert_eq!(ckpt.nodes.len(), d.start().executor.checkpoint(0, 0).nodes.len());
+
+        let mut store = sp_engine::MemStore::default();
+        sp_engine::CheckpointStore::save(&mut store, &ckpt).unwrap();
+        let refused = d.resume(&store).err();
+        assert!(
+            matches!(&refused, Some(sp_engine::EngineError::CheckpointCorrupt { stage, .. }) if stage == "project"),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
+    fn granularity_is_fixed_once_a_query_is_registered() {
+        use sp_engine::Granularity;
+        let mut d = dsms();
+        d.set_granularity(Granularity::Attribute).unwrap();
+        d.set_granularity(Granularity::Tuple).unwrap();
+        let alice = d.register_subject("alice", &["family"]).unwrap();
+        let q = d.submit("SELECT obj_id FROM LocationUpdates", alice).unwrap();
+        // The plan was built for tuple granularity: π sits on the scan.
+        assert!(d.set_granularity(Granularity::Attribute).is_err());
+        assert_eq!(d.granularity(), Granularity::Tuple);
+        d.set_granularity(Granularity::Tuple).unwrap();
+        assert!(d.withdraw(q));
+        d.set_granularity(Granularity::Attribute).unwrap();
+        assert_eq!(d.granularity(), Granularity::Attribute);
     }
 
     #[test]

@@ -474,7 +474,7 @@ fn attribute_granularity_masks_through_cql() {
     for attribute_mode in [true, false] {
         let mut dsms = hospital_dsms();
         if attribute_mode {
-            dsms.granularity = sp_engine::Granularity::Attribute;
+            dsms.set_granularity(sp_engine::Granularity::Attribute).unwrap();
         }
         let nurse = dsms.register_subject("n", &["nurse_on_duty"]).unwrap();
         let q = dsms.submit("SELECT Patient_id, Beats_per_min FROM HeartRate", nurse).unwrap();
